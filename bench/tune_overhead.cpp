@@ -9,7 +9,7 @@
 //
 //   * enumerate — design-space construction (fusion-level probing
 //                 dominates: one clone + aggressive-fusion dry run),
-//   * cost      — one candidate through the analytic cost model
+//   * cost      — one candidate through a fresh analytic cost model
 //                 (clone, fuse, compile, buffer analysis, Eq. 1,
 //                 partitioner, frequency/bandwidth models),
 //   * search    — a full beam search, analytic only (no simulation),
@@ -59,11 +59,13 @@ BENCHMARK(BM_Tuner_EnumerateSpace)->Unit(benchmark::kMicrosecond);
 void BM_Tuner_CostOneCandidate(benchmark::State &State) {
   StencilProgram Program = makeProgram();
   PipelineOptions Base = baseOptions();
-  CostModel Model(Program, Base);
   CandidateMapping Mapping;
   Mapping.VectorWidth = 8;
   Mapping.FusionPairs = 1;
   for (auto _ : State) {
+    // A fresh model per iteration: a reused one would time its prefix
+    // memo, not the compile half.
+    CostModel Model(Program, Base);
     CandidateCost Cost = Model.cost(Mapping);
     if (!Cost.Feasible) {
       State.SkipWithError(Cost.PruneReason.c_str());

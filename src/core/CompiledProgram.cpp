@@ -30,6 +30,18 @@ CompiledProgram::compile(StencilProgram Program,
   return Result;
 }
 
+Expected<CompiledProgram>
+CompiledProgram::withVectorWidth(int Width) const {
+  CompiledProgram Result;
+  Result.Program = Program.clone();
+  Result.Program.VectorWidth = Width;
+  if (Error Err = Result.Program.validate())
+    return Err;
+  Result.Kernels = Kernels;
+  Result.TopoOrder = TopoOrder;
+  return Result;
+}
+
 const compute::Kernel &
 CompiledProgram::kernelFor(const std::string &Name) const {
   int Index = Program.nodeIndex(Name);

@@ -30,6 +30,11 @@ public:
   compile(StencilProgram Program,
           const compute::KernelOptions &Options = {});
 
+  /// A copy of this program at vectorization width \p Width: the program
+  /// is cloned and re-validated at the new width, and the kernels and
+  /// topological order are copied, since neither depends on the width.
+  Expected<CompiledProgram> withVectorWidth(int Width) const;
+
   const StencilProgram &program() const { return Program; }
   StencilProgram &program() { return Program; }
 

@@ -238,6 +238,30 @@ static bool directoryHasFiles(const std::string &Dir) {
   return Any;
 }
 
+/// The per-process default scratch directory: a fresh mkdtemp directory
+/// under $TMPDIR (else /tmp), emptied and removed at exit.
+static const std::string &processScratchDir() {
+  static const std::string Dir = [] {
+    const char *TmpEnv = std::getenv("TMPDIR");
+    std::string Template = std::string(TmpEnv && *TmpEnv ? TmpEnv : "/tmp") +
+                           "/sf-fuzz-XXXXXX";
+    if (!::mkdtemp(Template.data()))
+      return std::string("sf_fuzz_scratch");
+    return Template;
+  }();
+  // Registered after Dir is constructed, so it runs before Dir dies.
+  static const bool Cleanup = std::atexit([] {
+    clearDirectory(Dir);
+    ::rmdir(Dir.c_str());
+  }) == 0;
+  (void)Cleanup;
+  return Dir;
+}
+
+std::string DiffOptions::scratchDir() const {
+  return ScratchDir.empty() ? processScratchDir() : ScratchDir;
+}
+
 //===----------------------------------------------------------------------===//
 // Running one configuration
 //===----------------------------------------------------------------------===//

@@ -117,17 +117,12 @@ struct DiffOptions {
   std::string FindingsDir;
 
   /// Scratch directory for the resume axis' checkpoint snapshots
-  /// (created; cleaned between configurations). Defaults to
-  /// "<FindingsDir>/scratch", or "sf_fuzz_scratch" when FindingsDir is
-  /// empty.
+  /// (created; cleaned between configurations). Defaults to a private
+  /// temporary directory per process, created on first use and removed
+  /// at exit, so concurrent campaigns and test processes never share one.
   std::string ScratchDir;
 
-  std::string scratchDir() const {
-    if (!ScratchDir.empty())
-      return ScratchDir;
-    return FindingsDir.empty() ? "sf_fuzz_scratch"
-                               : FindingsDir + "/scratch";
-  }
+  std::string scratchDir() const;
 };
 
 /// FNV-1a over the output fields' names and raw bit patterns, in

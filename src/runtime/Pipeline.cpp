@@ -19,11 +19,9 @@
 
 using namespace stencilflow;
 
-Expected<CompiledPlan>
-stencilflow::compilePipeline(StencilProgram Program,
-                             const PipelineOptions &Options) {
-  CompiledPlan Plan;
-
+Expected<CompiledProgram>
+stencilflow::compileProgram(StencilProgram Program,
+                            const PipelineOptions &Options, int *FusedPairs) {
   // Temporal blocking first: unroll T timesteps into one chained graph.
   // Fusion and the width knob then see an ordinary (longer) program.
   if (Options.TemporalDegree != 1) {
@@ -39,7 +37,8 @@ stencilflow::compilePipeline(StencilProgram Program,
     Expected<FusionReport> Fusion = fuseAllStencils(Program);
     if (!Fusion)
       return Fusion.takeError().addContext("stencil fusion");
-    Plan.FusedPairs = Fusion->FusedPairs;
+    if (FusedPairs)
+      *FusedPairs = Fusion->FusedPairs;
   }
 
   // Algebraic simplification (after fusion, which exposes identities).
@@ -50,12 +49,18 @@ stencilflow::compilePipeline(StencilProgram Program,
       return Err.addContext("post-simplification analysis");
   }
 
-  // Compilation and dataflow analysis.
   Expected<CompiledProgram> Compiled =
       CompiledProgram::compile(std::move(Program), Options.Kernel);
   if (!Compiled)
     return Compiled.takeError().addContext("compilation");
-  Plan.Compiled = Compiled.takeValue();
+  return Compiled;
+}
+
+Expected<CompiledPlan>
+stencilflow::planProgram(CompiledProgram Compiled,
+                         const PipelineOptions &Options) {
+  CompiledPlan Plan;
+  Plan.Compiled = std::move(Compiled);
 
   Expected<DataflowAnalysis> Dataflow =
       analyzeDataflow(Plan.Compiled, Options.Latencies);
@@ -89,6 +94,20 @@ stencilflow::compilePipeline(StencilProgram Program,
       return Sources.takeError().addContext("code generation");
     Plan.Sources = Sources.takeValue();
   }
+  return Plan;
+}
+
+Expected<CompiledPlan>
+stencilflow::compilePipeline(StencilProgram Program,
+                             const PipelineOptions &Options) {
+  int FusedPairs = 0;
+  Expected<CompiledProgram> Compiled =
+      compileProgram(std::move(Program), Options, &FusedPairs);
+  if (!Compiled)
+    return Compiled.takeError();
+  Expected<CompiledPlan> Plan = planProgram(Compiled.takeValue(), Options);
+  if (Plan)
+    Plan->FusedPairs = FusedPairs;
   return Plan;
 }
 
@@ -251,28 +270,33 @@ stencilflow::executePlan(const CompiledPlan &Plan,
 }
 
 Expected<PipelineResult>
-stencilflow::runPipeline(StencilProgram Program,
-                         const PipelineOptions &Options) {
-  Expected<CompiledPlan> Plan =
-      compilePipeline(std::move(Program), Options);
-  if (!Plan)
-    return Plan.takeError();
-  Expected<PlanExecution, sim::SimFailure> Exec = executePlan(*Plan, Options);
+stencilflow::runPipeline(CompiledPlan Plan, const PipelineOptions &Options) {
+  Expected<PlanExecution, sim::SimFailure> Exec = executePlan(Plan, Options);
   if (!Exec)
     return Error(Exec.takeError());
 
   PipelineResult Result;
-  Result.Compiled = std::move(Plan->Compiled);
-  Result.Dataflow = std::move(Plan->Dataflow);
-  Result.Runtime = Plan->Runtime;
-  Result.Resources = Plan->Resources;
-  Result.FrequencyMHz = Plan->FrequencyMHz;
-  Result.Sources = std::move(Plan->Sources);
-  Result.FusedPairs = Plan->FusedPairs;
+  Result.Compiled = std::move(Plan.Compiled);
+  Result.Dataflow = std::move(Plan.Dataflow);
+  Result.Runtime = Plan.Runtime;
+  Result.Resources = Plan.Resources;
+  Result.FrequencyMHz = Plan.FrequencyMHz;
+  Result.Sources = std::move(Plan.Sources);
+  Result.FusedPairs = Plan.FusedPairs;
   Result.Placement = std::move(Exec->Placement);
   Result.Simulation = std::move(Exec->Simulation);
   Result.Validations = std::move(Exec->Validations);
   Result.ValidationPassed = Exec->ValidationPassed;
   Result.Recovery = std::move(Exec->Recovery);
   return Result;
+}
+
+Expected<PipelineResult>
+stencilflow::runPipeline(StencilProgram Program,
+                         const PipelineOptions &Options) {
+  Expected<CompiledPlan> Plan =
+      compilePipeline(std::move(Program), Options);
+  if (!Plan)
+    return Plan.takeError();
+  return runPipeline(Plan.takeValue(), Options);
 }

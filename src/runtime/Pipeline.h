@@ -174,11 +174,27 @@ struct PlanExecution {
   Partition Placement;
 };
 
-/// The compile half: temporal unrolling, fusion and simplification,
-/// kernel compilation, dataflow analysis, model estimates, optional code
-/// generation, and partitioning. Only \p Options fields consumed before
-/// simulation are read (TemporalDegree, FuseStencils, SimplifyCode,
-/// Kernel, Latencies, Partitioning, AllowMultiDevice, EmitCode).
+/// The program half of compilation: temporal unrolling, fusion and
+/// simplification, then kernel compilation. Reads only TemporalDegree,
+/// FuseStencils, SimplifyCode and Kernel from \p Options. The result
+/// does not depend on the vectorization width, so one compiled program
+/// serves every width (\c CompiledProgram::withVectorWidth). When
+/// \p FusedPairs is non-null it receives the number of pairs fused.
+Expected<CompiledProgram> compileProgram(StencilProgram Program,
+                                         const PipelineOptions &Options,
+                                         int *FusedPairs = nullptr);
+
+/// The planning half of compilation: dataflow analysis, model estimates,
+/// partitioning and optional code generation of \p Compiled. Reads only
+/// Latencies, Partitioning, AllowMultiDevice and EmitCode from
+/// \p Options. The plan's FusedPairs is left at zero.
+Expected<CompiledPlan> planProgram(CompiledProgram Compiled,
+                                   const PipelineOptions &Options);
+
+/// The compile half: \c compileProgram composed with \c planProgram.
+/// Only \p Options fields consumed before simulation are read
+/// (TemporalDegree, FuseStencils, SimplifyCode, Kernel, Latencies,
+/// Partitioning, AllowMultiDevice, EmitCode).
 Expected<CompiledPlan> compilePipeline(StencilProgram Program,
                                        const PipelineOptions &Options = {});
 
@@ -197,6 +213,11 @@ executePlan(const CompiledPlan &Plan, const PipelineOptions &Options = {});
 /// \c executePlan, assembled into the all-in-one \c PipelineResult.
 Expected<PipelineResult> runPipeline(StencilProgram Program,
                                      const PipelineOptions &Options = {});
+
+/// Runs the execute half on an already compiled \p Plan and assembles the
+/// all-in-one \c PipelineResult.
+Expected<PipelineResult> runPipeline(CompiledPlan Plan,
+                                     const PipelineOptions &Options);
 
 } // namespace stencilflow
 

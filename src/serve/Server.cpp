@@ -239,9 +239,7 @@ Server::CompileOutcome Server::compileForRequest(const Request &R) {
     if (!Applied)
       return Fail(Applied.takeError().addContext("applying tuned mapping"));
     P = Applied.takeValue();
-    PO.FuseStencils = false; // Fusion is part of the mapping, already applied.
-    PO.Partitioning.MaxDevices = Tuned->Best.MaxDevices;
-    PO.Partitioning.TargetUtilization = Tuned->Best.TargetUtilization;
+    PO = tuner::mappingOptions(PO, Tuned->Best);
   }
 
   Expected<CompiledPlan> Plan = compilePipeline(std::move(P), PO);

@@ -6,9 +6,6 @@
 
 #include "tuner/CostModel.h"
 
-#include "compute/Simplify.h"
-#include "frontend/SemanticAnalysis.h"
-
 #include <algorithm>
 #include <cmath>
 
@@ -55,31 +52,56 @@ double deviceMemoryDemand(const StencilProgram &Program,
 
 } // namespace
 
+Expected<CompiledProgram>
+CostModel::compile(const CandidateMapping &Mapping) const {
+  std::shared_ptr<const CompiledProgram> Shared;
+  {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    auto [It, Inserted] = Prefixes.try_emplace(
+        std::make_pair(Mapping.FusionPairs, Mapping.TemporalDegree));
+    Prefix &P = It->second;
+    if (Inserted) {
+      // Unroll and fuse at width 1, which every extent admits; the
+      // candidate's own width is applied below.
+      CandidateMapping Knobs;
+      Knobs.FusionPairs = Mapping.FusionPairs;
+      Knobs.TemporalDegree = Mapping.TemporalDegree;
+      Expected<StencilProgram> Applied = applyMapping(Program, Knobs);
+      if (!Applied) {
+        P.PruneReason = "mapping: " + Applied.message();
+      } else if (Expected<CompiledProgram> Compiled = compileProgram(
+                     Applied.takeValue(), mappingOptions(Base, Knobs))) {
+        P.Compiled =
+            std::make_shared<const CompiledProgram>(Compiled.takeValue());
+      } else {
+        P.PruneReason = Compiled.message();
+      }
+    }
+    if (!P.Compiled)
+      return makeError(P.PruneReason);
+    Shared = P.Compiled;
+  }
+  Expected<CompiledProgram> Widened =
+      Shared->withVectorWidth(Mapping.VectorWidth);
+  if (!Widened)
+    return makeError("mapping: mapping " + Mapping.id() + ": " +
+                     Widened.message());
+  return Widened;
+}
+
 CandidateCost CostModel::cost(const CandidateMapping &Mapping) const {
   CandidateCost Cost;
   Cost.FusedPairs = Mapping.FusionPairs;
   Cost.TemporalDegree = Mapping.TemporalDegree;
 
-  // Stage 1: apply the program-transforming knobs (fusion, width).
-  Expected<StencilProgram> Applied = applyMapping(Program, Mapping);
-  if (!Applied)
-    return pruned(std::move(Cost), "mapping: " + Applied.message());
-
-  // Mirror the pipeline's optional simplification so predictions price the
-  // same circuit the simulator will run.
-  if (Base.SimplifyCode) {
-    for (StencilNode &Node : Applied->Nodes)
-      compute::simplifyNodeCode(Node);
-    if (Error Err = analyzeProgram(*Applied))
-      return pruned(std::move(Cost), "simplification: " + Err.message());
-  }
-
-  // Stage 2: compile and size the buffers; failures here are the
-  // buffer-sizing / deadlock-freedom prune (Sec. IV-B).
-  Expected<CompiledProgram> Compiled =
-      CompiledProgram::compile(Applied.takeValue(), Base.Kernel);
+  // Stage 1: the width-independent prefix (unroll, fuse, simplify,
+  // compile), shared across candidates, at this candidate's width.
+  Expected<CompiledProgram> Compiled = compile(Mapping);
   if (!Compiled)
-    return pruned(std::move(Cost), "compilation: " + Compiled.message());
+    return pruned(std::move(Cost), Compiled.message());
+
+  // Stage 2: size the buffers; failures here are the buffer-sizing /
+  // deadlock-freedom prune (Sec. IV-B).
   Expected<DataflowAnalysis> Dataflow =
       analyzeDataflow(*Compiled, Base.Latencies);
   if (!Dataflow)

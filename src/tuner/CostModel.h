@@ -6,8 +6,9 @@
 ///
 /// \file
 /// The analytic cost model of the mapping autotuner. For each candidate it
-/// replays the static half of the pipeline — fuse, compile, dataflow
-/// analysis, partitioning — and combines
+/// replays the static half of the pipeline — unroll, fuse and compile once
+/// per (fusion level, temporal degree), then the width, dataflow analysis
+/// and partitioning per candidate — and combines
 ///
 ///  - the expected-runtime model C = L + N (Sec. VIII-A, Eq. 1),
 ///  - the utilization-derived frequency model (core/ResourceModel), using
@@ -37,7 +38,11 @@
 #include "tuner/DesignSpace.h"
 
 #include <cstdint>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <string>
+#include <utility>
 
 namespace stencilflow {
 namespace tuner {
@@ -83,8 +88,13 @@ struct CandidateCost {
 };
 
 /// Costs candidate mappings of one program under one base configuration.
-/// Stateless apart from the (borrowed) program and options; \c cost may be
-/// called from multiple threads.
+///
+/// The model memoizes the compile prefix of every (fusion level, temporal
+/// degree) it has seen: the program unrolled, fused, simplified and
+/// compiled once, then shared by all candidates that differ only in
+/// width, device budget, utilization or kernel tier. The memo is guarded
+/// by a mutex, so \c cost and \c compile may be called from multiple
+/// threads; it lives as long as the model, which is one tuning run.
 class CostModel {
 public:
   /// \p Program and \p Base must outlive the model.
@@ -98,9 +108,23 @@ public:
   /// evaluates a candidate, never the predicted cycles.
   CandidateCost cost(const CandidateMapping &Mapping) const;
 
+  /// \p Mapping's compiled program: the shared compile prefix of its
+  /// fusion level and temporal degree, built on first use, at its width.
+  /// Fails with the candidate's prune reason.
+  Expected<CompiledProgram> compile(const CandidateMapping &Mapping) const;
+
 private:
+  /// The program of one (fusion level, temporal degree) at width 1, or
+  /// null with the reason its candidates are pruned.
+  struct Prefix {
+    std::shared_ptr<const CompiledProgram> Compiled;
+    std::string PruneReason;
+  };
+
   const StencilProgram &Program;
   const PipelineOptions &Base;
+  mutable std::mutex Mutex;
+  mutable std::map<std::pair<int, int>, Prefix> Prefixes;
 };
 
 } // namespace tuner

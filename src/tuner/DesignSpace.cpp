@@ -247,3 +247,16 @@ stencilflow::tuner::applyMapping(const StencilProgram &Program,
     return Err.addContext("mapping " + Mapping.id());
   return Applied;
 }
+
+PipelineOptions
+stencilflow::tuner::mappingOptions(const PipelineOptions &Base,
+                                   const CandidateMapping &Mapping) {
+  PipelineOptions O = Base;
+  O.FuseStencils = false;
+  O.TemporalDegree = 1;
+  O.AllowMultiDevice = true;
+  O.Partitioning.MaxDevices = Mapping.MaxDevices;
+  O.Partitioning.TargetUtilization = Mapping.TargetUtilization;
+  O.Simulator.KernelExec = Mapping.KernelExec;
+  return O;
+}

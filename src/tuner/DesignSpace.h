@@ -28,6 +28,7 @@
 
 #include "compute/Engine.h"
 #include "ir/StencilProgram.h"
+#include "runtime/Pipeline.h"
 #include "support/Error.h"
 
 #include <string>
@@ -168,10 +169,17 @@ private:
 /// levels enumerated on the base program stay legal on the unrolled one,
 /// which has at least as many fusable pairs). Fails when the width does
 /// not divide the innermost extent or fusion breaks validation.
-/// Partitioning knobs (device budget, target utilization) are applied to
-/// PipelineOptions by the caller.
+/// The remaining knobs are pipeline options; see \c mappingOptions.
 Expected<StencilProgram> applyMapping(const StencilProgram &Program,
                                       const CandidateMapping &Mapping);
+
+/// \p Base configured to plan and run a program that \c applyMapping has
+/// already transformed for \p Mapping: fusion and unrolling are off (they
+/// are part of the program now; repeating them would fuse again and unroll
+/// T^2 steps), and the device budget, target utilization and kernel tier
+/// come from \p Mapping, with multi-device placement allowed.
+PipelineOptions mappingOptions(const PipelineOptions &Base,
+                               const CandidateMapping &Mapping);
 
 } // namespace tuner
 } // namespace stencilflow

@@ -20,27 +20,24 @@ using namespace stencilflow::tuner;
 
 namespace {
 
-/// Runs the full pipeline (simulate + validate) for one candidate. Each
-/// job owns a private program copy and option block, so jobs are
-/// embarrassingly parallel.
-Expected<PipelineResult> runCandidate(const StencilProgram &Program,
+/// Simulates and validates one candidate on the cost model's shared
+/// compile prefix: only the width, the plan and the run are its own, so
+/// jobs are embarrassingly parallel.
+Expected<PipelineResult> runCandidate(const CostModel &Model,
                                       const PipelineOptions &Base,
                                       const CandidateMapping &Mapping) {
-  Expected<StencilProgram> Applied = applyMapping(Program, Mapping);
-  if (!Applied)
-    return Applied.takeError();
-  PipelineOptions O = Base;
-  O.FuseStencils = false; // Fusion is part of the mapping, already applied.
-  O.TemporalDegree = 1;   // Unrolling too — re-unrolling would square T.
+  Expected<CompiledProgram> Compiled = Model.compile(Mapping);
+  if (!Compiled)
+    return Compiled.takeError();
+  PipelineOptions O = mappingOptions(Base, Mapping);
   O.Simulate = true;
   O.Validate = true;
   O.EmitCode = false;
-  O.AllowMultiDevice = true; // The mapping's device budget governs.
-  O.Partitioning.MaxDevices = Mapping.MaxDevices;
-  O.Partitioning.TargetUtilization = Mapping.TargetUtilization;
-  O.Simulator.KernelExec = Mapping.KernelExec;
   O.Simulator.Trace = nullptr; // One tracer cannot record N runs at once.
-  return runPipeline(Applied.takeValue(), O);
+  Expected<CompiledPlan> Plan = planProgram(Compiled.takeValue(), O);
+  if (!Plan)
+    return Plan.takeError();
+  return runPipeline(Plan.takeValue(), O);
 }
 
 /// Ranks simulated, validation-passing records: fastest simulated time,
@@ -158,8 +155,8 @@ stencilflow::tuner::tuneProgram(const StencilProgram &Program,
       size_t Job = NextJob.fetch_add(1);
       if (Job >= Jobs.size())
         return;
-      Slots[Job].emplace(runCandidate(
-          Program, Base, Report.Candidates[Jobs[Job]].Mapping));
+      Slots[Job].emplace(
+          runCandidate(Model, Base, Report.Candidates[Jobs[Job]].Mapping));
     }
   };
   size_t WorkerCount = Options.Workers > 0

@@ -42,14 +42,6 @@ std::string programText(const StencilProgram &Program) {
   return programToJson(Program).toString();
 }
 
-/// Options for in-test differential runs: never write reproducer files,
-/// keep the resume axis' scratch in a test-owned directory.
-DiffOptions quietOptions() {
-  DiffOptions Options;
-  Options.ScratchDir = "fuzz_test_scratch";
-  return Options;
-}
-
 int maxAccessRadius(const StencilProgram &Program) {
   int Max = 0;
   for (const StencilNode &Node : Program.Nodes)
@@ -81,7 +73,7 @@ std::optional<FuzzFinding> syntheticAsymmetryFinding() {
   DiffConfig Config;
   Config.TemporalDegree = 2;
   return runConfig(chainWithoutTimeLoop(), /*Seed=*/99, Config,
-                   quietOptions());
+                   DiffOptions());
 }
 
 //===----------------------------------------------------------------------===//
@@ -172,7 +164,7 @@ TEST(GenerateTest, ProgramsRoundTripThroughJson) {
 
 TEST(DifferentialTest, MatrixSamplingIsSeededAndDeterministic) {
   StencilProgram Program = workloads::wave2dChain(1, 1, 8, 8);
-  DiffOptions Options = quietOptions();
+  DiffOptions Options;
   Options.Matrix.ConfigsPerProgram = 4;
   DiffResult A = runDifferential(Program, 5, Options);
   DiffResult B = runDifferential(Program, 5, Options);
@@ -186,7 +178,7 @@ TEST(DifferentialTest, MatrixSamplingIsSeededAndDeterministic) {
 }
 
 TEST(DifferentialTest, KnownGoodHighOrderWorkloadsAreClean) {
-  DiffOptions Options = quietOptions();
+  DiffOptions Options;
   Options.Matrix.ConfigsPerProgram = 4;
   std::vector<StencilProgram> Programs;
   Programs.push_back(workloads::wave2dChain(2, 1, 16, 16));
@@ -207,7 +199,7 @@ TEST(DifferentialTest, GeneratedProgramsAgreeAcrossTheMatrix) {
   GenConfig Small;
   Small.MaxExtent = 8;
   Small.MaxNodes = 3;
-  DiffOptions Options = quietOptions();
+  DiffOptions Options;
   Options.Matrix.ConfigsPerProgram = 3;
   for (uint64_t Seed = 1; Seed <= 4; ++Seed) {
     StencilProgram Program = generateProgram(Seed, Small);
@@ -222,7 +214,7 @@ TEST(DifferentialTest, GeneratedProgramsAgreeAcrossTheMatrix) {
 TEST(DifferentialTest, DegenerateProfileAgreesAcrossTheMatrix) {
   GenConfig Config = GenConfig::degenerate();
   Config.MaxExtent = 8;
-  DiffOptions Options = quietOptions();
+  DiffOptions Options;
   Options.Matrix.ConfigsPerProgram = 3;
   for (uint64_t Seed = 1; Seed <= 4; ++Seed) {
     StencilProgram Program = generateProgram(Seed, Config);
@@ -323,7 +315,7 @@ TEST(MinimizeTest, ShrinksTheReproducerWhilePreservingTheKind) {
   int64_t OriginalCells = Finding->Program.IterationSpace.numCells();
 
   MinimizeResult Result =
-      minimizeFinding(*Finding, quietOptions(), /*MaxAttempts=*/80);
+      minimizeFinding(*Finding, DiffOptions(), /*MaxAttempts=*/80);
   EXPECT_EQ(Result.Finding.Kind, FindingKind::ErrorAsymmetry);
   EXPECT_GE(Result.Attempts, Result.Steps);
   // The failure is independent of the program shape, so the greedy loop
@@ -336,7 +328,7 @@ TEST(MinimizeTest, ShrinksTheReproducerWhilePreservingTheKind) {
   ASSERT_FALSE(static_cast<bool>(Result.Finding.Program.validate()));
   std::optional<FuzzFinding> Replayed =
       runConfig(Result.Finding.Program, Result.Finding.Seed,
-                Result.Finding.Config, quietOptions());
+                Result.Finding.Config, DiffOptions());
   ASSERT_TRUE(Replayed.has_value());
   EXPECT_EQ(Replayed->Kind, FindingKind::ErrorAsymmetry);
 }
@@ -349,7 +341,7 @@ TEST(MinimizeTest, MinimizedFindingSerializes) {
   std::optional<FuzzFinding> Finding = syntheticAsymmetryFinding();
   ASSERT_TRUE(Finding.has_value());
   MinimizeResult Result =
-      minimizeFinding(*Finding, quietOptions(), /*MaxAttempts=*/40);
+      minimizeFinding(*Finding, DiffOptions(), /*MaxAttempts=*/40);
   ASSERT_GE(Result.Finding.Program.IterationSpace.rank(), 1);
   json::Value Doc = Result.Finding.toJson();
   EXPECT_FALSE(Doc.toPrettyString().empty());
@@ -391,7 +383,7 @@ TEST(CorpusTest, RegressionReproducersStayFixed) {
         << Path << ": " << Finding.message();
     std::optional<FuzzFinding> Replayed =
         runConfig(Finding->Program, Finding->Seed, Finding->Config,
-                  quietOptions());
+                  DiffOptions());
     EXPECT_FALSE(Replayed.has_value())
         << Path << " reproduced: "
         << (Replayed ? Replayed->Detail : std::string());

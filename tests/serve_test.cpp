@@ -18,6 +18,7 @@
 #include "common/TestPrograms.h"
 #include "frontend/ProgramLoader.h"
 #include "runtime/Session.h"
+#include "tuner/Tuner.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
@@ -395,6 +396,53 @@ TEST(ServeParity, TemporalDegreeMatchesDirectSessionRun) {
   EXPECT_EQ(Unrolled.OutputsCrc, Again.OutputsCrc);
   EXPECT_NE(Unrolled.OutputsCrc, Plain.OutputsCrc);
   EXPECT_GT(Plain.Cycles, Unrolled.Cycles / 2); // Sanity, not a perf gate.
+}
+
+TEST(ServeParity, TunedTemporalPlanUnrollsOnce) {
+  // A tuned request at temporal degree 2 gets a mapping that already
+  // carries T=2. The served plan must be that mapping applied once, not
+  // unrolled again by the pipeline (T^2 = 4 steps).
+  StencilProgram Program = workloads::diffusion2dChain(1, 12, 16);
+  Request R;
+  R.Id = "tuned";
+  R.Op = RequestOp::Run;
+  R.Program = programToJson(Program);
+  R.Options.TemporalDegree = 2;
+  R.Options.Tune = true;
+  R.Options.TuneBudget = 4;
+
+  // The server's tuning configuration for this request.
+  PipelineOptions Base = testOptions().Base;
+  Base.TemporalDegree = R.Options.TemporalDegree;
+  Base.Partitioning.MaxDevices = R.Options.MaxDevices;
+  Base.Partitioning.TargetUtilization = R.Options.TargetUtilization;
+  tuner::TuneOptions TO;
+  TO.Simulate = false;
+  TO.Search.CandidateBudget = R.Options.TuneBudget;
+  Expected<tuner::TuningOutcome> Tuned =
+      tuner::tuneProgram(Program, Base, TO);
+  ASSERT_TRUE(Tuned) << Tuned.message();
+  ASSERT_EQ(Tuned->Best.TemporalDegree, 2) << Tuned->Best.id();
+
+  Expected<StencilProgram> Applied =
+      tuner::applyMapping(Program, Tuned->Best);
+  ASSERT_TRUE(Applied) << Applied.message();
+  PipelineOptions Once = testOptions().Base;
+  Once.Partitioning.MaxDevices = Tuned->Best.MaxDevices;
+  Once.Partitioning.TargetUtilization = Tuned->Best.TargetUtilization;
+  Expected<PipelineResult> Reference =
+      runPipeline(Applied.takeValue(), Once);
+  ASSERT_TRUE(Reference) << Reference.message();
+
+  Server S(testOptions());
+  S.start();
+  Response Served = S.handle(R);
+  S.stop();
+  ASSERT_TRUE(Served.Ok) << Served.ErrorMessage;
+  EXPECT_TRUE(Served.ValidationPassed);
+  EXPECT_EQ(Served.Cycles,
+            static_cast<int64_t>(Reference->Simulation.Stats.Cycles))
+      << Tuned->Best.id();
 }
 
 //===----------------------------------------------------------------------===//

@@ -14,6 +14,7 @@
 
 #include "tuner/Tuner.h"
 
+#include "common/TestPrograms.h"
 #include "runtime/Session.h"
 #include "sdfg/StencilFusion.h"
 #include "support/Json.h"
@@ -490,10 +491,115 @@ TEST(TunerTest, FeasibleCandidatesPassResourceAndDeadlockChecks) {
     EXPECT_EQ(static_cast<int>(Placement->numDevices()), R.Cost.Devices)
         << R.Mapping.id();
     EXPECT_LE(R.Cost.Devices, R.Mapping.MaxDevices) << R.Mapping.id();
-    for (const DevicePlacement &Device : Placement->Devices)
+    double Peak = 0.0;
+    for (const DevicePlacement &Device : Placement->Devices) {
       EXPECT_TRUE(Device.Resources.fitsWithin(PartOpts.Device))
           << R.Mapping.id();
+      Peak = std::max(Peak, Device.Resources.peakUtilization(PartOpts.Device));
+    }
     EXPECT_LE(R.Cost.PeakUtilization, 1.0) << R.Mapping.id();
+    // The memoized prefix must price exactly what a from-scratch
+    // derivation prices.
+    EXPECT_EQ(computeRuntimeEstimate(*Compiled, *Dataflow).TotalCycles,
+              R.Cost.ModelCycles)
+        << R.Mapping.id();
+    EXPECT_EQ(Peak, R.Cost.PeakUtilization) << R.Mapping.id();
+  }
+}
+
+namespace {
+
+/// A time-looped three-stencil chain full of algebraic identities, so
+/// simplification changes the accesses, buffers and operation counts.
+StencilProgram identityChain() {
+  StencilProgram P;
+  P.Name = "identity_chain";
+  P.IterationSpace = Shape({16, 32});
+  stencilflow::testing::addInput(P, "a0");
+  stencilflow::testing::addStencil(
+      P, "b", "b = 1.0 * (a0[0,-1] + a0[0,1]) + 0.0 * a0[-1,0];");
+  stencilflow::testing::addStencil(P, "c",
+                                   "c = b[0,-1] * 1.0 + b[0,1] + 0.0;");
+  stencilflow::testing::addStencil(
+      P, "d", "d = c[-1,0] + c[1,0] * 1.0 + 0.0 * c[0,2];");
+  P.Outputs = {"d"};
+  P.TimeLoop = {{"d", "a0"}};
+  return stencilflow::testing::buildProgram(std::move(P));
+}
+
+/// Field-by-field equality of two verdicts on \p Mapping.
+void expectSameCost(const CandidateCost &A, const CandidateCost &B,
+                    const CandidateMapping &Mapping) {
+  std::string Id = Mapping.id();
+  EXPECT_EQ(A.Feasible, B.Feasible) << Id;
+  EXPECT_EQ(A.PruneReason, B.PruneReason) << Id;
+  EXPECT_EQ(A.ModelCycles, B.ModelCycles) << Id;
+  EXPECT_EQ(A.PredictedCycles, B.PredictedCycles) << Id;
+  EXPECT_EQ(A.FrequencyMHz, B.FrequencyMHz) << Id;
+  EXPECT_EQ(A.PredictedSeconds, B.PredictedSeconds) << Id;
+  EXPECT_EQ(A.TemporalDegree, B.TemporalDegree) << Id;
+  EXPECT_EQ(A.MemorySlowdown, B.MemorySlowdown) << Id;
+  EXPECT_EQ(A.NetworkSlowdown, B.NetworkSlowdown) << Id;
+  EXPECT_EQ(A.Devices, B.Devices) << Id;
+  EXPECT_EQ(A.PeakUtilization, B.PeakUtilization) << Id;
+  EXPECT_EQ(A.FusedPairs, B.FusedPairs) << Id;
+}
+
+} // namespace
+
+TEST(TunerTest, PrefixMemoIsOrderIndependentAndMatchesFromScratch) {
+  // The cost model compiles one prefix per (fusion level, temporal
+  // degree) and shares it across widths and partitioning knobs. Costing
+  // the space in opposite orders through fresh models must agree field
+  // for field, and every feasible verdict must match the pipeline run
+  // from scratch on the applied mapping — with and without simplification.
+  StencilProgram Program = identityChain();
+  DesignSpaceOptions SpaceOpts;
+  SpaceOpts.TemporalDegrees = {1, 2};
+  SpaceOpts.DeviceCounts = {1, 2};
+  Expected<DesignSpace> Space = DesignSpace::enumerate(Program, SpaceOpts, 8);
+  ASSERT_TRUE(Space) << Space.message();
+  std::vector<CandidateMapping> Mappings = Space->candidates();
+  // An illegal width prunes after the shared prefix was built.
+  Mappings.push_back(CandidateMapping{/*W=*/5, 1, 1, 0.85, 2});
+
+  for (bool Simplify : {false, true}) {
+    PipelineOptions Base; // Constrained memory: slowdowns are non-trivial.
+    Base.SimplifyCode = Simplify;
+    // Two stencils per device: unfused chains overflow small budgets.
+    Base.Partitioning.MaxStencilsPerDevice = 2;
+
+    CostModel Forward(Program, Base);
+    std::vector<CandidateCost> Costs;
+    for (const CandidateMapping &M : Mappings)
+      Costs.push_back(Forward.cost(M));
+    CostModel Reverse(Program, Base);
+    for (size_t I = Mappings.size(); I-- > 0;)
+      expectSameCost(Reverse.cost(Mappings[I]), Costs[I], Mappings[I]);
+
+    size_t Pruned = 0;
+    for (size_t I = 0; I != Mappings.size(); ++I) {
+      const CandidateMapping &M = Mappings[I];
+      if (!Costs[I].Feasible) {
+        ++Pruned;
+        EXPECT_FALSE(Costs[I].PruneReason.empty()) << M.id();
+        continue;
+      }
+      Expected<StencilProgram> Applied = applyMapping(Program, M);
+      ASSERT_TRUE(Applied) << M.id() << ": " << Applied.message();
+      PipelineOptions O = Base;
+      O.Partitioning.MaxDevices = M.MaxDevices;
+      O.Partitioning.TargetUtilization = M.TargetUtilization;
+      Expected<CompiledPlan> Plan = compilePipeline(Applied.takeValue(), O);
+      ASSERT_TRUE(Plan) << M.id() << ": " << Plan.message();
+      EXPECT_EQ(Plan->Runtime.TotalCycles, Costs[I].ModelCycles) << M.id();
+      EXPECT_EQ(static_cast<int>(Plan->Placement.numDevices()),
+                Costs[I].Devices)
+          << M.id();
+    }
+    EXPECT_GT(Pruned, 1u) << "simplify " << Simplify;
+    EXPECT_EQ(Costs.back().PruneReason.rfind("mapping: ", 0), 0u)
+        << Costs.back().PruneReason;
   }
 }
 
