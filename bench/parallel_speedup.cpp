@@ -121,7 +121,7 @@ int main(int argc, char **argv) {
   PartitionOptions PartOptions;
   PartOptions.TargetUtilization = 1.0;
   PartOptions.Device.DSPs =
-      7 * Compiled->program().VectorWidth * PerDevice;
+      7 * Compiled->vectorWidth() * PerDevice;
   PartOptions.MaxDevices = 64;
   auto Placement = partitionProgram(*Compiled, *Dataflow, PartOptions);
   if (!Placement) {

@@ -7,11 +7,13 @@
 // google-benchmark timings of the mapping autotuner's stages
 // (src/tuner/), so CI catches the search itself getting slow:
 //
-//   * enumerate — design-space construction (fusion-level probing
-//                 dominates: one clone + aggressive-fusion dry run),
-//   * cost      — one candidate through a fresh analytic cost model
-//                 (clone, fuse, compile, buffer analysis, Eq. 1,
-//                 partitioner, frequency/bandwidth models),
+//   * enumerate — design-space construction (the fusion walk dominates:
+//                 one aggressive pass, keeping the programs at the levels
+//                 the space uses),
+//   * cost      — one candidate through a fresh analytic cost model over
+//                 that space (clone of the fused level, compile, view at
+//                 the width, buffer analysis, Eq. 1, partitioner,
+//                 frequency/bandwidth models),
 //   * search    — a full beam search, analytic only (no simulation),
 //   * tune      — the whole tuneProgram pipeline including top-K
 //                 simulator validation on worker threads.
@@ -59,13 +61,19 @@ BENCHMARK(BM_Tuner_EnumerateSpace)->Unit(benchmark::kMicrosecond);
 void BM_Tuner_CostOneCandidate(benchmark::State &State) {
   StencilProgram Program = makeProgram();
   PipelineOptions Base = baseOptions();
+  Expected<DesignSpace> Space =
+      DesignSpace::enumerate(Program, DesignSpaceOptions(), 8);
+  if (!Space) {
+    State.SkipWithError(Space.message().c_str());
+    return;
+  }
   CandidateMapping Mapping;
   Mapping.VectorWidth = 8;
   Mapping.FusionPairs = 1;
   for (auto _ : State) {
     // A fresh model per iteration: a reused one would time its prefix
     // memo, not the compile half.
-    CostModel Model(Program, Base);
+    CostModel Model(Program, Base, *Space);
     CandidateCost Cost = Model.cost(Mapping);
     if (!Cost.Feasible) {
       State.SkipWithError(Cost.PruneReason.c_str());

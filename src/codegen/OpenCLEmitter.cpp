@@ -144,7 +144,7 @@ stencilflow::emitOpenCL(const CompiledProgram &Compiled,
                         const Partition *Placement,
                         const EmitterOptions &Options) {
   const StencilProgram &Program = Compiled.program();
-  int W = Program.VectorWidth;
+  int W = Compiled.vectorWidth();
   int64_t Iterations = Program.IterationSpace.numCells() / W;
   size_t Rank = Program.IterationSpace.rank();
   std::vector<std::string> Dims = StencilProgram::dimensionNames(Rank);

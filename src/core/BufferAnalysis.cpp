@@ -11,10 +11,11 @@
 using namespace stencilflow;
 
 NodeBuffers stencilflow::computeNodeBuffers(const StencilProgram &Program,
-                                            const StencilNode &Node) {
+                                            const StencilNode &Node,
+                                            int VectorWidth) {
   NodeBuffers Result;
   Result.Node = Node.Name;
-  int64_t W = Program.VectorWidth;
+  int64_t W = VectorWidth;
 
   for (const FieldAccesses &FA : Node.Accesses) {
     // Lower-dimensional inputs are preloaded ROMs, not streamed buffers.
@@ -70,10 +71,11 @@ NodeBuffers stencilflow::computeNodeBuffers(const StencilProgram &Program,
 }
 
 std::vector<NodeBuffers>
-stencilflow::computeAllBuffers(const StencilProgram &Program) {
+stencilflow::computeAllBuffers(const StencilProgram &Program,
+                               int VectorWidth) {
   std::vector<NodeBuffers> Result;
   Result.reserve(Program.Nodes.size());
   for (const StencilNode &Node : Program.Nodes)
-    Result.push_back(computeNodeBuffers(Program, Node));
+    Result.push_back(computeNodeBuffers(Program, Node, VectorWidth));
   return Result;
 }

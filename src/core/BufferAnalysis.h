@@ -94,12 +94,14 @@ struct NodeBuffers {
   }
 };
 
-/// Computes internal buffers for one node of \p Program.
+/// Computes internal buffers for one node of \p Program at vectorization
+/// width \p VectorWidth.
 NodeBuffers computeNodeBuffers(const StencilProgram &Program,
-                               const StencilNode &Node);
+                               const StencilNode &Node, int VectorWidth);
 
 /// Computes internal buffers for every node, in node order.
-std::vector<NodeBuffers> computeAllBuffers(const StencilProgram &Program);
+std::vector<NodeBuffers> computeAllBuffers(const StencilProgram &Program,
+                                           int VectorWidth);
 
 } // namespace stencilflow
 

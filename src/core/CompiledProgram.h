@@ -5,9 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A stencil program together with its per-node compiled kernels and
-/// topological order — the common substrate the analyses, code generators,
-/// simulator and reference executor all operate on.
+/// A stencil program together with its per-node compiled kernels,
+/// topological order and vectorization width — the common substrate the
+/// analyses, code generators, simulator and reference executor all operate
+/// on.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,45 +19,74 @@
 #include "ir/StencilProgram.h"
 #include "support/Error.h"
 
+#include <memory>
 #include <vector>
 
 namespace stencilflow {
 
-/// A validated stencil program with one compiled kernel per node.
+/// A validated stencil program with one compiled kernel per node, viewed
+/// at one vectorization width.
+///
+/// The program, its kernels and its topological order do not depend on the
+/// width (Sec. IV-C widens the lanes of a fixed dataflow graph), so they
+/// are held as shared immutable state: copies and \c withVectorWidth views
+/// share them, and only \c vectorWidth() is per object. Every width-
+/// dependent analysis reads \c vectorWidth(), never
+/// \c program().VectorWidth, which stays the width the program was
+/// compiled at.
 class CompiledProgram {
 public:
-  /// Validates \p Program and compiles every node.
+  /// An empty program (no nodes) at width 1.
+  CompiledProgram();
+
+  /// Validates \p Program and compiles every node. The view's width is
+  /// the program's \c VectorWidth.
   static Expected<CompiledProgram>
   compile(StencilProgram Program,
           const compute::KernelOptions &Options = {});
 
-  /// A copy of this program at vectorization width \p Width: the program
-  /// is cloned and re-validated at the new width, and the kernels and
-  /// topological order are copied, since neither depends on the width.
+  /// As above, for a program shared with other owners: the compiled
+  /// program shares \p Program instead of copying it.
+  static Expected<CompiledProgram>
+  compile(std::shared_ptr<const StencilProgram> Program,
+          const compute::KernelOptions &Options = {});
+
+  /// This program viewed at vectorization width \p Width: only the width
+  /// checks of \c StencilProgram::validate run again (same messages); the
+  /// program, kernels and topological order are shared, not copied.
   Expected<CompiledProgram> withVectorWidth(int Width) const;
 
-  const StencilProgram &program() const { return Program; }
-  StencilProgram &program() { return Program; }
+  const StencilProgram &program() const { return *Shared->Program; }
+
+  /// Vectorization width W of this view.
+  int vectorWidth() const { return Width; }
 
   /// Kernel of node \p Index (program().Nodes order).
   const compute::Kernel &kernel(size_t Index) const {
-    assert(Index < Kernels.size() && "node index out of range");
-    return Kernels[Index];
+    assert(Index < Shared->Kernels.size() && "node index out of range");
+    return Shared->Kernels[Index];
   }
 
   /// Kernel of the node named \p Name; the node must exist.
   const compute::Kernel &kernelFor(const std::string &Name) const;
 
   /// Node indices in topological order.
-  const std::vector<size_t> &topologicalOrder() const { return TopoOrder; }
+  const std::vector<size_t> &topologicalOrder() const {
+    return Shared->TopoOrder;
+  }
 
   /// Aggregate per-cell operation census over all nodes (Sec. IX-A).
   compute::OpCensus totalCensus() const;
 
 private:
-  StencilProgram Program;
-  std::vector<compute::Kernel> Kernels;
-  std::vector<size_t> TopoOrder;
+  struct State {
+    std::shared_ptr<const StencilProgram> Program;
+    std::vector<compute::Kernel> Kernels;
+    std::vector<size_t> TopoOrder;
+  };
+
+  std::shared_ptr<const State> Shared;
+  int Width = 1;
 };
 
 } // namespace stencilflow

@@ -73,7 +73,7 @@ stencilflow::analyzeDataflow(const CompiledProgram &Compiled,
   const StencilProgram &Program = Compiled.program();
 
   DataflowAnalysis Result;
-  Result.Buffers = computeAllBuffers(Program);
+  Result.Buffers = computeAllBuffers(Program, Compiled.vectorWidth());
   Result.Nodes.resize(Program.Nodes.size());
 
   // Total delay from any source to each field's first available element.

@@ -133,11 +133,11 @@ stencilflow::partitionProgram(const CompiledProgram &Compiled,
     for (const std::string &Input : Placement.ReplicatedInputs) {
       const Field *InputField = Program.findInput(Input);
       Usage += estimateMemoryEndpoint(
-          InputField->isFullRank() ? Program.VectorWidth : 1,
+          InputField->isFullRank() ? Compiled.vectorWidth() : 1,
           dataTypeSize(InputField->Type), Options.ResourceConfig);
     }
     for (const std::string &Output : Placement.OutputsWritten)
-      Usage += estimateMemoryEndpoint(Program.VectorWidth,
+      Usage += estimateMemoryEndpoint(Compiled.vectorWidth(),
                                       dataTypeSize(Program.fieldType(Output)),
                                       Options.ResourceConfig);
     for (const RemoteStream &Stream : Result.RemoteStreams)

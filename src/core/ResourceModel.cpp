@@ -67,7 +67,7 @@ stencilflow::estimateNodeResources(const CompiledProgram &Compiled,
   const StencilProgram &Program = Compiled.program();
   const compute::Kernel &Kernel = Compiled.kernel(NodeIndex);
   compute::OpCensus Census = Kernel.census();
-  int64_t W = Program.VectorWidth;
+  int64_t W = Compiled.vectorWidth();
   size_t ElementBytes = dataTypeSize(Program.Nodes[NodeIndex].Type);
 
   int64_t FlopLanes = (Census.Additions + Census.Multiplications) * W;
@@ -107,7 +107,7 @@ stencilflow::estimateEdgeResources(const CompiledProgram &Compiled,
   const StencilProgram &Program = Compiled.program();
   size_t ElementBytes = dataTypeSize(Program.fieldType(Edge.Source));
   ResourceUsage Usage;
-  int64_t Bytes = Edge.BufferDepth * Program.VectorWidth *
+  int64_t Bytes = Edge.BufferDepth * Compiled.vectorWidth() *
                   static_cast<int64_t>(ElementBytes);
   Usage.M20Ks = m20ksForBytes(Bytes, Config);
   // Channel wiring contributes a small amount of logic.
@@ -160,10 +160,10 @@ stencilflow::estimateProgramResources(const CompiledProgram &Compiled,
   for (const Field &Input : Program.Inputs)
     if (!Program.consumersOf(Input.Name).empty())
       Total += estimateMemoryEndpoint(
-          Input.isFullRank() ? Program.VectorWidth : 1,
+          Input.isFullRank() ? Compiled.vectorWidth() : 1,
           dataTypeSize(Input.Type), Config);
   for (const std::string &Output : Program.Outputs)
-    Total += estimateMemoryEndpoint(Program.VectorWidth,
+    Total += estimateMemoryEndpoint(Compiled.vectorWidth(),
                                     dataTypeSize(Program.fieldType(Output)),
                                     Config);
   return Total;

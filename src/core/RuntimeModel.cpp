@@ -14,7 +14,7 @@ stencilflow::computeRuntimeEstimate(const CompiledProgram &Compiled,
   const StencilProgram &Program = Compiled.program();
   RuntimeEstimate Estimate;
   Estimate.StreamedCycles =
-      Program.IterationSpace.numCells() / Program.VectorWidth;
+      Program.IterationSpace.numCells() / Compiled.vectorWidth();
   Estimate.LatencyCycles = Dataflow.PipelineLatency;
   Estimate.TotalCycles = Estimate.LatencyCycles + Estimate.StreamedCycles;
   Estimate.FlopsPerCell = Compiled.totalCensus().flops();
@@ -53,7 +53,7 @@ stencilflow::computeMemoryTraffic(const CompiledProgram &Compiled) {
     ++StreamedEndpoints;
   }
 
-  Traffic.OperandsPerCycle = StreamedEndpoints * Program.VectorWidth;
+  Traffic.OperandsPerCycle = StreamedEndpoints * Compiled.vectorWidth();
   return Traffic;
 }
 

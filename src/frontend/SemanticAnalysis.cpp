@@ -56,10 +56,7 @@ Error stencilflow::analyzeNode(const StencilProgram &Program,
         if (Locals.count(Ref->name()))
           return; // A local temporary; stays a LocalRefExpr.
         if (Program.isFieldDefined(Ref->name())) {
-          size_t FieldRank = 0;
-          for (bool Spanned : Program.fieldDimensionMask(Ref->name()))
-            FieldRank += Spanned;
-          Offset Zero(FieldRank, 0);
+          Offset Zero(Program.fieldRank(Ref->name()), 0);
           std::string Field = Ref->name();
           E = std::make_unique<FieldAccessExpr>(Field, Zero);
           recordAccess(Field, Zero);
@@ -83,9 +80,7 @@ Error stencilflow::analyzeNode(const StencilProgram &Program,
                                     Access->field() + "'");
           return;
         }
-        size_t FieldRank = 0;
-        for (bool Spanned : Program.fieldDimensionMask(Access->field()))
-          FieldRank += Spanned;
+        size_t FieldRank = Program.fieldRank(Access->field());
         if (Access->offset().size() != FieldRank) {
           DeferredError = makeError(formatString(
               "stencil '%s': field '%s' has rank %zu but is accessed with "

@@ -71,6 +71,14 @@ StencilProgram::fieldDimensionMask(const std::string &Name) const {
   return std::vector<bool>(IterationSpace.rank(), true);
 }
 
+size_t StencilProgram::fieldRank(const std::string &Name) const {
+  if (const Field *Input = findInput(Name))
+    return static_cast<size_t>(std::count(Input->DimensionMask.begin(),
+                                          Input->DimensionMask.end(), true));
+  assert(findNode(Name) && "fieldRank() of an undefined field");
+  return IterationSpace.rank();
+}
+
 Shape StencilProgram::fieldShape(const std::string &Name) const {
   if (const Field *Input = findInput(Name))
     return Input->shapeWithin(IterationSpace);
@@ -132,18 +140,24 @@ Expected<std::vector<size_t>> StencilProgram::topologicalOrder() const {
   return Order;
 }
 
+Error StencilProgram::checkVectorWidth(int Width) const {
+  if (Width < 1)
+    return makeError("vector width must be positive");
+  int64_t Innermost = IterationSpace.extent(IterationSpace.rank() - 1);
+  if (Innermost % Width != 0)
+    return makeError(formatString(
+        "vector width %d does not divide the innermost extent %lld", Width,
+        static_cast<long long>(Innermost)));
+  return Error::success();
+}
+
 Error StencilProgram::validate() const {
   size_t Rank = IterationSpace.rank();
   if (Rank < 1 || Rank > 3)
     return makeError(formatString(
         "stencil programs must have 1, 2, or 3 dimensions, got %zu", Rank));
-  if (VectorWidth < 1)
-    return makeError("vector width must be positive");
-  if (IterationSpace.extent(Rank - 1) % VectorWidth != 0)
-    return makeError(formatString(
-        "vector width %d does not divide the innermost extent %lld",
-        VectorWidth,
-        static_cast<long long>(IterationSpace.extent(Rank - 1))));
+  if (Error Err = checkVectorWidth(VectorWidth))
+    return Err;
 
   // Unique field names across inputs and node outputs.
   std::set<std::string> Names;
@@ -171,9 +185,7 @@ Error StencilProgram::validate() const {
       if (!isFieldDefined(FA.Field))
         return makeError("stencil '" + Node.Name +
                          "' reads undefined field '" + FA.Field + "'");
-      size_t FieldRank = 0;
-      for (bool Spanned : fieldDimensionMask(FA.Field))
-        FieldRank += Spanned;
+      size_t FieldRank = fieldRank(FA.Field);
       for (const Offset &Off : FA.Offsets)
         if (Off.size() != FieldRank)
           return makeError(formatString(

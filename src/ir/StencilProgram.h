@@ -92,6 +92,10 @@ public:
   /// Node outputs are always full rank.
   std::vector<bool> fieldDimensionMask(const std::string &Name) const;
 
+  /// Number of iteration-space dimensions field \p Name spans (the set
+  /// bits of its dimension mask), without building the mask.
+  size_t fieldRank(const std::string &Name) const;
+
   /// Shape of field \p Name.
   Shape fieldShape(const std::string &Name) const;
 
@@ -108,6 +112,11 @@ public:
   /// Full semantic validation. Requires access information to have been
   /// filled in by frontend::analyzeProgram.
   Error validate() const;
+
+  /// The vectorization-width checks of \c validate alone, for \p Width:
+  /// positive and dividing the innermost extent (Sec. IV-C). Requires a
+  /// rank-1..3 iteration space.
+  Error checkVectorWidth(int Width) const;
 
   /// Human-readable DAG summary for diagnostics.
   std::string summary() const;

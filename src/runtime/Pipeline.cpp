@@ -16,6 +16,7 @@
 #include "support/StringUtils.h"
 
 #include <algorithm>
+#include <optional>
 
 using namespace stencilflow;
 
@@ -49,6 +50,19 @@ stencilflow::compileProgram(StencilProgram Program,
       return Err.addContext("post-simplification analysis");
   }
 
+  Expected<CompiledProgram> Compiled =
+      CompiledProgram::compile(std::move(Program), Options.Kernel);
+  if (!Compiled)
+    return Compiled.takeError().addContext("compilation");
+  return Compiled;
+}
+
+Expected<CompiledProgram>
+stencilflow::compileProgram(std::shared_ptr<const StencilProgram> Program,
+                            const PipelineOptions &Options) {
+  if (Options.TemporalDegree != 1 || Options.FuseStencils ||
+      Options.SimplifyCode)
+    return compileProgram(Program->clone(), Options);
   Expected<CompiledProgram> Compiled =
       CompiledProgram::compile(std::move(Program), Options.Kernel);
   if (!Compiled)
@@ -113,7 +127,8 @@ stencilflow::compilePipeline(StencilProgram Program,
 
 Expected<PlanExecution, sim::SimFailure>
 stencilflow::executePlan(const CompiledPlan &Plan,
-                         const PipelineOptions &Options) {
+                         const PipelineOptions &Options,
+                         const ExecutionResult *Reference) {
   PlanExecution Exec;
   Exec.Placement = Plan.Placement;
   if (!Options.Simulate)
@@ -254,10 +269,13 @@ stencilflow::executePlan(const CompiledPlan &Plan,
   }
 
   if (Options.Validate) {
-    Expected<ExecutionResult> Reference =
-        runReference(Plan.Compiled, Inputs);
-    if (!Reference)
-      return Reference.takeError().addContext("reference execution");
+    std::optional<ExecutionResult> Computed;
+    if (!Reference) {
+      Expected<ExecutionResult> Ran = runReference(Plan.Compiled, Inputs);
+      if (!Ran)
+        return Ran.takeError().addContext("reference execution");
+      Reference = &Computed.emplace(Ran.takeValue());
+    }
     for (const std::string &Output : Plan.Compiled.program().Outputs) {
       ValidationReport Report = validateField(
           Output, Exec.Simulation.Outputs.at(Output),
@@ -270,8 +288,10 @@ stencilflow::executePlan(const CompiledPlan &Plan,
 }
 
 Expected<PipelineResult>
-stencilflow::runPipeline(CompiledPlan Plan, const PipelineOptions &Options) {
-  Expected<PlanExecution, sim::SimFailure> Exec = executePlan(Plan, Options);
+stencilflow::runPipeline(CompiledPlan Plan, const PipelineOptions &Options,
+                         const ExecutionResult *Reference) {
+  Expected<PlanExecution, sim::SimFailure> Exec =
+      executePlan(Plan, Options, Reference);
   if (!Exec)
     return Error(Exec.takeError());
 

@@ -148,7 +148,7 @@ struct PipelineResult {
 /// holds no per-run simulator state, so one plan can be executed many
 /// times concurrently via \c executePlan; the serving layer caches plans
 /// across requests (serve/PlanCache.h) so repeat traffic skips this half
-/// entirely. Move-only (kernels own their tapes).
+/// entirely.
 struct CompiledPlan {
   CompiledProgram Compiled;
   DataflowAnalysis Dataflow;
@@ -184,6 +184,13 @@ Expected<CompiledProgram> compileProgram(StencilProgram Program,
                                          const PipelineOptions &Options,
                                          int *FusedPairs = nullptr);
 
+/// \c compileProgram on a program shared with other owners: when
+/// \p Options leave nothing to unroll, fuse or simplify, the compiled
+/// program shares \p Program instead of copying it.
+Expected<CompiledProgram>
+compileProgram(std::shared_ptr<const StencilProgram> Program,
+               const PipelineOptions &Options);
+
 /// The planning half of compilation: dataflow analysis, model estimates,
 /// partitioning and optional code generation of \p Compiled. Reads only
 /// Latencies, Partitioning, AllowMultiDevice and EmitCode from
@@ -206,18 +213,28 @@ Expected<CompiledPlan> compilePipeline(StencilProgram Program,
 /// are \c sim::SimFailure so the structured \c FailureReport travels to
 /// callers (the serving layer forwards it in error responses); it
 /// converts to plain \c Error for generic propagation.
+///
+/// \p Reference, when given, stands in for the reference executor's run:
+/// the outputs of the plan's program on its inputs (materializeInputs).
+/// They depend on neither the width nor the placement, so callers running
+/// one program under many plans compute them once; every output is still
+/// validated against them field by field.
 Expected<PlanExecution, sim::SimFailure>
-executePlan(const CompiledPlan &Plan, const PipelineOptions &Options = {});
+executePlan(const CompiledPlan &Plan, const PipelineOptions &Options = {},
+            const ExecutionResult *Reference = nullptr);
 
 /// Runs the full pipeline on \p Program: \c compilePipeline composed with
 /// \c executePlan, assembled into the all-in-one \c PipelineResult.
 Expected<PipelineResult> runPipeline(StencilProgram Program,
                                      const PipelineOptions &Options = {});
 
-/// Runs the execute half on an already compiled \p Plan and assembles the
-/// all-in-one \c PipelineResult.
+/// Runs the execute half on an already compiled \p Plan (validating
+/// against \p Reference when given, as \c executePlan does) and assembles
+/// the all-in-one \c PipelineResult.
 Expected<PipelineResult> runPipeline(CompiledPlan Plan,
-                                     const PipelineOptions &Options);
+                                     const PipelineOptions &Options,
+                                     const ExecutionResult *Reference =
+                                         nullptr);
 
 } // namespace stencilflow
 

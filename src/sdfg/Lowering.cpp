@@ -132,7 +132,7 @@ Error sdfg::expandStencilNode(SDFG &G, State &S, int NodeId,
   S.removeNode(NodeId);
   Lib = nullptr;
 
-  int64_t W = Program.VectorWidth;
+  int64_t W = Compiled.vectorWidth();
   int64_t Iterations = Program.IterationSpace.numCells() / W;
 
   // The pipeline scope over the stencil's iteration space, annotated with

@@ -10,6 +10,7 @@
 #include "support/StringUtils.h"
 
 #include <algorithm>
+#include <optional>
 
 using namespace stencilflow;
 
@@ -101,6 +102,21 @@ Offset shiftOffset(const Offset &Off, const Offset &Shift,
   return Result;
 }
 
+/// A producer and the consumer \c canFuseInto accepts it into.
+struct FusablePair {
+  std::string Producer;
+  std::string Consumer;
+};
+
+/// The pair the aggressive pass fuses next: the first producer, in node
+/// order, that \c canFuseInto accepts, or nullopt when none remains.
+std::optional<FusablePair> nextFusablePair(const StencilProgram &Program) {
+  for (const StencilNode &Node : Program.Nodes)
+    if (Expected<std::string> Consumer = canFuseInto(Program, Node.Name))
+      return FusablePair{Node.Name, Consumer.takeValue()};
+  return std::nullopt;
+}
+
 } // namespace
 
 Error stencilflow::fusePair(StencilProgram &Program,
@@ -115,6 +131,9 @@ Error stencilflow::fusePair(StencilProgram &Program,
   std::vector<Offset> Shifts = Reads->Offsets;
 
   // Instantiate the producer once per offset the consumer reads it at.
+  // Every field it reads is an input or a full-rank node output, so masks
+  // are looked up, not copied, per access.
+  const std::vector<bool> FullRank(Program.IterationSpace.rank(), true);
   std::vector<Assignment> NewStatements;
   std::vector<std::string> InstanceOutputs;
   for (size_t Instance = 0; Instance != Shifts.size(); ++Instance) {
@@ -133,9 +152,10 @@ Error stencilflow::fusePair(StencilProgram &Program,
           return;
         }
         if (auto *Access = dyn_cast<FieldAccessExpr>(E.get())) {
-          std::vector<bool> Mask =
-              Program.fieldDimensionMask(Access->field());
-          Access->setOffset(shiftOffset(Access->offset(), Shift, Mask));
+          const Field *Input = Program.findInput(Access->field());
+          Access->setOffset(shiftOffset(
+              Access->offset(), Shift,
+              Input ? Input->DimensionMask : FullRank));
         }
       });
       NewStatements.push_back(std::move(Copy));
@@ -196,22 +216,46 @@ stencilflow::fuseAllStencils(StencilProgram &Program) {
 Expected<FusionReport>
 stencilflow::fuseStencilsUpTo(StencilProgram &Program, int MaxPairs) {
   FusionReport Report;
-  bool Changed = true;
-  while (Changed && Report.FusedPairs < MaxPairs) {
-    Changed = false;
-    for (const StencilNode &Node : Program.Nodes) {
-      Expected<std::string> Consumer = canFuseInto(Program, Node.Name);
-      if (!Consumer)
-        continue;
-      std::string Producer = Node.Name;
-      if (Error Err = fusePair(Program, Producer))
-        return Err;
-      Report.Log.push_back("fused '" + Producer + "' into '" + *Consumer +
-                           "'");
-      ++Report.FusedPairs;
-      Changed = true;
-      break; // Node list mutated; restart the scan.
-    }
+  while (Report.FusedPairs < MaxPairs) {
+    std::optional<FusablePair> Next = nextFusablePair(Program);
+    if (!Next)
+      break;
+    if (Error Err = fusePair(Program, Next->Producer))
+      return Err;
+    Report.Log.push_back("fused '" + Next->Producer + "' into '" +
+                         Next->Consumer + "'");
+    ++Report.FusedPairs;
   }
   return Report;
+}
+
+FusionWalk::FusionWalk(StencilProgram Program, int Limit,
+                       const std::function<bool(int)> &Keep) {
+  while (Pairs < Limit) {
+    std::optional<FusablePair> Next = nextFusablePair(Program);
+    if (!Next) {
+      Exhausted = true;
+      break;
+    }
+    if (Keep(Pairs))
+      Kept.emplace(Pairs,
+                   std::make_shared<const StencilProgram>(Program.clone()));
+    if ((Failure = fusePair(Program, Next->Producer)))
+      return;
+    ++Pairs;
+  }
+  Kept.emplace(Pairs,
+               std::make_shared<const StencilProgram>(std::move(Program)));
+}
+
+std::shared_ptr<const StencilProgram> FusionWalk::level(int Level) const {
+  if (Level > Pairs && !Exhausted)
+    return nullptr;
+  auto It = Kept.find(std::min(Level, Pairs));
+  return It == Kept.end() ? nullptr : It->second;
+}
+
+void FusionWalk::retain(const std::function<bool(int)> &Keep) {
+  for (auto It = Kept.begin(); It != Kept.end();)
+    It = Keep(It->first) ? std::next(It) : Kept.erase(It);
 }

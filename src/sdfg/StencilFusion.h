@@ -42,6 +42,9 @@
 #include "ir/StencilProgram.h"
 #include "support/Error.h"
 
+#include <functional>
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -78,6 +81,44 @@ Expected<FusionReport> fuseAllStencils(StencilProgram &Program);
 /// a prefix of the same trajectory and levels are comparable.
 Expected<FusionReport> fuseStencilsUpTo(StencilProgram &Program,
                                         int MaxPairs);
+
+/// One walk of the fusion trajectory that keeps the programs at chosen
+/// levels: the pass runs once, a pair at a time, and level k is what
+/// \c fuseStencilsUpTo(k) leaves of the walked program — without re-fusing
+/// from the unfused program for every level. Each step fuses the first
+/// producer, in node order, that \c canFuseInto accepts, and reads
+/// nothing but the program, so how the steps are grouped does not change
+/// the levels.
+class FusionWalk {
+public:
+  /// Walks \p Program until no legal pair remains, \p Limit pairs are
+  /// fused, or a step fails. Keeps a copy of every level \p Keep accepts
+  /// and the level where the walk ends (unless a step failed: the program
+  /// it left behind is discarded).
+  FusionWalk(StencilProgram Program, int Limit,
+             const std::function<bool(int)> &Keep);
+
+  /// Pairs fused before the walk ended.
+  int pairs() const { return Pairs; }
+
+  /// Why fusing pair pairs() + 1 failed; success when no step failed.
+  const Error &failure() const { return Failure; }
+
+  /// The program at level \p Level, or null when the walk did not keep it
+  /// or did not reach it (it stopped at its limit, or at a failed step and
+  /// \c failure() says why). Once no legal pair remains, every higher
+  /// level equals the last one.
+  std::shared_ptr<const StencilProgram> level(int Level) const;
+
+  /// Drops the kept levels \p Keep rejects.
+  void retain(const std::function<bool(int)> &Keep);
+
+private:
+  int Pairs = 0;
+  bool Exhausted = false; ///< The walk ended because no legal pair remained.
+  Error Failure;
+  std::map<int, std::shared_ptr<const StencilProgram>> Kept;
+};
 
 } // namespace stencilflow
 

@@ -80,7 +80,7 @@ Expected<Machine> Machine::build(const CompiledProgram &Compiled,
   Machine M;
   M.Config = Config;
   M.Compiled = &Compiled;
-  M.Lanes = Program.VectorWidth;
+  M.Lanes = Compiled.vectorWidth();
   M.SpaceExtents = Program.IterationSpace.extents();
   M.StreamVectors = Program.IterationSpace.numCells() / M.Lanes;
   M.ExpectedCycles = Dataflow.PipelineLatency + M.StreamVectors;

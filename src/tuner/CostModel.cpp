@@ -6,6 +6,10 @@
 
 #include "tuner/CostModel.h"
 
+#include "runtime/InputData.h"
+#include "sdfg/TemporalUnroll.h"
+#include "support/StringUtils.h"
+
 #include <algorithm>
 #include <cmath>
 
@@ -52,41 +56,103 @@ double deviceMemoryDemand(const StencilProgram &Program,
 
 } // namespace
 
+CostModel::CostModel(const StencilProgram &Program,
+                     const PipelineOptions &Base, const DesignSpace &Space)
+    : Program(Program), Base(Base), Levels(Space.fusionLevels()) {
+  Walks[1].Levels = Space.fusionWalk();
+}
+
+const CostModel::Walk &CostModel::walk(int Degree) const {
+  auto [It, Inserted] = Walks.try_emplace(Degree);
+  Walk &W = It->second;
+  if (!Inserted)
+    return W;
+  // Pipeline order: unroll first, as compilePipeline does — fusion levels
+  // counted on the base program stay legal on the unrolled one.
+  Expected<StencilProgram> Unrolled = sdfg::unrollTimeSteps(Program, Degree);
+  if (!Unrolled) {
+    W.PruneReason =
+        "mapping: " +
+        Unrolled.takeError()
+            .addContext(formatString("unrolling %d timestep(s)", Degree))
+            .message();
+    return W;
+  }
+  // Walk at width 1, which every extent admits, like enumerate's walk.
+  StencilProgram Walked = Unrolled.takeValue();
+  Walked.VectorWidth = 1;
+  W.Levels = std::make_shared<const FusionWalk>(
+      std::move(Walked), Levels.back(), [this](int F) {
+        return std::binary_search(Levels.begin(), Levels.end(), F);
+      });
+  return W;
+}
+
+CostModel::Prefix &CostModel::prefix(const CandidateMapping &Mapping) const {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  auto [It, Inserted] = Prefixes.try_emplace(
+      std::make_pair(Mapping.FusionPairs, Mapping.TemporalDegree));
+  Prefix &P = It->second;
+  if (!Inserted)
+    return P;
+  const Walk &W = walk(Mapping.TemporalDegree);
+  if (!W.Levels) {
+    P.PruneReason = W.PruneReason;
+    return P;
+  }
+  std::shared_ptr<const StencilProgram> Fused =
+      W.Levels->level(Mapping.FusionPairs);
+  if (!Fused) {
+    P.PruneReason =
+        "mapping: " +
+        (W.Levels->failure()
+             ? formatString("fusing %d pair(s): ", Mapping.FusionPairs) +
+                   W.Levels->failure().message()
+             : formatString("fusion level %d is not a level of the design "
+                            "space",
+                            Mapping.FusionPairs));
+    return P;
+  }
+  // The walk's program is at width 1; each candidate's own width is a
+  // view of the compiled prefix (CompiledProgram::withVectorWidth).
+  CandidateMapping Knobs;
+  Knobs.FusionPairs = Mapping.FusionPairs;
+  Knobs.TemporalDegree = Mapping.TemporalDegree;
+  Expected<CompiledProgram> Compiled =
+      compileProgram(std::move(Fused), mappingOptions(Base, Knobs));
+  if (Compiled)
+    P.Compiled = std::make_shared<const CompiledProgram>(Compiled.takeValue());
+  else
+    P.PruneReason = Compiled.message();
+  return P;
+}
+
 Expected<CompiledProgram>
 CostModel::compile(const CandidateMapping &Mapping) const {
-  std::shared_ptr<const CompiledProgram> Shared;
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    auto [It, Inserted] = Prefixes.try_emplace(
-        std::make_pair(Mapping.FusionPairs, Mapping.TemporalDegree));
-    Prefix &P = It->second;
-    if (Inserted) {
-      // Unroll and fuse at width 1, which every extent admits; the
-      // candidate's own width is applied below.
-      CandidateMapping Knobs;
-      Knobs.FusionPairs = Mapping.FusionPairs;
-      Knobs.TemporalDegree = Mapping.TemporalDegree;
-      Expected<StencilProgram> Applied = applyMapping(Program, Knobs);
-      if (!Applied) {
-        P.PruneReason = "mapping: " + Applied.message();
-      } else if (Expected<CompiledProgram> Compiled = compileProgram(
-                     Applied.takeValue(), mappingOptions(Base, Knobs))) {
-        P.Compiled =
-            std::make_shared<const CompiledProgram>(Compiled.takeValue());
-      } else {
-        P.PruneReason = Compiled.message();
-      }
-    }
-    if (!P.Compiled)
-      return makeError(P.PruneReason);
-    Shared = P.Compiled;
-  }
+  const Prefix &P = prefix(Mapping);
+  if (!P.Compiled)
+    return makeError(P.PruneReason);
   Expected<CompiledProgram> Widened =
-      Shared->withVectorWidth(Mapping.VectorWidth);
+      P.Compiled->withVectorWidth(Mapping.VectorWidth);
   if (!Widened)
     return makeError("mapping: mapping " + Mapping.id() + ": " +
                      Widened.message());
   return Widened;
+}
+
+std::shared_ptr<const ExecutionResult>
+CostModel::reference(const CandidateMapping &Mapping) const {
+  Prefix &P = prefix(Mapping);
+  if (!P.Compiled)
+    return nullptr;
+  std::call_once(P.ReferenceOnce, [&P] {
+    Expected<ExecutionResult> Outputs = runReference(
+        *P.Compiled, materializeInputs(P.Compiled->program()));
+    if (Outputs)
+      P.Reference =
+          std::make_shared<const ExecutionResult>(Outputs.takeValue());
+  });
+  return P.Reference;
 }
 
 CandidateCost CostModel::cost(const CandidateMapping &Mapping) const {
@@ -95,7 +161,7 @@ CandidateCost CostModel::cost(const CandidateMapping &Mapping) const {
   Cost.TemporalDegree = Mapping.TemporalDegree;
 
   // Stage 1: the width-independent prefix (unroll, fuse, simplify,
-  // compile), shared across candidates, at this candidate's width.
+  // compile), shared across candidates, viewed at this candidate's width.
   Expected<CompiledProgram> Compiled = compile(Mapping);
   if (!Compiled)
     return pruned(std::move(Cost), Compiled.message());
@@ -141,7 +207,8 @@ CandidateCost CostModel::cost(const CandidateMapping &Mapping) const {
   const StencilProgram &Prog = Compiled->program();
   if (!Sim.UnconstrainedMemory) {
     for (const DevicePlacement &Device : Placement->Devices) {
-      double Demand = deviceMemoryDemand(Prog, Device, Prog.VectorWidth, Sim);
+      double Demand =
+          deviceMemoryDemand(Prog, Device, Compiled->vectorWidth(), Sim);
       Cost.MemorySlowdown = std::max(Cost.MemorySlowdown,
                                      Demand / Sim.PeakMemoryBytesPerCycle);
     }
@@ -150,7 +217,7 @@ CandidateCost CostModel::cost(const CandidateMapping &Mapping) const {
     double HopBytes = 0.0;
     for (const RemoteStream &Stream : Placement->RemoteStreams)
       if (Stream.SourceDevice <= Hop && Hop < Stream.ConsumerDevice)
-        HopBytes += static_cast<double>(Prog.VectorWidth) *
+        HopBytes += static_cast<double>(Compiled->vectorWidth()) *
                     static_cast<double>(
                         dataTypeSize(Prog.fieldType(Stream.Source)));
     Cost.NetworkSlowdown =

@@ -6,9 +6,10 @@
 ///
 /// \file
 /// The analytic cost model of the mapping autotuner. For each candidate it
-/// replays the static half of the pipeline — unroll, fuse and compile once
-/// per (fusion level, temporal degree), then the width, dataflow analysis
-/// and partitioning per candidate — and combines
+/// replays the static half of the pipeline — unroll and fuse once per
+/// temporal degree, compile once per (fusion level, temporal degree), then
+/// the width, dataflow analysis and partitioning per candidate — and
+/// combines
 ///
 ///  - the expected-runtime model C = L + N (Sec. VIII-A, Eq. 1),
 ///  - the utilization-derived frequency model (core/ResourceModel), using
@@ -43,6 +44,7 @@
 #include <mutex>
 #include <string>
 #include <utility>
+#include <vector>
 
 namespace stencilflow {
 namespace tuner {
@@ -87,19 +89,35 @@ struct CandidateCost {
   int FusedPairs = 0;
 };
 
-/// Costs candidate mappings of one program under one base configuration.
+/// Costs candidate mappings of one program's design space under one base
+/// configuration.
 ///
-/// The model memoizes the compile prefix of every (fusion level, temporal
-/// degree) it has seen: the program unrolled, fused, simplified and
-/// compiled once, then shared by all candidates that differ only in
-/// width, device budget, utilization or kernel tier. The memo is guarded
-/// by a mutex, so \c cost and \c compile may be called from multiple
-/// threads; it lives as long as the model, which is one tuning run.
+/// Nothing a candidate's width, device budget, utilization or kernel tier
+/// does not change is done per candidate:
+///
+///  - Fusion: one walk of the fusion trajectory per temporal degree
+///    (sdfg::FusionWalk) keeps the program at every fusion level of the
+///    space. Degree 1 reuses the walk \c DesignSpace::enumerate made to
+///    count the levels; other degrees walk the unrolled program once.
+///  - Compilation: each (fusion level, temporal degree) prefix is
+///    simplified and compiled once at width 1, and each candidate views it
+///    at its own width (\c CompiledProgram::withVectorWidth shares the
+///    program and kernels).
+///  - Reference outputs: the reference executor runs once per prefix, on
+///    first use (\c reference), since its outputs depend only on the
+///    program and its input seeds.
+///
+/// The memos are guarded by a mutex, and each prefix's reference by its
+/// own once-guard, so \c cost, \c compile and \c reference may be called
+/// from multiple threads, and a reference run blocks only the callers that
+/// wait for the same prefix. They live as long as the model, which is one
+/// tuning run.
 class CostModel {
 public:
+  /// Prices the mappings of \p Space, a space enumerated for \p Program.
   /// \p Program and \p Base must outlive the model.
-  CostModel(const StencilProgram &Program, const PipelineOptions &Base)
-      : Program(Program), Base(Base) {}
+  CostModel(const StencilProgram &Program, const PipelineOptions &Base,
+            const DesignSpace &Space);
 
   /// Prices \p Mapping. Infeasible candidates come back with
   /// Feasible = false and a prune reason, not an error. The kernel-engine
@@ -113,17 +131,44 @@ public:
   /// Fails with the candidate's prune reason.
   Expected<CompiledProgram> compile(const CandidateMapping &Mapping) const;
 
+  /// The reference executor's outputs for \p Mapping's prefix on its
+  /// program's inputs (materializeInputs), computed on first use. Null
+  /// when the prefix is pruned or the reference executor fails on it; a
+  /// run given no reference computes (and reports) its own.
+  std::shared_ptr<const ExecutionResult>
+  reference(const CandidateMapping &Mapping) const;
+
 private:
-  /// The program of one (fusion level, temporal degree) at width 1, or
+  /// The fusion walk of the program unrolled to one temporal degree, or
   /// null with the reason its candidates are pruned.
-  struct Prefix {
-    std::shared_ptr<const CompiledProgram> Compiled;
+  struct Walk {
+    std::shared_ptr<const FusionWalk> Levels;
     std::string PruneReason;
   };
 
+  /// The program of one (fusion level, temporal degree) at width 1, or
+  /// null with the reason its candidates are pruned, and its reference
+  /// outputs once computed.
+  struct Prefix {
+    std::shared_ptr<const CompiledProgram> Compiled;
+    std::string PruneReason;
+    std::once_flag ReferenceOnce;
+    std::shared_ptr<const ExecutionResult> Reference;
+  };
+
+  /// \p Mapping's prefix, built on first use.
+  Prefix &prefix(const CandidateMapping &Mapping) const;
+
+  /// The walk of temporal degree \p Degree, built on first use; requires
+  /// \c Mutex to be held.
+  const Walk &walk(int Degree) const;
+
   const StencilProgram &Program;
   const PipelineOptions &Base;
+  /// The fusion levels of the space, ascending.
+  std::vector<int> Levels;
   mutable std::mutex Mutex;
+  mutable std::map<int, Walk> Walks;
   mutable std::map<std::pair<int, int>, Prefix> Prefixes;
 };
 

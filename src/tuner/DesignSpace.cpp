@@ -121,21 +121,42 @@ Expected<DesignSpace> DesignSpace::enumerate(const StencilProgram &Program,
                                   "innermost extent %lld",
                                   static_cast<long long>(Innermost)));
 
-  // Fusion levels: probe how many pairs the aggressive pass fuses; every
-  // level is a prefix of that trajectory (sdfg::fuseStencilsUpTo). A
-  // failing probe means no legal fusion — the axis collapses to {0}.
-  StencilProgram Probe = Program.clone();
-  Expected<FusionReport> Aggressive = fuseAllStencils(Probe);
-  Space.MaxPairs = Aggressive ? Aggressive->FusedPairs : 0;
+  // Fusion levels: walk the aggressive pass to count the pairs it fuses;
+  // every level is a prefix of that trajectory (sdfg::fuseStencilsUpTo).
+  // A failing walk means no legal fusion — the axis collapses to {0}. The
+  // walk runs at width 1, which every extent admits, and keeps the
+  // programs at the levels the space may use, so the cost model compiles
+  // them without fusing again. Each pair removes a node that is not an
+  // output, so the default middle level, max/2, is at most half their
+  // number.
+  const std::vector<int> &Explicit = Options.FusionLevels;
+  int Removable = 0;
+  for (const StencilNode &Node : Program.Nodes)
+    Removable += Program.isProgramOutput(Node.Name) ? 0 : 1;
+  StencilProgram Walked = Program.clone();
+  Walked.VectorWidth = 1;
+  auto Walk = std::make_shared<FusionWalk>(
+      std::move(Walked), Removable, [&Explicit, Removable](int F) {
+        return F == 0 ||
+               (Explicit.empty()
+                    ? F <= std::max(1, Removable / 2)
+                    : std::find(Explicit.begin(), Explicit.end(), F) !=
+                          Explicit.end());
+      });
+  Space.MaxPairs = Walk->failure() ? 0 : Walk->pairs();
   std::vector<int> LevelSeed =
-      Options.FusionLevels.empty()
+      Explicit.empty()
           ? std::vector<int>{0, 1, Space.MaxPairs / 2, Space.MaxPairs}
-          : Options.FusionLevels;
+          : Explicit;
   for (int F : LevelSeed)
     if (F >= 0 && F <= Space.MaxPairs)
       Space.Levels.push_back(F);
   Space.Levels.push_back(0); // The unfused mapping is always a candidate.
   sortUnique(Space.Levels);
+  Walk->retain([&Space](int F) {
+    return std::binary_search(Space.Levels.begin(), Space.Levels.end(), F);
+  });
+  Space.Walk = std::move(Walk);
 
   // Device budgets, capped at the testbed size.
   std::vector<int> DeviceSeed =

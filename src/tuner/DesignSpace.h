@@ -29,8 +29,10 @@
 #include "compute/Engine.h"
 #include "ir/StencilProgram.h"
 #include "runtime/Pipeline.h"
+#include "sdfg/StencilFusion.h"
 #include "support/Error.h"
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -133,6 +135,13 @@ public:
   /// Number of pairs the aggressive fusion pass would fuse.
   int maxFusionPairs() const { return MaxPairs; }
 
+  /// The walk of the program's fusion trajectory that counted
+  /// maxFusionPairs(). It holds the program at every fusionLevels() entry,
+  /// not unrolled; the cost model compiles its degree-1 prefixes from it.
+  const std::shared_ptr<const FusionWalk> &fusionWalk() const {
+    return Walk;
+  }
+
   /// The axes, each sorted ascending (engines by enum order).
   const std::vector<int> &vectorWidths() const { return Widths; }
   const std::vector<int> &fusionLevels() const { return Levels; }
@@ -161,6 +170,7 @@ private:
   std::vector<int> Degrees;
   std::vector<compute::KernelEngine> Engines;
   int MaxPairs = 0;
+  std::shared_ptr<const FusionWalk> Walk;
 };
 
 /// Applies the program-transforming knobs of \p Mapping to a copy of

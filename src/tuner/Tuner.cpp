@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <memory>
 #include <optional>
 #include <thread>
 
@@ -21,8 +22,8 @@ using namespace stencilflow::tuner;
 namespace {
 
 /// Simulates and validates one candidate on the cost model's shared
-/// compile prefix: only the width, the plan and the run are its own, so
-/// jobs are embarrassingly parallel.
+/// compile prefix and reference outputs: only the width, the plan and the
+/// run are its own, so jobs are embarrassingly parallel.
 Expected<PipelineResult> runCandidate(const CostModel &Model,
                                       const PipelineOptions &Base,
                                       const CandidateMapping &Mapping) {
@@ -37,7 +38,8 @@ Expected<PipelineResult> runCandidate(const CostModel &Model,
   Expected<CompiledPlan> Plan = planProgram(Compiled.takeValue(), O);
   if (!Plan)
     return Plan.takeError();
-  return runPipeline(Plan.takeValue(), O);
+  std::shared_ptr<const ExecutionResult> Reference = Model.reference(Mapping);
+  return runPipeline(Plan.takeValue(), O, Reference.get());
 }
 
 /// Ranks simulated, validation-passing records: fastest simulated time,
@@ -84,7 +86,7 @@ stencilflow::tuner::tuneProgram(const StencilProgram &Program,
   CandidateMapping Default = Space->at(Index[0], Index[1], Index[2],
                                        Index[3], Index[4], Index[5]);
 
-  CostModel Model(Program, Base);
+  CostModel Model(Program, Base, *Space);
   SearchResult Search =
       searchDesignSpace(*Space, Model, Options.Search, Default);
 

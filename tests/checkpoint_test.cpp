@@ -159,7 +159,7 @@ Partition makeSplitPartition(const CompiledProgram &Compiled,
                              const DataflowAnalysis &Dataflow, int SplitAt) {
   PartitionOptions Options;
   Options.TargetUtilization = 1.0;
-  Options.Device.DSPs = 7 * Compiled.program().VectorWidth * SplitAt;
+  Options.Device.DSPs = 7 * Compiled.vectorWidth() * SplitAt;
   Options.MaxDevices = 64;
   auto Result = partitionProgram(Compiled, Dataflow, Options);
   EXPECT_TRUE(Result) << Result.message();

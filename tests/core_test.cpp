@@ -42,7 +42,8 @@ TEST(BufferAnalysisTest, PaperExampleTwoRows) {
   addStencil(P, "out", "out = a[0, 1, 0] + a[0, -1, 0];");
   P.Outputs = {"out"};
   ASSERT_FALSE(analyzeProgram(P));
-  NodeBuffers Buffers = computeNodeBuffers(P, *P.findNode("out"));
+  NodeBuffers Buffers =
+      computeNodeBuffers(P, *P.findNode("out"), P.VectorWidth);
   const InternalBuffer *Buffer = findBuffer(Buffers, "a");
   ASSERT_NE(Buffer, nullptr);
   EXPECT_TRUE(Buffer->NeedsShiftRegister);
@@ -61,7 +62,8 @@ TEST(BufferAnalysisTest, PaperExampleTwoSlices) {
   addStencil(P, "out", "out = b[0, 0, 0] + b[1, 0, 0];");
   P.Outputs = {"out"};
   ASSERT_FALSE(analyzeProgram(P));
-  NodeBuffers Buffers = computeNodeBuffers(P, *P.findNode("out"));
+  NodeBuffers Buffers =
+      computeNodeBuffers(P, *P.findNode("out"), P.VectorWidth);
   const InternalBuffer *Buffer = findBuffer(Buffers, "b");
   ASSERT_NE(Buffer, nullptr);
   EXPECT_EQ(Buffer->DistanceElements, J * I);
@@ -71,7 +73,7 @@ TEST(BufferAnalysisTest, PaperExampleTwoSlices) {
 TEST(BufferAnalysisTest, VectorWidthAddsToSize) {
   int64_t J = 8, I = 16, W = 4;
   StencilProgram P = laplace2d(J, I, static_cast<int>(W));
-  NodeBuffers Buffers = computeNodeBuffers(P, P.Nodes[0]);
+  NodeBuffers Buffers = computeNodeBuffers(P, P.Nodes[0], P.VectorWidth);
   const InternalBuffer *Buffer = findBuffer(Buffers, "a");
   ASSERT_NE(Buffer, nullptr);
   // Laplace accesses [-1,0]..[1,0]: distance = 2I.
@@ -88,7 +90,8 @@ TEST(BufferAnalysisTest, SingleAccessNeedsNoShiftRegister) {
   addStencil(P, "out", "out = a[0, 0] * 2.0;");
   P.Outputs = {"out"};
   ASSERT_FALSE(analyzeProgram(P));
-  NodeBuffers Buffers = computeNodeBuffers(P, *P.findNode("out"));
+  NodeBuffers Buffers =
+      computeNodeBuffers(P, *P.findNode("out"), P.VectorWidth);
   const InternalBuffer *Buffer = findBuffer(Buffers, "a");
   ASSERT_NE(Buffer, nullptr);
   EXPECT_FALSE(Buffer->NeedsShiftRegister);
@@ -109,8 +112,8 @@ TEST(BufferAnalysisTest, MiddleAccessesDoNotChangeSize) {
              "five = a[-1, 0] + a[1, 0] + a[0, -1] + a[0, 1] + a[0, 0];");
   P.Outputs = {"two", "five"};
   ASSERT_FALSE(analyzeProgram(P));
-  NodeBuffers Two = computeNodeBuffers(P, *P.findNode("two"));
-  NodeBuffers Five = computeNodeBuffers(P, *P.findNode("five"));
+  NodeBuffers Two = computeNodeBuffers(P, *P.findNode("two"), P.VectorWidth);
+  NodeBuffers Five = computeNodeBuffers(P, *P.findNode("five"), P.VectorWidth);
   EXPECT_EQ(findBuffer(Two, "a")->SizeElements,
             findBuffer(Five, "a")->SizeElements);
   // But the tap count differs.
@@ -129,7 +132,8 @@ TEST(BufferAnalysisTest, FillDelaysSynchronizeFields) {
   addStencil(P, "out", "out = a[-1, 0] + a[1, 0] + b[0, -1] + b[0, 1];");
   P.Outputs = {"out"};
   ASSERT_FALSE(analyzeProgram(P));
-  NodeBuffers Buffers = computeNodeBuffers(P, *P.findNode("out"));
+  NodeBuffers Buffers =
+      computeNodeBuffers(P, *P.findNode("out"), P.VectorWidth);
   const InternalBuffer *A = findBuffer(Buffers, "a");
   const InternalBuffer *B = findBuffer(Buffers, "b");
   ASSERT_NE(A, nullptr);
@@ -143,7 +147,7 @@ TEST(BufferAnalysisTest, FillDelaysSynchronizeFields) {
 
 TEST(BufferAnalysisTest, TapsRelativeToOldest) {
   StencilProgram P = laplace2d(8, 16);
-  NodeBuffers Buffers = computeNodeBuffers(P, P.Nodes[0]);
+  NodeBuffers Buffers = computeNodeBuffers(P, P.Nodes[0], P.VectorWidth);
   const InternalBuffer *Buffer = findBuffer(Buffers, "a");
   ASSERT_NE(Buffer, nullptr);
   // Offsets [-1,0],[0,-1],[0,0],[0,1],[1,0] with I=16: taps 0,15,16,17,32.
@@ -162,7 +166,8 @@ TEST(BufferAnalysisTest, LowerRankInputsExcluded) {
   addStencil(P, "out", "out = a[0,0,0] * c[0] + a[0,0,1] * c[1];");
   P.Outputs = {"out"};
   ASSERT_FALSE(analyzeProgram(P));
-  NodeBuffers Buffers = computeNodeBuffers(P, *P.findNode("out"));
+  NodeBuffers Buffers =
+      computeNodeBuffers(P, *P.findNode("out"), P.VectorWidth);
   EXPECT_EQ(findBuffer(Buffers, "c"), nullptr);
   EXPECT_NE(findBuffer(Buffers, "a"), nullptr);
 }

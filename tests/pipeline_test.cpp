@@ -6,6 +6,7 @@
 
 #include "common/TestPrograms.h"
 #include "frontend/ProgramLoader.h"
+#include "runtime/InputData.h"
 #include "runtime/Pipeline.h"
 #include "workloads/Workloads.h"
 
@@ -53,6 +54,35 @@ TEST(PipelineTest, RandomProgramsEndToEnd) {
     EXPECT_EQ(Result->Simulation.Stats.Cycles,
               Result->Runtime.TotalCycles);
   }
+}
+
+TEST(PipelineTest, GivenReferenceStillValidatesEveryOutput) {
+  // A caller may hand executePlan the reference outputs it computed once
+  // for many plans of one program; each output is still compared with
+  // them element by element, so one perturbed value fails the run.
+  PipelineOptions Options;
+  Options.Simulator.UnconstrainedMemory = true;
+  Expected<CompiledPlan> Plan =
+      compilePipeline(workloads::diffusion2dChain(2, 16, 32), Options);
+  ASSERT_TRUE(Plan) << Plan.message();
+  Expected<ExecutionResult> Reference = runReference(
+      Plan->Compiled, materializeInputs(Plan->Compiled.program()));
+  ASSERT_TRUE(Reference) << Reference.message();
+
+  auto Exact = executePlan(*Plan, Options, &*Reference);
+  ASSERT_TRUE(Exact) << Exact.message();
+  EXPECT_TRUE(Exact->ValidationPassed);
+  EXPECT_EQ(Exact->Validations.size(),
+            Plan->Compiled.program().Outputs.size());
+
+  ExecutionResult Perturbed = *Reference;
+  std::vector<double> &Output =
+      Perturbed.Fields.at(Plan->Compiled.program().Outputs.front());
+  Output[Output.size() / 2] += 1.0;
+  auto Wrong = executePlan(*Plan, Options, &Perturbed);
+  ASSERT_TRUE(Wrong) << Wrong.message();
+  EXPECT_FALSE(Wrong->ValidationPassed);
+  EXPECT_EQ(Wrong->Simulation.Stats.Cycles, Exact->Simulation.Stats.Cycles);
 }
 
 TEST(PipelineTest, FusionOptionShrinksProgram) {

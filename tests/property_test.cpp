@@ -106,7 +106,7 @@ TEST_P(BufferFormulaProperty, SizeIsDistancePlusW) {
   addStencil(P, "out", "out = " + Case.Accesses + ";");
   P.Outputs = {"out"};
   ASSERT_FALSE(analyzeProgram(P));
-  NodeBuffers Buffers = computeNodeBuffers(P, P.Nodes[0]);
+  NodeBuffers Buffers = computeNodeBuffers(P, P.Nodes[0], P.VectorWidth);
   ASSERT_EQ(Buffers.Buffers.size(), 1u);
   const InternalBuffer &Buffer = Buffers.Buffers[0];
   EXPECT_EQ(Buffer.DistanceElements, Case.ExpectedDistance) << Case.Name;

@@ -330,7 +330,7 @@ TEST(FusionTest, FusedProgramCombinesInternalBuffers) {
   StencilProgram P = jacobi3dChain(2, 6, 8, 8);
   ASSERT_TRUE(fuseAllStencils(P));
   ASSERT_EQ(P.Nodes.size(), 1u);
-  NodeBuffers Buffers = computeNodeBuffers(P, P.Nodes[0]);
+  NodeBuffers Buffers = computeNodeBuffers(P, P.Nodes[0], P.VectorWidth);
   ASSERT_EQ(Buffers.Buffers.size(), 1u);
   // Window spans [-2JI .. +2JI]: 4*J*I + 1 elements.
   EXPECT_EQ(Buffers.Buffers[0].SizeElements, 4 * 8 * 8 + 1);

@@ -373,7 +373,7 @@ Partition makeSplitPartition(const CompiledProgram &Compiled,
   // Budget exactly SplitAt nodes per device by DSP count (7 per node).
   Options.TargetUtilization = 1.0;
   Options.Device.DSPs =
-      7 * Compiled.program().VectorWidth * SplitAt;
+      7 * Compiled.vectorWidth() * SplitAt;
   Options.MaxDevices = 64;
   auto Result = partitionProgram(Compiled, Dataflow, Options);
   EXPECT_TRUE(Result) << Result.message();

@@ -63,7 +63,7 @@ Partition splitPartition(const CompiledProgram &Compiled,
   PartitionOptions Options;
   Options.TargetUtilization = 1.0;
   Options.Device.DSPs =
-      7 * Compiled.program().VectorWidth * PerDevice;
+      7 * Compiled.vectorWidth() * PerDevice;
   Options.MaxDevices = 64;
   auto Result = partitionProgram(Compiled, Dataflow, Options);
   EXPECT_TRUE(Result) << Result.message();

@@ -15,14 +15,20 @@
 #include "tuner/Tuner.h"
 
 #include "common/TestPrograms.h"
+#include "frontend/ProgramLoader.h"
+#include "runtime/InputData.h"
 #include "runtime/Session.h"
 #include "sdfg/StencilFusion.h"
+#include "sdfg/TemporalUnroll.h"
 #include "support/Json.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <map>
+#include <thread>
 
 using namespace stencilflow;
 using namespace stencilflow::tuner;
@@ -569,11 +575,11 @@ TEST(TunerTest, PrefixMemoIsOrderIndependentAndMatchesFromScratch) {
     // Two stencils per device: unfused chains overflow small budgets.
     Base.Partitioning.MaxStencilsPerDevice = 2;
 
-    CostModel Forward(Program, Base);
+    CostModel Forward(Program, Base, *Space);
     std::vector<CandidateCost> Costs;
     for (const CandidateMapping &M : Mappings)
       Costs.push_back(Forward.cost(M));
-    CostModel Reverse(Program, Base);
+    CostModel Reverse(Program, Base, *Space);
     for (size_t I = Mappings.size(); I-- > 0;)
       expectSameCost(Reverse.cost(Mappings[I]), Costs[I], Mappings[I]);
 
@@ -601,6 +607,315 @@ TEST(TunerTest, PrefixMemoIsOrderIndependentAndMatchesFromScratch) {
     EXPECT_EQ(Costs.back().PruneReason.rfind("mapping: ", 0), 0u)
         << Costs.back().PruneReason;
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Width-invariant work: one fusion walk, width views, one oracle per prefix
+//===----------------------------------------------------------------------===//
+
+TEST(TunerTest, FusionWalkLevelsMatchFuseStencilsUpTo) {
+  // One walk keeping every level must leave, at each level F, exactly the
+  // program fuseStencilsUpTo(F) leaves of a fresh copy — on a chain long
+  // enough that the statement limit ends the trajectory, on an unrolled
+  // (T=2) program, and on hdiff's diamond-shaped graph.
+  Expected<StencilProgram> Unrolled =
+      sdfg::unrollTimeSteps(identityChain(), 2);
+  ASSERT_TRUE(Unrolled) << Unrolled.message();
+  std::vector<std::pair<std::string, StencilProgram>> Cases;
+  Cases.emplace_back("jacobi3d 8-chain", workloads::jacobi3dChain(8, 4, 8, 8));
+  Cases.emplace_back("identity chain T=2", Unrolled.takeValue());
+  Cases.emplace_back("hdiff", workloads::horizontalDiffusion(4, 8, 8));
+  for (const auto &[Name, Program] : Cases) {
+    FusionWalk Walk(Program.clone(), std::numeric_limits<int>::max(),
+                    [](int) { return true; });
+    ASSERT_FALSE(Walk.failure()) << Name << ": " << Walk.failure().message();
+    ASSERT_GT(Walk.pairs(), 1) << Name;
+    for (int F = 0; F <= Walk.pairs() + 1; ++F) {
+      StencilProgram Fused = Program.clone();
+      Expected<FusionReport> Report = fuseStencilsUpTo(Fused, F);
+      ASSERT_TRUE(Report) << Name << ": " << Report.message();
+      std::shared_ptr<const StencilProgram> Level = Walk.level(F);
+      ASSERT_NE(Level, nullptr) << Name << " level " << F;
+      EXPECT_EQ(programToJson(*Level).toString(),
+                programToJson(Fused).toString())
+          << Name << " level " << F;
+    }
+  }
+
+  // The 8-chain's walk ends on the statement limit, not on the graph: a
+  // producer with a single consumer remains, rejected only for size.
+  StencilProgram Chain = workloads::jacobi3dChain(8, 4, 8, 8);
+  FusionWalk Walk(Chain.clone(), std::numeric_limits<int>::max(),
+                  [](int) { return false; });
+  std::shared_ptr<const StencilProgram> Last = Walk.level(Walk.pairs());
+  ASSERT_NE(Last, nullptr);
+  bool StoppedBySize = false;
+  for (const StencilNode &Node : Last->Nodes) {
+    Expected<std::string> Consumer = canFuseInto(*Last, Node.Name);
+    StoppedBySize |= !Consumer && Consumer.message().find("statements") !=
+                                      std::string::npos;
+  }
+  EXPECT_TRUE(StoppedBySize);
+  EXPECT_EQ(Walk.level(0), nullptr) << "an unkept level";
+
+  // A limited walk holds the levels it kept and the one it ended on.
+  FusionWalk Limited(Chain.clone(), 2, [](int F) { return F == 1; });
+  EXPECT_EQ(Limited.pairs(), 2);
+  EXPECT_EQ(Limited.level(0), nullptr);
+  EXPECT_NE(Limited.level(1), nullptr);
+  EXPECT_NE(Limited.level(2), nullptr);
+  EXPECT_EQ(Limited.level(3), nullptr) << "past the walk's limit";
+}
+
+TEST(TunerTest, EnumerateLevelsMatchTheAggressivePass) {
+  // The walk replaces enumerate's separate aggressive-fusion probe: the
+  // maximum and the levels must be what that probe gave, and the walk
+  // must hold the program of every level of the space.
+  struct Case {
+    std::string Name;
+    StencilProgram Program;
+    std::vector<int> Levels;
+  };
+  std::vector<Case> Cases;
+  Cases.push_back({"diffusion", smallDiffusion(), {}});
+  Cases.push_back({"jacobi3d 8-chain", workloads::jacobi3dChain(8, 4, 8, 8),
+                   {}});
+  Cases.push_back({"hdiff", workloads::horizontalDiffusion(4, 8, 8), {}});
+  Cases.push_back({"hdiff explicit", workloads::horizontalDiffusion(4, 8, 8),
+                   {5, 2, 99}});
+  for (const Case &C : Cases) {
+    StencilProgram Probe = C.Program.clone();
+    Expected<FusionReport> Aggressive = fuseAllStencils(Probe);
+    ASSERT_TRUE(Aggressive) << C.Name << ": " << Aggressive.message();
+    int Max = Aggressive->FusedPairs;
+    std::vector<int> Seed =
+        C.Levels.empty() ? std::vector<int>{0, 1, Max / 2, Max} : C.Levels;
+    std::vector<int> Want{0};
+    for (int F : Seed)
+      if (F >= 0 && F <= Max)
+        Want.push_back(F);
+    std::sort(Want.begin(), Want.end());
+    Want.erase(std::unique(Want.begin(), Want.end()), Want.end());
+
+    DesignSpaceOptions Options;
+    Options.FusionLevels = C.Levels;
+    Expected<DesignSpace> Space =
+        DesignSpace::enumerate(C.Program, Options, 8);
+    ASSERT_TRUE(Space) << C.Name << ": " << Space.message();
+    EXPECT_EQ(Space->maxFusionPairs(), Max) << C.Name;
+    EXPECT_EQ(Space->fusionLevels(), Want) << C.Name;
+    for (int F : Want)
+      EXPECT_NE(Space->fusionWalk()->level(F), nullptr)
+          << C.Name << " level " << F;
+  }
+
+  // A walk whose step fails collapses the axis to {0}, as a failing probe
+  // did: a shrink boundary on the first stencil's input travels into its
+  // consumer when fused, and the fused program fails validation.
+  StencilProgram Broken = smallDiffusion();
+  StencilNode &First = Broken.Nodes.front();
+  First.Boundaries[First.Accesses.front().Field] =
+      BoundaryCondition::shrink();
+  StencilProgram Probe = Broken.clone();
+  EXPECT_FALSE(fuseAllStencils(Probe));
+  Expected<DesignSpace> Space =
+      DesignSpace::enumerate(Broken, DesignSpaceOptions(), 8);
+  ASSERT_TRUE(Space) << Space.message();
+  EXPECT_EQ(Space->maxFusionPairs(), 0);
+  EXPECT_EQ(Space->fusionLevels(), std::vector<int>{0});
+  ASSERT_TRUE(Space->fusionWalk()->failure());
+  EXPECT_NE(Space->fusionWalk()->failure().message().find(
+                "shrink is an output boundary condition"),
+            std::string::npos)
+      << Space->fusionWalk()->failure().message();
+  EXPECT_NE(Space->fusionWalk()->level(0), nullptr);
+  EXPECT_EQ(Space->fusionWalk()->level(1), nullptr);
+
+  // The walk runs at width 1: the program's own width, legal or not,
+  // does not change the levels.
+  StencilProgram Odd = smallDiffusion();
+  Odd.VectorWidth = 3;
+  Expected<DesignSpace> OddSpace =
+      DesignSpace::enumerate(Odd, DesignSpaceOptions(), 8);
+  ASSERT_TRUE(OddSpace) << OddSpace.message();
+  Expected<DesignSpace> Plain =
+      DesignSpace::enumerate(smallDiffusion(), DesignSpaceOptions(), 8);
+  ASSERT_TRUE(Plain) << Plain.message();
+  EXPECT_EQ(OddSpace->maxFusionPairs(), Plain->maxFusionPairs());
+  EXPECT_EQ(OddSpace->fusionLevels(), Plain->fusionLevels());
+}
+
+namespace {
+
+/// Field-by-field equality of a plan and its run with a reference plan
+/// and run compiled from scratch.
+void expectSameRun(const CompiledPlan &Plan, const PlanExecution &Exec,
+                   const CompiledPlan &Scratch,
+                   const PlanExecution &ScratchExec, const std::string &Id) {
+  EXPECT_EQ(Plan.Compiled.vectorWidth(), Scratch.Compiled.vectorWidth())
+      << Id;
+  EXPECT_EQ(Plan.Runtime.TotalCycles, Scratch.Runtime.TotalCycles) << Id;
+  EXPECT_EQ(Plan.Runtime.LatencyCycles, Scratch.Runtime.LatencyCycles) << Id;
+  EXPECT_EQ(Plan.Runtime.StreamedCycles, Scratch.Runtime.StreamedCycles)
+      << Id;
+  EXPECT_EQ(Plan.Resources.ALMs, Scratch.Resources.ALMs) << Id;
+  EXPECT_EQ(Plan.Resources.FFs, Scratch.Resources.FFs) << Id;
+  EXPECT_EQ(Plan.Resources.M20Ks, Scratch.Resources.M20Ks) << Id;
+  EXPECT_EQ(Plan.Resources.DSPs, Scratch.Resources.DSPs) << Id;
+  EXPECT_EQ(Plan.FrequencyMHz, Scratch.FrequencyMHz) << Id;
+  EXPECT_EQ(Plan.Placement.report(), Scratch.Placement.report()) << Id;
+  EXPECT_EQ(Exec.Simulation.Stats.Cycles, ScratchExec.Simulation.Stats.Cycles)
+      << Id;
+  EXPECT_EQ(Exec.Simulation.Stats.MemoryBytesMoved,
+            ScratchExec.Simulation.Stats.MemoryBytesMoved)
+      << Id;
+  EXPECT_EQ(Exec.Simulation.Outputs, ScratchExec.Simulation.Outputs) << Id;
+  EXPECT_TRUE(Exec.ValidationPassed) << Id;
+  EXPECT_TRUE(ScratchExec.ValidationPassed) << Id;
+}
+
+} // namespace
+
+TEST(TunerTest, WidthViewsMatchFromScratchCompiles) {
+  // Every prefix viewed at every legal width, planned and run against the
+  // prefix's shared reference outputs, must equal the pipeline compiled
+  // and run from scratch on the mapping applied at that width. Illegal
+  // widths fail with validate()'s own message.
+  struct Case {
+    std::string Name;
+    StencilProgram Program;
+    int Degree;
+  };
+  std::vector<Case> Cases;
+  Cases.push_back({"hdiff 4x8x8", workloads::horizontalDiffusion(4, 8, 8), 1});
+  Cases.push_back(
+      {"jacobi3d 4-chain", workloads::jacobi3dChain(4, 4, 8, 8), 1});
+  Cases.push_back({"identity chain", identityChain(), 2});
+  PipelineOptions Base; // Constrained memory: nonzero memory traffic.
+  Base.Partitioning.MaxStencilsPerDevice = 3;
+
+  for (const Case &C : Cases) {
+    Expected<DesignSpace> Probe =
+        DesignSpace::enumerate(C.Program, DesignSpaceOptions(), 8);
+    ASSERT_TRUE(Probe) << C.Name << ": " << Probe.message();
+    DesignSpaceOptions Options;
+    for (int F = 0; F <= Probe->maxFusionPairs(); ++F)
+      Options.FusionLevels.push_back(F);
+    Options.TemporalDegrees = {C.Degree};
+    Expected<DesignSpace> Space =
+        DesignSpace::enumerate(C.Program, Options, 8);
+    ASSERT_TRUE(Space) << C.Name << ": " << Space.message();
+    CostModel Model(C.Program, Base, *Space);
+    const Shape &Domain = C.Program.IterationSpace;
+    int64_t Innermost = Domain.extent(Domain.rank() - 1);
+    size_t Runs = 0;
+
+    for (int F : Space->fusionLevels()) {
+      for (int W = 1; W <= Innermost; ++W) {
+        CandidateMapping M{W, F, 4, 0.85, C.Degree};
+        std::string Id = C.Name + " " + M.id();
+        Expected<CompiledProgram> View = Model.compile(M);
+        if (Innermost % W != 0) {
+          ASSERT_FALSE(View) << Id;
+          StencilProgram Widened = C.Program.clone();
+          Widened.VectorWidth = W;
+          EXPECT_EQ(View.message(), "mapping: mapping " + M.id() + ": " +
+                                        Widened.validate().message())
+              << Id;
+          continue;
+        }
+        ASSERT_TRUE(View) << Id << ": " << View.message();
+        PipelineOptions O = mappingOptions(Base, M);
+        Expected<CompiledPlan> Plan = planProgram(View.takeValue(), O);
+        Expected<StencilProgram> Applied = applyMapping(C.Program, M);
+        ASSERT_TRUE(Applied) << Id << ": " << Applied.message();
+        Expected<CompiledPlan> Scratch =
+            compilePipeline(Applied.takeValue(), O);
+        ASSERT_EQ(static_cast<bool>(Plan), static_cast<bool>(Scratch)) << Id;
+        if (!Plan) { // Over capacity at this width: the same verdict.
+          EXPECT_EQ(Plan.message(), Scratch.message()) << Id;
+          continue;
+        }
+        std::shared_ptr<const ExecutionResult> Reference =
+            Model.reference(M);
+        ASSERT_NE(Reference, nullptr) << Id;
+        auto Exec = executePlan(*Plan, O, Reference.get());
+        ASSERT_TRUE(Exec) << Id << ": " << Exec.message();
+        auto ScratchExec = executePlan(*Scratch, O);
+        ASSERT_TRUE(ScratchExec) << Id << ": " << ScratchExec.message();
+        expectSameRun(*Plan, *Exec, *Scratch, *ScratchExec, Id);
+        ++Runs;
+      }
+    }
+    EXPECT_GE(Runs, 3 * Space->fusionLevels().size()) << C.Name;
+  }
+}
+
+TEST(TunerTest, CandidatesShareTheirPrefixProgramAndReference) {
+  // Candidates that differ only in width, device budget or utilization
+  // share one compiled program and one set of reference outputs; each
+  // (fusion level, temporal degree) has its own. Workers ask for them
+  // concurrently, so the reference is requested from several threads.
+  StencilProgram Program = identityChain();
+  DesignSpaceOptions SpaceOpts;
+  SpaceOpts.TemporalDegrees = {1, 2};
+  SpaceOpts.DeviceCounts = {1, 2};
+  Expected<DesignSpace> Space = DesignSpace::enumerate(Program, SpaceOpts, 8);
+  ASSERT_TRUE(Space) << Space.message();
+  PipelineOptions Base = baseOptions();
+  CostModel Model(Program, Base, *Space);
+  const std::vector<CandidateMapping> &All = Space->candidates();
+
+  std::vector<std::shared_ptr<const ExecutionResult>> Seen(All.size());
+  std::vector<std::thread> Threads;
+  for (int T = 0; T != 4; ++T)
+    Threads.emplace_back([&, T] {
+      for (size_t I = T; I < All.size(); I += 4)
+        Seen[I] = Model.reference(All[I]);
+    });
+  for (std::thread &T : Threads)
+    T.join();
+
+  std::map<std::pair<int, int>, size_t> First;
+  for (size_t I = 0; I != All.size(); ++I) {
+    const CandidateMapping &M = All[I];
+    ASSERT_NE(Seen[I], nullptr) << M.id();
+    Expected<CompiledProgram> Compiled = Model.compile(M);
+    ASSERT_TRUE(Compiled) << M.id() << ": " << Compiled.message();
+    EXPECT_EQ(Compiled->vectorWidth(), M.VectorWidth) << M.id();
+    auto [It, Inserted] =
+        First.try_emplace({M.FusionPairs, M.TemporalDegree}, I);
+    if (Inserted) {
+      // The shared reference equals the reference executor run on the
+      // mapping compiled from scratch.
+      Expected<StencilProgram> Applied = applyMapping(Program, M);
+      ASSERT_TRUE(Applied) << M.id() << ": " << Applied.message();
+      Expected<CompiledProgram> Scratch =
+          CompiledProgram::compile(Applied.takeValue());
+      ASSERT_TRUE(Scratch) << M.id() << ": " << Scratch.message();
+      Expected<ExecutionResult> Reference =
+          runReference(*Scratch, materializeInputs(Scratch->program()));
+      ASSERT_TRUE(Reference) << M.id() << ": " << Reference.message();
+      EXPECT_EQ(Seen[I]->Fields, Reference->Fields) << M.id();
+      continue;
+    }
+    const CandidateMapping &Sibling = All[It->second];
+    EXPECT_EQ(Seen[I], Seen[It->second]) << M.id() << " vs " << Sibling.id();
+    EXPECT_EQ(&Compiled->program(), &Model.compile(Sibling)->program())
+        << M.id() << " vs " << Sibling.id();
+  }
+  EXPECT_EQ(First.size(),
+            Space->fusionLevels().size() * Space->temporalDegrees().size());
+  EXPECT_NE(Model.reference(All.front()),
+            Model.reference(CandidateMapping{1, 1, 1, 0.85, 2}));
+
+  // A level outside the space was never walked to: it is pruned, not
+  // fused afresh.
+  Expected<CompiledProgram> Outside =
+      Model.compile(CandidateMapping{1, 99, 1, 0.85});
+  ASSERT_FALSE(Outside);
+  EXPECT_EQ(Outside.message(),
+            "mapping: fusion level 99 is not a level of the design space");
 }
 
 //===----------------------------------------------------------------------===//

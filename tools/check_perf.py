@@ -10,6 +10,10 @@ threshold (default 20%). A uniform machine-speed difference cancels out;
 a single benchmark regressing against its peers does not. Use
 --absolute when both runs come from the same machine.
 
+Every baseline entry stores its benchmark's time_unit (ns, us, ms or s).
+Times are compared as numbers, so a baseline and a run that disagree on a
+benchmark's unit fail the check instead of comparing values 1000x apart.
+
 Usage:
   check_perf.py [--threshold 0.20] [--absolute] BASELINE CURRENT
   check_perf.py --update BASELINE CURRENT     # rewrite the baseline
@@ -25,28 +29,34 @@ import sys
 
 
 def load_times(path):
-    """Returns {benchmark name: cpu_time} from either a raw
-    google-benchmark JSON dump or a baseline file written by --update."""
+    """Returns {benchmark name: (cpu_time, time_unit)} from either a raw
+    google-benchmark JSON dump or a baseline file written by --update.
+    Every entry must name its unit: a time without one cannot be compared
+    with a run that reports another unit."""
     try:
         with open(path) as fp:
             data = json.load(fp)
     except (OSError, json.JSONDecodeError) as exc:
         sys.exit(f"error: cannot read {path}: {exc}")
     if isinstance(data.get("benchmarks"), dict):  # Baseline format.
-        return {name: entry["cpu_time"]
-                for name, entry in data["benchmarks"].items()}
-    benches = data.get("benchmarks", [])
-    # With --benchmark_repetitions the median aggregate is the robust
-    # statistic; fall back to plain iterations otherwise.
-    medians = {b.get("run_name", b["name"]): b["cpu_time"]
-               for b in benches
-               if b.get("run_type") == "aggregate"
-               and b.get("aggregate_name") == "median"}
-    if medians:
-        return medians
-    return {b["name"]: b["cpu_time"]
-            for b in benches
-            if b.get("run_type", "iteration") == "iteration"}
+        entries = data["benchmarks"].items()
+    else:
+        benches = data.get("benchmarks", [])
+        # With --benchmark_repetitions the median aggregate is the robust
+        # statistic; fall back to plain iterations otherwise.
+        entries = [(b.get("run_name", b["name"]), b) for b in benches
+                   if b.get("run_type") == "aggregate"
+                   and b.get("aggregate_name") == "median"]
+        if not entries:
+            entries = [(b["name"], b) for b in benches
+                       if b.get("run_type", "iteration") == "iteration"]
+    unitless = sorted(name for name, entry in entries
+                      if "time_unit" not in entry)
+    if unitless:
+        sys.exit(f"error: no time_unit in {path} for: "
+                 + ", ".join(unitless))
+    return {name: (entry["cpu_time"], entry["time_unit"])
+            for name, entry in entries}
 
 
 def geomean(values):
@@ -81,9 +91,10 @@ def main():
                         help="rewrite BASELINE from CURRENT and exit")
     args = parser.parse_args()
 
-    current = load_times(args.current)
-    if not current:
+    current_units = load_times(args.current)
+    if not current_units:
         sys.exit("error: no benchmarks in " + args.current)
+    current = {name: t for name, (t, _) in current_units.items()}
 
     if args.update:
         bench = os.path.basename(args.baseline)
@@ -97,8 +108,9 @@ def main():
                     "--benchmark_report_aggregates_only=true > out.json && "
                     "python3 tools/check_perf.py --update "
                     f"{args.baseline} out.json",
-            "benchmarks": {name: {"cpu_time": t, "time_unit": "ns"}
-                           for name, t in sorted(current.items())},
+            "benchmarks": {name: {"cpu_time": t, "time_unit": unit}
+                           for name, (t, unit)
+                           in sorted(current_units.items())},
         }
         with open(args.baseline, "w") as fp:
             json.dump(out, fp, indent=2)
@@ -106,12 +118,22 @@ def main():
         print(f"updated {args.baseline} with {len(current)} benchmarks")
         return 0
 
-    baseline = load_times(args.baseline)
-    if not baseline:
+    baseline_units = load_times(args.baseline)
+    if not baseline_units:
         sys.exit("error: no benchmarks in " + args.baseline)
+    baseline = {name: t for name, (t, _) in baseline_units.items()}
     common = sorted(set(baseline) & set(current))
     if not common:
         sys.exit("error: no common benchmarks between baseline and current")
+    # Times are compared as plain numbers, so a benchmark whose unit changed
+    # (say us -> ms) would be off by 1000x without this check.
+    mismatched = [f"{n} ({baseline_units[n][1]} in baseline, "
+                  f"{current_units[n][1]} in current run)"
+                  for n in common
+                  if baseline_units[n][1] != current_units[n][1]]
+    if mismatched:
+        sys.exit("error: time units differ: " + "; ".join(mismatched)
+                 + ". Refresh the baseline with --update.")
     check_positive({n: baseline[n] for n in common}, args.baseline)
     check_positive({n: current[n] for n in common}, args.current)
     # A name-set mismatch in either direction is a hard failure, not a
@@ -141,7 +163,8 @@ def main():
         cur_norm = geomean([current[n] for n in common])
 
     failed = []
-    print(f"{'benchmark':<40} {'baseline':>12} {'current':>12} {'ratio':>8}")
+    print(f"{'benchmark':<40} {'baseline':>12} {'current':>12} {'unit':>4} "
+          f"{'ratio':>8}")
     for name in common:
         base = baseline[name] / base_norm
         cur = current[name] / cur_norm
@@ -150,8 +173,9 @@ def main():
         if ratio > 1.0 + args.threshold:
             failed.append(name)
             marker = "  <-- REGRESSION"
+        unit = baseline_units[name][1]
         print(f"{name:<40} {baseline[name]:>12.1f} {current[name]:>12.1f} "
-              f"{ratio:>7.2f}x{marker}")
+              f"{unit:>4} {ratio:>7.2f}x{marker}")
 
     mode = "absolute" if args.absolute else "geomean-normalized"
     if failed:
