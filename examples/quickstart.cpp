@@ -10,7 +10,7 @@
 // simulated hardware execution — and validate the result against the
 // reference executor.
 //
-// Run:  ./quickstart [--size N] [--vectorize W] [--emit] [--parallel]
+// Run:  ./quickstart [--size N] [--vectorize W] [--emit]
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,7 +24,7 @@ using namespace stencilflow;
 
 int main(int argc, char **argv) {
   auto Args = CommandLine::parse(argc, argv,
-                                 {"size", "vectorize", "emit", "parallel"});
+                                 {"size", "vectorize", "emit"});
   if (!Args) {
     std::fprintf(stderr, "error: %s\n", Args.message().c_str());
     return 1;
@@ -62,8 +62,6 @@ int main(int argc, char **argv) {
   std::printf("%s\n", S->program().summary().c_str());
 
   S->unconstrainedMemory(true).emitCode(Args->has("emit"));
-  if (Args->has("parallel"))
-    S->engine(sim::SimEngine::Parallel);
 
   Expected<PipelineResult> Result = S->run();
   if (!Result) {
@@ -76,9 +74,8 @@ int main(int argc, char **argv) {
               static_cast<long long>(Result->Runtime.LatencyCycles),
               static_cast<long long>(Result->Runtime.StreamedCycles),
               static_cast<long long>(Result->Runtime.TotalCycles));
-  std::printf("simulated cycles:        %lld (%s engine)\n",
-              static_cast<long long>(Result->Simulation.Stats.Cycles),
-              Result->Simulation.Stats.Engine.c_str());
+  std::printf("simulated cycles:        %lld\n",
+              static_cast<long long>(Result->Simulation.Stats.Cycles));
   std::printf("modeled frequency:       %.0f MHz\n", Result->FrequencyMHz);
   std::printf("resources:               %s\n",
               Result->Resources

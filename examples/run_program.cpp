@@ -14,8 +14,8 @@
 //
 // Flags come from the shared CLI surface (support/Args.h): the session
 // pack (--fuse --simplify --vectorize --constrained-memory
-// --kernel-engine --parallel --threads --stall-timeout), the checkpoint
-// pack (--checkpoint-dir --checkpoint-every --checkpoint-every-seconds
+// --kernel-engine --stall-timeout), the checkpoint pack
+// (--checkpoint-dir --checkpoint-every --checkpoint-every-seconds
 // --checkpoint-keep --resume --crash-after-checkpoints), and the
 // autotuner pack (--tune-budget --tune-seed --tune-top-k --tune-workers)
 // behind --auto-tune; plus this tool's own knobs:
@@ -24,8 +24,7 @@
 //   --dot           print the extracted SDFG in Graphviz format
 //   --report        print the dataflow/buffering analysis report
 //   --trace FILE    write a Chrome trace-event timeline of the simulation
-//                   (open in chrome://tracing or https://ui.perfetto.dev);
-//                   requires the serial engine, so it wins over --parallel
+//                   (open in chrome://tracing or https://ui.perfetto.dev)
 //   --trace-stride N  counter sampling stride for --trace
 //   --metrics FILE  write a tidy CSV of stall attribution and occupancies
 //   --fault-plan FILE  inject a deterministic fault schedule (sim/Fault.h)
@@ -93,19 +92,10 @@ int main(int argc, char **argv) {
   }
   std::printf("%s\n", S->program().summary().c_str());
 
-  // Tracing requires the serial engine; --trace wins over --parallel.
-  bool Parallel = Args->has("parallel");
-  if (Parallel && Args->has("trace")) {
-    std::fprintf(stderr, "warning: tracing requires the serial engine; "
-                         "ignoring --parallel\n");
-    Parallel = false;
-  }
   if (Error Err = cli::applySessionArgs(*S, *Args)) {
     std::fprintf(stderr, "error: %s\n", Err.message().c_str());
     return exitCodeFor(Err.code());
   }
-  if (!Parallel)
-    S->engine(sim::SimEngine::Serial);
   if (Error Err = cli::applyCheckpointArgs(*S, *Args)) {
     std::fprintf(stderr, "error: %s\n", Err.message().c_str());
     return exitCodeFor(Err.code());
@@ -220,12 +210,6 @@ int main(int argc, char **argv) {
               static_cast<long long>(Result->Runtime.TotalCycles),
               Result->simulatedOpsPerSecond() / 1e9);
   const sim::SimStats &Stats = Result->Simulation.Stats;
-  std::printf("engine: %s (%lld epochs, %lld serial-fallback cycles, "
-              "%lld cycles fast-forwarded)\n",
-              Stats.Engine.c_str(),
-              static_cast<long long>(Stats.ParallelEpochs),
-              static_cast<long long>(Stats.SerialFallbackCycles),
-              static_cast<long long>(Stats.SkippedCycles));
   std::string Tiers = Stats.kernelTierSummary();
   std::printf("kernel engine: %s requested, effective: %s "
               "(%lld specialized, %lld jitted)\n",

@@ -6,12 +6,11 @@
 //
 // The fuzzing driver: generates seeded random stencil programs
 // (fuzz/Generate.h) and runs each one through the full pipeline under a
-// seeded matrix of configurations — serial/parallel engines, every
-// kernel tier, temporal degrees, fault plans, checkpoint/resume —
-// asserting bit-exact agreement with the reference oracle
-// (fuzz/Differential.h). Divergences are written as JSON reproducers;
-// `--replay` re-runs one, and `--minimize` greedily shrinks it while it
-// still reproduces (fuzz/Minimize.h).
+// seeded matrix of configurations — every kernel tier, temporal degrees,
+// fault plans, checkpoint/resume — asserting bit-exact agreement with the
+// reference oracle (fuzz/Differential.h). Divergences are written as JSON
+// reproducers; `--replay` re-runs one, and `--minimize` greedily shrinks
+// it while it still reproduces (fuzz/Minimize.h).
 //
 // Usage:
 //   sf_fuzz --seed 42 --iterations 200            # a fuzzing campaign
@@ -70,7 +69,6 @@ static GenConfig genConfigFromArgs(const CommandLine &Args,
 /// Applies the matrix-axis flags.
 static Error matrixFromArgs(const CommandLine &Args,
                             MatrixOptions &Matrix) {
-  Matrix.ParallelEngine = !Args.has("no-parallel");
   Matrix.JitTiers = !Args.has("no-jit");
   Matrix.FaultAxis = !Args.has("no-faults");
   Matrix.ResumeAxis = !Args.has("no-resume");
@@ -170,7 +168,6 @@ int main(int argc, char **argv) {
               "config (default 5)")
       .option("temporal-degrees", "CSV",
               "temporal degrees to sample (default 1,2,4)")
-      .flag("no-parallel", "disable the parallel-engine axis")
       .flag("no-jit", "disable the jit/auto kernel tiers")
       .flag("no-faults", "disable the fault-plan axis")
       .flag("no-resume", "disable the checkpoint/resume axis")

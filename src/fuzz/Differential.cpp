@@ -62,8 +62,7 @@ std::optional<FindingKind> fuzz::findingKindFromName(std::string_view Name) {
 //===----------------------------------------------------------------------===//
 
 std::string DiffConfig::id() const {
-  std::string Id = Parallel ? "parallel" : "serial";
-  Id += "/" + Kernel;
+  std::string Id = Kernel;
   Id += formatString("/t%d", TemporalDegree);
   if (Faults)
     Id += "/faults";
@@ -74,7 +73,6 @@ std::string DiffConfig::id() const {
 
 json::Value DiffConfig::toJson() const {
   json::Object O;
-  O.set("parallel", json::Value(Parallel));
   O.set("kernel", json::Value(Kernel));
   O.set("temporal_degree", json::Value(TemporalDegree));
   O.set("faults", json::Value(Faults));
@@ -88,8 +86,6 @@ Expected<DiffConfig> DiffConfig::fromJson(const json::Value &V) {
                      "finding 'config' must be an object");
   const json::Object &O = V.getObject();
   DiffConfig Config;
-  if (const json::Value *P = O.get("parallel"); P && P->isBoolean())
-    Config.Parallel = P->getBoolean();
   if (const json::Value *K = O.get("kernel"); K && K->isString())
     Config.Kernel = K->getString();
   if (const json::Value *T = O.get("temporal_degree"); T && T->isNumber())
@@ -323,8 +319,6 @@ static RunOutcome executeOnce(const StencilProgram &Program,
                               const std::string &ResumePath) {
   Session S = Session::fromProgram(Program.clone());
   S.unconstrainedMemory(true);
-  if (Config.Parallel)
-    S.engine(sim::SimEngine::Parallel, 2);
   Expected<compute::KernelEngine> Kernel =
       compute::parseKernelEngine(Config.Kernel);
   if (Kernel)
@@ -464,7 +458,6 @@ static DiffConfig sampleConfig(Random &Rng,
   static const char *const JitKernels[] = {"scalar", "batched", "specialized",
                                            "jit", "auto"};
   DiffConfig Config;
-  Config.Parallel = Matrix.ParallelEngine && Rng.nextBool(0.5);
   if (Matrix.JitTiers)
     Config.Kernel = JitKernels[Rng.nextBounded(5)];
   else
@@ -482,7 +475,7 @@ DiffResult fuzz::runDifferential(const StencilProgram &Program, uint64_t Seed,
                                  const DiffOptions &Options) {
   DiffResult Result;
 
-  // The base configuration always runs: it pins the pipeline's serial /
+  // The base configuration always runs: it pins the pipeline's
   // specialized / single-step behavior to the oracle, so any sampled
   // divergence is attributable to the varied axis.
   std::vector<DiffConfig> Configs;

@@ -6,9 +6,9 @@
 ///
 /// \file
 /// The differential half of the fuzzer: run one generated program through
-/// the full pipeline under a seeded matrix of configurations — Serial vs
-/// Parallel engines, every kernel tier (including Jit and Auto), temporal
-/// degrees {1, 2, 4}, transient fault plans on/off, and a
+/// the full pipeline under a seeded matrix of configurations — every
+/// kernel tier (including Jit and Auto), temporal degrees {1, 2, 4},
+/// transient fault plans on/off, and a
 /// checkpoint-then-resume pass that restarts mid-run from a snapshot —
 /// and assert that every single run is bit-exact (FNV-1a CRC over the
 /// output fields) against the `ReferenceExecutor` / `iterateReference`
@@ -67,13 +67,12 @@ std::optional<FindingKind> findingKindFromName(std::string_view Name);
 
 /// One point of the configuration matrix.
 struct DiffConfig {
-  bool Parallel = false; ///< Parallel engine (2 worker threads) vs Serial.
   std::string Kernel = "specialized"; ///< compute::parseKernelEngine name.
   int TemporalDegree = 1; ///< > 1 only for programs with a time loop.
   bool Faults = false;    ///< Transient fault plan + reliable transport.
   bool Resume = false;    ///< Checkpoint, then re-run resuming mid-stream.
 
-  /// Compact identity, e.g. "parallel/jit/t4/faults/resume".
+  /// Compact identity, e.g. "jit/t4/faults/resume".
   std::string id() const;
 
   json::Value toJson() const;
@@ -82,14 +81,13 @@ struct DiffConfig {
 
 /// Which matrix axes are enabled and how densely to sample them.
 struct MatrixOptions {
-  bool ParallelEngine = true;
   bool JitTiers = true; ///< Include the jit and auto kernel tiers.
   bool FaultAxis = true;
   bool ResumeAxis = true;
   std::vector<int> TemporalDegrees = {1, 2, 4};
 
   /// Configurations sampled per program on top of the always-run base
-  /// configuration (serial / specialized / T=1 / no faults / no resume).
+  /// configuration (specialized / T=1 / no faults / no resume).
   int ConfigsPerProgram = 5;
 };
 

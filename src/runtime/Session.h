@@ -16,14 +16,14 @@
 ///   if (!Session)
 ///     return report(Session.takeError());
 ///   Session->unconstrainedMemory(true)
-///           .engine(sim::SimEngine::Parallel)
+///           .stallTimeout(4096)
 ///           .faults(Plan);                      // owned copy, no dangling
 ///   Expected<PipelineResult> Result = Session->run();
 /// \endcode
 ///
 /// \c run() may be called repeatedly (each run works on a fresh copy of the
-/// program), so one Session can sweep configurations — engines, fault
-/// plans, vector widths — over one loaded program.
+/// program), so one Session can sweep configurations — kernel tiers,
+/// fault plans, vector widths — over one loaded program.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -131,13 +131,6 @@ public:
     Opts.Simulator.UnconstrainedMemory = Enable;
     return *this;
   }
-  /// Selects the simulation engine; \p Threads > 0 pins the parallel
-  /// engine's worker count (0 = one per hardware thread).
-  Session &engine(sim::SimEngine Engine, int Threads = 0) {
-    Opts.Simulator.Engine = Engine;
-    Opts.Simulator.Threads = Threads;
-    return *this;
-  }
   /// Progress watchdog threshold (0 disables).
   Session &stallTimeout(int64_t Cycles) {
     Opts.Simulator.StallTimeoutCycles = Cycles;
@@ -222,8 +215,7 @@ public:
 
   /// Enables tracing with a Session-owned tracer sampling counters every
   /// \p SampleStride cycles. The recording of the most recent run is
-  /// available via \c tracer(). Tracing requires the serial engine
-  /// (SimConfig::Builder rejects the combination).
+  /// available via \c tracer().
   Session &trace(int64_t SampleStride = 16);
   /// The owned tracer, or null when \c trace() was never called.
   sim::Tracer *tracer() { return OwnedTracer.get(); }
@@ -281,7 +273,7 @@ public:
   /// Runs only the execute half on a previously compiled plan: simulation
   /// with device-loss recovery, then validation. The plan is read-only;
   /// concurrent \c runPlan calls on one shared plan are safe. Per-run
-  /// knobs (engine, faults, checkpointing, validation) come from this
+  /// knobs (kernel tier, faults, checkpointing, validation) come from this
   /// session's current configuration, validated up front like \c run().
   /// Failures carry the structured \c sim::FailureReport (convertible to
   /// plain \c Error for generic propagation).

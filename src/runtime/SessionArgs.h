@@ -23,9 +23,7 @@
 namespace stencilflow {
 namespace cli {
 
-/// Applies the session flag pack (\c sessionFlagSpecs). The tracing
-/// conflict rule lives with the caller: tools that also take --trace
-/// should suppress --parallel themselves before calling this.
+/// Applies the session flag pack (\c sessionFlagSpecs).
 inline Error applySessionArgs(Session &S, const CommandLine &Args) {
   if (Args.has("vectorize"))
     S.vectorize(static_cast<int>(Args.getInt("vectorize", 1)));
@@ -42,9 +40,6 @@ inline Error applySessionArgs(Session &S, const CommandLine &Args) {
       return Engine.takeError();
     S.kernelEngine(*Engine);
   }
-  if (Args.has("parallel"))
-    S.engine(sim::SimEngine::Parallel,
-             static_cast<int>(Args.getInt("threads", 0)));
   return Error::success();
 }
 

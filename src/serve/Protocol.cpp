@@ -8,6 +8,8 @@
 
 #include "support/StringUtils.h"
 
+#include <climits>
+#include <cmath>
 #include <cstdlib>
 
 using namespace stencilflow;
@@ -42,6 +44,9 @@ Error readBool(const json::Object &O, const char *Key, bool &Out) {
   return Error::success();
 }
 
+/// JSON numbers are doubles; an int member must hold an integral value in
+/// the int range, so a fraction or an overflow is an error, not a silent
+/// truncation.
 Error readInt(const json::Object &O, const char *Key, int &Out) {
   const json::Value *V = O.get(Key);
   if (!V)
@@ -49,7 +54,12 @@ Error readInt(const json::Object &O, const char *Key, int &Out) {
   if (!V->isNumber())
     return makeError(ErrorCode::InvalidInput,
                      formatString("'%s' must be a number", Key));
-  Out = static_cast<int>(V->getInteger());
+  double D = V->getNumber();
+  if (std::trunc(D) != D || D < INT_MIN || D > INT_MAX)
+    return makeError(ErrorCode::InvalidInput,
+                     formatString("'%s' must be an integer in [%d, %d]", Key,
+                                  INT_MIN, INT_MAX));
+  Out = static_cast<int>(D);
   return Error::success();
 }
 
@@ -145,15 +155,6 @@ Expected<Request> Request::fromJson(const json::Value &V) {
         return Parsed.takeError();
       RO.KernelExec = *Parsed;
     }
-    if (Error Err = readString(OO, "engine", RO.Engine))
-      return Err;
-    if (RO.Engine != "serial" && RO.Engine != "parallel")
-      return makeError(
-          ErrorCode::InvalidInput,
-          formatString("'engine' must be serial or parallel, got '%s'",
-                       RO.Engine.c_str()));
-    if (Error Err = readInt(OO, "threads", RO.Threads))
-      return Err;
     if (Error Err = readBool(OO, "validate", RO.Validate))
       return Err;
     if (Error Err = readBool(OO, "tune", RO.Tune))
@@ -191,8 +192,6 @@ std::string Request::toJsonText() const {
   OO.set("target_utilization", json::Value(Options.TargetUtilization));
   OO.set("kernel_engine",
          json::Value(compute::kernelEngineName(Options.KernelExec)));
-  OO.set("engine", json::Value(Options.Engine));
-  OO.set("threads", json::Value(Options.Threads));
   OO.set("validate", json::Value(Options.Validate));
   OO.set("tune", json::Value(Options.Tune));
   OO.set("tune_budget", json::Value(Options.TuneBudget));

@@ -69,9 +69,6 @@ struct RequestOptions {
   int MaxDevices = 8;
   double TargetUtilization = 0.85;
   compute::KernelEngine KernelExec = compute::KernelEngine::Specialized;
-  /// Simulation engine, "serial" or "parallel", plus the worker pin.
-  std::string Engine = "serial";
-  int Threads = 0;
   bool Validate = true;
   /// Autotune the mapping on a cache miss (analytic ranking; the tuned
   /// plan is what gets cached).

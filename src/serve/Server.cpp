@@ -383,10 +383,6 @@ Response Server::process(Request &R, int64_t QueueMicros) {
   PipelineOptions EO = Opts.Base;
   EO.Simulate = true;
   EO.Validate = R.Options.Validate;
-  EO.Simulator.Engine = R.Options.Engine == "parallel"
-                            ? sim::SimEngine::Parallel
-                            : sim::SimEngine::Serial;
-  EO.Simulator.Threads = R.Options.Threads;
   EO.Simulator.KernelExec = R.Options.KernelExec;
 
   auto ExecStart = std::chrono::steady_clock::now();

@@ -99,37 +99,6 @@ public:
     return Count > 0 && ReadyCycles[static_cast<size_t>(Head)] > Cycle;
   }
 
-  /// The cycle at which the oldest enqueued vector becomes readable; must
-  /// only be called on a non-empty channel. Used by the parallel engine's
-  /// quiescence fast-forward to compute the next wake-up event.
-  int64_t nextReadyCycle() const {
-    assert(Count > 0 && "nextReadyCycle on an empty channel");
-    return ReadyCycles[static_cast<size_t>(Head)];
-  }
-
-  /// Enqueues one vector that was pushed at \p PushCycle but deferred in a
-  /// producer-side staging buffer (parallel engine, cross-shard channels).
-  /// Identical to \c push except that the occupancy statistics are *not*
-  /// sampled here — the epoch barrier replays the interleaved push/pop
-  /// trajectory and records the exact peak via \c notePeakOccupancy; the
-  /// visible high-water mark needs no replay because every push-time
-  /// sample is dominated by the consumer's next pop-time sample, which is
-  /// recorded live.
-  void pushStaged(const double *Vector, int64_t PushCycle) {
-    assert(!full() && "pushStaged into a full channel");
-    int64_t Slot = (Head + Count) % Capacity;
-    double *Dest = &Storage[static_cast<size_t>(Slot * Lanes)];
-    for (int L = 0; L != Lanes; ++L)
-      Dest[L] = Vector[L];
-    ReadyCycles[static_cast<size_t>(Slot)] = PushCycle + ArrivalLatency;
-    ++Count;
-  }
-
-  /// Folds a replayed occupancy sample into the peak statistic.
-  void notePeakOccupancy(int64_t Occupancy) {
-    PeakOccupancy = std::max(PeakOccupancy, Occupancy);
-  }
-
   /// Occupancy visible to the consumer at \p Cycle: enqueued vectors that
   /// have matured past the arrival latency. Ready cycles are
   /// non-decreasing in FIFO order (constant latency, monotone push

@@ -344,12 +344,11 @@ uint64_t Machine::machineSignature(bool IncludePlacement) const {
         W.u64(ChannelIndex);
     }
 
-    // Every config knob the state trajectory depends on. Engine, thread
-    // count, and kernel tier are deliberately absent — all engines and
-    // tiers are bit-exact with each other, so a serial-engine snapshot
-    // resumes exactly under the parallel engine and vice versa. The cycle
-    // limits are absent so a run aborted by a tight limit can resume under
-    // a normal one (the kill/resume tests rely on this).
+    // Every config knob the state trajectory depends on. The kernel tier
+    // is deliberately absent — all tiers are bit-exact with each other,
+    // so a snapshot resumes exactly under any tier. The cycle limits are
+    // absent so a run aborted by a tight limit can resume under a normal
+    // one (the kill/resume tests rely on this).
     W.u8(Config.UnconstrainedMemory ? 1 : 0);
     W.f64(Config.PeakMemoryBytesPerCycle);
     W.f64(Config.TransactionOverheadBytes);
@@ -514,19 +513,10 @@ MachineSnapshot Machine::captureSnapshot(int64_t Cycle) const {
     W.i64(RS.Stats.Delivered);
   }
 
-  // Globals: engine counters, carry-over bandwidth budgets (unused budget
-  // persists across cycles, so they are state, not scratch), and the
-  // accumulated transfer totals.
-  W.i64(EpochCount);
-  W.i64(SerialFallbackCount);
-  int64_t Skipped = RestoredSkippedCycles;
-  for (const Shard &S : Shards)
-    Skipped += S.SkippedCycles;
-  W.i64(Skipped);
-  double Network = SerialCtx.NetworkBytesMoved;
-  for (const Shard &S : Shards)
-    Network += S.Ctx.NetworkBytesMoved;
-  W.f64(Network);
+  // Globals: carry-over bandwidth budgets (unused budget persists across
+  // cycles, so they are state, not scratch) and the accumulated transfer
+  // totals.
+  W.f64(NetworkBytesMoved);
   for (int Device = 0; Device != NumDevices; ++Device) {
     W.f64(MemoryBytesMoved[static_cast<size_t>(Device)]);
     W.f64(MemoryBudget[static_cast<size_t>(Device)]);
@@ -633,7 +623,6 @@ struct DecodedState {
   std::vector<WriterState> Writers;
   std::vector<ChannelState> Channels;
   std::vector<ReliableState> Reliable;
-  int64_t EpochCount = 0, SerialFallbackCount = 0, SkippedCycles = 0;
   double NetworkBytesMoved = 0.0;
   std::vector<double> MemoryBytesMoved, MemoryBudget, WriterBudget,
       HopBudget;
@@ -785,9 +774,6 @@ bool decodeState(const std::vector<uint8_t> &State, DecodedState &D) {
     RS.Stats.Delivered = R.i64();
   }
 
-  D.EpochCount = R.i64();
-  D.SerialFallbackCount = R.i64();
-  D.SkippedCycles = R.i64();
   D.NetworkBytesMoved = R.f64();
   D.MemoryBytesMoved.resize(static_cast<size_t>(D.NumDevices));
   D.MemoryBudget.resize(static_cast<size_t>(D.NumDevices));
@@ -929,10 +915,7 @@ Error Machine::restoreExact(const MachineSnapshot &Snap) {
     RS.Stats = DS.Stats;
   }
 
-  EpochCount = D.EpochCount;
-  SerialFallbackCount = D.SerialFallbackCount;
-  RestoredSkippedCycles = D.SkippedCycles;
-  SerialCtx.NetworkBytesMoved = D.NetworkBytesMoved;
+  NetworkBytesMoved = D.NetworkBytesMoved;
   MemoryBytesMoved = D.MemoryBytesMoved;
   MemoryBudget = D.MemoryBudget;
   WriterBudget = D.WriterBudget;
@@ -1074,13 +1057,10 @@ Error Machine::restoreRehydrate(const MachineSnapshot &Snap) {
     R.LastProgress = Snap.Cycle;
   }
 
-  // Globals: engine counters and transfer totals carry over; per-device
-  // accounting folds lost devices onto device 0; carry-over budgets stay
-  // zeroed (sub-transaction amounts — rehydration is not exactness-bound).
-  EpochCount = D.EpochCount;
-  SerialFallbackCount = D.SerialFallbackCount;
-  RestoredSkippedCycles = D.SkippedCycles;
-  SerialCtx.NetworkBytesMoved = D.NetworkBytesMoved;
+  // Globals: transfer totals carry over; per-device accounting folds
+  // lost devices onto device 0; carry-over budgets stay zeroed
+  // (sub-transaction amounts — rehydration is not exactness-bound).
+  NetworkBytesMoved = D.NetworkBytesMoved;
   for (int64_t Device = 0; Device != D.NumDevices; ++Device) {
     size_t Dest = Device < NumDevices ? static_cast<size_t>(Device) : 0;
     if (Device < NumDevices)

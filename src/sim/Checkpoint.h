@@ -7,7 +7,7 @@
 /// \file
 /// The checkpoint/restart subsystem: versioned, CRC-guarded binary
 /// snapshots of the complete simulator state, written crash-consistently
-/// (write-to-temp + fsync + atomic rename) at epoch boundaries so a run
+/// (write-to-temp + fsync + atomic rename) at cycle boundaries so a run
 /// killed at cycle 10M does not restart at cycle 0.
 ///
 /// A snapshot captures everything the step functions read or write:
@@ -15,7 +15,7 @@
 /// Go-Back-N reliable-stream windows (sequence numbers, retransmit
 /// timers, backoff state, the corruption-PRNG nonce), per-unit pipeline
 /// registers and stall counters, per-writer committed output, carry-over
-/// bandwidth budgets, and the engine counters — everything needed for the
+/// bandwidth budgets, and the transfer totals — everything needed for the
 /// resumed run to be *cycle- and bit-exact* with the uninterrupted one.
 ///
 /// Two restore modes share one format (Machine::run picks automatically
@@ -195,7 +195,8 @@ hashInputFields(const std::map<std::string, std::vector<double>> &Inputs);
 
 /// Bumped whenever the encoded state layout changes; readers reject skewed
 /// files with ErrorCode::SnapshotInvalid rather than misparse them.
-constexpr uint32_t SnapshotFormatVersion = 1;
+/// Version 2 dropped the epoch, serial-fallback and skipped-cycle counters.
+constexpr uint32_t SnapshotFormatVersion = 2;
 
 /// One decoded snapshot: the resume point, the compatibility signatures,
 /// and the opaque machine-state payload (encoded/decoded by

@@ -6,20 +6,8 @@
 
 #include "sim/Config.h"
 
-#include "support/StringUtils.h"
-
 namespace stencilflow {
 namespace sim {
-
-const char *simEngineName(SimEngine Engine) {
-  switch (Engine) {
-  case SimEngine::Serial:
-    return "serial";
-  case SimEngine::Parallel:
-    return "parallel";
-  }
-  return "unknown";
-}
 
 Error SimConfig::validate() const {
   auto Invalid = [](std::string Message) {
@@ -71,43 +59,6 @@ Error SimConfig::validate() const {
     return Invalid("MaxCycleFactor must be at least 1");
   if (MaxCycleSlack < 0)
     return Invalid("MaxCycleSlack must be non-negative");
-  if (Threads < 0)
-    return Invalid("Threads must be non-negative (0 means one per core)");
-
-  if (Engine == SimEngine::Parallel) {
-    // The parallel engine slices time into epochs no longer than the
-    // cross-device lookahead; both bounds below would otherwise force a
-    // degenerate one-cycle epoch on every barrier, i.e. serial stepping
-    // with extra synchronization cost. Reject at construction.
-    if (Trace != nullptr)
-      return Invalid(
-          "tracing requires the serial engine (the tracer records one "
-          "global timeline and is not thread-safe); detach the trace or "
-          "select SimEngine::Serial");
-    if (NetworkLatencyCyclesPerHop < 1)
-      return Invalid("the parallel engine needs NetworkLatencyCyclesPerHop "
-                     ">= 1: the hop latency is the lookahead that makes "
-                     "cross-device epochs exact");
-    int64_t RemoteDepth = MinChannelDepth + NetworkExtraChannelDepth;
-    if (ClampChannelsToMinimum && RemoteDepth < NetworkLatencyCyclesPerHop)
-      return Invalid(formatString(
-          "the parallel engine needs remote channel capacity (clamped "
-          "MinChannelDepth %lld + NetworkExtraChannelDepth %lld = %lld) of "
-          "at least one hop latency (%lld cycles): epochs are bounded by "
-          "channel slack and would degenerate",
-          static_cast<long long>(MinChannelDepth),
-          static_cast<long long>(NetworkExtraChannelDepth),
-          static_cast<long long>(RemoteDepth),
-          static_cast<long long>(NetworkLatencyCyclesPerHop)));
-    if (SendWindowVectors < NetworkLatencyCyclesPerHop)
-      return Invalid(formatString(
-          "the parallel engine needs SendWindowVectors (%lld) of at least "
-          "one hop latency (%lld cycles): the reliable-stream send window "
-          "bounds the epoch length",
-          static_cast<long long>(SendWindowVectors),
-          static_cast<long long>(NetworkLatencyCyclesPerHop)));
-  }
-
   return Error::success();
 }
 
@@ -209,14 +160,6 @@ SimConfig::Builder &SimConfig::Builder::maxCycleFactor(int64_t Value) {
 }
 SimConfig::Builder &SimConfig::Builder::maxCycleSlack(int64_t Value) {
   C.MaxCycleSlack = Value;
-  return *this;
-}
-SimConfig::Builder &SimConfig::Builder::engine(SimEngine Value) {
-  C.Engine = Value;
-  return *this;
-}
-SimConfig::Builder &SimConfig::Builder::threads(int Value) {
-  C.Threads = Value;
   return *this;
 }
 SimConfig::Builder &

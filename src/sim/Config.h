@@ -31,24 +31,6 @@ namespace sim {
 class Tracer;
 struct FaultPlan;
 
-/// Which simulation engine steps the machine.
-enum class SimEngine : uint8_t {
-  /// The single-threaded reference stepper: every reader/unit/writer is
-  /// stepped on every cycle, in one global order. Always available, always
-  /// exact; the parallel engine is validated against it.
-  Serial,
-  /// The event-sliced parallel engine: one shard per simulated device,
-  /// worker threads synchronized in epochs bounded by the minimum
-  /// cross-device channel slack, plus a quiescence fast-forward that skips
-  /// cycles on which a device provably cannot progress. Produces cycle-
-  /// and bit-exact results relative to \c Serial (asserted by the parity
-  /// suite in tests/sim_test.cpp and tests/fault_test.cpp).
-  Parallel,
-};
-
-/// Stable name for an engine, e.g. "parallel".
-const char *simEngineName(SimEngine Engine);
-
 /// Simulator knobs.
 struct SimConfig {
   //===--------------------------------------------------------------------===//
@@ -165,9 +147,7 @@ struct SimConfig {
   std::string CheckpointDir;
 
   /// Write a snapshot every N completed cycles (0 disables the cycle
-  /// cadence). Under the parallel engine snapshots land on the first epoch
-  /// boundary at or after each multiple, where the machine state is
-  /// globally consistent.
+  /// cadence).
   int64_t CheckpointEveryCycles = 0;
 
   /// Write a snapshot once this much wall-clock time has passed since the
@@ -193,31 +173,17 @@ struct SimConfig {
   int64_t MaxCycleSlack = 1000000;
 
   //===--------------------------------------------------------------------===//
-  // Engine
+  // Kernel execution
   //===--------------------------------------------------------------------===//
 
-  /// Which stepper runs the machine. The parallel engine requires
-  /// consistent settings (see \c validate) and falls back to serial
-  /// stepping cycle-by-cycle whenever exactness demands it (dirty
-  /// retransmission state, corrupted in-flight vectors, exhausted channel
-  /// slack); \c SimStats reports what actually ran.
-  SimEngine Engine = SimEngine::Serial;
-
-  /// Worker threads for the parallel engine; 0 means one per hardware
-  /// core, and the effective count never exceeds the number of simulated
-  /// devices. Ignored by the serial engine. The result is identical for
-  /// every thread count (asserted by the repeatability test).
-  int Threads = 0;
-
   /// Which kernel execution tier evaluates the stencil compute tapes (see
-  /// compute/Engine.h). Orthogonal to \c Engine: both the serial stepper
-  /// and every parallel shard use the selected tier. All tiers are
-  /// bit-exact with each other (asserted by the engine parity suite), so
-  /// the default is the fastest broadly-applicable one; Scalar remains
-  /// the reference implementation, Jit compiles each unit's tape to
-  /// native code at machine-build time (falling back to Specialized when
-  /// no host compiler exists), and Auto picks a tier per unit. The
-  /// effective per-unit tiers appear in \c SimStats::UnitKernelTiers.
+  /// compute/Engine.h). All tiers are bit-exact with each other (asserted
+  /// by the engine parity suite), so the default is the fastest
+  /// broadly-applicable one; Scalar remains the reference implementation,
+  /// Jit compiles each unit's tape to native code at machine-build time
+  /// (falling back to Specialized when no host compiler exists), and Auto
+  /// picks a tier per unit. The effective per-unit tiers appear in
+  /// \c SimStats::UnitKernelTiers.
   compute::KernelEngine KernelExec = compute::KernelEngine::Specialized;
 
   /// Checks the configuration for inconsistent settings — the same rules
@@ -233,15 +199,14 @@ struct SimConfig {
 /// InvalidInput error naming the inconsistent settings:
 /// \code
 ///   Expected<SimConfig> Config = SimConfig::Builder()
-///                                    .engine(SimEngine::Parallel)
-///                                    .threads(8)
 ///                                    .unconstrainedMemory(true)
+///                                    .stallTimeoutCycles(4096)
 ///                                    .build();
 /// \endcode
 class SimConfig::Builder {
 public:
   Builder() = default;
-  /// Starts from an existing config (e.g. to toggle the engine on an
+  /// Starts from an existing config (e.g. to toggle one knob on an
   /// otherwise-validated setup).
   explicit Builder(SimConfig Base) : C(Base) {}
 
@@ -269,8 +234,6 @@ public:
   Builder &checkpointCrashAfter(int Value);
   Builder &maxCycleFactor(int64_t Value);
   Builder &maxCycleSlack(int64_t Value);
-  Builder &engine(SimEngine Value);
-  Builder &threads(int Value);
   Builder &kernelEngine(compute::KernelEngine Value);
 
   /// Validates and returns the config, or an InvalidInput error.

@@ -295,8 +295,7 @@ Expected<Machine> Machine::build(const CompiledProgram &Compiled,
 // Per-cycle component steps
 //===----------------------------------------------------------------------===//
 
-bool Machine::grantMemory(int Device, double DataBytes, bool IsWriter,
-                          ExecCtx &Ctx) {
+bool Machine::grantMemory(int Device, double DataBytes, bool IsWriter) {
   // A memory brownout overrides unconstrained memory: the device falls
   // back to the budgeted path, whose refill is scaled by the brownout
   // factor.
@@ -314,7 +313,7 @@ bool Machine::grantMemory(int Device, double DataBytes, bool IsWriter,
   double Available =
       IsWriter ? Pool + MemoryBudget[static_cast<size_t>(Device)] : Pool;
   if (Available < Cost) {
-    Ctx.BandwidthWait = true;
+    BandwidthWait = true;
     return false;
   }
   if (IsWriter && Pool < Cost) {
@@ -327,7 +326,7 @@ bool Machine::grantMemory(int Device, double DataBytes, bool IsWriter,
   return true;
 }
 
-bool Machine::grantNetwork(size_t ChannelIndex, ExecCtx &Ctx) {
+bool Machine::grantNetwork(size_t ChannelIndex) {
   const RemoteLink &Link = RemoteLinks[ChannelIndex];
   if (Link.FirstHop == Link.LastHop)
     return true;
@@ -335,12 +334,12 @@ bool Machine::grantNetwork(size_t ChannelIndex, ExecCtx &Ctx) {
                  static_cast<double>(ElementBytes);
   for (int Hop = Link.FirstHop; Hop != Link.LastHop; ++Hop)
     if (HopBudget[static_cast<size_t>(Hop)] < Bytes) {
-      Ctx.BandwidthWait = true;
+      BandwidthWait = true;
       return false;
     }
   for (int Hop = Link.FirstHop; Hop != Link.LastHop; ++Hop)
     HopBudget[static_cast<size_t>(Hop)] -= Bytes;
-  Ctx.NetworkBytesMoved +=
+  NetworkBytesMoved +=
       Bytes * static_cast<double>(Link.LastHop - Link.FirstHop);
   return true;
 }
@@ -350,24 +349,6 @@ bool Machine::grantNetwork(size_t ChannelIndex, ExecCtx &Ctx) {
 //===----------------------------------------------------------------------===//
 
 bool Machine::channelFull(size_t ChannelIndex) const {
-  // During a parallel epoch, cross-shard channels answer from the
-  // epoch-start snapshot plus this epoch's staged pushes. The snapshot is
-  // an upper bound on the serial occupancy (the consumer's in-epoch pops
-  // are invisible to the producer), and the epoch length is chosen so the
-  // bound never crosses the capacity/window threshold when the serial
-  // engine's occupancy would not — see computeEpochLength.
-  if (!Stages.empty() && Stages[ChannelIndex].Active) {
-    const ChannelStage &St = Stages[ChannelIndex];
-    int64_t Staged = static_cast<int64_t>(St.PushCycles.size());
-    if (St.OccSnapshot + Staged >= Channels[ChannelIndex]->capacity())
-      return true;
-    if (ReliableOf[ChannelIndex] >= 0 &&
-        St.OutstandingSnapshot + Staged >= Config.SendWindowVectors)
-      return true;
-    // ResendNext >= 0 never holds here: dirty streams force serial
-    // fallback chunks before an epoch starts.
-    return false;
-  }
   int Rel = ReliableOf[ChannelIndex];
   if (Rel < 0)
     return Channels[ChannelIndex]->full();
@@ -388,25 +369,6 @@ bool Machine::channelFull(size_t ChannelIndex) const {
 void Machine::channelPush(size_t ChannelIndex, const double *Vector,
                           int64_t Cycle) {
   int Rel = ReliableOf[ChannelIndex];
-  // During a parallel epoch, cross-shard pushes are staged (payload +
-  // cycle) and merged into the live channel at the barrier; the
-  // corruption flag is computed here because the sender-owned nonce and
-  // sequence counters advance push by push.
-  if (!Stages.empty() && Stages[ChannelIndex].Active) {
-    ChannelStage &St = Stages[ChannelIndex];
-    St.PushCycles.push_back(Cycle);
-    St.Payloads.insert(St.Payloads.end(), Vector, Vector + Lanes);
-    if (Rel >= 0) {
-      ReliableStream &RS = Reliable[static_cast<size_t>(Rel)];
-      const RemoteLink &Link = RemoteLinks[ChannelIndex];
-      St.Corrupt.push_back(Config.Faults->corruptsTransmission(
-          Cycle, ChannelIndex, RS.NextSeq, RS.TransmissionNonce++,
-          Link.FirstHop, Link.LastHop));
-      ++RS.Stats.Transmissions;
-      ++RS.NextSeq;
-    }
-    return;
-  }
   if (Rel < 0) {
     Channels[ChannelIndex]->push(Vector, Cycle);
     return;
@@ -475,10 +437,8 @@ void Machine::linkSend(int64_t Cycle) {
       continue;
     }
     // Retransmissions pay hop bandwidth like any transmission, from
-    // whatever this cycle's emit phase left unspent. linkSend only runs
-    // on the serial path (epochs never start with a rewinding stream),
-    // so the serial context is the right one.
-    if (!grantNetwork(RS.ChannelIndex, SerialCtx))
+    // whatever this cycle's emit phase left unspent.
+    if (!grantNetwork(RS.ChannelIndex))
       continue;
     const RemoteLink &Link = RemoteLinks[RS.ChannelIndex];
     bool Corrupted = Config.Faults->corruptsTransmission(
@@ -492,7 +452,7 @@ void Machine::linkSend(int64_t Cycle) {
   }
 }
 
-bool Machine::stepReader(Reader &R, int64_t Cycle, ExecCtx &Ctx) {
+bool Machine::stepReader(Reader &R, int64_t Cycle) {
   auto Stalled = [&](StallCause Cause) {
     R.Stalls.add(Cause);
     R.LastCause = Cause;
@@ -516,7 +476,7 @@ bool Machine::stepReader(Reader &R, int64_t Cycle, ExecCtx &Ctx) {
   // Charge the arbitration penalty once per requesting endpoint per cycle.
   double DataBytes = static_cast<double>(Lanes) *
                      static_cast<double>(ElementBytes);
-  if (!grantMemory(R.Device, DataBytes, /*IsWriter=*/false, Ctx))
+  if (!grantMemory(R.Device, DataBytes, /*IsWriter=*/false))
     return Stalled(StallCause::MemoryDenied);
   const double *Vector =
       R.Data->data() + static_cast<size_t>(R.VectorsPushed) *
@@ -636,7 +596,7 @@ void Machine::gatherSlot(const Unit &U, const SlotRef &Slot,
     Dst[Lane] = readSlot(U, Slot, Lane);
 }
 
-bool Machine::stepUnit(Unit &U, int64_t Cycle, ExecCtx &Ctx) {
+bool Machine::stepUnit(Unit &U, int64_t Cycle) {
   bool MadeProgress = false;
   int64_t TotalSteps = U.StreamVectors + U.InitSteps;
   // First blocking condition observed this cycle; the emit phase below
@@ -678,10 +638,6 @@ bool Machine::stepUnit(Unit &U, int64_t Cycle, ExecCtx &Ctx) {
         double *Ring = Stream.Ring.data();
         if (Pops) {
           Channels[Stream.ChannelIndex]->pop(U.PopStaging.data(), Cycle);
-          // During a parallel epoch, cross-shard pops are logged so the
-          // barrier can replay the exact occupancy trajectory.
-          if (!Stages.empty() && Stages[Stream.ChannelIndex].Active)
-            Stages[Stream.ChannelIndex].PopCycles.push_back(Cycle);
           const double *Src = U.PopStaging.data();
           std::copy(Src, Src + First, Ring + Base);
           std::copy(Src + First, Src + Lanes, Ring);
@@ -737,33 +693,27 @@ bool Machine::stepUnit(Unit &U, int64_t Cycle, ExecCtx &Ctx) {
     if (!CanPush)
       Cause = StallCause::OutputBlocked;
     // Network feasibility for all remote pushes together. HopNeeded is
-    // hoisted scratch on the context: no per-cycle allocation.
+    // hoisted scratch: no per-cycle allocation.
     if (CanPush) {
       double Bytes = static_cast<double>(Lanes) *
                      static_cast<double>(ElementBytes);
-      std::fill(Ctx.HopNeeded.begin(), Ctx.HopNeeded.end(), 0.0);
+      std::fill(HopNeeded.begin(), HopNeeded.end(), 0.0);
       for (size_t ChannelIndex : U.OutChannels) {
         const RemoteLink &Link = RemoteLinks[ChannelIndex];
         for (int Hop = Link.FirstHop; Hop != Link.LastHop; ++Hop)
-          Ctx.HopNeeded[static_cast<size_t>(Hop)] += Bytes;
+          HopNeeded[static_cast<size_t>(Hop)] += Bytes;
       }
-      for (size_t Hop = 0; Hop != Ctx.HopNeeded.size(); ++Hop)
-        if (Ctx.HopNeeded[Hop] > 0 && HopBudget[Hop] < Ctx.HopNeeded[Hop]) {
+      for (size_t Hop = 0; Hop != HopNeeded.size(); ++Hop)
+        if (HopNeeded[Hop] > 0 && HopBudget[Hop] < HopNeeded[Hop]) {
           CanPush = false;
-          Ctx.BandwidthWait = true;
+          BandwidthWait = true;
           Cause = StallCause::NetworkDenied;
         }
-      if (CanPush) {
-        // Touch only hops this unit actually crosses: under the parallel
-        // engine every other HopBudget slot belongs to a different shard,
-        // and even a -= 0.0 write there is a cross-thread race.
-        for (size_t Hop = 0; Hop != Ctx.HopNeeded.size(); ++Hop) {
-          if (Ctx.HopNeeded[Hop] == 0.0)
-            continue;
-          HopBudget[Hop] -= Ctx.HopNeeded[Hop];
-          Ctx.NetworkBytesMoved += Ctx.HopNeeded[Hop];
+      if (CanPush)
+        for (size_t Hop = 0; Hop != HopNeeded.size(); ++Hop) {
+          HopBudget[Hop] -= HopNeeded[Hop];
+          NetworkBytesMoved += HopNeeded[Hop];
         }
-      }
     }
     if (CanPush) {
       for (int Lane = 0; Lane != Lanes; ++Lane) {
@@ -801,7 +751,7 @@ bool Machine::stepUnit(Unit &U, int64_t Cycle, ExecCtx &Ctx) {
   return MadeProgress;
 }
 
-bool Machine::stepWriter(Writer &W, int64_t Cycle, ExecCtx &Ctx) {
+bool Machine::stepWriter(Writer &W, int64_t Cycle) {
   auto Stalled = [&](StallCause Cause) {
     W.Stalls.add(Cause);
     W.LastCause = Cause;
@@ -819,7 +769,7 @@ bool Machine::stepWriter(Writer &W, int64_t Cycle, ExecCtx &Ctx) {
     return Stalled(StallCause::InputStarved);
   double DataBytes = static_cast<double>(Lanes) *
                      static_cast<double>(ElementBytes);
-  if (!grantMemory(W.Device, DataBytes, /*IsWriter=*/true, Ctx))
+  if (!grantMemory(W.Device, DataBytes, /*IsWriter=*/true))
     return Stalled(StallCause::MemoryDenied);
   In.pop(W.InVector.data(), Cycle);
   int64_t BaseCell = W.VectorsWritten * Lanes;
@@ -1027,29 +977,9 @@ Error Machine::prepareRun(
   // Per-cycle scratch (hoisted: the run loop must not allocate).
   ActiveReaders.assign(MemoryBudget.size(), 0);
   ActiveWriters.assign(MemoryBudget.size(), 0);
-  SerialCtx.BandwidthWait = false;
-  SerialCtx.NetworkBytesMoved = 0.0;
-  SerialCtx.HopNeeded.assign(HopBudget.size(), 0.0);
-
-  // Engine bookkeeping.
-  EngineNote = simEngineName(SimEngine::Serial);
-  EpochCount = 0;
-  SerialFallbackCount = 0;
-  for (ChannelStage &St : Stages) {
-    St.Active = false;
-    St.PushCycles.clear();
-    St.Payloads.clear();
-    St.Corrupt.clear();
-    St.PopCycles.clear();
-  }
-  for (Shard &S : Shards) {
-    S.Ctx.BandwidthWait = false;
-    S.Ctx.NetworkBytesMoved = 0.0;
-    S.Ctx.HopNeeded.assign(HopBudget.size(), 0.0);
-    S.AllWritersDoneCycle =
-        S.WriterIdx.empty() ? -1 : std::numeric_limits<int64_t>::max();
-    S.SkippedCycles = 0;
-  }
+  HopNeeded.assign(HopBudget.size(), 0.0);
+  NetworkBytesMoved = 0.0;
+  BandwidthWait = false;
 
   // Checkpoint bookkeeping: a fresh run starts at cycle zero; a resume
   // overrides these after restoreSnapshot succeeds.
@@ -1060,7 +990,6 @@ Error Machine::prepareRun(
   CheckpointFailures = 0;
   ResumedFromCycle = -1;
   TierReassignedUnits = 0;
-  RestoredSkippedCycles = 0;
 
   // Observability: attach the tracer, discarding any previous recording.
   ActiveTrace = Config.Trace;
@@ -1122,8 +1051,7 @@ void Machine::applyArbitrationPenalty(size_t Device, int ActiveR,
                         Config.ArbitrationPenaltyBytesPerEndpoint * ActiveW);
 }
 
-Machine::StepOutcome Machine::stepCycleSerial(int64_t Cycle,
-                                              SimFailure &Failure) {
+Machine::StepOutcome Machine::stepCycle(int64_t Cycle, SimFailure &Failure) {
   const FaultPlan *Plan = Config.Faults;
   if (Cycle >= MaxCycles) {
     Failure = abortRun(ErrorCode::CycleLimit, Cycle);
@@ -1161,7 +1089,7 @@ Machine::StepOutcome Machine::stepCycleSerial(int64_t Cycle,
                         ActiveWriters[Device]);
   for (size_t Hop = 0; Hop != HopBudget.size(); ++Hop)
     refillHopBudget(Hop, Cycle);
-  SerialCtx.BandwidthWait = false;
+  BandwidthWait = false;
 
   // Reliable streams: matured wire transmissions are verified and
   // delivered before any component steps, so the consumer-visible
@@ -1195,7 +1123,7 @@ Machine::StepOutcome Machine::stepCycleSerial(int64_t Cycle,
           ActiveTrace->setState(R.TraceTrack, Cycle, "dead");
         continue;
       }
-      if (stepReader(R, Cycle, SerialCtx)) {
+      if (stepReader(R, Cycle)) {
         R.LastProgress = Cycle;
         Progress = true;
       }
@@ -1207,7 +1135,7 @@ Machine::StepOutcome Machine::stepCycleSerial(int64_t Cycle,
         ActiveTrace->setState(U.TraceTrack, Cycle, "dead");
       continue;
     }
-    if (stepUnit(U, Cycle, SerialCtx)) {
+    if (stepUnit(U, Cycle)) {
       U.LastProgress = Cycle;
       Progress = true;
     }
@@ -1221,7 +1149,7 @@ Machine::StepOutcome Machine::stepCycleSerial(int64_t Cycle,
           ActiveTrace->setState(W.TraceTrack, Cycle, "dead");
         continue;
       }
-      if (stepWriter(W, Cycle, SerialCtx)) {
+      if (stepWriter(W, Cycle)) {
         W.LastProgress = Cycle;
         Progress = true;
       }
@@ -1247,7 +1175,7 @@ Machine::StepOutcome Machine::stepCycleSerial(int64_t Cycle,
     // pipeline stages) may still mature; otherwise no component can
     // ever step again — a true deadlock, unless the quiescence was
     // caused by a permanently failed device.
-    bool Pending = SerialCtx.BandwidthWait;
+    bool Pending = BandwidthWait;
     for (const auto &C : Channels)
       Pending |= C->hasPendingArrival(Cycle);
     for (const Unit &U : Units)
@@ -1290,12 +1218,12 @@ Machine::StepOutcome Machine::stepCycleSerial(int64_t Cycle,
   return StepOutcome::Running;
 }
 
-Machine::StepOutcome Machine::runSerialLoop(int64_t &FinalCycles,
-                                            SimFailure &Failure) {
+Machine::StepOutcome Machine::runLoop(int64_t &FinalCycles,
+                                      SimFailure &Failure) {
   for (int64_t Cycle = ResumeCycle;; ++Cycle) {
-    StepOutcome Outcome = stepCycleSerial(Cycle, Failure);
+    StepOutcome Outcome = stepCycle(Cycle, Failure);
     if (Outcome == StepOutcome::Running) {
-      // Every serial cycle boundary is globally consistent; the wall
+      // Every cycle boundary is globally consistent; the wall
       // clock is only consulted every 1024 cycles to keep the fault-free
       // fast path free of syscalls.
       maybeCheckpoint(Cycle + 1, (Cycle & 1023) == 0);
@@ -1318,11 +1246,7 @@ SimResult Machine::collectResult(int64_t FinalCycles) {
   for (size_t Device = 0; Device != MemoryBytesMoved.size(); ++Device)
     Result.Stats.AchievedMemoryBytesPerCycle[Device] =
         MemoryBytesMoved[Device] / static_cast<double>(FinalCycles);
-  Result.Stats.NetworkBytesMoved = SerialCtx.NetworkBytesMoved;
-  Result.Stats.Engine = EngineNote;
-  Result.Stats.ParallelEpochs = EpochCount;
-  Result.Stats.SerialFallbackCycles = SerialFallbackCount;
-  Result.Stats.SkippedCycles = RestoredSkippedCycles;
+  Result.Stats.NetworkBytesMoved = NetworkBytesMoved;
   Result.Stats.CheckpointsWritten = CheckpointsWritten;
   Result.Stats.ResumedFromCycle = ResumedFromCycle;
   Result.Stats.TierReassignedUnits = TierReassignedUnits;
@@ -1337,10 +1261,6 @@ SimResult Machine::collectResult(int64_t FinalCycles) {
       ++Result.Stats.JittedUnits;
     Result.Stats.UnitKernelTiers[U.Name] =
         compute::kernelEngineName(Effective);
-  }
-  for (const Shard &S : Shards) {
-    Result.Stats.NetworkBytesMoved += S.Ctx.NetworkBytesMoved;
-    Result.Stats.SkippedCycles += S.SkippedCycles;
   }
   for (const Unit &U : Units) {
     Result.Stats.UnitStallCycles[U.Name] = U.StallCycles;
@@ -1393,12 +1313,7 @@ Machine::run(const std::map<std::string, std::vector<double>> &Inputs,
   }
   SimFailure Failure;
   int64_t FinalCycles = 0;
-  StepOutcome Outcome;
-  if (Config.Engine == SimEngine::Parallel && !mustRunSerial())
-    Outcome = runParallelLoop(FinalCycles, Failure);
-  else
-    Outcome = runSerialLoop(FinalCycles, Failure);
-  if (Outcome == StepOutcome::Failed)
+  if (runLoop(FinalCycles, Failure) == StepOutcome::Failed)
     return Failure;
   return collectResult(FinalCycles);
 }

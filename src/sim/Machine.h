@@ -127,20 +127,6 @@ struct SimStats {
   /// when a fault plan is attached; empty otherwise.
   std::map<std::string, LinkStats> Links;
 
-  /// The engine that actually stepped the machine ("serial" or
-  /// "parallel"), with a parenthesized reason when the parallel engine
-  /// fell back to serial stepping for the whole run (e.g. multi-hop
-  /// remote streams).
-  std::string Engine = "serial";
-
-  /// Parallel-engine introspection (zero under the serial engine):
-  /// epoch barriers executed, cycles stepped serially between epochs to
-  /// preserve exactness (dirty retransmission state, exhausted channel
-  /// slack), and cycles fast-forwarded by the quiescence skip.
-  int64_t ParallelEpochs = 0;
-  int64_t SerialFallbackCycles = 0;
-  int64_t SkippedCycles = 0;
-
   /// The *requested* kernel execution tier ("scalar", "batched",
   /// "specialized", "jit", "auto") and how many stencil units actually ran
   /// a matched weighted-sum specialization or a jitted tape. Requested and
@@ -298,9 +284,7 @@ private:
     std::vector<double> OutVector;  ///< Output staging.
     std::vector<double> PopStaging; ///< Channel pop staging.
     /// Lane-batched kernel evaluator (compute/Engine.h), compiled at
-    /// build() for the configured tier. Immutable after build, so shards
-    /// can share it; the staging/scratch buffers below are per-unit and
-    /// each unit belongs to exactly one shard.
+    /// build() for the configured tier and immutable afterwards.
     compute::KernelEvaluator Eval;
     std::vector<double> SlotSoA;     ///< Gathered inputs [slot*W + lane].
     std::vector<double> EvalScratch; ///< Batched register file scratch.
@@ -396,40 +380,19 @@ private:
     LinkStats Stats;
   };
 
-  //===--------------------------------------------------------------------===//
-  // Execution context
-  //===--------------------------------------------------------------------===//
-
-  /// Mutable per-stepper state that must not be shared between shards:
-  /// the serial engine owns one instance (SerialCtx); the parallel engine
-  /// gives each shard its own, merging the totals at result collection.
-  struct ExecCtx {
-    /// Set when a component was ready to move data but was denied
-    /// bandwidth this cycle; such waiting is progress-pending, not
-    /// deadlock (unused budget carries over, so the grant eventually
-    /// succeeds).
-    bool BandwidthWait = false;
-    /// Bytes this context moved across the network.
-    double NetworkBytesMoved = 0.0;
-    /// Per-hop scratch for the emit phase's all-or-nothing feasibility
-    /// check, hoisted so the run loop performs no per-cycle allocation.
-    std::vector<double> HopNeeded;
-  };
-
-  /// What one stepped cycle (or one merged epoch) concluded.
+  /// What one stepped cycle concluded.
   enum class StepOutcome : uint8_t { Running, Finished, Failed };
 
   //===--------------------------------------------------------------------===//
   // Helpers
   //===--------------------------------------------------------------------===//
 
-  bool stepReader(Reader &R, int64_t Cycle, ExecCtx &Ctx);
-  bool stepUnit(Unit &U, int64_t Cycle, ExecCtx &Ctx);
-  bool stepWriter(Writer &W, int64_t Cycle, ExecCtx &Ctx);
+  bool stepReader(Reader &R, int64_t Cycle);
+  bool stepUnit(Unit &U, int64_t Cycle);
+  bool stepWriter(Writer &W, int64_t Cycle);
 
   /// Refills one device's reader/writer memory pools for \p Cycle given
-  /// the active endpoint counts (shared by the serial stepper and the
-  /// per-shard parallel stepper; each device is touched by exactly one).
+  /// the active endpoint counts.
   void refillDeviceBudgets(size_t Device, int64_t Cycle, int ActiveR,
                            int ActiveW);
 
@@ -445,11 +408,11 @@ private:
   /// the active endpoint counts, so the writers (served after the
   /// readers) cannot be starved under oversubscription; reader leftovers
   /// spill into the writer pool.
-  bool grantMemory(int Device, double DataBytes, bool IsWriter, ExecCtx &Ctx);
+  bool grantMemory(int Device, double DataBytes, bool IsWriter);
 
   /// Requests network bandwidth for pushing one vector into channel
   /// \p ChannelIndex, if it is remote. Returns true if granted (or local).
-  bool grantNetwork(size_t ChannelIndex, ExecCtx &Ctx);
+  bool grantNetwork(size_t ChannelIndex);
 
   /// Computes the value of slot \p Slot of \p U for lane \p Lane.
   double readSlot(const Unit &U, const SlotRef &Slot, int Lane) const;
@@ -461,17 +424,11 @@ private:
   void gatherSlot(const Unit &U, const SlotRef &Slot, double *Dst) const;
 
   /// Producer-side view of channel \p ChannelIndex: plain Channel::full,
-  /// or the reliable stream's capacity/window/rewind backpressure. During
-  /// a parallel epoch, cross-shard channels answer from the epoch-start
-  /// snapshot plus this epoch's staged pushes (an upper bound on the
-  /// serial occupancy that the epoch length guarantees never differs on
-  /// the full/not-full question — see DESIGN.md).
+  /// or the reliable stream's capacity/window/rewind backpressure.
   bool channelFull(size_t ChannelIndex) const;
 
   /// Producer-side push: plain Channel::push, or accept-and-transmit on
   /// the reliable stream (the emit phase has already paid hop bandwidth).
-  /// During a parallel epoch, cross-shard pushes are staged and merged at
-  /// the barrier.
   void channelPush(size_t ChannelIndex, const double *Vector, int64_t Cycle);
 
   /// Start-of-cycle receiver step: matured wire transmissions are
@@ -496,19 +453,17 @@ private:
                       const std::string &FailedChannel = std::string());
 
   //===--------------------------------------------------------------------===//
-  // Engine decomposition (Machine.cpp)
+  // Run loop (Machine.cpp)
   //===--------------------------------------------------------------------===//
 
   /// Binds inputs, resets all runtime state, and registers the trace.
   Error prepareRun(const std::map<std::string, std::vector<double>> &Inputs);
 
-  /// Steps every component through one cycle in the global reference
-  /// order. The unit of exactness: the parallel engine is defined as
-  /// producing the same state trajectory as repeated calls to this.
-  StepOutcome stepCycleSerial(int64_t Cycle, SimFailure &Failure);
+  /// Steps every component through one cycle in the global order.
+  StepOutcome stepCycle(int64_t Cycle, SimFailure &Failure);
 
-  /// Reference engine: stepCycleSerial until completion or failure.
-  StepOutcome runSerialLoop(int64_t &FinalCycles, SimFailure &Failure);
+  /// Steps cycles until completion or failure, checkpointing on cadence.
+  StepOutcome runLoop(int64_t &FinalCycles, SimFailure &Failure);
 
   /// Gathers stats and outputs after a completed run.
   SimResult collectResult(int64_t FinalCycles);
@@ -526,8 +481,7 @@ private:
   uint64_t machineSignature(bool IncludePlacement) const;
 
   /// Serializes the complete runtime state after completing cycles
-  /// [0, \p Cycle). Only legal at a globally consistent boundary (between
-  /// serial cycles or parallel epochs).
+  /// [0, \p Cycle). Only legal between cycles.
   MachineSnapshot captureSnapshot(int64_t Cycle) const;
 
   /// Overwrites the freshly prepared runtime state from \p Snap,
@@ -540,8 +494,8 @@ private:
 
   /// Writes a snapshot when the cycle or wall-clock cadence says one is
   /// due after completing \p CompletedCycles cycles. The wall clock is
-  /// only consulted when \p WallEligible (the serial loop rate-limits the
-  /// clock read; the parallel driver is eligible at every epoch boundary).
+  /// only consulted when \p WallEligible (the run loop rate-limits the
+  /// clock read).
   void maybeCheckpoint(int64_t CompletedCycles, bool WallEligible);
   void writeCheckpoint(int64_t CompletedCycles);
 
@@ -553,87 +507,6 @@ private:
   int64_t CheckpointFailures = 0;  ///< Failed writes (the run continues).
   int64_t ResumedFromCycle = -1;   ///< Snapshot cycle, -1 when fresh.
   int64_t TierReassignedUnits = 0; ///< Units whose tier changed on restore.
-  /// Quiescence-skip cycles accumulated before the snapshot (per-shard
-  /// counters reset on resume; collectResult adds this base back).
-  int64_t RestoredSkippedCycles = 0;
-
-  //===--------------------------------------------------------------------===//
-  // Parallel engine (Parallel.cpp)
-  //===--------------------------------------------------------------------===//
-
-  /// Epoch-local logs for one cross-shard (remote) channel. The producer
-  /// shard appends pushes (payload + cycle, plus the precomputed
-  /// corruption flag on reliable streams); the consumer shard appends pop
-  /// cycles. The two roles touch disjoint members, so no lock is needed;
-  /// the barrier merges pushes into the live channel and replays the
-  /// interleaved trajectory to recover the exact peak occupancy.
-  struct ChannelStage {
-    bool Active = false; ///< True during a parallel epoch.
-    /// Producer-visible occupancy at epoch start: channel size (plain) or
-    /// outstanding + delivered-not-popped (reliable).
-    int64_t OccSnapshot = 0;
-    /// Reliable only: unacknowledged vectors at epoch start.
-    int64_t OutstandingSnapshot = 0;
-    // Producer-written.
-    std::vector<int64_t> PushCycles;
-    std::vector<double> Payloads; ///< Lanes values per push.
-    std::vector<uint8_t> Corrupt; ///< Reliable only.
-    // Consumer-written.
-    std::vector<int64_t> PopCycles;
-  };
-
-  /// One device's slice of the machine: index lists into the global
-  /// component arrays (kept sorted so the serial rotation order can be
-  /// reproduced locally), the channels it consumes and the remote
-  /// channels it produces, plus its private execution context and
-  /// per-epoch progress/pending bits.
-  struct Shard {
-    int Device = 0;
-    std::vector<size_t> ReaderIdx, UnitIdx, WriterIdx; ///< Sorted global.
-    std::vector<size_t> InChannels;  ///< Channels consumed on this device.
-    std::vector<size_t> OutRemote;   ///< Remote channels produced here.
-    std::vector<size_t> InRemote;    ///< Remote channels consumed here.
-    std::vector<int> InReliable;     ///< Reliable streams delivered here.
-    std::vector<size_t> OwnedHops;   ///< Hops whose budget this shard pays.
-    ExecCtx Ctx;
-    /// Per-epoch records, indexed by cycle - T0.
-    std::vector<uint8_t> ProgressBits, PendingBits;
-    /// First absolute cycle at which every local writer had finished;
-    /// INT64_MAX until observed, -1 for shards with no writers.
-    int64_t AllWritersDoneCycle = 0;
-    /// Cycles the quiescence fast-forward skipped on this shard.
-    int64_t SkippedCycles = 0;
-  };
-
-  /// Parallel engine driver: epoch sizing, worker coordination, serial
-  /// fallback chunks, and barrier merges.
-  StepOutcome runParallelLoop(int64_t &FinalCycles, SimFailure &Failure);
-
-  /// Builds the per-device shards and channel stages (first parallel run).
-  void buildShards();
-
-  /// True when the machine cannot run parallel epochs at all for this
-  /// run; sets EngineNote with the reason.
-  bool mustRunSerial();
-
-  /// Largest exact epoch length starting at \p T0 (at most \p MaxLen),
-  /// or 0 when the next cycle must be stepped serially (dirty
-  /// retransmission state, corrupted arrival due, no channel slack).
-  int64_t computeEpochLength(int64_t T0) const;
-
-  /// Steps one shard through cycles [T0, T1], including the quiescence
-  /// fast-forward. Runs on a worker thread; touches only shard-owned
-  /// state plus the staged channel logs.
-  void runShardEpoch(Shard &S, int64_t T0, int64_t T1);
-
-  /// Takes the epoch-start snapshots and activates the channel stages.
-  void beginEpoch(int64_t T0, int64_t T1);
-
-  /// Merges staged pushes, replays occupancy peaks, scans the combined
-  /// progress/pending bits for completion/deadlock/watchdog, and rolls
-  /// back overrun stall counters when the run ended mid-epoch.
-  StepOutcome mergeEpoch(int64_t T0, int64_t T1, int64_t &FinalCycles,
-                         SimFailure &Failure);
 
   //===--------------------------------------------------------------------===//
   // Configuration (set at build)
@@ -675,37 +548,22 @@ private:
   std::vector<double> WriterBudget;      ///< Writer pool per device.
   std::vector<double> HopBudget;         ///< Per hop, bytes this cycle.
   std::vector<double> MemoryBytesMoved;  ///< Per device, total.
+  double NetworkBytesMoved = 0.0;        ///< Across all hops, total.
 
-  /// The serial engine's execution context (also used for the parallel
-  /// engine's serial fallback chunks).
-  ExecCtx SerialCtx;
+  /// Set when a component was ready to move data but was denied bandwidth
+  /// this cycle; such waiting is progress-pending, not deadlock (unused
+  /// budget carries over, so the grant eventually succeeds).
+  bool BandwidthWait = false;
 
   /// Per-cycle scratch, hoisted out of the run loop so the simulator
   /// performs no heap allocation per simulated cycle.
   std::vector<int> ActiveReaders;  ///< Per device, cleared each cycle.
   std::vector<int> ActiveWriters;  ///< Per device, cleared each cycle.
+  /// Per hop: bytes one unit's emit needs (all-or-nothing feasibility).
+  std::vector<double> HopNeeded;
 
   /// Hard cycle limit of the current run (set by prepareRun).
   int64_t MaxCycles = 0;
-
-  //===--------------------------------------------------------------------===//
-  // Parallel engine state (empty under the serial engine)
-  //===--------------------------------------------------------------------===//
-
-  std::vector<Shard> Shards;
-  std::vector<ChannelStage> Stages; ///< Indexed like Channels.
-  /// Sorted fault-event boundary cycles (starts and ends); the quiescence
-  /// skip never jumps across one, so per-cycle fault refresh stays exact.
-  std::vector<int64_t> FaultBoundaries;
-  /// Per device: first cycle at which a DeviceFailure event has it dead
-  /// (INT64_MAX when none). Used to roll back bulk-accounted stalls when
-  /// an epoch aborts mid-way.
-  std::vector<int64_t> DeviceFailCycle;
-  /// What SimStats::Engine reports: the configured engine plus fallback
-  /// notes.
-  std::string EngineNote;
-  int64_t EpochCount = 0;          ///< Parallel epochs executed.
-  int64_t SerialFallbackCount = 0; ///< Cycles stepped serially mid-run.
 
   //===--------------------------------------------------------------------===//
   // Tracing (active only while run() executes with Config.Trace set)

@@ -86,7 +86,7 @@ private:
 //===----------------------------------------------------------------------===//
 
 /// Session/pipeline knobs: --fuse --simplify --vectorize W
-/// --constrained-memory --kernel-engine E --parallel --threads N
+/// --temporal-degree T --constrained-memory --kernel-engine E
 /// --stall-timeout N.
 const std::vector<ArgSpec> &sessionFlagSpecs();
 

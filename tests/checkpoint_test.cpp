@@ -14,9 +14,9 @@
 //    version skew — with ErrorCode::SnapshotInvalid, and of mismatched
 //    programs/inputs with ErrorCode::SnapshotIncompatible;
 //  - the kill/resume parity harness: a run resumed from any snapshot must
-//    be cycle- and bit-exact with the uninterrupted run, across
-//    {serial, parallel} engines x kernel tiers x {no plan, fault plan},
-//    on single- and multi-device placements;
+//    be cycle- and bit-exact with the uninterrupted run, across kernel
+//    tiers x {no plan, fault plan}, on single- and multi-device
+//    placements;
 //  - kernel-tier reassignment on restore (the exact signature excludes
 //    the execution tier by design);
 //  - the pipeline's device-loss recovery resuming from the last snapshot
@@ -423,6 +423,18 @@ TEST(SnapshotFileTest, RejectsDamagedFiles) {
   EXPECT_NE(R4.message().find("version"), std::string::npos)
       << R4.message();
 
+  // A version-1 file (which still carried the retired engine counters) is
+  // skew as well.
+  std::vector<uint8_t> Stale = Good;
+  Stale[8] = 1;
+  spit(Path, Stale);
+  auto R6 = readSnapshotFile(Path);
+  ASSERT_FALSE(R6);
+  EXPECT_EQ(R6.code(), ErrorCode::SnapshotInvalid);
+  EXPECT_NE(R6.message().find("format version skew (file v1, reader v2)"),
+            std::string::npos)
+      << R6.message();
+
   // A missing file.
   auto R5 = readSnapshotFile(Dir + "/no-such-file.sfck");
   ASSERT_FALSE(R5);
@@ -465,26 +477,6 @@ TEST(CheckpointParityTest, SerialMultiDeviceWithFaults) {
   Config.Faults = &Plan;
   expectKillResumeParity(jacobi3dChain(6, 4, 6, 6), Config,
                          /*MultiDevice=*/true, "serial_faults");
-}
-
-TEST(CheckpointParityTest, ParallelMultiDevice) {
-  SimConfig Config;
-  Config.UnconstrainedMemory = true;
-  Config.Engine = SimEngine::Parallel;
-  Config.Threads = 2;
-  expectKillResumeParity(jacobi3dChain(6, 4, 6, 6), Config,
-                         /*MultiDevice=*/true, "parallel_chain");
-}
-
-TEST(CheckpointParityTest, ParallelMultiDeviceWithFaults) {
-  FaultPlan Plan = corruptionPlan();
-  SimConfig Config;
-  Config.UnconstrainedMemory = true;
-  Config.Engine = SimEngine::Parallel;
-  Config.Threads = 2;
-  Config.Faults = &Plan;
-  expectKillResumeParity(jacobi3dChain(6, 4, 6, 6), Config,
-                         /*MultiDevice=*/true, "parallel_faults");
 }
 
 TEST(CheckpointParityTest, ScalarKernelTier) {
@@ -640,8 +632,8 @@ TEST(CheckpointRestoreTest, ConfigChangeFallsBackToRehydrate) {
 }
 
 TEST(CheckpointRestoreTest, EngineAndTierAreResumeInvariant) {
-  // The exact signature deliberately EXCLUDES the engine, thread count,
-  // and kernel tier: a snapshot from a serial Specialized run resumes on
+  // The exact signature deliberately EXCLUDES the kernel tier: a
+  // snapshot from a Specialized run resumes on
   // a machine with a different tier, reports the reassignment, and still
   // reproduces the uninterrupted outputs bit-exactly.
   auto Compiled = CompiledProgram::compile(laplace2d(16, 16));

@@ -219,14 +219,12 @@ std::string randomExpr(Random &Rng, int Depth) {
 //===----------------------------------------------------------------------===//
 
 /// Runs \p Program end to end on the simulator under the requested kernel
-/// and simulation engines, returning the raw output fields.
+/// engine, returning the raw output fields.
 std::map<std::string, std::vector<double>>
-runMachine(StencilProgram Program, KernelEngine KernelExec,
-           sim::SimEngine Engine) {
+runMachine(StencilProgram Program, KernelEngine KernelExec) {
   sim::SimConfig Config;
   Config.UnconstrainedMemory = true;
   Config.KernelExec = KernelExec;
-  Config.Engine = Engine;
   auto Compiled = CompiledProgram::compile(std::move(Program));
   EXPECT_TRUE(Compiled) << Compiled.message();
   auto Dataflow = analyzeDataflow(*Compiled);
@@ -239,30 +237,26 @@ runMachine(StencilProgram Program, KernelEngine KernelExec,
   return Result->Outputs;
 }
 
-/// Asserts all kernel tiers x {serial, parallel} produce bit-identical
-/// outputs for the program \p Build returns, using scalar-serial as the
-/// reference. Takes a builder because StencilProgram is move-only: each
-/// run gets a fresh instance.
+/// Asserts all kernel tiers produce bit-identical outputs for the program
+/// \p Build returns, using the scalar tier as the reference. Takes a
+/// builder because StencilProgram is move-only: each run gets a fresh
+/// instance.
 template <class BuilderFn>
 void expectMachineParity(BuilderFn Build, const std::string &Context) {
-  auto Reference =
-      runMachine(Build(), KernelEngine::Scalar, sim::SimEngine::Serial);
+  auto Reference = runMachine(Build(), KernelEngine::Scalar);
   for (KernelEngine Exec : {KernelEngine::Batched, KernelEngine::Specialized,
-                            KernelEngine::Jit, KernelEngine::Auto})
-    for (sim::SimEngine Engine :
-         {sim::SimEngine::Serial, sim::SimEngine::Parallel}) {
-      auto Outputs = runMachine(Build(), Exec, Engine);
-      ASSERT_EQ(Outputs.size(), Reference.size()) << Context;
-      for (const auto &[Name, Field] : Reference) {
-        const std::vector<double> &Got = Outputs.at(Name);
-        ASSERT_EQ(Got.size(), Field.size()) << Context;
-        for (size_t I = 0; I != Field.size(); ++I)
-          ASSERT_EQ(bits(Got[I]), bits(Field[I]))
-              << Context << ": field " << Name << "[" << I << "] under "
-              << kernelEngineName(Exec) << "/" << sim::simEngineName(Engine)
-              << ": " << Got[I] << " vs " << Field[I];
-      }
+                            KernelEngine::Jit, KernelEngine::Auto}) {
+    auto Outputs = runMachine(Build(), Exec);
+    ASSERT_EQ(Outputs.size(), Reference.size()) << Context;
+    for (const auto &[Name, Field] : Reference) {
+      const std::vector<double> &Got = Outputs.at(Name);
+      ASSERT_EQ(Got.size(), Field.size()) << Context;
+      for (size_t I = 0; I != Field.size(); ++I)
+        ASSERT_EQ(bits(Got[I]), bits(Field[I]))
+            << Context << ": field " << Name << "[" << I << "] under "
+            << kernelEngineName(Exec) << ": " << Got[I] << " vs " << Field[I];
     }
+  }
 }
 
 } // namespace

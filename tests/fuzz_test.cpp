@@ -174,7 +174,7 @@ TEST(DifferentialTest, MatrixSamplingIsSeededAndDeterministic) {
   EXPECT_EQ(A.Runs, B.Runs);
   // The base configuration always anchors the matrix.
   ASSERT_FALSE(A.Configs.empty());
-  EXPECT_EQ(A.Configs.front().id(), "serial/specialized/t1");
+  EXPECT_EQ(A.Configs.front().id(), "specialized/t1");
 }
 
 TEST(DifferentialTest, KnownGoodHighOrderWorkloadsAreClean) {
@@ -259,7 +259,7 @@ TEST(DifferentialTest, TemporalDegreeWithoutTimeLoopIsAnErrorAsymmetry) {
   std::optional<FuzzFinding> Finding = syntheticAsymmetryFinding();
   ASSERT_TRUE(Finding.has_value());
   EXPECT_EQ(Finding->Kind, FindingKind::ErrorAsymmetry);
-  EXPECT_EQ(Finding->Config.id(), "serial/specialized/t2");
+  EXPECT_EQ(Finding->Config.id(), "specialized/t2");
   EXPECT_NE(Finding->ExpectedCrc, 0u); // The oracle side succeeded.
   EXPECT_NE(Finding->Detail.find("temporal"), std::string::npos)
       << Finding->Detail;

@@ -42,6 +42,31 @@ Request laplaceRequest(std::string Id) {
   return R;
 }
 
+/// \p R as a client that still sends the retired "engine" and "threads"
+/// options would put it on the wire, parsed back.
+Request withRetiredEngineOptions(const Request &R) {
+  std::string Text = R.toJsonText();
+  const std::string Options = "\"options\":{";
+  size_t At = Text.find(Options);
+  EXPECT_NE(At, std::string::npos) << Text;
+  Text.insert(At + Options.size(), "\"engine\":\"parallel\",\"threads\":2,");
+  Expected<Request> Parsed = Request::fromJsonText(Text);
+  EXPECT_TRUE(Parsed) << Parsed.message();
+  return Parsed.takeValue();
+}
+
+/// Parses a run request whose options object is \p Options and returns the
+/// error message, which must be an InvalidInput rejection.
+std::string rejectedOptions(const std::string &Options) {
+  Expected<Request> R = Request::fromJsonText(
+      "{\"op\":\"run\",\"program\":{},\"options\":" + Options + "}");
+  EXPECT_FALSE(R) << Options;
+  if (R)
+    return std::string();
+  EXPECT_EQ(R.code(), ErrorCode::InvalidInput) << Options;
+  return R.message();
+}
+
 /// An in-process server with test-friendly defaults.
 ServerOptions testOptions() {
   ServerOptions O;
@@ -179,13 +204,12 @@ TEST(ServeCache, RepeatRequestHitsAnyKnobChangeMisses) {
     EXPECT_FALSE(*Out.CacheHit) << Out.Id;
   }
 
-  // ...while execution-only knobs reuse the cached plan.
-  Request Parallel = laplaceRequest("r10");
-  Parallel.Options.Engine = "parallel";
-  Parallel.Options.Threads = 2;
+  // ...while execution-only knobs and retired options reuse the cached
+  // plan.
+  Request Retired = withRetiredEngineOptions(laplaceRequest("r10"));
   Request Unvalidated = laplaceRequest("r11");
   Unvalidated.Options.Validate = false;
-  for (Request *R : {&Parallel, &Unvalidated}) {
+  for (Request *R : {&Retired, &Unvalidated}) {
     Response Out = S.handle(std::move(*R));
     ASSERT_TRUE(Out.Ok) << Out.Id << ": " << Out.ErrorMessage;
     EXPECT_TRUE(*Out.CacheHit) << Out.Id;
@@ -455,8 +479,6 @@ TEST(ServeProtocol, RequestRoundTrip) {
   R.Options.Vectorize = 4;
   R.Options.TemporalDegree = 4;
   R.Options.KernelExec = compute::KernelEngine::Jit;
-  R.Options.Engine = "parallel";
-  R.Options.Threads = 3;
   R.Options.Validate = false;
   R.Options.Tune = true;
   R.Options.TuneBudget = 7;
@@ -469,8 +491,6 @@ TEST(ServeProtocol, RequestRoundTrip) {
   EXPECT_EQ(Back->Options.Vectorize, 4);
   EXPECT_EQ(Back->Options.TemporalDegree, 4);
   EXPECT_EQ(Back->Options.KernelExec, compute::KernelEngine::Jit);
-  EXPECT_EQ(Back->Options.Engine, "parallel");
-  EXPECT_EQ(Back->Options.Threads, 3);
   EXPECT_FALSE(Back->Options.Validate);
   EXPECT_TRUE(Back->Options.Tune);
   EXPECT_EQ(Back->Options.TuneBudget, 7);
@@ -488,16 +508,50 @@ TEST(ServeProtocol, RejectsMalformedRequests) {
       "{\"op\":\"run\",\"program\":{},\"program_path\":\"x.json\"}"));
   // Unknown op.
   EXPECT_FALSE(Request::fromJsonText("{\"op\":\"dance\"}"));
-  // Unknown simulation engine.
-  Expected<Request> Bad = Request::fromJsonText(
-      "{\"op\":\"run\",\"program\":{},\"options\":{\"engine\":\"warp\"}}");
-  EXPECT_FALSE(Bad);
   // Mistyped option value.
   EXPECT_FALSE(Request::fromJsonText(
       "{\"op\":\"run\",\"program\":{},\"options\":{\"fuse\":\"yes\"}}"));
   // Non-run ops need no program.
   EXPECT_TRUE(Request::fromJsonText("{\"op\":\"stats\"}"));
   EXPECT_TRUE(Request::fromJsonText("{\"op\":\"ping\"}"));
+}
+
+TEST(ServeProtocol, RejectsOverflowingVectorize) {
+  // Truncated to int, 2^32 + 4 would wrap to width 4.
+  std::string Message = rejectedOptions("{\"vectorize\":4294967300}");
+  EXPECT_NE(Message.find("'vectorize' must be an integer"), std::string::npos)
+      << Message;
+}
+
+TEST(ServeProtocol, RejectsFractionalMaxDevices) {
+  // Truncated, 2.7 would become 2 devices.
+  std::string Message = rejectedOptions("{\"max_devices\":2.7}");
+  EXPECT_NE(Message.find("'max_devices' must be an integer"),
+            std::string::npos)
+      << Message;
+}
+
+TEST(ServeProtocol, RejectsOutOfRangeTuneBudget) {
+  // Truncated to int, 1e12 would wrap to a negative budget.
+  std::string Message = rejectedOptions("{\"tune_budget\":1e12}");
+  EXPECT_NE(Message.find("'tune_budget' must be an integer"),
+            std::string::npos)
+      << Message;
+}
+
+TEST(ServeParity, RetiredEngineOptionsAreIgnored) {
+  // Clients that still send "engine" and "threads" get the same answer as
+  // clients that do not.
+  Server S(testOptions());
+  S.start();
+  Response Plain = S.handle(laplaceRequest("plain"));
+  Response Retired = S.handle(withRetiredEngineOptions(laplaceRequest("old")));
+  S.stop();
+  ASSERT_TRUE(Plain.Ok) << Plain.ErrorMessage;
+  ASSERT_TRUE(Retired.Ok) << Retired.ErrorMessage;
+  EXPECT_EQ(Retired.OutputsCrc, Plain.OutputsCrc);
+  EXPECT_EQ(Retired.Cycles, Plain.Cycles);
+  EXPECT_TRUE(Retired.ValidationPassed);
 }
 
 TEST(ServeProtocol, ResponseRoundTripPreservesCrcAndErrors) {

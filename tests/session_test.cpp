@@ -53,7 +53,7 @@ TEST(SessionTest, FromJsonTextParsesAndRuns) {
   auto Result = S->run();
   ASSERT_TRUE(Result) << Result.message();
   EXPECT_TRUE(Result->ValidationPassed);
-  EXPECT_EQ(Result->Simulation.Stats.Engine, "serial");
+  EXPECT_EQ(Result->Simulation.Stats.KernelExec, "specialized");
 }
 
 TEST(SessionTest, FromJsonTextRejectsGarbageWithContext) {
@@ -76,7 +76,7 @@ TEST(SessionTest, ChainedSettersReachThePipeline) {
       .validate(false)
       .unconstrainedMemory(true)
       .stallTimeout(4096)
-      .engine(sim::SimEngine::Parallel, 2);
+      .kernelEngine(compute::KernelEngine::Scalar);
   const PipelineOptions &O =
       static_cast<const Session &>(S).pipelineOptions();
   EXPECT_TRUE(O.FuseStencils);
@@ -85,19 +85,19 @@ TEST(SessionTest, ChainedSettersReachThePipeline) {
   EXPECT_FALSE(O.Validate);
   EXPECT_TRUE(O.Simulator.UnconstrainedMemory);
   EXPECT_EQ(O.Simulator.StallTimeoutCycles, 4096);
-  EXPECT_EQ(O.Simulator.Engine, sim::SimEngine::Parallel);
-  EXPECT_EQ(O.Simulator.Threads, 2);
+  EXPECT_EQ(O.Simulator.KernelExec, compute::KernelEngine::Scalar);
 
   auto Result = S.run();
   ASSERT_TRUE(Result) << Result.message();
-  EXPECT_EQ(Result->Simulation.Stats.Engine, "parallel");
+  EXPECT_EQ(Result->Simulation.Stats.KernelExec, "scalar");
   EXPECT_FALSE(Result->Sources.empty());
   EXPECT_TRUE(Result->Validations.empty());
 }
 
 TEST(SessionTest, RunIsRepeatableAndSweepsEngines) {
-  // One loaded program, three runs: serial, parallel, serial again.
-  // The facade clones the program per run, so results are identical.
+  // One loaded program, three runs: specialized, scalar, specialized
+  // again. The facade clones the program per run and every kernel engine
+  // is bit-exact, so results are identical.
   auto S = Session::fromJsonText(LaplaceJson);
   ASSERT_TRUE(S) << S.message();
   S->unconstrainedMemory(true);
@@ -105,14 +105,14 @@ TEST(SessionTest, RunIsRepeatableAndSweepsEngines) {
   auto First = S->run();
   ASSERT_TRUE(First) << First.message();
 
-  S->engine(sim::SimEngine::Parallel);
+  S->kernelEngine(compute::KernelEngine::Scalar);
   auto Second = S->run();
   ASSERT_TRUE(Second) << Second.message();
-  EXPECT_EQ(Second->Simulation.Stats.Engine, "parallel");
+  EXPECT_EQ(Second->Simulation.Stats.KernelExec, "scalar");
   EXPECT_EQ(Second->Simulation.Stats.Cycles,
             First->Simulation.Stats.Cycles);
 
-  S->engine(sim::SimEngine::Serial);
+  S->kernelEngine(compute::KernelEngine::Specialized);
   auto Third = S->run();
   ASSERT_TRUE(Third) << Third.message();
   EXPECT_EQ(Third->Simulation.Stats.Cycles, First->Simulation.Stats.Cycles);
@@ -135,16 +135,16 @@ TEST(SessionTest, VectorizeOverridesProgramWidth) {
 
 TEST(SessionTest, RunRejectsInconsistentConfigBeforeThePipeline) {
   Session S = Session::fromProgram(laplace2d(8, 8));
-  // Tracing and the parallel engine are mutually exclusive; the facade's
-  // fail-fast validation catches the combination at run().
-  S.trace().engine(sim::SimEngine::Parallel);
+  // A negative watchdog threshold is inconsistent; the facade's fail-fast
+  // validation catches it at run().
+  S.stallTimeout(-1);
   auto Result = S.run();
   ASSERT_FALSE(Result);
   EXPECT_EQ(Result.code(), ErrorCode::InvalidInput);
   EXPECT_NE(Result.message().find("session"), std::string::npos);
 
-  // Dropping back to the serial engine makes the same Session run.
-  S.engine(sim::SimEngine::Serial);
+  // Disabling the watchdog makes the same Session run.
+  S.stallTimeout(0);
   auto Fixed = S.run();
   ASSERT_TRUE(Fixed) << Fixed.message();
 }
@@ -207,9 +207,10 @@ TEST(SessionTest, RunValidatesFaultPlan) {
 
 TEST(SessionTest, MultiDeviceParallelEndToEnd) {
   // The facade drives the whole multi-device story: partition a chain
-  // across devices, simulate it on the parallel engine, validate.
+  // across devices that stream to each other in parallel, simulate,
+  // validate.
   Session S = Session::fromProgram(jacobi3dChain(6, 4, 6, 6));
-  S.unconstrainedMemory(true).engine(sim::SimEngine::Parallel);
+  S.unconstrainedMemory(true);
   S.pipelineOptions().Partitioning.TargetUtilization = 1.0;
   S.pipelineOptions().Partitioning.Device.DSPs = 7 * 3;
   S.pipelineOptions().Partitioning.MaxDevices = 64;
@@ -217,6 +218,5 @@ TEST(SessionTest, MultiDeviceParallelEndToEnd) {
   ASSERT_TRUE(Result) << Result.message();
   EXPECT_EQ(Result->Placement.numDevices(), 2u);
   EXPECT_TRUE(Result->ValidationPassed);
-  EXPECT_EQ(Result->Simulation.Stats.Engine, "parallel");
-  EXPECT_GT(Result->Simulation.Stats.ParallelEpochs, 0);
+  EXPECT_GT(Result->Simulation.Stats.NetworkBytesMoved, 0.0);
 }

@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "common/SimDigest.h"
 #include "common/TestPrograms.h"
 #include "runtime/InputData.h"
 #include "runtime/ReferenceExecutor.h"
@@ -13,6 +14,10 @@
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
+
+#include <limits>
+#include <thread>
+#include <vector>
 
 using namespace stencilflow;
 using namespace stencilflow::sim;
@@ -365,11 +370,13 @@ TEST(SimTest, SharedInputReadOnceFromMemory) {
 
 namespace {
 
-/// Builds a two-device partition of a Jacobi chain by splitting at
-/// \p SplitAt.
+/// Builds a multi-device partition of a Jacobi chain by splitting every
+/// \p SplitAt nodes (or every \p MaxStencilsPerDevice, if smaller).
 Partition makeSplitPartition(const CompiledProgram &Compiled,
-                             const DataflowAnalysis &Dataflow, int SplitAt) {
+                             const DataflowAnalysis &Dataflow, int SplitAt,
+                             int MaxStencilsPerDevice = 128) {
   PartitionOptions Options;
+  Options.MaxStencilsPerDevice = MaxStencilsPerDevice;
   // Budget exactly SplitAt nodes per device by DSP count (7 per node).
   Options.TargetUtilization = 1.0;
   Options.Device.DSPs =
@@ -507,20 +514,23 @@ TEST(SimTest, OversubscribedMemoryDegradesGracefully) {
 TEST(SimConfigBuilderTest, DefaultsBuild) {
   auto Config = SimConfig::Builder().build();
   ASSERT_TRUE(Config) << Config.message();
-  EXPECT_EQ(Config->Engine, SimEngine::Serial);
+  EXPECT_FALSE(Config->UnconstrainedMemory);
+  EXPECT_EQ(Config->Trace, nullptr);
 }
 
 TEST(SimConfigBuilderTest, ChainedSettersStick) {
+  // Tracing and a zero hop latency combine with any other setting.
+  Tracer Trace;
   auto Config = SimConfig::Builder()
                     .unconstrainedMemory(true)
-                    .engine(SimEngine::Parallel)
-                    .threads(8)
+                    .trace(&Trace)
+                    .networkLatencyCyclesPerHop(0)
                     .stallTimeoutCycles(4096)
                     .build();
   ASSERT_TRUE(Config) << Config.message();
   EXPECT_TRUE(Config->UnconstrainedMemory);
-  EXPECT_EQ(Config->Engine, SimEngine::Parallel);
-  EXPECT_EQ(Config->Threads, 8);
+  EXPECT_EQ(Config->Trace, &Trace);
+  EXPECT_EQ(Config->NetworkLatencyCyclesPerHop, 0);
   EXPECT_EQ(Config->StallTimeoutCycles, 4096);
 }
 
@@ -529,56 +539,17 @@ TEST(SimConfigBuilderTest, RejectsNonPositiveRates) {
   EXPECT_FALSE(SimConfig::Builder().linkBytesPerCycle(-1.0).build());
   EXPECT_FALSE(SimConfig::Builder().minChannelDepth(0).build());
   EXPECT_FALSE(SimConfig::Builder().sendWindowVectors(0).build());
-  EXPECT_FALSE(SimConfig::Builder().threads(-1).build());
-}
-
-TEST(SimConfigBuilderTest, RejectsTraceUnderParallel) {
-  Tracer Trace;
-  auto Config = SimConfig::Builder()
-                    .engine(SimEngine::Parallel)
-                    .trace(&Trace)
-                    .build();
-  ASSERT_FALSE(Config);
-  EXPECT_EQ(Config.code(), ErrorCode::InvalidInput);
-  EXPECT_NE(Config.message().find("serial engine"), std::string::npos);
-}
-
-TEST(SimConfigBuilderTest, RejectsDegenerateParallelLookahead) {
-  // Zero hop latency leaves the parallel engine no cross-device
-  // lookahead at all.
-  EXPECT_FALSE(SimConfig::Builder()
-                   .engine(SimEngine::Parallel)
-                   .networkLatencyCyclesPerHop(0)
-                   .build());
-  // Clamped remote channels shallower than the hop latency bound every
-  // epoch below one hop.
-  EXPECT_FALSE(SimConfig::Builder()
-                   .engine(SimEngine::Parallel)
-                   .clampChannelsToMinimum(true)
-                   .minChannelDepth(4)
-                   .networkExtraChannelDepth(0)
-                   .networkLatencyCyclesPerHop(32)
-                   .build());
-  // A send window below the hop latency bounds epochs the same way.
-  EXPECT_FALSE(SimConfig::Builder()
-                   .engine(SimEngine::Parallel)
-                   .sendWindowVectors(8)
-                   .networkLatencyCyclesPerHop(32)
-                   .build());
-  // The serial engine accepts all three.
-  EXPECT_TRUE(SimConfig::Builder().networkLatencyCyclesPerHop(0).build());
 }
 
 TEST(SimConfigBuilderTest, SeededFromExistingConfig) {
   SimConfig Base;
   Base.UnconstrainedMemory = true;
   Base.MinChannelDepth = 16;
-  auto Config =
-      SimConfig::Builder(Base).engine(SimEngine::Parallel).build();
+  auto Config = SimConfig::Builder(Base).stallTimeoutCycles(512).build();
   ASSERT_TRUE(Config) << Config.message();
   EXPECT_TRUE(Config->UnconstrainedMemory);
   EXPECT_EQ(Config->MinChannelDepth, 16);
-  EXPECT_EQ(Config->Engine, SimEngine::Parallel);
+  EXPECT_EQ(Config->StallTimeoutCycles, 512);
 }
 
 TEST(SimConfigBuilderTest, MachineBuildValidatesHandAssembledConfig) {
@@ -587,100 +558,141 @@ TEST(SimConfigBuilderTest, MachineBuildValidatesHandAssembledConfig) {
   ASSERT_TRUE(Compiled);
   auto Dataflow = analyzeDataflow(*Compiled);
   SimConfig Bad;
-  Bad.Engine = SimEngine::Parallel;
-  Bad.NetworkLatencyCyclesPerHop = 0;
+  Bad.MinChannelDepth = 0;
   auto M = Machine::build(*Compiled, *Dataflow, nullptr, Bad);
   ASSERT_FALSE(M);
   EXPECT_EQ(M.code(), ErrorCode::InvalidInput);
 }
 
 //===----------------------------------------------------------------------===//
-// Parallel-engine parity: cycle- and bit-exact against the serial engine
+// Exact results of the multi-device scenarios
+//
+// The ParallelParityTest suite name is historical: these scenarios were once
+// run against a second, threaded engine. They now check invariants of the
+// single engine's results and pin its exact outcome (tests/common/
+// SimDigest.h), so any change to the simulated trajectory shows up here.
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-void expectStallsEqual(const std::map<std::string, StallBreakdown> &S,
-                       const std::map<std::string, StallBreakdown> &P,
-                       const char *What) {
-  ASSERT_EQ(S.size(), P.size()) << What;
-  for (const auto &[Name, Serial] : S) {
-    auto It = P.find(Name);
-    ASSERT_NE(It, P.end()) << What << " " << Name;
-    for (int Cause = 0; Cause < NumStallCauses; ++Cause)
-      EXPECT_EQ(Serial.Counts[Cause], It->second.Counts[Cause])
-          << What << " " << Name << " cause "
-          << stallCauseName(static_cast<StallCause>(Cause));
-  }
+/// Builds \p Program split \p SplitAt nodes per device (0: one device) and
+/// runs it once.
+Expected<SimResult, SimFailure> simulate(StencilProgram Program, int SplitAt,
+                                         const SimConfig &Config,
+                                         int MaxStencilsPerDevice = 128) {
+  auto Compiled = CompiledProgram::compile(std::move(Program));
+  EXPECT_TRUE(Compiled) << Compiled.message();
+  auto Dataflow = analyzeDataflow(*Compiled);
+  Partition Placement;
+  if (SplitAt > 0)
+    Placement = makeSplitPartition(*Compiled, *Dataflow, SplitAt,
+                                   MaxStencilsPerDevice);
+  auto M = Machine::build(*Compiled, *Dataflow,
+                          SplitAt > 0 ? &Placement : nullptr, Config);
+  EXPECT_TRUE(M) << M.message();
+  return M->run(materializeInputs(Compiled->program()));
 }
 
-/// Asserts that two completed runs agree exactly: cycles, outputs (bit
-/// exact), stall attributions, channel occupancies, bandwidth counters,
-/// and reliable-link statistics.
-void expectResultsEqual(const SimResult &S, const SimResult &P) {
-  EXPECT_EQ(S.Stats.Cycles, P.Stats.Cycles);
-  EXPECT_EQ(S.Termination, P.Termination);
-  EXPECT_EQ(S.Stats.MemoryBytesMoved, P.Stats.MemoryBytesMoved);
-  EXPECT_EQ(S.Stats.AchievedMemoryBytesPerCycle,
-            P.Stats.AchievedMemoryBytesPerCycle);
-  EXPECT_EQ(S.Stats.NetworkBytesMoved, P.Stats.NetworkBytesMoved);
-  EXPECT_EQ(S.Stats.UnitStallCycles, P.Stats.UnitStallCycles);
-  expectStallsEqual(S.Stats.UnitStalls, P.Stats.UnitStalls, "unit");
-  expectStallsEqual(S.Stats.ReaderStalls, P.Stats.ReaderStalls, "reader");
-  expectStallsEqual(S.Stats.WriterStalls, P.Stats.WriterStalls, "writer");
-  EXPECT_EQ(S.Stats.ChannelHighWater, P.Stats.ChannelHighWater);
-  EXPECT_EQ(S.Stats.ChannelPeakOccupancy, P.Stats.ChannelPeakOccupancy);
-  EXPECT_EQ(S.Stats.ChannelCapacity, P.Stats.ChannelCapacity);
-  ASSERT_EQ(S.Stats.Links.size(), P.Stats.Links.size());
-  for (const auto &[Name, Link] : S.Stats.Links) {
-    auto It = P.Stats.Links.find(Name);
-    ASSERT_NE(It, P.Stats.Links.end()) << Name;
-    EXPECT_EQ(Link.Transmissions, It->second.Transmissions) << Name;
-    EXPECT_EQ(Link.Retransmissions, It->second.Retransmissions) << Name;
-    EXPECT_EQ(Link.CorruptedVectors, It->second.CorruptedVectors) << Name;
-    EXPECT_EQ(Link.Nacks, It->second.Nacks) << Name;
-    EXPECT_EQ(Link.Delivered, It->second.Delivered) << Name;
-  }
-  ASSERT_EQ(S.Outputs.size(), P.Outputs.size());
-  for (const auto &[Name, Serial] : S.Outputs) {
-    auto It = P.Outputs.find(Name);
-    ASSERT_NE(It, P.Outputs.end()) << Name;
-    // operator== on vector<double> is element-exact: bit-identical
-    // results, not merely within tolerance.
-    EXPECT_EQ(Serial, It->second) << "output " << Name;
-  }
+Expected<SimResult, SimFailure> twoDeviceChain(const SimConfig &Config) {
+  return simulate(jacobi3dChain(6, 4, 6, 6), 3, Config);
 }
 
-/// Runs \p Compiled under the serial engine and under the parallel engine
-/// (same config otherwise) and asserts exact agreement. Returns the
-/// parallel result for engine-specific assertions.
-SimResult expectEngineParity(const CompiledProgram &Compiled,
-                             const DataflowAnalysis &Dataflow,
-                             const Partition *Placement, SimConfig Config,
-                             int Threads = 0) {
-  auto Inputs = materializeInputs(Compiled.program());
+Expected<SimResult, SimFailure> fourDeviceChain(const SimConfig &Config) {
+  return simulate(jacobi3dChain(8, 4, 4, 8), 2, Config);
+}
 
-  Config.Engine = SimEngine::Serial;
-  auto Serial = Machine::build(Compiled, Dataflow, Placement, Config);
-  EXPECT_TRUE(Serial) << Serial.message();
-  auto SerialResult = Serial->run(Inputs);
-  EXPECT_TRUE(SerialResult) << SerialResult.message();
+SimConfig unconstrained() {
+  SimConfig Config;
+  Config.UnconstrainedMemory = true;
+  return Config;
+}
 
-  Config.Engine = SimEngine::Parallel;
-  Config.Threads = Threads;
-  auto Parallel = Machine::build(Compiled, Dataflow, Placement, Config);
-  EXPECT_TRUE(Parallel) << Parallel.message();
-  auto ParallelResult = Parallel->run(Inputs);
-  EXPECT_TRUE(ParallelResult) << ParallelResult.message();
+/// Internal consistency of one completed run's statistics.
+void expectConsistentStats(const SimResult &R) {
+  const SimStats &S = R.Stats;
+  for (const auto &[Name, Stalls] : S.UnitStalls)
+    EXPECT_EQ(Stalls.total(), S.UnitStallCycles.at(Name)) << Name;
+  ASSERT_EQ(S.ChannelCapacity.size(), S.ChannelHighWater.size());
+  for (const auto &[Name, Capacity] : S.ChannelCapacity) {
+    int64_t HighWater = S.ChannelHighWater.at(Name);
+    int64_t Peak = S.ChannelPeakOccupancy.at(Name);
+    EXPECT_GE(HighWater, 1) << Name;
+    EXPECT_LE(HighWater, Peak) << Name;
+    EXPECT_LE(Peak, Capacity) << Name;
+  }
+  for (const auto &[Name, Link] : S.Links)
+    EXPECT_EQ(Link.Transmissions - Link.Retransmissions, Link.Delivered)
+        << Name;
+  double Achieved = 0.0, Moved = 0.0;
+  for (size_t Device = 0; Device != S.MemoryBytesMoved.size(); ++Device) {
+    Moved += S.MemoryBytesMoved[Device];
+    Achieved += S.AchievedMemoryBytesPerCycle[Device];
+  }
+  EXPECT_DOUBLE_EQ(Achieved * static_cast<double>(S.Cycles), Moved);
+}
 
-  expectResultsEqual(*SerialResult, *ParallelResult);
-  EXPECT_EQ(SerialResult->Stats.Engine, "serial");
-  return ParallelResult.takeValue();
+int64_t totalStalls(const std::map<std::string, StallBreakdown> &M,
+                    StallCause Cause) {
+  int64_t Total = 0;
+  for (const auto &[Name, Stalls] : M)
+    Total += Stalls[Cause];
+  return Total;
 }
 
 } // namespace
 
+TEST(PinnedDigestTest, JacobiChains) {
+  // Pinned from the simulator's results before its threaded engine was
+  // removed: cycles plus the digest of every reported statistic and the
+  // output bits, for the 2- and 4-device chains under four settings.
+  FaultPlan Transient;
+  Transient.Seed = 7;
+  FaultEvent Corrupt;
+  Corrupt.Kind = FaultKind::PayloadCorruption;
+  Corrupt.Probability = 0.2;
+  Corrupt.StartCycle = 0;
+  Corrupt.EndCycle = std::numeric_limits<int64_t>::max();
+  Transient.Events.push_back(Corrupt);
+
+  struct Pin {
+    int Devices;
+    std::string Setting;
+    int64_t Cycles;
+    uint64_t Digest;
+  };
+  const Pin Pins[] = {
+      {2, "plain", 776, 0x30b589934fc14a5dull},
+      {2, "throttled", 918, 0xec029b6868e52de0ull},
+      {2, "constrained", 911, 0x4015325f4a3255a2ull},
+      {2, "faults", 1960, 0xb12627e8ca0cca1eull},
+      {4, "plain", 960, 0xb791b0825c9972cfull},
+      {4, "throttled", 1326, 0xfc47fb4bb9e57cd5ull},
+      {4, "constrained", 1079, 0x1c9586b9c3978e16ull},
+      {4, "faults", 5240, 0xb805cc66d97684d7ull},
+  };
+  for (const Pin &P : Pins) {
+    SCOPED_TRACE(::testing::Message()
+                 << P.Devices << " devices, " << P.Setting);
+    SimConfig Config = unconstrained();
+    if (P.Setting == "throttled") {
+      Config.LinkBytesPerCycle = 1.0;
+    } else if (P.Setting == "constrained") {
+      Config.UnconstrainedMemory = false;
+      Config.PeakMemoryBytesPerCycle = 6.0;
+    } else if (P.Setting == "faults") {
+      Config.Faults = &Transient;
+    }
+    auto Result =
+        P.Devices == 2 ? twoDeviceChain(Config) : fourDeviceChain(Config);
+    ASSERT_TRUE(Result) << Result.message();
+    EXPECT_EQ(Result->Stats.Cycles, P.Cycles);
+    EXPECT_EQ(simDigest(*Result), P.Digest) << simDigestText(*Result);
+  }
+}
+
 TEST(ParallelParityTest, SingleDevicePrograms) {
+  // A built machine can be run again: every run starts from freshly reset
+  // state, so repeated runs and a fresh machine agree exactly.
   for (auto MakeProgram :
        {+[] { return laplace2d(12, 12); },
         +[] { return diamondProgram(16, 16); },
@@ -688,202 +700,156 @@ TEST(ParallelParityTest, SingleDevicePrograms) {
     auto Compiled = CompiledProgram::compile(MakeProgram());
     ASSERT_TRUE(Compiled);
     auto Dataflow = analyzeDataflow(*Compiled);
-    SimConfig Config;
-    Config.UnconstrainedMemory = true;
-    SimResult P = expectEngineParity(*Compiled, *Dataflow, nullptr, Config);
-    EXPECT_EQ(P.Stats.Engine, "parallel");
+    auto Inputs = materializeInputs(Compiled->program());
+    auto M = Machine::build(*Compiled, *Dataflow, nullptr, unconstrained());
+    ASSERT_TRUE(M);
+    auto First = M->run(Inputs);
+    ASSERT_TRUE(First) << First.message();
+    auto Second = M->run(Inputs);
+    ASSERT_TRUE(Second) << Second.message();
+    auto Fresh = simulate(MakeProgram(), 0, unconstrained());
+    ASSERT_TRUE(Fresh) << Fresh.message();
+    EXPECT_EQ(simDigestText(*First), simDigestText(*Second));
+    EXPECT_EQ(simDigestText(*First), simDigestText(*Fresh));
+    expectConsistentStats(*First);
   }
 }
 
 TEST(ParallelParityTest, TwoDeviceChain) {
-  StencilProgram Program = jacobi3dChain(6, 4, 6, 6);
-  auto Compiled = CompiledProgram::compile(std::move(Program));
-  ASSERT_TRUE(Compiled);
-  auto Dataflow = analyzeDataflow(*Compiled);
-  Partition Placement = makeSplitPartition(*Compiled, *Dataflow, 3);
-  ASSERT_EQ(Placement.numDevices(), 2u);
-  SimConfig Config;
-  Config.UnconstrainedMemory = true;
-  SimResult P =
-      expectEngineParity(*Compiled, *Dataflow, &Placement, Config);
-  EXPECT_EQ(P.Stats.Engine, "parallel");
-  EXPECT_GT(P.Stats.ParallelEpochs, 0);
+  auto Result = twoDeviceChain(unconstrained());
+  ASSERT_TRUE(Result) << Result.message();
+  expectConsistentStats(*Result);
+  // One crossing stream of 144 four-byte vectors.
+  EXPECT_EQ(Result->Stats.NetworkBytesMoved, 144.0 * 4.0);
 }
 
 TEST(ParallelParityTest, FourDeviceChain) {
-  StencilProgram Program = jacobi3dChain(8, 4, 4, 8);
-  auto Compiled = CompiledProgram::compile(std::move(Program));
-  ASSERT_TRUE(Compiled);
-  auto Dataflow = analyzeDataflow(*Compiled);
-  Partition Placement = makeSplitPartition(*Compiled, *Dataflow, 2);
-  ASSERT_EQ(Placement.numDevices(), 4u);
-  SimConfig Config;
-  Config.UnconstrainedMemory = true;
-  expectEngineParity(*Compiled, *Dataflow, &Placement, Config);
+  auto Result = fourDeviceChain(unconstrained());
+  ASSERT_TRUE(Result) << Result.message();
+  expectConsistentStats(*Result);
+  EXPECT_EQ(Result->Stats.MemoryBytesMoved.size(), 4u);
+  EXPECT_GT(Result->Stats.NetworkBytesMoved, 0.0);
 }
 
 TEST(ParallelParityTest, ThrottledNetwork) {
-  // Congested remote streams exercise the channel-slack epoch bound and
-  // the hop-budget accounting in the bulk fast-forward.
-  StencilProgram Program = jacobi3dChain(4, 4, 6, 6);
-  auto Compiled = CompiledProgram::compile(std::move(Program));
-  ASSERT_TRUE(Compiled);
-  auto Dataflow = analyzeDataflow(*Compiled);
-  Partition Placement = makeSplitPartition(*Compiled, *Dataflow, 2);
-  ASSERT_EQ(Placement.numDevices(), 2u);
-  SimConfig Config;
-  Config.UnconstrainedMemory = true;
-  Config.LinkBytesPerCycle = 1.0;
-  expectEngineParity(*Compiled, *Dataflow, &Placement, Config);
-}
-
-TEST(ParallelParityTest, ConstrainedMemory) {
-  StencilProgram Program = jacobi3dChain(6, 4, 6, 6);
-  auto Compiled = CompiledProgram::compile(std::move(Program));
-  ASSERT_TRUE(Compiled);
-  auto Dataflow = analyzeDataflow(*Compiled);
-  Partition Placement = makeSplitPartition(*Compiled, *Dataflow, 3);
-  ASSERT_EQ(Placement.numDevices(), 2u);
-  SimConfig Config;
-  Config.UnconstrainedMemory = false;
-  Config.PeakMemoryBytesPerCycle = 6.0;
-  expectEngineParity(*Compiled, *Dataflow, &Placement, Config);
-}
-
-TEST(ParallelParityTest, WatchdogEnabled) {
-  // The watchdog forces epoch boundaries onto every 256-cycle mark; a
-  // healthy run must still complete identically with it armed.
-  StencilProgram Program = jacobi3dChain(6, 4, 6, 6);
-  auto Compiled = CompiledProgram::compile(std::move(Program));
-  ASSERT_TRUE(Compiled);
-  auto Dataflow = analyzeDataflow(*Compiled);
-  Partition Placement = makeSplitPartition(*Compiled, *Dataflow, 3);
-  SimConfig Config;
-  Config.UnconstrainedMemory = true;
-  Config.StallTimeoutCycles = 512;
-  expectEngineParity(*Compiled, *Dataflow, &Placement, Config);
-}
-
-TEST(ParallelParityTest, DeadlockReportsMatch) {
-  // Both engines must classify the Fig. 4 deadlock identically — same
-  // error code, same rendered failure report (same cycle, same culprit
-  // components and channels) — which exercises the parallel engine's
-  // mid-epoch abort rollback.
-  StencilProgram Program = diamondProgram(32, 32);
-  auto Compiled = CompiledProgram::compile(std::move(Program));
-  ASSERT_TRUE(Compiled);
-  auto Dataflow = analyzeDataflow(*Compiled);
-  SimConfig Config;
-  Config.UnconstrainedMemory = true;
-  Config.ClampChannelsToMinimum = true;
-  Config.MinChannelDepth = 4;
-  auto Inputs = materializeInputs(Compiled->program());
-
-  auto Serial = Machine::build(*Compiled, *Dataflow, nullptr, Config);
-  ASSERT_TRUE(Serial);
-  auto SerialResult = Serial->run(Inputs);
-  ASSERT_FALSE(SerialResult);
-
-  Config.Engine = SimEngine::Parallel;
-  auto Parallel = Machine::build(*Compiled, *Dataflow, nullptr, Config);
-  ASSERT_TRUE(Parallel);
-  auto ParallelResult = Parallel->run(Inputs);
-  ASSERT_FALSE(ParallelResult);
-
-  EXPECT_EQ(SerialResult.code(), ParallelResult.code());
-  SimFailure SerialFail = SerialResult.takeError();
-  SimFailure ParallelFail = ParallelResult.takeError();
-  EXPECT_EQ(SerialFail.report().render(), ParallelFail.report().render());
-}
-
-TEST(ParallelParityTest, RepeatableAcrossThreadCounts) {
-  // The epoch protocol makes the result independent of the worker count:
-  // shards touch disjoint state between barriers and merge in a fixed
-  // order on the main thread.
-  StencilProgram Program = jacobi3dChain(8, 4, 4, 8);
-  auto Compiled = CompiledProgram::compile(std::move(Program));
-  ASSERT_TRUE(Compiled);
-  auto Dataflow = analyzeDataflow(*Compiled);
-  Partition Placement = makeSplitPartition(*Compiled, *Dataflow, 2);
-  ASSERT_EQ(Placement.numDevices(), 4u);
-  SimConfig Config;
-  Config.UnconstrainedMemory = true;
-  Config.Engine = SimEngine::Parallel;
-  auto Inputs = materializeInputs(Compiled->program());
-
-  SimResult Baseline;
-  for (int Threads : {1, 2, 4}) {
-    SCOPED_TRACE(::testing::Message() << "threads " << Threads);
-    Config.Threads = Threads;
-    auto M = Machine::build(*Compiled, *Dataflow, &Placement, Config);
-    ASSERT_TRUE(M);
-    auto Result = M->run(Inputs);
-    ASSERT_TRUE(Result) << Result.message();
-    if (Threads == 1)
-      Baseline = Result.takeValue();
-    else
-      expectResultsEqual(Baseline, *Result);
+  // Congested remote streams cost cycles, show up as network-denied
+  // stalls, and move exactly the same bytes.
+  SimConfig Throttled = unconstrained();
+  Throttled.LinkBytesPerCycle = 1.0;
+  for (auto Run : {&twoDeviceChain, &fourDeviceChain}) {
+    auto Plain = Run(unconstrained());
+    auto Slow = Run(Throttled);
+    ASSERT_TRUE(Plain) << Plain.message();
+    ASSERT_TRUE(Slow) << Slow.message();
+    expectConsistentStats(*Slow);
+    EXPECT_GT(Slow->Stats.Cycles, Plain->Stats.Cycles);
+    EXPECT_GT(totalStalls(Slow->Stats.UnitStalls, StallCause::NetworkDenied),
+              0);
+    EXPECT_EQ(Slow->Stats.NetworkBytesMoved, Plain->Stats.NetworkBytesMoved);
+    EXPECT_EQ(Slow->Outputs, Plain->Outputs);
   }
 }
 
-TEST(ParallelParityTest, QuiescenceFastForwardEngages) {
-  // An unconstrained multi-device chain has long stretches where the
-  // downstream device only waits on in-flight network vectors; the
-  // quiescence skip must fast-forward through them, not step them.
-  StencilProgram Program = jacobi3dChain(6, 4, 6, 6);
-  auto Compiled = CompiledProgram::compile(std::move(Program));
-  ASSERT_TRUE(Compiled);
-  auto Dataflow = analyzeDataflow(*Compiled);
-  Partition Placement = makeSplitPartition(*Compiled, *Dataflow, 3);
-  SimConfig Config;
-  Config.UnconstrainedMemory = true;
-  Config.Engine = SimEngine::Parallel;
-  auto M = Machine::build(*Compiled, *Dataflow, &Placement, Config);
-  ASSERT_TRUE(M);
-  auto Result = M->run(materializeInputs(Compiled->program()));
-  ASSERT_TRUE(Result) << Result.message();
-  EXPECT_GT(Result->Stats.SkippedCycles, 0);
-  EXPECT_EQ(Result->Stats.SerialFallbackCycles, 0);
+TEST(ParallelParityTest, ConstrainedMemory) {
+  SimConfig Constrained;
+  Constrained.PeakMemoryBytesPerCycle = 6.0;
+  for (auto Run : {&twoDeviceChain, &fourDeviceChain}) {
+    auto Plain = Run(unconstrained());
+    auto Slow = Run(Constrained);
+    ASSERT_TRUE(Plain) << Plain.message();
+    ASSERT_TRUE(Slow) << Slow.message();
+    expectConsistentStats(*Slow);
+    EXPECT_GT(Slow->Stats.Cycles, Plain->Stats.Cycles);
+    EXPECT_GT(totalStalls(Slow->Stats.ReaderStalls, StallCause::MemoryDenied) +
+                  totalStalls(Slow->Stats.WriterStalls,
+                              StallCause::MemoryDenied),
+              0);
+    EXPECT_EQ(Slow->Stats.MemoryBytesMoved, Plain->Stats.MemoryBytesMoved);
+    EXPECT_EQ(Slow->Outputs, Plain->Outputs);
+  }
+}
+
+TEST(ParallelParityTest, WatchdogEnabled) {
+  // An armed watchdog only observes: a healthy run completes identically.
+  SimConfig Armed = unconstrained();
+  Armed.StallTimeoutCycles = 512;
+  auto Plain = twoDeviceChain(unconstrained());
+  auto Watched = twoDeviceChain(Armed);
+  ASSERT_TRUE(Plain) << Plain.message();
+  ASSERT_TRUE(Watched) << Watched.message();
+  EXPECT_EQ(simDigestText(*Plain), simDigestText(*Watched));
+}
+
+TEST(ParallelParityTest, DeadlockReportsMatch) {
+  // The Fig. 4 deadlock, on one device and with A, B and C on three
+  // devices, classified and reported exactly as pinned: same cycle, same
+  // culprit components and channels.
+  SimConfig Config = unconstrained();
+  Config.ClampChannelsToMinimum = true;
+  Config.MinChannelDepth = 4;
+  Config.NetworkExtraChannelDepth = 0;
+  auto Single = simulate(diamondProgram(32, 32), 0, Config);
+  ASSERT_FALSE(Single);
+  EXPECT_EQ(Single.code(), ErrorCode::Deadlock);
+  SimFailure SingleFail = Single.takeError();
+  EXPECT_EQ(simDigest(SingleFail), 0x7288da4acd13bbddull)
+      << simDigestText(SingleFail);
+
+  auto Multi = simulate(diamondProgram(32, 32), 1, Config,
+                        /*MaxStencilsPerDevice=*/1);
+  ASSERT_FALSE(Multi);
+  EXPECT_EQ(Multi.code(), ErrorCode::Deadlock);
+  SimFailure MultiFail = Multi.takeError();
+  EXPECT_EQ(MultiFail.report().Channels.size(), 5u);
+  EXPECT_EQ(simDigest(MultiFail), 0xfb3131fd792e9260ull)
+      << simDigestText(MultiFail);
+}
+
+TEST(ParallelParityTest, RepeatableAcrossThreadCounts) {
+  // Machines share no mutable state, so simulations running concurrently
+  // on 1, 2 or 4 host threads (as tuner and serving workers do) each
+  // reproduce the single-threaded result exactly.
+  auto Baseline = fourDeviceChain(unconstrained());
+  ASSERT_TRUE(Baseline) << Baseline.message();
+  std::string Want = simDigestText(*Baseline);
+  for (int Threads : {1, 2, 4}) {
+    SCOPED_TRACE(::testing::Message() << "threads " << Threads);
+    std::vector<std::string> Got(static_cast<size_t>(Threads));
+    std::vector<std::thread> Workers;
+    for (int T = 0; T != Threads; ++T)
+      Workers.emplace_back([&Got, T] {
+        auto Result = fourDeviceChain(unconstrained());
+        Got[static_cast<size_t>(T)] =
+            Result ? simDigestText(*Result) : Result.message();
+      });
+    for (std::thread &W : Workers)
+      W.join();
+    for (const std::string &Text : Got)
+      EXPECT_EQ(Text, Want);
+  }
 }
 
 TEST(ParallelParityTest, SerialTraceDoesNotPerturbResults) {
-  // Tracing is serial-only; a traced serial run must agree exactly with
-  // an untraced parallel run, proving the tracer is purely observational.
-  StencilProgram Program = jacobi3dChain(6, 4, 6, 6);
-  auto Compiled = CompiledProgram::compile(std::move(Program));
-  ASSERT_TRUE(Compiled);
-  auto Dataflow = analyzeDataflow(*Compiled);
-  Partition Placement = makeSplitPartition(*Compiled, *Dataflow, 3);
-  auto Inputs = materializeInputs(Compiled->program());
-
+  // The tracer is purely observational: a traced run agrees exactly with
+  // an untraced one.
   Tracer Trace(4);
-  SimConfig Config;
-  Config.UnconstrainedMemory = true;
-  Config.Trace = &Trace;
-  auto Serial = Machine::build(*Compiled, *Dataflow, &Placement, Config);
-  ASSERT_TRUE(Serial);
-  auto SerialResult = Serial->run(Inputs);
-  ASSERT_TRUE(SerialResult) << SerialResult.message();
-
-  Config.Trace = nullptr;
-  Config.Engine = SimEngine::Parallel;
-  auto Parallel = Machine::build(*Compiled, *Dataflow, &Placement, Config);
-  ASSERT_TRUE(Parallel);
-  auto ParallelResult = Parallel->run(Inputs);
-  ASSERT_TRUE(ParallelResult) << ParallelResult.message();
-
-  expectResultsEqual(*SerialResult, *ParallelResult);
+  SimConfig Traced = unconstrained();
+  Traced.Trace = &Trace;
+  auto Plain = twoDeviceChain(unconstrained());
+  auto Recorded = twoDeviceChain(Traced);
+  ASSERT_TRUE(Plain) << Plain.message();
+  ASSERT_TRUE(Recorded) << Recorded.message();
+  EXPECT_EQ(simDigestText(*Plain), simDigestText(*Recorded));
+  EXPECT_NE(Trace.chromeTraceJson().find("unit a6"), std::string::npos);
 }
 
 TEST(ParallelParityTest, RandomProgramsMatchSerial) {
+  // Random single-device programs match the reference executor and report
+  // consistent statistics.
   for (uint64_t Seed = 200; Seed <= 212; ++Seed) {
     SCOPED_TRACE(::testing::Message() << "seed " << Seed);
-    auto Compiled = CompiledProgram::compile(randomProgram(Seed));
-    ASSERT_TRUE(Compiled);
-    auto Dataflow = analyzeDataflow(*Compiled);
-    SimConfig Config;
-    Config.UnconstrainedMemory = true;
-    expectEngineParity(*Compiled, *Dataflow, nullptr, Config);
+    SimResult R = runAndValidate(randomProgram(Seed));
+    expectConsistentStats(R);
   }
 }
 

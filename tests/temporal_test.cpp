@@ -245,16 +245,14 @@ std::vector<ParityCase> parityWorkloads() {
 }
 
 /// Runs \p Program through the pipeline with TemporalDegree \p T under
-/// \p Engine/\p Tier and asserts the simulated outputs are bit-identical
-/// to iterating the single-step program T times.
+/// \p Tier and asserts the simulated outputs are bit-identical to
+/// iterating the single-step program T times.
 void expectTemporalParity(const StencilProgram &Program, int T,
-                          sim::SimEngine Engine,
                           compute::KernelEngine Tier,
                           const std::string &What) {
   PipelineOptions Options;
   Options.TemporalDegree = T;
   Options.Simulator.UnconstrainedMemory = true;
-  Options.Simulator.Engine = Engine;
   Options.Simulator.KernelExec = Tier;
   auto Result = runPipeline(Program.clone(), Options);
   ASSERT_TRUE(Result) << What << ": " << Result.message();
@@ -270,21 +268,15 @@ void expectTemporalParity(const StencilProgram &Program, int T,
 TEST(TemporalParityTest, AllDegreesBothEnginesScalarTier) {
   for (ParityCase &C : parityWorkloads())
     for (int T : {1, 2, 4, 8})
-      for (sim::SimEngine Engine :
-           {sim::SimEngine::Serial, sim::SimEngine::Parallel}) {
-        std::string What =
-            std::string(C.Name) + " T=" + std::to_string(T) +
-            (Engine == sim::SimEngine::Parallel ? " parallel" : " serial");
-        expectTemporalParity(C.Program, T, Engine,
-                             compute::KernelEngine::Scalar, What);
-      }
+      expectTemporalParity(C.Program, T, compute::KernelEngine::Scalar,
+                           std::string(C.Name) + " T=" + std::to_string(T) +
+                               " scalar");
 }
 
 TEST(TemporalParityTest, AllDegreesSpecializedTier) {
   for (ParityCase &C : parityWorkloads())
     for (int T : {1, 2, 4, 8})
-      expectTemporalParity(C.Program, T, sim::SimEngine::Serial,
-                           compute::KernelEngine::Specialized,
+      expectTemporalParity(C.Program, T, compute::KernelEngine::Specialized,
                            std::string(C.Name) + " T=" + std::to_string(T) +
                                " specialized");
 }
@@ -295,17 +287,15 @@ TEST(TemporalParityTest, JitAndAutoTiers) {
   for (ParityCase &C : parityWorkloads())
     for (compute::KernelEngine Tier :
          {compute::KernelEngine::Jit, compute::KernelEngine::Auto})
-      expectTemporalParity(C.Program, 4, sim::SimEngine::Serial, Tier,
+      expectTemporalParity(C.Program, 4, Tier,
                            std::string(C.Name) + " T=4 jit/auto");
 }
 
 TEST(TemporalParityTest, ParallelSpecializedAndBatchedTiers) {
   for (ParityCase &C : parityWorkloads()) {
-    expectTemporalParity(C.Program, 4, sim::SimEngine::Parallel,
-                         compute::KernelEngine::Specialized,
-                         std::string(C.Name) + " T=4 parallel specialized");
-    expectTemporalParity(C.Program, 4, sim::SimEngine::Serial,
-                         compute::KernelEngine::Batched,
+    expectTemporalParity(C.Program, 4, compute::KernelEngine::Specialized,
+                         std::string(C.Name) + " T=4 specialized");
+    expectTemporalParity(C.Program, 4, compute::KernelEngine::Batched,
                          std::string(C.Name) + " T=4 batched");
   }
 }

@@ -49,16 +49,14 @@ int maxAccessRadius(const StencilProgram &Program) {
   return Max;
 }
 
-/// Runs \p Program under \p Engine/\p Tier at temporal degree \p T and
-/// asserts bit-exact agreement with iterating the reference T times.
+/// Runs \p Program under \p Tier at temporal degree \p T and asserts
+/// bit-exact agreement with iterating the reference T times.
 void expectHighOrderParity(const StencilProgram &Program, int T,
-                           sim::SimEngine Engine,
                            compute::KernelEngine Tier,
                            const std::string &What) {
   PipelineOptions Options;
   Options.TemporalDegree = T;
   Options.Simulator.UnconstrainedMemory = true;
-  Options.Simulator.Engine = Engine;
   Options.Simulator.KernelExec = Tier;
   auto Result = runPipeline(Program.clone(), Options);
   ASSERT_TRUE(Result) << What << ": " << Result.message();
@@ -274,29 +272,22 @@ TEST(HighOrderTest, AllRadiiRunAndValidate) {
 TEST(HighOrderTest, ParityAcrossEnginesAndTiers) {
   StencilProgram Wave = wave2dChain(4, 1, 24, 24);
   StencilProgram Hotspot = hotspot2dChain(1, 16, 16);
-  for (sim::SimEngine Engine :
-       {sim::SimEngine::Serial, sim::SimEngine::Parallel})
-    for (compute::KernelEngine Tier :
-         {compute::KernelEngine::Scalar, compute::KernelEngine::Specialized,
-          compute::KernelEngine::Jit}) {
-      std::string What =
-          std::string(Engine == sim::SimEngine::Parallel ? "parallel"
-                                                         : "serial") +
-          "/" + std::to_string(static_cast<int>(Tier));
-      expectHighOrderParity(Wave, 2, Engine, Tier, "wave2d_r4 " + What);
-      expectHighOrderParity(Hotspot, 2, Engine, Tier, "hotspot " + What);
-    }
+  for (compute::KernelEngine Tier :
+       {compute::KernelEngine::Scalar, compute::KernelEngine::Specialized,
+        compute::KernelEngine::Jit}) {
+    std::string What = compute::kernelEngineName(Tier);
+    expectHighOrderParity(Wave, 2, Tier, "wave2d_r4 " + What);
+    expectHighOrderParity(Hotspot, 2, Tier, "hotspot " + What);
+  }
 }
 
 TEST(HighOrderTest, WaveTemporalDegreesMatchHostLoop) {
   // Two time levels per step stress the unroller's binding bookkeeping.
   StencilProgram P = wave2dChain(2, 1, 16, 16);
   for (int T : {1, 2, 4})
-    expectHighOrderParity(P, T, sim::SimEngine::Serial,
-                          compute::KernelEngine::Specialized,
+    expectHighOrderParity(P, T, compute::KernelEngine::Specialized,
                           "wave2d_r2 T=" + std::to_string(T));
   expectHighOrderParity(wave3dChain(2, 1, 8, 8, 8), 2,
-                        sim::SimEngine::Serial,
                         compute::KernelEngine::Specialized, "wave3d_r2 T=2");
 }
 
