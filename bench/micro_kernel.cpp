@@ -14,11 +14,6 @@
 //                 chain-specialize (the Specialized tier falls back to the
 //                 fused batched tape).
 //
-// The Jit tier compiles each tape to native code through the host
-// toolchain and the Auto tier picks a tier per kernel; both register only
-// when a compiler is available, so the benchmark binary still runs on
-// toolchain-less machines (check_perf.py tolerates the missing names).
-//
 // Every non-scalar benchmark first proves itself bit-exact against the
 // scalar reference interpreter on a randomized probe set (NaN payloads
 // excepted, see tests/engine_test.cpp) and aborts with SkipWithError on
@@ -30,7 +25,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "compute/Engine.h"
-#include "compute/Jit.h"
 #include "compute/Kernel.h"
 #include "frontend/Parser.h"
 #include "frontend/SemanticAnalysis.h"
@@ -177,58 +171,28 @@ const Kernel &hdiff() {
 void BM_Jacobi2D_Scalar(benchmark::State &State) {
   runTier(State, jacobi2d(), KernelEngine::Scalar, 8);
 }
-void BM_Jacobi2D_Batched(benchmark::State &State) {
-  runTier(State, jacobi2d(), KernelEngine::Batched, 8);
-}
 void BM_Jacobi2D_Specialized(benchmark::State &State) {
   runTier(State, jacobi2d(), KernelEngine::Specialized, 8);
 }
-void BM_Jacobi2D_Jit(benchmark::State &State) {
-  runTier(State, jacobi2d(), KernelEngine::Jit, 8);
-}
-void BM_Jacobi2D_Auto(benchmark::State &State) {
-  runTier(State, jacobi2d(), KernelEngine::Auto, 8);
-}
 BENCHMARK(BM_Jacobi2D_Scalar);
-BENCHMARK(BM_Jacobi2D_Batched);
 BENCHMARK(BM_Jacobi2D_Specialized);
 
 void BM_Jacobi3D_Scalar(benchmark::State &State) {
   runTier(State, jacobi3d(), KernelEngine::Scalar, 8);
 }
-void BM_Jacobi3D_Batched(benchmark::State &State) {
-  runTier(State, jacobi3d(), KernelEngine::Batched, 8);
-}
 void BM_Jacobi3D_Specialized(benchmark::State &State) {
   runTier(State, jacobi3d(), KernelEngine::Specialized, 8);
 }
-void BM_Jacobi3D_Jit(benchmark::State &State) {
-  runTier(State, jacobi3d(), KernelEngine::Jit, 8);
-}
-void BM_Jacobi3D_Auto(benchmark::State &State) {
-  runTier(State, jacobi3d(), KernelEngine::Auto, 8);
-}
 BENCHMARK(BM_Jacobi3D_Scalar);
-BENCHMARK(BM_Jacobi3D_Batched);
 BENCHMARK(BM_Jacobi3D_Specialized);
 
 void BM_Hdiff_Scalar(benchmark::State &State) {
   runTier(State, hdiff(), KernelEngine::Scalar, 8);
 }
-void BM_Hdiff_Batched(benchmark::State &State) {
-  runTier(State, hdiff(), KernelEngine::Batched, 8);
-}
 void BM_Hdiff_Specialized(benchmark::State &State) {
   runTier(State, hdiff(), KernelEngine::Specialized, 8);
 }
-void BM_Hdiff_Jit(benchmark::State &State) {
-  runTier(State, hdiff(), KernelEngine::Jit, 8);
-}
-void BM_Hdiff_Auto(benchmark::State &State) {
-  runTier(State, hdiff(), KernelEngine::Auto, 8);
-}
 BENCHMARK(BM_Hdiff_Scalar);
-BENCHMARK(BM_Hdiff_Batched);
 BENCHMARK(BM_Hdiff_Specialized);
 
 // Scalar width 1: the serial pre-PR configuration, for reference.
@@ -240,23 +204,6 @@ void BM_Jacobi2D_SpecializedW1(benchmark::State &State) {
 }
 BENCHMARK(BM_Jacobi2D_ScalarW1);
 BENCHMARK(BM_Jacobi2D_SpecializedW1);
-
-/// The Jit/Auto benchmarks only make sense when a host compiler exists;
-/// registering them conditionally keeps the binary runnable (and the perf
-/// check meaningful) on toolchain-less machines — check_perf.py warns
-/// about baseline names missing from the current run instead of failing.
-int registerJitBenchmarks() {
-  if (!jit::compilerAvailable())
-    return 0;
-  BENCHMARK(BM_Jacobi2D_Jit);
-  BENCHMARK(BM_Jacobi2D_Auto);
-  BENCHMARK(BM_Jacobi3D_Jit);
-  BENCHMARK(BM_Jacobi3D_Auto);
-  BENCHMARK(BM_Hdiff_Jit);
-  BENCHMARK(BM_Hdiff_Auto);
-  return 1;
-}
-const int JitBenchmarksRegistered = registerJitBenchmarks();
 
 } // namespace
 

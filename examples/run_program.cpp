@@ -212,11 +212,10 @@ int main(int argc, char **argv) {
   const sim::SimStats &Stats = Result->Simulation.Stats;
   std::string Tiers = Stats.kernelTierSummary();
   std::printf("kernel engine: %s requested, effective: %s "
-              "(%lld specialized, %lld jitted)\n",
+              "(%lld specialized)\n",
               Stats.KernelExec.c_str(),
               Tiers.empty() ? "<none>" : Tiers.c_str(),
-              static_cast<long long>(Stats.SpecializedUnits),
-              static_cast<long long>(Stats.JittedUnits));
+              static_cast<long long>(Stats.SpecializedUnits));
   sim::StallBreakdown TotalStalls;
   for (const auto &[Name, Stalls] : Stats.UnitStalls)
     TotalStalls += Stalls;

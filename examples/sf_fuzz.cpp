@@ -69,7 +69,6 @@ static GenConfig genConfigFromArgs(const CommandLine &Args,
 /// Applies the matrix-axis flags.
 static Error matrixFromArgs(const CommandLine &Args,
                             MatrixOptions &Matrix) {
-  Matrix.JitTiers = !Args.has("no-jit");
   Matrix.FaultAxis = !Args.has("no-faults");
   Matrix.ResumeAxis = !Args.has("no-resume");
   Matrix.ConfigsPerProgram = static_cast<int>(Args.getInt("configs", 5));
@@ -168,7 +167,6 @@ int main(int argc, char **argv) {
               "config (default 5)")
       .option("temporal-degrees", "CSV",
               "temporal degrees to sample (default 1,2,4)")
-      .flag("no-jit", "disable the jit/auto kernel tiers")
       .flag("no-faults", "disable the fault-plan axis")
       .flag("no-resume", "disable the checkpoint/resume axis")
       .group("replay")

@@ -63,18 +63,8 @@ int serveOnce(serve::Server &Core) {
     }
     if (Line.empty())
       continue;
-    serve::Response Out;
-    Expected<serve::Request> Req = serve::Request::fromJsonText(Line);
+    serve::Response Out = Core.handleLine(Line, Done);
     Line.clear();
-    if (!Req) {
-      Out = serve::Response::failure("", Req.takeError());
-    } else if (Req->Op == serve::RequestOp::Shutdown) {
-      Out.Id = Req->Id;
-      Out.Ok = true;
-      Done = true;
-    } else {
-      Out = Core.handle(std::move(*Req));
-    }
     std::printf("%s\n", Out.toJsonText().c_str());
     std::fflush(stdout);
   }

@@ -21,7 +21,7 @@
 //   --length N        chain length for the first three workloads
 //   --max-devices N   cap the device axis of the design space
 //   --kernel-engines LIST  comma-separated kernel-execution axis
-//                     (e.g. "specialized,jit,auto"); default keeps the
+//                     (e.g. "specialized,scalar"); default keeps the
 //                     base configuration's single tier
 //   --temporal-degrees LIST  comma-separated temporal-blocking axis
 //                     (e.g. "1,2,4,8"); degrees above 1 unroll the
@@ -82,7 +82,7 @@ int main(int argc, char **argv) {
       .pack(cli::tuneFlagSpecs())
       .group("output")
       .option("kernel-engines", "LIST",
-              "comma-separated kernel-execution axis, e.g. specialized,jit")
+              "comma-separated kernel-execution axis, e.g. specialized,scalar")
       .option("temporal-degrees", "LIST",
               "comma-separated temporal-blocking axis, e.g. 1,2,4,8")
       .option("json", "FILE", "write the machine-readable TuningReport")

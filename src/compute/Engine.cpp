@@ -11,8 +11,6 @@
 
 #include "compute/Engine.h"
 
-#include "compute/Jit.h"
-
 #include <algorithm>
 #include <cassert>
 #include <cmath>
@@ -43,10 +41,6 @@ const char *compute::kernelEngineName(KernelEngine Engine) {
     return "batched";
   case KernelEngine::Specialized:
     return "specialized";
-  case KernelEngine::Jit:
-    return "jit";
-  case KernelEngine::Auto:
-    return "auto";
   }
   return "<invalid>";
 }
@@ -54,16 +48,11 @@ const char *compute::kernelEngineName(KernelEngine Engine) {
 Expected<KernelEngine> compute::parseKernelEngine(std::string_view Name) {
   if (Name == "scalar")
     return KernelEngine::Scalar;
-  if (Name == "batched")
-    return KernelEngine::Batched;
   if (Name == "specialized")
     return KernelEngine::Specialized;
-  if (Name == "jit")
-    return KernelEngine::Jit;
-  if (Name == "auto")
-    return KernelEngine::Auto;
-  return makeError("unknown kernel engine '" + std::string(Name) +
-                   "' (expected scalar, batched, specialized, jit, or auto)");
+  return makeError(ErrorCode::InvalidInput,
+                   "unknown kernel engine '" + std::string(Name) +
+                       "' (expected scalar or specialized)");
 }
 
 namespace {
@@ -605,7 +594,6 @@ KernelEvaluator KernelEvaluator::compile(const Kernel &Krn,
   E.NumInputs = static_cast<int32_t>(Krn.inputs().size());
   if (Engine == KernelEngine::Scalar) {
     E.Tier = KernelEngine::Scalar;
-    E.NumRegs = static_cast<int32_t>(Krn.instructions().size());
     E.OutReg = Krn.outputRegister();
     E.TapeLen = Krn.instructions().size();
     // Kernel scratch plus one gathered lane column of inputs.
@@ -619,42 +607,12 @@ KernelEvaluator KernelEvaluator::compile(const Kernel &Krn,
   // DRE before fusion: dead ops (unreferenced locals, folded operands)
   // would otherwise inflate use counts and block profitable fusions.
   OutReg = eliminateDead(Ops, OutReg);
-  // Every tier above Batched runs on the fused tape; Batched stays unfused
-  // so it keeps measuring the plain one-dispatch-per-OpCode interpreter.
-  bool WantFusion = Engine != KernelEngine::Batched;
-  if (WantFusion) {
-    fuseMulOps(Ops, OutReg);
-    OutReg = eliminateDead(Ops, OutReg); // Drop the consumed Mul ops.
-  }
+  fuseMulOps(Ops, OutReg);
+  OutReg = eliminateDead(Ops, OutReg); // Drop the consumed Mul ops.
 
-  E.Tier = KernelEngine::Batched;
   E.OutReg = OutReg;
-  E.NumRegs = static_cast<int32_t>(Ops.size());
-  E.TapeLen = Ops.size();
-  E.ScratchDoubles = Ops.size() * static_cast<size_t>(Lanes);
-
   std::vector<ChainTerm> Terms;
-  bool ChainMatched = WantFusion && matchChain(Ops, OutReg, Terms);
-
-  // Resolve Auto to a concrete tier for this kernel's tape shape; tier()
-  // reports the resolved choice, never Auto itself.
-  KernelEngine Want = Engine;
-  if (Engine == KernelEngine::Auto)
-    Want = jit::chooseTierForAuto(Ops.size(), ChainMatched, Lanes);
-
-  if (Want == KernelEngine::Jit) {
-    if (jit::JitKernel Code = jit::compileTape(Ops, OutReg, E.Type, Lanes)) {
-      E.Tier = KernelEngine::Jit;
-      E.JitFn = Code.Fn;
-      E.JitHandle = std::move(Code.Handle);
-      E.Specialization = "jit";
-      E.ScratchDoubles = 0; // Straight-line code: locals live in registers.
-      return E;
-    }
-    Want = KernelEngine::Specialized; // No compiler (or build failed).
-  }
-
-  if (Want == KernelEngine::Specialized && ChainMatched) {
+  if (matchChain(Ops, OutReg, Terms)) {
     E.Tier = KernelEngine::Specialized;
     E.Chain = std::move(Terms);
     E.Specialization = "weighted-sum-chain";
@@ -662,6 +620,9 @@ KernelEvaluator KernelEvaluator::compile(const Kernel &Krn,
     E.TapeLen = E.Chain.size();
     return E;
   }
+  E.Tier = KernelEngine::Batched;
+  E.TapeLen = Ops.size();
+  E.ScratchDoubles = Ops.size() * static_cast<size_t>(Lanes);
   E.Ops = std::move(Ops);
   return E;
 }
@@ -717,11 +678,5 @@ void KernelEvaluator::evaluate(const double *SoAInputs, double *Out,
       return;
     }
     return;
-  case KernelEngine::Jit:
-    JitFn(SoAInputs, Out);
-    return;
-  case KernelEngine::Auto:
-    break; // compile() always resolves Auto to a concrete tier.
   }
-  assert(false && "unreachable kernel tier");
 }

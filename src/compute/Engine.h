@@ -12,26 +12,19 @@
 /// dispatch over the whole vector and keeping the register file in
 /// structure-of-arrays layout so the per-lane inner loops autovectorize.
 ///
-/// Four tiers plus a per-unit selection mode, selected by \c KernelEngine:
+/// Two requestable tiers, selected by \c KernelEngine:
 ///
 ///  - \b Scalar: delegates to Kernel::evaluate per lane. The reference
-///    implementation every other tier must match bit-for-bit.
-///  - \b Batched: runs a compiled tape (constant folding, dead-register
-///    elimination, register renumbering) once per vector with one dispatch
-///    per instruction.
-///  - \b Specialized: additionally fuses multiply-add patterns and
-///    pattern-matches pure weighted-sum / Laplacian accumulator chains
-///    (the dominant stencil shape) into a pre-templated native evaluator;
-///    kernels that do not match fall back to the fused batched tape.
-///  - \b Jit: emits one straight-line C++ function for the fused tape at
-///    runtime, builds it into a shared object with the host toolchain
-///    (same -ffp-contract=off discipline as this library), and dlopens it
-///    (compute/Jit.h). No per-instruction dispatch at all; falls back to
-///    Specialized when no host compiler is available.
-///  - \b Auto: not a tier but a per-unit policy — picks the best tier for
-///    each kernel from its tape shape and the vector width (see
-///    compute/Jit.h for the selection rules). \c tier() always reports
-///    what actually runs.
+///    implementation the other tier must match bit-for-bit.
+///  - \b Specialized: compiles the kernel to a tape (constant folding,
+///    dead-register elimination, multiply-add fusion, register
+///    renumbering) and pattern-matches pure weighted-sum / Laplacian
+///    accumulator chains (the dominant stencil shape) into a
+///    pre-templated native evaluator. Kernels that do not match run the
+///    fused tape once per vector with one dispatch per instruction and
+///    report the effective tier \b Batched.
+///
+/// Simulated cycles do not depend on the tier; it only changes host speed.
 ///
 /// Bit-exactness contract: every tier performs the same operations in the
 /// same order with the same per-operation rounding (\c roundToType) as the
@@ -49,7 +42,6 @@
 #include "support/Error.h"
 
 #include <cstdint>
-#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -59,17 +51,17 @@ namespace compute {
 /// Which kernel execution tier the simulator uses.
 enum class KernelEngine : uint8_t {
   Scalar,      ///< Per-lane reference interpreter (Kernel::evaluate).
-  Batched,     ///< Lane-batched tape interpreter.
-  Specialized, ///< Batched + fusion + weighted-sum chain specialization.
-  Jit,         ///< Runtime C++ codegen of the fused tape (compute/Jit.h).
-  Auto         ///< Per-kernel tier selection from tape shape and width.
+  Batched,     ///< Effective tier only: the fused tape a Specialized
+               ///< request runs when no chain matches.
+  Specialized, ///< Weighted-sum chain, else the fused tape.
 };
 
-/// Returns a printable name ("scalar", "batched", "specialized", "jit",
-/// "auto").
+/// Returns a printable name ("scalar", "batched", "specialized").
 const char *kernelEngineName(KernelEngine Engine);
 
-/// Parses a --kernel-engine value.
+/// Parses a --kernel-engine value: exactly "scalar" or "specialized".
+/// Anything else, including the retired "batched", "jit" and "auto", is
+/// an ErrorCode::InvalidInput error naming the accepted values.
 Expected<KernelEngine> parseKernelEngine(std::string_view Name);
 
 /// One compiled tape operation. Mirrors compute::OpCode with three fused
@@ -154,22 +146,17 @@ public:
   KernelEvaluator() = default;
 
   /// Compiles \p Krn for \p Engine at vector width \p Lanes. Never fails:
-  /// the Specialized tier degrades to the fused batched tape when no
-  /// specialization pattern matches, the Jit tier degrades to Specialized
-  /// when no host compiler is available (or the runtime compile fails),
-  /// and Auto picks a tier per kernel. The *effective* tier is always
+  /// every engine but Scalar compiles the fused tape and specializes it
+  /// when the chain pattern matches. The *effective* tier is always
   /// observable through \c tier().
   static KernelEvaluator compile(const Kernel &Krn, KernelEngine Engine,
                                  int Lanes);
 
-  /// The tier that actually executes: compile(Specialized) reports Batched
-  /// when no specialization matched, compile(Jit) reports Specialized or
-  /// Batched when the runtime compile fell back, and compile(Auto) reports
-  /// whatever the per-kernel policy chose. Never reports Auto.
+  /// The tier that actually executes: Scalar, Specialized when the chain
+  /// matched, otherwise Batched.
   KernelEngine tier() const { return Tier; }
 
-  /// Name of the matched specialization ("weighted-sum-chain", "jit"), or
-  /// empty.
+  /// Name of the matched specialization ("weighted-sum-chain"), or empty.
   std::string_view specialization() const { return Specialization; }
 
   /// Scratch doubles evaluate() needs (may be zero for specialized tiers).
@@ -193,7 +180,6 @@ private:
   KernelEngine Tier = KernelEngine::Scalar;
   int Lanes = 1;
   DataType Type = DataType::Float32;
-  int32_t NumRegs = 0;
   int32_t OutReg = -1;
   int32_t NumInputs = 0;
   size_t ScratchDoubles = 0;
@@ -201,12 +187,6 @@ private:
   std::vector<TapeOp> Ops;        ///< Batched tape.
   std::vector<ChainTerm> Chain;   ///< Specialized chain (if matched).
   std::string_view Specialization; ///< Static string; never dangles.
-
-  /// Jit tier: the dlsym'd entry point plus a shared handle that keeps
-  /// the dlopened object mapped for as long as any evaluator (or the
-  /// process-wide cache) references it.
-  void (*JitFn)(const double *SoAInputs, double *Out) = nullptr;
-  std::shared_ptr<void> JitHandle;
 };
 
 } // namespace compute

@@ -7,7 +7,7 @@
 /// \file
 /// The differential half of the fuzzer: run one generated program through
 /// the full pipeline under a seeded matrix of configurations — every
-/// kernel tier (including Jit and Auto), temporal degrees {1, 2, 4},
+/// kernel tier (scalar and specialized), temporal degrees {1, 2, 4},
 /// transient fault plans on/off, and a
 /// checkpoint-then-resume pass that restarts mid-run from a snapshot —
 /// and assert that every single run is bit-exact (FNV-1a CRC over the
@@ -72,7 +72,7 @@ struct DiffConfig {
   bool Faults = false;    ///< Transient fault plan + reliable transport.
   bool Resume = false;    ///< Checkpoint, then re-run resuming mid-stream.
 
-  /// Compact identity, e.g. "jit/t4/faults/resume".
+  /// Compact identity, e.g. "scalar/t4/faults/resume".
   std::string id() const;
 
   json::Value toJson() const;
@@ -81,7 +81,6 @@ struct DiffConfig {
 
 /// Which matrix axes are enabled and how densely to sample them.
 struct MatrixOptions {
-  bool JitTiers = true; ///< Include the jit and auto kernel tiers.
   bool FaultAxis = true;
   bool ResumeAxis = true;
   std::vector<int> TemporalDegrees = {1, 2, 4};

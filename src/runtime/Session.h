@@ -136,12 +136,9 @@ public:
     Opts.Simulator.StallTimeoutCycles = Cycles;
     return *this;
   }
-  /// Selects the kernel execution tier (compute/Engine.h). All tiers are
-  /// bit-exact; Scalar is the reference interpreter, Specialized is the
-  /// default, Jit compiles each unit's tape to native code via the host
-  /// toolchain (falling back to Specialized when none is available), and
-  /// Auto picks a tier per unit. SimStats::UnitKernelTiers reports what
-  /// actually ran.
+  /// Selects the kernel execution tier (compute/Engine.h). Both tiers are
+  /// bit-exact; Scalar is the reference interpreter and Specialized the
+  /// default. SimStats::UnitKernelTiers reports what actually ran.
   Session &kernelEngine(compute::KernelEngine Engine) {
     Opts.Simulator.KernelExec = Engine;
     return *this;

@@ -16,9 +16,8 @@
 ///    "options": {"fuse": false, "simplify": false, "vectorize": 0,
 ///                "temporal_degree": 1, "max_devices": 8,
 ///                "target_utilization": 0.85,
-///                "kernel_engine": "specialized", "engine": "serial",
-///                "threads": 0, "validate": true, "tune": false,
-///                "tune_budget": 32}}
+///                "kernel_engine": "specialized", "validate": true,
+///                "tune": false, "tune_budget": 32}}
 /// \endcode
 /// Ops: "run" (default), "stats", "ping", "shutdown".
 ///

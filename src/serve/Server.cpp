@@ -167,6 +167,29 @@ std::future<Response> Server::submit(Request R) {
 
 Response Server::handle(Request R) { return submit(std::move(R)).get(); }
 
+Response Server::handleLine(std::string_view Line, bool &Shutdown) {
+  Expected<Request> Req = Request::fromJsonText(Line);
+  if (!Req) {
+    // Decode again only to recover the id, so a well-formed line with a
+    // bad option still correlates with its request.
+    std::string Id;
+    Expected<json::Value> V = json::parse(Line);
+    const json::Value *IdValue =
+        V && V->isObject() ? V->getObject().get("id") : nullptr;
+    if (IdValue && IdValue->isString())
+      Id = IdValue->getString();
+    return Response::failure(std::move(Id), Req.takeError());
+  }
+  if (Req->Op == RequestOp::Shutdown) {
+    Response Ack;
+    Ack.Id = Req->Id;
+    Ack.Ok = true;
+    Shutdown = true;
+    return Ack;
+  }
+  return handle(std::move(*Req));
+}
+
 ServeStats Server::stats() const {
   ServeStats S;
   {
@@ -290,20 +313,30 @@ Server::resolvePlan(const Request &R, bool &Hit, int64_t &CompileMicros) {
   }
 
   // Single-flight: concurrent misses on one key compile once. The leader
-  // compiles and publishes; joiners wait on the shared outcome and count
-  // as hits (they were served without compiling).
+  // registers its flight in the same critical section that elects it, and
+  // publishes to the cache before retiring the flight, so a request that
+  // finds no flight under the lock finds the plan in the cache instead.
+  // Joiners wait on the shared outcome and count as hits (they were
+  // served without compiling).
   std::shared_future<CompileOutcome> Flight;
+  std::promise<CompileOutcome> Publish;
   bool Leader = false;
   {
     std::lock_guard<std::mutex> Lock(Mutex);
     auto It = InFlight.find(KeyId);
+    std::shared_ptr<const CompiledPlan> Plan;
     if (It != InFlight.end()) {
       Flight = It->second;
       ++Counters.CacheHits;
       Hit = true;
+    } else if ((Plan = Cache.find(KeyId))) {
+      ++Counters.CacheHits;
+      Hit = true;
+      return Plan;
     } else {
       Leader = true;
       ++Counters.CacheMisses;
+      InFlight[KeyId] = Publish.get_future().share();
     }
   }
 
@@ -314,11 +347,6 @@ Server::resolvePlan(const Request &R, bool &Hit, int64_t &CompileMicros) {
     return Out.Plan;
   }
 
-  std::promise<CompileOutcome> Publish;
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    InFlight[KeyId] = Publish.get_future().share();
-  }
   CompileOutcome Out = compileForRequest(R);
   if (Out.Plan)
     Cache.insert(KeyId, Out.Plan);

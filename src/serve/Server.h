@@ -46,6 +46,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -116,6 +117,13 @@ public:
 
   /// Submit-and-wait convenience for in-process callers (tests, --once).
   Response handle(Request R);
+
+  /// Answers one protocol line — the step every line transport shares.
+  /// A line that fails to decode gets a typed failure response, echoing
+  /// the line's "id" when it is a JSON object with a string one. A
+  /// "shutdown" op is acknowledged here and sets \p Shutdown; the caller
+  /// owns the teardown. Every other op goes through \c handle.
+  Response handleLine(std::string_view Line, bool &Shutdown);
 
   ServeStats stats() const;
   const ServerOptions &options() const { return Opts; }

@@ -148,18 +148,9 @@ void SocketServer::serveConnection(int Fd) {
       if (Line.empty())
         continue;
 
-      Response Out;
-      Expected<Request> Req = Request::fromJsonText(Line);
-      if (!Req) {
-        Out = Response::failure("", Req.takeError());
-      } else if (Req->Op == RequestOp::Shutdown) {
-        Out.Id = Req->Id;
-        Out.Ok = true;
+      Response Out = Core.handleLine(Line, ShutdownOp);
+      if (ShutdownOp)
         Open = false; // Respond, then trigger the graceful teardown.
-        ShutdownOp = true;
-      } else {
-        Out = Core.handle(std::move(*Req));
-      }
 
       std::string Text = Out.toJsonText();
       Text.push_back('\n');

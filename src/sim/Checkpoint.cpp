@@ -452,8 +452,9 @@ MachineSnapshot Machine::captureSnapshot(int64_t Cycle) const {
     W.u8(static_cast<uint8_t>(U.LastCause));
     W.i64(U.LastProgress);
     // The effective kernel tier, so the restore can report how many units
-    // were reassigned (e.g. jit -> specialized on a host without a
-    // compiler). Informational: all tiers are bit-exact.
+    // were reassigned (e.g. scalar -> specialized when the restoring
+    // config asks for another tier). Informational: all tiers are
+    // bit-exact.
     W.str(compute::kernelEngineName(U.Eval.tier()));
   }
 

@@ -177,12 +177,9 @@ struct SimConfig {
   //===--------------------------------------------------------------------===//
 
   /// Which kernel execution tier evaluates the stencil compute tapes (see
-  /// compute/Engine.h). All tiers are bit-exact with each other (asserted
-  /// by the engine parity suite), so the default is the fastest
-  /// broadly-applicable one; Scalar remains the reference implementation,
-  /// Jit compiles each unit's tape to native code at machine-build time
-  /// (falling back to Specialized when no host compiler exists), and Auto
-  /// picks a tier per unit. The effective per-unit tiers appear in
+  /// compute/Engine.h). Both tiers are bit-exact with each other (asserted
+  /// by the engine parity suite); Scalar is the reference implementation
+  /// and Specialized the default. The effective per-unit tiers appear in
   /// \c SimStats::UnitKernelTiers.
   compute::KernelEngine KernelExec = compute::KernelEngine::Specialized;
 

@@ -51,7 +51,7 @@ std::string SimStats::kernelTierSummary() const {
   for (const auto &[Name, Tier] : UnitKernelTiers)
     ++Counts[Tier];
   std::string Out;
-  for (const char *Tier : {"jit", "specialized", "batched", "scalar"}) {
+  for (const char *Tier : {"specialized", "batched", "scalar"}) {
     auto It = Counts.find(Tier);
     if (It == Counts.end())
       continue;
@@ -1252,13 +1252,11 @@ SimResult Machine::collectResult(int64_t FinalCycles) {
   Result.Stats.TierReassignedUnits = TierReassignedUnits;
   Result.Stats.KernelExec = compute::kernelEngineName(Config.KernelExec);
   for (const Unit &U : Units) {
-    // Record what actually runs, not what was requested: Specialized can
-    // degrade to Batched, Jit to Specialized, and Auto chooses per unit.
+    // Record what actually runs, not what was requested: Specialized
+    // degrades to Batched when the chain does not match.
     compute::KernelEngine Effective = U.Eval.tier();
     if (Effective == compute::KernelEngine::Specialized)
       ++Result.Stats.SpecializedUnits;
-    else if (Effective == compute::KernelEngine::Jit)
-      ++Result.Stats.JittedUnits;
     Result.Stats.UnitKernelTiers[U.Name] =
         compute::kernelEngineName(Effective);
   }

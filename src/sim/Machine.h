@@ -127,16 +127,13 @@ struct SimStats {
   /// when a fault plan is attached; empty otherwise.
   std::map<std::string, LinkStats> Links;
 
-  /// The *requested* kernel execution tier ("scalar", "batched",
-  /// "specialized", "jit", "auto") and how many stencil units actually ran
-  /// a matched weighted-sum specialization or a jitted tape. Requested and
-  /// effective tiers can differ per unit: the Specialized tier falls back
-  /// to the batched tape when no pattern matches, the Jit tier falls back
-  /// to Specialized when no host compiler is available, and Auto picks a
-  /// tier per unit by design.
+  /// The *requested* kernel execution tier ("scalar" or "specialized")
+  /// and how many stencil units actually ran a matched weighted-sum
+  /// specialization. Requested and effective tiers can differ per unit:
+  /// the Specialized tier falls back to the batched tape when no pattern
+  /// matches.
   std::string KernelExec = "scalar";
   int64_t SpecializedUnits = 0;
-  int64_t JittedUnits = 0;
 
   /// Effective tier per stencil unit (unit name -> tier name) — what
   /// KernelEvaluator::tier() actually reports after any fallback, so
@@ -144,15 +141,15 @@ struct SimStats {
   std::map<std::string, std::string> UnitKernelTiers;
 
   /// Compact "tier xN" histogram of UnitKernelTiers, e.g.
-  /// "jit x3, specialized x1" (empty when there are no units).
+  /// "specialized x3, batched x1" (empty when there are no units).
   std::string kernelTierSummary() const;
 
   /// Checkpoint/restart (sim/Checkpoint.h): snapshots persisted during
   /// this run, the cycle the run resumed from (-1 when it started fresh),
   /// and how many stencil units ended up on a different effective kernel
   /// tier than the snapshotting run recorded (tier assignment is
-  /// re-derived on restore, so a resumed run on a machine without a host
-  /// compiler transparently drops from jit to specialized).
+  /// re-derived on restore, so a snapshot recorded on a retired tier
+  /// resumes on the tier the restoring config asks for).
   int64_t CheckpointsWritten = 0;
   int64_t ResumedFromCycle = -1;
   int64_t TierReassignedUnits = 0;

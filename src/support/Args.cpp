@@ -92,8 +92,7 @@ const std::vector<ArgSpec> &cli::sessionFlagSpecs() {
        "unroll T timesteps on-chip (requires time_loop bindings)"},
       {"constrained-memory", "",
        "model the finite memory controller (default is ideal memory)"},
-      {"kernel-engine", "E",
-       "kernel tier: scalar|batched|specialized|jit|auto"},
+      {"kernel-engine", "E", "kernel tier: scalar|specialized"},
       {"stall-timeout", "N", "progress watchdog threshold in cycles"},
   };
   return Specs;

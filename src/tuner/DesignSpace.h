@@ -62,9 +62,9 @@ struct CandidateMapping {
   int TemporalDegree = 1;
 
   /// Kernel execution tier the simulator uses for this candidate. Not a
-  /// hardware knob like the other axes, but it decides how fast the
-  /// testbed evaluates a candidate — and with Auto/Jit in the axis the
-  /// tuner can trade runtime-compile latency against steady-state speed.
+  /// hardware knob like the other axes: both tiers are bit-exact and
+  /// cycle-identical, so the cost model ignores it and it only changes
+  /// how fast the testbed simulates a candidate.
   compute::KernelEngine KernelExec = compute::KernelEngine::Specialized;
 
   /// Stable identity, e.g. "W4-F2-D2-U85" (utilization in percent). A
@@ -114,7 +114,7 @@ struct DesignSpaceOptions {
 
   /// Candidate kernel execution tiers. Default: the single tier of the
   /// base configuration (so the space does not grow unless the caller
-  /// opts in, e.g. sf_tune --kernel-engines=specialized,jit,auto).
+  /// opts in, e.g. sf_tune --kernel-engines=specialized,scalar).
   std::vector<compute::KernelEngine> KernelEngines;
 };
 

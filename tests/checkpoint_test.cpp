@@ -488,13 +488,12 @@ TEST(CheckpointParityTest, ScalarKernelTier) {
 }
 
 TEST(CheckpointParityTest, AutoKernelTier) {
-  // Exercises per-unit tier selection (and the jit when a host compiler
-  // exists) across the snapshot boundary.
+  // The default tier picks chain or tape per unit; carry a machine that
+  // runs both across the snapshot boundary.
   SimConfig Config;
   Config.UnconstrainedMemory = true;
-  Config.KernelExec = compute::KernelEngine::Auto;
-  expectKillResumeParity(laplace2d(12, 16, 4), Config,
-                         /*MultiDevice=*/false, "auto_tier");
+  expectKillResumeParity(mixedTierProgram(12, 16, 4), Config,
+                         /*MultiDevice=*/false, "mixed_tiers");
 }
 
 TEST(CheckpointParityTest, WallClockCadenceSnapshots) {

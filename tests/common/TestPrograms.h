@@ -132,6 +132,23 @@ inline StencilProgram diamondProgram(int64_t J = 24, int64_t I = 24) {
   return buildProgram(std::move(Program));
 }
 
+/// A weighted sum feeding a select. Under the default kernel tier "b"
+/// matches the weighted-sum chain and "c" runs the fused tape, so one
+/// machine mixes both effective tiers.
+inline StencilProgram mixedTierProgram(int64_t J = 10, int64_t I = 10,
+                                       int VectorWidth = 1) {
+  StencilProgram Program;
+  Program.Name = "mixed_tiers";
+  Program.IterationSpace = Shape({J, I});
+  Program.VectorWidth = VectorWidth;
+  addInput(Program, "a");
+  addStencil(Program, "b", "b = a[0, -1] + a[0, 1] - 2.0 * a[0, 0];",
+             DataType::Float32, {{"a", BoundaryCondition::constant(0.0)}});
+  addStencil(Program, "c", "c = b[0, 0] > 0.0 ? b[0, 0] : a[0, 0];");
+  Program.Outputs = {"c"};
+  return buildProgram(std::move(Program));
+}
+
 /// Generates a random, valid stencil DAG for property-based testing.
 ///
 /// The generator produces programs with 1-3 dimensions, multiple inputs,

@@ -121,7 +121,7 @@ TEST(PlanKey, EveryKnobChangesTheKey) {
   K.TargetUtilization = 0.5;
   Ids.insert(K.id());
   K = Base;
-  K.KernelExec = compute::KernelEngine::Jit;
+  K.KernelExec = compute::KernelEngine::Scalar;
   Ids.insert(K.id());
   K = Base;
   K.Tuned = true;
@@ -478,7 +478,7 @@ TEST(ServeProtocol, RequestRoundTrip) {
   R.Options.Fuse = true;
   R.Options.Vectorize = 4;
   R.Options.TemporalDegree = 4;
-  R.Options.KernelExec = compute::KernelEngine::Jit;
+  R.Options.KernelExec = compute::KernelEngine::Scalar;
   R.Options.Validate = false;
   R.Options.Tune = true;
   R.Options.TuneBudget = 7;
@@ -490,7 +490,7 @@ TEST(ServeProtocol, RequestRoundTrip) {
   EXPECT_TRUE(Back->Options.Fuse);
   EXPECT_EQ(Back->Options.Vectorize, 4);
   EXPECT_EQ(Back->Options.TemporalDegree, 4);
-  EXPECT_EQ(Back->Options.KernelExec, compute::KernelEngine::Jit);
+  EXPECT_EQ(Back->Options.KernelExec, compute::KernelEngine::Scalar);
   EXPECT_FALSE(Back->Options.Validate);
   EXPECT_TRUE(Back->Options.Tune);
   EXPECT_EQ(Back->Options.TuneBudget, 7);
@@ -537,6 +537,40 @@ TEST(ServeProtocol, RejectsOutOfRangeTuneBudget) {
   EXPECT_NE(Message.find("'tune_budget' must be an integer"),
             std::string::npos)
       << Message;
+}
+
+TEST(ServeProtocol, RejectsRetiredKernelEngine) {
+  std::string Message = rejectedOptions("{\"kernel_engine\":\"jit\"}");
+  EXPECT_NE(Message.find("expected scalar or specialized"), std::string::npos)
+      << Message;
+}
+
+TEST(ServeProtocol, DecodeFailureKeepsRequestId) {
+  // A well-formed line with a bad option still correlates with its id;
+  // a line that is not JSON has no id to echo.
+  Server S(testOptions());
+  bool Shutdown = false;
+  Response Bad = S.handleLine(
+      "{\"id\":\"r7\",\"op\":\"run\",\"program\":{},"
+      "\"options\":{\"kernel_engine\":\"warp\"}}",
+      Shutdown);
+  EXPECT_FALSE(Bad.Ok);
+  EXPECT_EQ(Bad.Id, "r7");
+  EXPECT_EQ(Bad.Code, ErrorCode::InvalidInput);
+  EXPECT_NE(Bad.toJsonText().find("\"id\":\"r7\""), std::string::npos)
+      << Bad.toJsonText();
+
+  Response Garbage = S.handleLine("{\"id\":\"r8\",", Shutdown);
+  EXPECT_FALSE(Garbage.Ok);
+  EXPECT_TRUE(Garbage.Id.empty());
+  EXPECT_EQ(Garbage.Code, ErrorCode::InvalidInput);
+
+  EXPECT_FALSE(Shutdown);
+  Response Ack = S.handleLine("{\"id\":\"bye\",\"op\":\"shutdown\"}",
+                              Shutdown);
+  EXPECT_TRUE(Ack.Ok);
+  EXPECT_EQ(Ack.Id, "bye");
+  EXPECT_TRUE(Shutdown);
 }
 
 TEST(ServeParity, RetiredEngineOptionsAreIgnored) {

@@ -19,6 +19,7 @@
 
 #include "StencilFlow.h"
 #include "common/TestPrograms.h"
+#include "runtime/SessionArgs.h"
 
 #include <gtest/gtest.h>
 
@@ -119,6 +120,27 @@ TEST(SessionTest, RunIsRepeatableAndSweepsEngines) {
   for (const auto &[Name, Values] : First->Simulation.Outputs) {
     EXPECT_EQ(Values, Second->Simulation.Outputs.at(Name)) << Name;
     EXPECT_EQ(Values, Third->Simulation.Outputs.at(Name)) << Name;
+  }
+}
+
+TEST(SessionTest, KernelEngineFlagRejectsRetiredTiers) {
+  // The shared --kernel-engine flag takes exactly scalar or specialized;
+  // a retired tier is a typed input error that names both.
+  cli::ArgSet Spec("session_test", "flag parsing");
+  Spec.pack(cli::sessionFlagSpecs());
+  for (const char *Flag : {"--kernel-engine=auto", "--kernel-engine=jit",
+                           "--kernel-engine=batched"}) {
+    const char *Argv[] = {"session_test", Flag};
+    auto Args = Spec.parse(2, Argv);
+    ASSERT_TRUE(Args) << Args.message();
+    auto S = Session::fromJsonText(LaplaceJson);
+    ASSERT_TRUE(S) << S.message();
+    Error Err = cli::applySessionArgs(*S, *Args);
+    ASSERT_TRUE(static_cast<bool>(Err)) << Flag;
+    EXPECT_EQ(Err.code(), ErrorCode::InvalidInput) << Flag;
+    EXPECT_NE(Err.message().find("expected scalar or specialized"),
+              std::string::npos)
+        << Err.message();
   }
 }
 

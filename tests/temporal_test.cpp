@@ -12,8 +12,8 @@
 //  - the parity oracle: unrolling T timesteps and evaluating once is
 //    bit-identical to iterating the single-step program T times through
 //    off-chip memory (iterateReference), for T in {1, 2, 4, 8} on
-//    jacobi2d/jacobi3d/diffusion2d, across serial/parallel engines and
-//    the scalar/specialized/jit kernel tiers;
+//    jacobi2d/jacobi3d/diffusion2d, across the scalar and specialized
+//    kernel tiers;
 //  - the unrolled graph under the rest of the system: fault plans on
 //    multi-device placements, checkpoint/resume, fusion on top of the
 //    unroll, and the Session::temporalDegree surface.
@@ -36,6 +36,7 @@
 #include <unistd.h>
 
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -246,10 +247,12 @@ std::vector<ParityCase> parityWorkloads() {
 
 /// Runs \p Program through the pipeline with TemporalDegree \p T under
 /// \p Tier and asserts the simulated outputs are bit-identical to
-/// iterating the single-step program T times.
+/// iterating the single-step program T times. Adds the units' effective
+/// tiers to \p Tiers when given.
 void expectTemporalParity(const StencilProgram &Program, int T,
                           compute::KernelEngine Tier,
-                          const std::string &What) {
+                          const std::string &What,
+                          std::set<std::string> *Tiers = nullptr) {
   PipelineOptions Options;
   Options.TemporalDegree = T;
   Options.Simulator.UnconstrainedMemory = true;
@@ -257,6 +260,9 @@ void expectTemporalParity(const StencilProgram &Program, int T,
   auto Result = runPipeline(Program.clone(), Options);
   ASSERT_TRUE(Result) << What << ": " << Result.message();
   EXPECT_TRUE(Result->ValidationPassed) << What;
+  if (Tiers)
+    for (const auto &[Unit, Name] : Result->Simulation.Stats.UnitKernelTiers)
+      Tiers->insert(Name);
   auto Want = referenceAfterSteps(Program, T);
   for (const std::string &Output : Program.Outputs)
     expectBitExact(Result->Simulation.Outputs.at(Output), Want.at(Output),
@@ -281,23 +287,16 @@ TEST(TemporalParityTest, AllDegreesSpecializedTier) {
                                " specialized");
 }
 
-TEST(TemporalParityTest, JitAndAutoTiers) {
-  // The JIT tier falls back to Specialized without a host compiler; either
-  // way the outputs must stay bit-exact.
-  for (ParityCase &C : parityWorkloads())
-    for (compute::KernelEngine Tier :
-         {compute::KernelEngine::Jit, compute::KernelEngine::Auto})
-      expectTemporalParity(C.Program, 4, Tier,
-                           std::string(C.Name) + " T=4 jit/auto");
-}
-
 TEST(TemporalParityTest, ParallelSpecializedAndBatchedTiers) {
-  for (ParityCase &C : parityWorkloads()) {
+  // The specialized request runs chain-matched units on the chain and the
+  // rest on the fused tape; the unrolled workloads must exercise both.
+  std::vector<ParityCase> Cases = parityWorkloads();
+  Cases.push_back({"hotspot2d", workloads::hotspot2dChain(1, 12, 16)});
+  std::set<std::string> Tiers;
+  for (ParityCase &C : Cases)
     expectTemporalParity(C.Program, 4, compute::KernelEngine::Specialized,
-                         std::string(C.Name) + " T=4 specialized");
-    expectTemporalParity(C.Program, 4, compute::KernelEngine::Batched,
-                         std::string(C.Name) + " T=4 batched");
-  }
+                         std::string(C.Name) + " T=4 specialized", &Tiers);
+  EXPECT_EQ(Tiers, (std::set<std::string>{"batched", "specialized"}));
 }
 
 TEST(TemporalParityTest, FusionComposesWithUnroll) {

@@ -273,8 +273,7 @@ TEST(HighOrderTest, ParityAcrossEnginesAndTiers) {
   StencilProgram Wave = wave2dChain(4, 1, 24, 24);
   StencilProgram Hotspot = hotspot2dChain(1, 16, 16);
   for (compute::KernelEngine Tier :
-       {compute::KernelEngine::Scalar, compute::KernelEngine::Specialized,
-        compute::KernelEngine::Jit}) {
+       {compute::KernelEngine::Scalar, compute::KernelEngine::Specialized}) {
     std::string What = compute::kernelEngineName(Tier);
     expectHighOrderParity(Wave, 2, Tier, "wave2d_r4 " + What);
     expectHighOrderParity(Hotspot, 2, Tier, "hotspot " + What);
