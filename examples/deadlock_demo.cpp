@@ -63,7 +63,11 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "error: %s\n", Args.message().c_str());
     return 1;
   }
-  int64_t Size = Args->getInt("size", 32);
+  int64_t Size = 32;
+  if (Error Err = Args->read("size", Size)) {
+    std::fprintf(stderr, "error: %s\n", Err.message().c_str());
+    return 1;
+  }
 
   StencilProgram Program = buildDiamond(Size);
   auto Compiled = CompiledProgram::compile(Program.clone());

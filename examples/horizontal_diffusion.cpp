@@ -34,10 +34,19 @@ int main(int argc, char **argv) {
   }
   // Default: a reduced domain so the cycle-level simulation finishes in
   // seconds; pass --k 80 --j 128 --i 128 for the MeteoSwiss benchmark size.
-  long long K = Args->getInt("k", 16);
-  long long J = Args->getInt("j", 32);
-  long long I = Args->getInt("i", 32);
-  int W = static_cast<int>(Args->getInt("vectorize", 1));
+  long long K = 16, J = 32, I = 32;
+  int W = 1;
+  Error Err = Args->read("k", K);
+  if (!Err)
+    Err = Args->read("j", J);
+  if (!Err)
+    Err = Args->read("i", I);
+  if (!Err)
+    Err = Args->read("vectorize", W);
+  if (Err) {
+    std::fprintf(stderr, "error: %s\n", Err.message().c_str());
+    return 1;
+  }
 
   StencilProgram Program = workloads::horizontalDiffusion(K, J, I, W);
   std::printf("%s\n", Program.summary().c_str());

@@ -29,9 +29,17 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "error: %s\n", Args.message().c_str());
     return 1;
   }
-  int Length = static_cast<int>(Args->getInt("length", 12));
-  int Devices = static_cast<int>(Args->getInt("devices", 4));
-  long long Size = Args->getInt("size", 16);
+  int Length = 12, Devices = 4;
+  long long Size = 16;
+  Error Err = Args->read("length", Length);
+  if (!Err)
+    Err = Args->read("devices", Devices);
+  if (!Err)
+    Err = Args->read("size", Size);
+  if (Err) {
+    std::fprintf(stderr, "error: %s\n", Err.message().c_str());
+    return 1;
+  }
 
   StencilProgram Program =
       workloads::jacobi3dChain(Length, Size, Size, Size);

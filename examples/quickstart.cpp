@@ -29,8 +29,14 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "error: %s\n", Args.message().c_str());
     return 1;
   }
-  long long Size = Args->getInt("size", 64);
-  long long W = Args->getInt("vectorize", 1);
+  long long Size = 64, W = 1;
+  Error Err = Args->read("size", Size);
+  if (!Err)
+    Err = Args->read("vectorize", W);
+  if (Err) {
+    std::fprintf(stderr, "error: %s\n", Err.message().c_str());
+    return 1;
+  }
 
   // A stencil program is a JSON description: iteration space, inputs with
   // data sources, and a DAG of stencil operations.

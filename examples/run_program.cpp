@@ -17,8 +17,9 @@
 // --kernel-engine --stall-timeout), the checkpoint pack
 // (--checkpoint-dir --checkpoint-every --checkpoint-every-seconds
 // --checkpoint-keep --resume --crash-after-checkpoints), and the
-// autotuner pack (--tune-budget --tune-seed --tune-top-k --tune-workers)
-// behind --auto-tune; plus this tool's own knobs:
+// autotuner pack (--tune-budget --tune-seed --tune-top-k --tune-workers
+// --tune-beam --no-simulate) behind --auto-tune; plus this tool's own
+// knobs:
 //
 //   --emit          print generated OpenCL kernel sources
 //   --dot           print the extracted SDFG in Graphviz format
@@ -120,19 +121,25 @@ int main(int argc, char **argv) {
     S->faults(Parsed.takeValue());
   }
 
-  if (Args->has("trace"))
-    S->trace(Args->getInt("trace-stride", 16));
+  if (Args->has("trace")) {
+    int64_t Stride = 16;
+    if (Error Err = Args->read("trace-stride", Stride)) {
+      std::fprintf(stderr, "error: %s\n", Err.message().c_str());
+      return exitCodeFor(Err.code());
+    }
+    S->trace(Stride);
+  }
 
   if (Args->has("auto-tune")) {
     // Tune instead of running one configuration: search the mapping
     // space, then report the winning plan's simulated, validated run.
-    // The shared applier seeds the fluent tune* knobs; the no-argument
-    // tune() overload folds them into the search options.
-    if (Error Err = cli::applyTuneArgs(*S, *Args)) {
-      std::fprintf(stderr, "error: %s\n", Err.message().c_str());
-      return exitCodeFor(Err.code());
+    // The autotuner pack is read exactly as sf_tune reads it.
+    Expected<tuner::TuneOptions> TuneOpts = tuner::tuneOptionsFromArgs(*Args);
+    if (!TuneOpts) {
+      std::fprintf(stderr, "error: %s\n", TuneOpts.message().c_str());
+      return exitCodeFor(TuneOpts.code());
     }
-    Expected<tuner::TuningOutcome> Tuned = S->tune();
+    Expected<tuner::TuningOutcome> Tuned = S->tune(*TuneOpts);
     if (!Tuned) {
       std::fprintf(stderr, "error: %s\n", Tuned.message().c_str());
       return exitCodeFor(Tuned.code());

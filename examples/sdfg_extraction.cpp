@@ -85,8 +85,14 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "error: %s\n", Args.message().c_str());
     return 1;
   }
-  int64_t K = Args->getInt("k", 8);
-  int64_t Size = Args->getInt("size", 32);
+  int64_t K = 8, Size = 32;
+  Error Err = Args->read("k", K);
+  if (!Err)
+    Err = Args->read("size", Size);
+  if (Err) {
+    std::fprintf(stderr, "error: %s\n", Err.message().c_str());
+    return 1;
+  }
 
   SDFG G = buildExternalSDFG(K, Size);
   std::printf("input SDFG (Fig. 17a style):\n%s\n", G.toDot().c_str());

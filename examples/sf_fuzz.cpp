@@ -55,14 +55,14 @@ static GenConfig genConfigFromArgs(const CommandLine &Args,
     Err = makeError(ErrorCode::InvalidInput,
                     "unknown --profile '" + Profile +
                         "' (default, deep-rings, wide-dags, degenerate)");
-  if (Args.has("max-nodes"))
-    Config.MaxNodes = static_cast<int>(Args.getInt("max-nodes", 5));
-  if (Args.has("max-radius"))
-    Config.MaxRadius = static_cast<int>(Args.getInt("max-radius", 4));
-  if (Args.has("max-extent"))
-    Config.MaxExtent = Args.getInt("max-extent", 16);
-  if (Args.has("max-rank"))
-    Config.MaxRank = static_cast<int>(Args.getInt("max-rank", 3));
+  if (!Err)
+    Err = Args.read("max-nodes", Config.MaxNodes);
+  if (!Err)
+    Err = Args.read("max-radius", Config.MaxRadius);
+  if (!Err)
+    Err = Args.read("max-extent", Config.MaxExtent);
+  if (!Err)
+    Err = Args.read("max-rank", Config.MaxRank);
   return Config;
 }
 
@@ -71,7 +71,8 @@ static Error matrixFromArgs(const CommandLine &Args,
                             MatrixOptions &Matrix) {
   Matrix.FaultAxis = !Args.has("no-faults");
   Matrix.ResumeAxis = !Args.has("no-resume");
-  Matrix.ConfigsPerProgram = static_cast<int>(Args.getInt("configs", 5));
+  if (Error Err = Args.read("configs", Matrix.ConfigsPerProgram))
+    return Err;
   if (Args.has("temporal-degrees")) {
     Matrix.TemporalDegrees.clear();
     for (const std::string &Token :
@@ -202,9 +203,18 @@ int main(int argc, char **argv) {
     return 1;
   }
 
-  uint64_t BaseSeed = static_cast<uint64_t>(Args->getInt("seed", 1));
-  int Iterations = static_cast<int>(Args->getInt("iterations", 50));
-  double Seconds = Args->getDouble("seconds", 0.0);
+  uint64_t BaseSeed = 1;
+  int Iterations = 50;
+  double Seconds = 0.0;
+  Error NumberErr = Args->read("seed", BaseSeed);
+  if (!NumberErr)
+    NumberErr = Args->read("iterations", Iterations);
+  if (!NumberErr)
+    NumberErr = Args->read("seconds", Seconds);
+  if (NumberErr) {
+    std::fprintf(stderr, "error: %s\n", NumberErr.message().c_str());
+    return 1;
+  }
   auto Start = std::chrono::steady_clock::now();
 
   std::vector<FuzzFinding> Findings;

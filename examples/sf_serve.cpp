@@ -184,11 +184,17 @@ int main(int argc, char **argv) {
   }
 
   serve::ServerOptions Options;
-  Options.Workers = static_cast<int>(Args->getInt("serve-workers", 2));
-  Options.QueueDepth = static_cast<int>(Args->getInt("queue-depth", 16));
-  Options.CacheCapacity =
-      static_cast<size_t>(Args->getInt("cache-capacity", 64));
-  Options.DevicePool = static_cast<int>(Args->getInt("device-pool", 8));
+  Error Err = Args->read("serve-workers", Options.Workers);
+  if (!Err)
+    Err = Args->read("queue-depth", Options.QueueDepth);
+  if (!Err)
+    Err = Args->read("cache-capacity", Options.CacheCapacity);
+  if (!Err)
+    Err = Args->read("device-pool", Options.DevicePool);
+  if (Err) {
+    std::fprintf(stderr, "error: %s\n", Err.message().c_str());
+    return exitCodeFor(Err.code());
+  }
   Options.Base.Simulator.UnconstrainedMemory =
       !Args->has("constrained-memory");
   serve::Server Core(Options);

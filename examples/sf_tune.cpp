@@ -65,6 +65,12 @@ Expected<StencilProgram> builtinWorkload(const std::string &Name,
                        "or hdiff)");
 }
 
+/// Prints \p Err and returns its process exit code.
+int fail(const Error &Err) {
+  std::fprintf(stderr, "error: %s\n", Err.message().c_str());
+  return exitCodeFor(Err.code());
+}
+
 } // namespace
 
 int main(int argc, char **argv) {
@@ -100,47 +106,40 @@ int main(int argc, char **argv) {
     return 1;
   }
 
+  // The autotuner pack is read exactly as run_program --auto-tune reads
+  // it; the axis lists below are this tool's own.
+  Expected<tuner::TuneOptions> TuneOpts = tuner::tuneOptionsFromArgs(*Args);
+  if (!TuneOpts)
+    return fail(TuneOpts.error());
+  tuner::TuneOptions &Opts = *TuneOpts;
+
   Expected<Session> S = [&]() -> Expected<Session> {
     if (!HaveWorkload)
       return Session::fromFile(Args->positional()[0]);
-    Expected<StencilProgram> P = builtinWorkload(
-        Args->getString("workload"),
-        static_cast<int>(Args->getInt("length", 8)));
+    int Length = 8;
+    if (Error Err = Args->read("length", Length))
+      return Err;
+    Expected<StencilProgram> P =
+        builtinWorkload(Args->getString("workload"), Length);
     if (!P)
       return P.takeError();
     return Session::fromProgram(P.takeValue());
   }();
-  if (!S) {
-    std::fprintf(stderr, "error: %s\n", S.message().c_str());
-    return exitCodeFor(S.code());
-  }
+  if (!S)
+    return fail(S.error());
   std::printf("%s\n", S->program().summary().c_str());
 
   S->unconstrainedMemory(!Args->has("constrained-memory"));
-  if (Args->has("max-devices"))
-    S->pipelineOptions().Partitioning.MaxDevices =
-        static_cast<int>(Args->getInt("max-devices", 8));
+  if (Error Err = Args->read("max-devices",
+                                S->pipelineOptions().Partitioning.MaxDevices))
+    return fail(Err);
 
-  // The unified --tune-* spellings (support/Args.h tuneFlagSpecs);
-  // --tune-beam and --kernel-engines are search-axis overrides beyond the
-  // fluent Session knobs, so the options block is assembled explicitly.
-  tuner::TuneOptions Opts;
-  Opts.Search.CandidateBudget =
-      static_cast<int>(Args->getInt("tune-budget", 64));
-  Opts.Search.BeamWidth = static_cast<int>(Args->getInt("tune-beam", 6));
-  Opts.Search.Seed = static_cast<uint64_t>(
-      Args->getInt("tune-seed", 0x5F3759DF));
-  Opts.TopK = static_cast<int>(Args->getInt("tune-top-k", 3));
-  Opts.Workers = static_cast<int>(Args->getInt("tune-workers", 0));
-  Opts.Simulate = !Args->has("no-simulate");
   if (Args->has("kernel-engines")) {
     for (const std::string &Name :
          splitString(Args->getString("kernel-engines"), ',')) {
       Expected<compute::KernelEngine> Engine = compute::parseKernelEngine(Name);
-      if (!Engine) {
-        std::fprintf(stderr, "error: %s\n", Engine.message().c_str());
-        return 1;
-      }
+      if (!Engine)
+        return fail(Engine.error());
       Opts.Space.KernelEngines.push_back(*Engine);
     }
   }
@@ -160,10 +159,8 @@ int main(int argc, char **argv) {
   }
 
   Expected<tuner::TuningOutcome> Out = S->tune(Opts);
-  if (!Out) {
-    std::fprintf(stderr, "error: %s\n", Out.message().c_str());
-    return exitCodeFor(Out.code());
-  }
+  if (!Out)
+    return fail(Out.error());
   const tuner::TuningReport &Report = Out->Report;
   std::printf("%s", Report.summary().c_str());
 

@@ -168,23 +168,8 @@ Expected<FuzzFinding> FuzzFinding::fromJson(const json::Value &V) {
 }
 
 //===----------------------------------------------------------------------===//
-// CRCs and the oracle
+// The oracle
 //===----------------------------------------------------------------------===//
-
-uint64_t
-fuzz::outputsCrc(const std::vector<std::string> &Order,
-                 const std::map<std::string, std::vector<double>> &Fields) {
-  uint64_t Crc = sim::fnv1a(nullptr, 0);
-  for (const std::string &Name : Order) {
-    Crc = sim::fnv1a(Name.data(), Name.size(), Crc);
-    auto It = Fields.find(Name);
-    if (It == Fields.end())
-      continue;
-    Crc = sim::fnv1a(It->second.data(), It->second.size() * sizeof(double),
-                     Crc);
-  }
-  return Crc;
-}
 
 Expected<uint64_t> fuzz::oracleCrc(const StencilProgram &Program,
                                    int TemporalDegree) {
@@ -333,7 +318,7 @@ static RunOutcome executeOnce(const StencilProgram &Program,
   if (Config.Faults)
     S.faults(mildFaultPlan(Seed));
   if (!CheckpointDir.empty())
-    S.checkpointEvery(16, CheckpointDir, /*Keep=*/4);
+    S.checkpointDir(CheckpointDir).checkpointEveryCycles(16).checkpointKeep(4);
   if (!ResumePath.empty())
     S.resumeFrom(ResumePath);
 

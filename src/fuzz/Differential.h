@@ -39,6 +39,7 @@
 #define STENCILFLOW_FUZZ_DIFFERENTIAL_H
 
 #include "ir/StencilProgram.h"
+#include "runtime/Validation.h"
 #include "support/Error.h"
 #include "support/Json.h"
 
@@ -122,10 +123,8 @@ struct DiffOptions {
   std::string scratchDir() const;
 };
 
-/// FNV-1a over the output fields' names and raw bit patterns, in
-/// \p Order. The bit-exactness comparator of the whole fuzzer.
-uint64_t outputsCrc(const std::vector<std::string> &Order,
-                    const std::map<std::string, std::vector<double>> &Fields);
+/// The bit-exactness comparator of the whole fuzzer (runtime/Validation.h).
+using stencilflow::outputsCrc;
 
 /// The oracle: reference-executes \p Program (iterating the time loop
 /// \p TemporalDegree steps when > 1) and returns the output CRC.

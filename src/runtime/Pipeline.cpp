@@ -294,21 +294,7 @@ stencilflow::runPipeline(CompiledPlan Plan, const PipelineOptions &Options,
       executePlan(Plan, Options, Reference);
   if (!Exec)
     return Error(Exec.takeError());
-
-  PipelineResult Result;
-  Result.Compiled = std::move(Plan.Compiled);
-  Result.Dataflow = std::move(Plan.Dataflow);
-  Result.Runtime = Plan.Runtime;
-  Result.Resources = Plan.Resources;
-  Result.FrequencyMHz = Plan.FrequencyMHz;
-  Result.Sources = std::move(Plan.Sources);
-  Result.FusedPairs = Plan.FusedPairs;
-  Result.Placement = std::move(Exec->Placement);
-  Result.Simulation = std::move(Exec->Simulation);
-  Result.Validations = std::move(Exec->Validations);
-  Result.ValidationPassed = Exec->ValidationPassed;
-  Result.Recovery = std::move(Exec->Recovery);
-  return Result;
+  return PipelineResult{std::move(Plan), Exec.takeValue()};
 }
 
 Expected<PipelineResult>

@@ -114,33 +114,6 @@ struct RecoveryReport {
   std::vector<std::string> Log;
 };
 
-/// Everything the pipeline produced.
-struct PipelineResult {
-  CompiledProgram Compiled;
-  DataflowAnalysis Dataflow;
-  RuntimeEstimate Runtime;
-  ResourceUsage Resources;   ///< Single-device aggregate estimate.
-  double FrequencyMHz = 0.0; ///< From the utilization model.
-  Partition Placement;
-  std::vector<GeneratedSource> Sources; ///< When EmitCode.
-  sim::SimResult Simulation;            ///< When Simulate.
-  std::vector<ValidationReport> Validations;
-  bool ValidationPassed = true;
-  int FusedPairs = 0;
-  RecoveryReport Recovery; ///< When Simulate, what resilience absorbed.
-
-  /// Simulated wall-clock seconds at the modeled frequency.
-  double simulatedSeconds() const {
-    return static_cast<double>(Simulation.Stats.Cycles) /
-           (FrequencyMHz * 1e6);
-  }
-
-  /// Simulated performance in Op/s.
-  double simulatedOpsPerSecond() const {
-    return static_cast<double>(Runtime.TotalFlops) / simulatedSeconds();
-  }
-};
-
 /// The reusable product of the pipeline's *compile half*: everything
 /// derived from the program description alone — fusion, kernel
 /// compilation, dataflow/buffer analysis, the runtime/resource/frequency
@@ -172,6 +145,27 @@ struct PlanExecution {
   /// The placement the successful attempt actually ran on — differs from
   /// the plan's when device-loss recovery re-partitioned onto survivors.
   Partition Placement;
+};
+
+/// Everything the pipeline produced: the compiled plan plus one execution
+/// of it. Fields of both are accessed directly (\c Compiled, \c Dataflow,
+/// \c Simulation, \c ValidationPassed, ...). \c Placement is the placement
+/// the run actually used — the execution's, which differs from the plan's
+/// (still reachable as \c CompiledPlan::Placement) when device-loss
+/// recovery re-partitioned onto survivors.
+struct PipelineResult : CompiledPlan, PlanExecution {
+  using PlanExecution::Placement;
+
+  /// Simulated wall-clock seconds at the modeled frequency.
+  double simulatedSeconds() const {
+    return static_cast<double>(Simulation.Stats.Cycles) /
+           (FrequencyMHz * 1e6);
+  }
+
+  /// Simulated performance in Op/s.
+  double simulatedOpsPerSecond() const {
+    return static_cast<double>(Runtime.TotalFlops) / simulatedSeconds();
+  }
 };
 
 /// The program half of compilation: temporal unrolling, fusion and

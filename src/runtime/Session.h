@@ -68,13 +68,8 @@ public:
   // Chainable configuration
   //===--------------------------------------------------------------------===//
 
-  /// Replaces the entire option block (escape hatch; the named setters
-  /// below cover the common knobs).
-  Session &options(PipelineOptions O) {
-    Opts = std::move(O);
-    return *this;
-  }
-  /// Mutable access to the full option block.
+  /// Mutable access to the full option block, for the knobs the named
+  /// setters below do not cover (partitioning, recovery policy, ...).
   PipelineOptions &pipelineOptions() { return Opts; }
 
   /// Aggressive stencil fusion before analysis (paper Sec. V-B).
@@ -92,19 +87,9 @@ public:
     Opts.EmitCode = Enable;
     return *this;
   }
-  /// Simulate execution (on by default).
-  Session &simulate(bool Enable = true) {
-    Opts.Simulate = Enable;
-    return *this;
-  }
   /// Validate simulated outputs against the reference executor.
   Session &validate(bool Enable = true) {
     Opts.Validate = Enable;
-    return *this;
-  }
-  /// Allow spanning multiple devices when one does not suffice.
-  Session &allowMultiDevice(bool Enable = true) {
-    Opts.AllowMultiDevice = Enable;
     return *this;
   }
   /// Overrides the program's vectorization width.
@@ -121,11 +106,6 @@ public:
     return *this;
   }
 
-  /// Replaces the simulator configuration wholesale.
-  Session &simulator(sim::SimConfig Config) {
-    Opts.Simulator = std::move(Config);
-    return *this;
-  }
   /// Ideal (infinite-bandwidth) memory controller toggle.
   Session &unconstrainedMemory(bool Enable = true) {
     Opts.Simulator.UnconstrainedMemory = Enable;
@@ -144,29 +124,11 @@ public:
     return *this;
   }
 
-  /// Enables crash-safe checkpointing (sim/Checkpoint.h): snapshots land
-  /// in \p Dir every \p EveryCycles completed cycles, keeping the most
-  /// recent \p Keep files. Cycle- and bit-exact resume is guaranteed for
-  /// any kill point.
-  Session &checkpointEvery(int64_t EveryCycles, std::string Dir,
-                           int Keep = 3) {
-    Opts.Simulator.CheckpointDir = std::move(Dir);
-    Opts.Simulator.CheckpointEveryCycles = EveryCycles;
-    Opts.Simulator.CheckpointKeep = Keep;
-    return *this;
-  }
-  /// Wall-clock checkpoint cadence (seconds between snapshots); may be
-  /// combined with \c checkpointEvery — whichever fires first wins.
-  Session &checkpointEverySeconds(double Seconds, std::string Dir,
-                                  int Keep = 3) {
-    Opts.Simulator.CheckpointDir = std::move(Dir);
-    Opts.Simulator.CheckpointEverySeconds = Seconds;
-    Opts.Simulator.CheckpointKeep = Keep;
-    return *this;
-  }
-  /// Granular checkpoint knobs, one setter per SimConfig field, for
-  /// callers (CLIs) that assemble the cadence piecemeal instead of via
-  /// the combined \c checkpointEvery* overloads above.
+  /// Crash-safe checkpointing (sim/Checkpoint.h), one setter per
+  /// SimConfig field: snapshots land in the directory every N completed
+  /// cycles and/or S wall-clock seconds (whichever fires first), keeping
+  /// the most recent K files. Cycle- and bit-exact resume is guaranteed
+  /// for any kill point.
   Session &checkpointDir(std::string Dir) {
     Opts.Simulator.CheckpointDir = std::move(Dir);
     return *this;
@@ -217,33 +179,6 @@ public:
   /// The owned tracer, or null when \c trace() was never called.
   sim::Tracer *tracer() { return OwnedTracer.get(); }
 
-  /// Autotuner knobs, mirrored from tuner::TuneOptions so they chain like
-  /// every other Session setter (the option struct itself stays
-  /// forward-declared here — sf_runtime does not depend on sf_tuner).
-  /// They seed the no-argument \c tune() overload; \c tune(Options) takes
-  /// a fully-formed option block and ignores them.
-  Session &tuneBudget(int Candidates) {
-    Tuning.Budget = Candidates;
-    return *this;
-  }
-  Session &tuneSeed(uint64_t Seed) {
-    Tuning.Seed = Seed;
-    Tuning.HaveSeed = true;
-    return *this;
-  }
-  Session &tuneTopK(int K) {
-    Tuning.TopK = K;
-    return *this;
-  }
-  Session &tuneWorkers(int Workers) {
-    Tuning.Workers = Workers;
-    return *this;
-  }
-  Session &tuneSimulate(bool Enable = true) {
-    Tuning.Simulate = Enable;
-    return *this;
-  }
-
   //===--------------------------------------------------------------------===//
   // Introspection and execution
   //===--------------------------------------------------------------------===//
@@ -280,12 +215,11 @@ public:
   /// program and base configuration: searches vectorization width x
   /// fusion x device count x target utilization, validates the top
   /// candidates on the simulator, and returns the chosen plan plus the
-  /// full report. Defined in sf_tuner (link it to use this). The no-arg
-  /// overload assembles its options from the fluent tune* setters above;
-  /// the explicit overload takes a fully-formed option block for axis
-  /// overrides the setters do not cover.
+  /// full report. Defined in sf_tuner (link it to use this). The base
+  /// configuration is validated and carries the owned fault plan, as in
+  /// \c run(); checkpointing and resume are per-run state the concurrent
+  /// candidates cannot share, so either one is an InvalidInput error.
   Expected<tuner::TuningOutcome> tune(const tuner::TuneOptions &Options);
-  Expected<tuner::TuningOutcome> tune();
 
 private:
   explicit Session(StencilProgram Program) : Program(std::move(Program)) {}
@@ -293,22 +227,10 @@ private:
   /// Stored options + owned fault plan/tracer, validated.
   Expected<PipelineOptions> effectiveOptions() const;
 
-  /// Stored autotuner knobs (the fluent tune* setters); folded into a
-  /// tuner::TuneOptions by the no-argument tune() overload (Tuner.cpp).
-  struct TuneKnobs {
-    int Budget = 64;
-    uint64_t Seed = 0;
-    bool HaveSeed = false;
-    int TopK = 3;
-    int Workers = 0;
-    bool Simulate = true;
-  };
-
   StencilProgram Program;
   PipelineOptions Opts;
   std::optional<sim::FaultPlan> OwnedFaults;
   std::unique_ptr<sim::Tracer> OwnedTracer;
-  TuneKnobs Tuning;
 };
 
 } // namespace stencilflow

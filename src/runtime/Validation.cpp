@@ -6,6 +6,7 @@
 
 #include "runtime/Validation.h"
 
+#include "sim/Checkpoint.h"
 #include "support/StringUtils.h"
 
 #include <cmath>
@@ -48,4 +49,19 @@ ValidationReport stencilflow::validateField(const std::string &Name,
         static_cast<long long>(Report.FirstMismatch),
         Report.MaxAbsoluteError);
   return Report;
+}
+
+uint64_t
+stencilflow::outputsCrc(const std::vector<std::string> &Order,
+                        const std::map<std::string, std::vector<double>> &Fields) {
+  uint64_t Crc = sim::fnv1a(nullptr, 0);
+  for (const std::string &Name : Order) {
+    Crc = sim::fnv1a(Name.data(), Name.size(), Crc);
+    auto It = Fields.find(Name);
+    if (It == Fields.end())
+      continue;
+    Crc = sim::fnv1a(It->second.data(), It->second.size() * sizeof(double),
+                     Crc);
+  }
+  return Crc;
 }

@@ -17,6 +17,7 @@
 #include "support/Error.h"
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,13 @@ ValidationReport validateField(const std::string &Name,
                                const std::vector<double> &Actual,
                                const std::vector<double> &Expected,
                                double Tolerance = 0.0);
+
+/// FNV-1a over the output fields' names and raw bit patterns, in
+/// \p Order: a compact bit-exactness token (the fuzzer's comparator and
+/// the serving protocol's \c outputs_crc). A name missing from \p Fields
+/// contributes only its name.
+uint64_t outputsCrc(const std::vector<std::string> &Order,
+                    const std::map<std::string, std::vector<double>> &Fields);
 
 } // namespace stencilflow
 

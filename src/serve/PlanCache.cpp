@@ -7,32 +7,15 @@
 #include "serve/PlanCache.h"
 
 #include "compute/Engine.h"
-#include "frontend/ProgramLoader.h"
+#include "sim/Checkpoint.h"
 #include "support/StringUtils.h"
 
 using namespace stencilflow;
 using namespace stencilflow::serve;
 
-namespace {
-
-/// FNV-1a over a byte string. 64-bit offset basis / prime.
-uint64_t fnv1a(std::string_view Bytes) {
-  uint64_t Hash = 1469598103934665603ull;
-  for (unsigned char C : Bytes) {
-    Hash ^= C;
-    Hash *= 1099511628211ull;
-  }
-  return Hash;
-}
-
-} // namespace
-
 uint64_t serve::fingerprintProgramJson(const json::Value &Description) {
-  return fnv1a(Description.toString());
-}
-
-uint64_t serve::fingerprintProgram(const StencilProgram &Program) {
-  return fingerprintProgramJson(programToJson(Program));
+  std::string Text = Description.toString();
+  return sim::fnv1a(Text.data(), Text.size());
 }
 
 std::string PlanKey::id() const {

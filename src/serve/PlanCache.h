@@ -44,10 +44,6 @@ namespace serve {
 /// (canonical compact rendering; insertion order preserved).
 uint64_t fingerprintProgramJson(const json::Value &Description);
 
-/// Fingerprint of an in-memory program, via its round-trippable JSON
-/// serialization — identical to hashing the emitted description.
-uint64_t fingerprintProgram(const StencilProgram &Program);
-
 /// Everything that selects a distinct compiled plan: the program
 /// fingerprint, the mapping knobs consumed by the compile half, whether
 /// the mapping was autotuned, and the kernel execution tier. \c id() is

@@ -215,14 +215,24 @@ std::string Response::toJsonText() const {
   O.set("ok", json::Value(Ok));
   if (CacheHit)
     O.set("cache", json::Value(*CacheHit ? "hit" : "miss"));
-  if (Ok && Stats) {
+  if (!Ok) {
+    json::Object E;
+    E.set("code", json::Value(errorCodeName(Code)));
+    E.set("exit_code", json::Value(exitCodeFor(Code)));
+    E.set("message", json::Value(ErrorMessage));
+    O.set("error", json::Value(std::move(E)));
+    if (Failure) {
+      // FailureReport serializes itself to text; splice it in as a value.
+      Expected<json::Value> Report = json::parse(Failure->toJson());
+      if (Report)
+        O.set("failure_report", Report.takeValue());
+    }
+  } else if (Stats) {
     O.set("stats", *Stats);
-    return json::Value(std::move(O)).toString();
-  }
-  // Run results carry the execution block; ping/shutdown acks are bare.
-  // CacheHit doubles as the "this was a run" marker — Server::process
-  // always sets it on the run path.
-  if (Ok && CacheHit) {
+  } else if (CacheHit) {
+    // Run results carry the execution block; ping/shutdown acks are bare.
+    // CacheHit doubles as the "this was a run" marker — Server::process
+    // always sets it on the run path.
     O.set("cycles", json::Value(Cycles));
     O.set("devices", json::Value(Devices));
     O.set("frequency_mhz", json::Value(FrequencyMHz));
@@ -236,18 +246,6 @@ std::string Response::toJsonText() const {
     O.set("queue_us", json::Value(QueueMicros));
     O.set("compile_us", json::Value(CompileMicros));
     O.set("execute_us", json::Value(ExecuteMicros));
-  } else {
-    json::Object E;
-    E.set("code", json::Value(errorCodeName(Code)));
-    E.set("exit_code", json::Value(exitCodeFor(Code)));
-    E.set("message", json::Value(ErrorMessage));
-    O.set("error", json::Value(std::move(E)));
-    if (Failure) {
-      // FailureReport serializes itself to text; splice it in as a value.
-      Expected<json::Value> Report = json::parse(Failure->toJson());
-      if (Report)
-        O.set("failure_report", Report.takeValue());
-    }
   }
   return json::Value(std::move(O)).toString();
 }

@@ -104,7 +104,7 @@ struct Response {
   int Devices = 0;
   double FrequencyMHz = 0.0;
   bool ValidationPassed = false;
-  /// FNV-1a over the bit patterns of every output field, in field order —
+  /// \c outputsCrc (runtime/Validation.h) of the output fields —
   /// lets parity tests compare daemon results against direct Session runs
   /// without shipping whole fields over the wire.
   uint64_t OutputsCrc = 0;

@@ -25,28 +25,6 @@ int64_t microsSince(std::chrono::steady_clock::time_point Start) {
       .count();
 }
 
-/// FNV-1a over the output fields' names and bit patterns, in field order
-/// — a compact parity token for daemon-vs-direct comparisons.
-uint64_t outputsCrc(const std::vector<std::string> &Order,
-                    const std::map<std::string, std::vector<double>> &Outputs) {
-  uint64_t Hash = 1469598103934665603ull;
-  auto Mix = [&Hash](const void *Bytes, size_t Size) {
-    const unsigned char *P = static_cast<const unsigned char *>(Bytes);
-    for (size_t I = 0; I != Size; ++I) {
-      Hash ^= P[I];
-      Hash *= 1099511628211ull;
-    }
-  };
-  for (const std::string &Name : Order) {
-    auto It = Outputs.find(Name);
-    if (It == Outputs.end())
-      continue;
-    Mix(Name.data(), Name.size());
-    Mix(It->second.data(), It->second.size() * sizeof(double));
-  }
-  return Hash;
-}
-
 } // namespace
 
 json::Value ServeStats::toJson() const {

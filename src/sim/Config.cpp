@@ -62,117 +62,5 @@ Error SimConfig::validate() const {
   return Error::success();
 }
 
-SimConfig::Builder &SimConfig::Builder::unconstrainedMemory(bool Value) {
-  C.UnconstrainedMemory = Value;
-  return *this;
-}
-SimConfig::Builder &SimConfig::Builder::peakMemoryBytesPerCycle(double Value) {
-  C.PeakMemoryBytesPerCycle = Value;
-  return *this;
-}
-SimConfig::Builder &SimConfig::Builder::transactionOverheadBytes(double Value) {
-  C.TransactionOverheadBytes = Value;
-  return *this;
-}
-SimConfig::Builder &
-SimConfig::Builder::arbitrationPenaltyBytesPerEndpoint(double Value) {
-  C.ArbitrationPenaltyBytesPerEndpoint = Value;
-  return *this;
-}
-SimConfig::Builder &SimConfig::Builder::linkBytesPerCycle(double Value) {
-  C.LinkBytesPerCycle = Value;
-  return *this;
-}
-SimConfig::Builder &SimConfig::Builder::linksPerHop(int Value) {
-  C.LinksPerHop = Value;
-  return *this;
-}
-SimConfig::Builder &
-SimConfig::Builder::networkLatencyCyclesPerHop(int64_t Value) {
-  C.NetworkLatencyCyclesPerHop = Value;
-  return *this;
-}
-SimConfig::Builder &
-SimConfig::Builder::networkExtraChannelDepth(int64_t Value) {
-  C.NetworkExtraChannelDepth = Value;
-  return *this;
-}
-SimConfig::Builder &SimConfig::Builder::minChannelDepth(int64_t Value) {
-  C.MinChannelDepth = Value;
-  return *this;
-}
-SimConfig::Builder &SimConfig::Builder::clampChannelsToMinimum(bool Value) {
-  C.ClampChannelsToMinimum = Value;
-  return *this;
-}
-SimConfig::Builder &SimConfig::Builder::trace(Tracer *Value) {
-  C.Trace = Value;
-  return *this;
-}
-SimConfig::Builder &SimConfig::Builder::faults(const FaultPlan *Value) {
-  C.Faults = Value;
-  return *this;
-}
-SimConfig::Builder &SimConfig::Builder::reliableStreams(bool Value) {
-  C.ReliableStreams = Value;
-  return *this;
-}
-SimConfig::Builder &SimConfig::Builder::stallTimeoutCycles(int64_t Value) {
-  C.StallTimeoutCycles = Value;
-  return *this;
-}
-SimConfig::Builder &SimConfig::Builder::maxRetransmitAttempts(int Value) {
-  C.MaxRetransmitAttempts = Value;
-  return *this;
-}
-SimConfig::Builder &SimConfig::Builder::retransmitBackoffCycles(int64_t Value) {
-  C.RetransmitBackoffCycles = Value;
-  return *this;
-}
-SimConfig::Builder &SimConfig::Builder::sendWindowVectors(int64_t Value) {
-  C.SendWindowVectors = Value;
-  return *this;
-}
-SimConfig::Builder &SimConfig::Builder::checkpointDir(std::string Value) {
-  C.CheckpointDir = std::move(Value);
-  return *this;
-}
-SimConfig::Builder &SimConfig::Builder::checkpointEveryCycles(int64_t Value) {
-  C.CheckpointEveryCycles = Value;
-  return *this;
-}
-SimConfig::Builder &
-SimConfig::Builder::checkpointEverySeconds(double Value) {
-  C.CheckpointEverySeconds = Value;
-  return *this;
-}
-SimConfig::Builder &SimConfig::Builder::checkpointKeep(int Value) {
-  C.CheckpointKeep = Value;
-  return *this;
-}
-SimConfig::Builder &SimConfig::Builder::checkpointCrashAfter(int Value) {
-  C.CheckpointCrashAfter = Value;
-  return *this;
-}
-SimConfig::Builder &SimConfig::Builder::maxCycleFactor(int64_t Value) {
-  C.MaxCycleFactor = Value;
-  return *this;
-}
-SimConfig::Builder &SimConfig::Builder::maxCycleSlack(int64_t Value) {
-  C.MaxCycleSlack = Value;
-  return *this;
-}
-SimConfig::Builder &
-SimConfig::Builder::kernelEngine(compute::KernelEngine Value) {
-  C.KernelExec = Value;
-  return *this;
-}
-
-Expected<SimConfig> SimConfig::Builder::build() const {
-  if (Error Err = C.validate())
-    return Err;
-  return C;
-}
-
 } // namespace sim
 } // namespace stencilflow

@@ -183,61 +183,11 @@ struct SimConfig {
   /// \c SimStats::UnitKernelTiers.
   compute::KernelEngine KernelExec = compute::KernelEngine::Specialized;
 
-  /// Checks the configuration for inconsistent settings — the same rules
-  /// \c Builder::build enforces; \c Machine::build calls this too, so a
-  /// hand-assembled config fails fast at construction instead of mid-run.
+  /// Checks the configuration for inconsistent settings, returning an
+  /// InvalidInput error naming the first one. \c Machine::build and
+  /// \c Session call it, so a hand-assembled config fails fast at
+  /// construction instead of mid-run.
   Error validate() const;
-
-  class Builder;
-};
-
-/// A validating builder for \c SimConfig. Chain setters, then call
-/// \c build(), which either returns a checked config or a classified
-/// InvalidInput error naming the inconsistent settings:
-/// \code
-///   Expected<SimConfig> Config = SimConfig::Builder()
-///                                    .unconstrainedMemory(true)
-///                                    .stallTimeoutCycles(4096)
-///                                    .build();
-/// \endcode
-class SimConfig::Builder {
-public:
-  Builder() = default;
-  /// Starts from an existing config (e.g. to toggle one knob on an
-  /// otherwise-validated setup).
-  explicit Builder(SimConfig Base) : C(Base) {}
-
-  Builder &unconstrainedMemory(bool Value = true);
-  Builder &peakMemoryBytesPerCycle(double Value);
-  Builder &transactionOverheadBytes(double Value);
-  Builder &arbitrationPenaltyBytesPerEndpoint(double Value);
-  Builder &linkBytesPerCycle(double Value);
-  Builder &linksPerHop(int Value);
-  Builder &networkLatencyCyclesPerHop(int64_t Value);
-  Builder &networkExtraChannelDepth(int64_t Value);
-  Builder &minChannelDepth(int64_t Value);
-  Builder &clampChannelsToMinimum(bool Value = true);
-  Builder &trace(Tracer *Value);
-  Builder &faults(const FaultPlan *Value);
-  Builder &reliableStreams(bool Value);
-  Builder &stallTimeoutCycles(int64_t Value);
-  Builder &maxRetransmitAttempts(int Value);
-  Builder &retransmitBackoffCycles(int64_t Value);
-  Builder &sendWindowVectors(int64_t Value);
-  Builder &checkpointDir(std::string Value);
-  Builder &checkpointEveryCycles(int64_t Value);
-  Builder &checkpointEverySeconds(double Value);
-  Builder &checkpointKeep(int Value);
-  Builder &checkpointCrashAfter(int Value);
-  Builder &maxCycleFactor(int64_t Value);
-  Builder &maxCycleSlack(int64_t Value);
-  Builder &kernelEngine(compute::KernelEngine Value);
-
-  /// Validates and returns the config, or an InvalidInput error.
-  Expected<SimConfig> build() const;
-
-private:
-  SimConfig C;
 };
 
 } // namespace sim

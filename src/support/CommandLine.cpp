@@ -9,6 +9,7 @@
 #include "support/StringUtils.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 
 using namespace stencilflow;
@@ -45,16 +46,42 @@ std::string CommandLine::getString(const std::string &Flag,
   return It == Values.end() ? Default : It->second;
 }
 
-int64_t CommandLine::getInt(const std::string &Flag, int64_t Default) const {
-  auto It = Values.find(Flag);
-  if (It == Values.end())
-    return Default;
-  return std::strtoll(It->second.c_str(), nullptr, 10);
+namespace {
+
+/// Parses \p Text completely with \p Parse (a strtoll/strtod shape), or
+/// fails naming \p Flag.
+template <typename T, typename ParseFn>
+Expected<T> parseNumber(const std::string &Flag, const std::string &Text,
+                        const char *Kind, ParseFn Parse) {
+  const char *Begin = Text.c_str();
+  char *End = nullptr;
+  errno = 0;
+  T Value = Parse(Begin, &End);
+  if (Text.empty() || End != Begin + Text.size() || errno == ERANGE)
+    return makeError(ErrorCode::InvalidInput,
+                     formatString("--%s: '%s' is not %s", Flag.c_str(),
+                                  Text.c_str(), Kind));
+  return Value;
 }
 
-double CommandLine::getDouble(const std::string &Flag, double Default) const {
+} // namespace
+
+Expected<int64_t> CommandLine::getInt(const std::string &Flag,
+                                      int64_t Default) const {
   auto It = Values.find(Flag);
   if (It == Values.end())
     return Default;
-  return std::strtod(It->second.c_str(), nullptr);
+  return parseNumber<int64_t>(
+      Flag, It->second, "an integer",
+      [](const char *S, char **End) { return std::strtoll(S, End, 10); });
+}
+
+Expected<double> CommandLine::getDouble(const std::string &Flag,
+                                        double Default) const {
+  auto It = Values.find(Flag);
+  if (It == Values.end())
+    return Default;
+  return parseNumber<double>(
+      Flag, It->second, "a number",
+      [](const char *S, char **End) { return std::strtod(S, End); });
 }

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace stencilflow {
@@ -35,11 +36,33 @@ public:
   std::string getString(const std::string &Flag,
                         const std::string &Default = "") const;
 
-  /// Returns the integer value of \p Flag, or \p Default when absent.
-  int64_t getInt(const std::string &Flag, int64_t Default) const;
+  /// Returns the integer value of \p Flag, or \p Default when absent. A
+  /// value that is not entirely a base-10 integer is an InvalidInput error
+  /// naming the flag.
+  Expected<int64_t> getInt(const std::string &Flag, int64_t Default) const;
 
-  /// Returns the double value of \p Flag, or \p Default when absent.
-  double getDouble(const std::string &Flag, double Default) const;
+  /// Returns the double value of \p Flag, or \p Default when absent. A
+  /// value that is not entirely a number is an InvalidInput error naming
+  /// the flag.
+  Expected<double> getDouble(const std::string &Flag, double Default) const;
+
+  /// Stores the value of \p Flag in \p Out — read by \c getDouble for a
+  /// floating-point \p T, else by \c getInt — when the flag was given,
+  /// and leaves \p Out untouched otherwise.
+  template <typename T> Error read(const std::string &Flag, T &Out) const {
+    if (!has(Flag))
+      return Error::success();
+    auto Value = [&] {
+      if constexpr (std::is_floating_point_v<T>)
+        return getDouble(Flag, 0.0);
+      else
+        return getInt(Flag, 0);
+    }();
+    if (!Value)
+      return Value.takeError();
+    Out = static_cast<T>(*Value);
+    return Error::success();
+  }
 
   /// Returns true if \p Flag was given (with any or no value).
   bool has(const std::string &Flag) const { return Values.count(Flag) != 0; }

@@ -60,6 +60,18 @@ Expected<TuningOutcome>
 stencilflow::tuner::tuneProgram(const StencilProgram &Program,
                                 const PipelineOptions &Base,
                                 const TuneOptions &Options) {
+  // Candidates simulate concurrently, each on its own machine: a shared
+  // snapshot directory would mix their snapshots, and one snapshot cannot
+  // resume them all.
+  if (!Base.Simulator.CheckpointDir.empty())
+    return makeError(ErrorCode::InvalidInput,
+                     "tuning does not support CheckpointDir: concurrent "
+                     "candidates cannot share one snapshot directory");
+  if (!Base.ResumeFrom.empty())
+    return makeError(ErrorCode::InvalidInput,
+                     "tuning does not support ResumeFrom: one snapshot "
+                     "cannot resume candidates of different machines");
+
   // The kernel-engine and temporal-degree axes default to the base
   // configuration's values so the space (and every existing trajectory)
   // is unchanged unless the caller opts into exploring them.
@@ -229,6 +241,23 @@ stencilflow::tuner::tuneProgram(const StencilProgram &Program,
   return Outcome;
 }
 
+Expected<TuneOptions>
+stencilflow::tuner::tuneOptionsFromArgs(const CommandLine &Args) {
+  TuneOptions Options;
+  if (Error Err = Args.read("tune-budget", Options.Search.CandidateBudget))
+    return Err;
+  if (Error Err = Args.read("tune-beam", Options.Search.BeamWidth))
+    return Err;
+  if (Error Err = Args.read("tune-seed", Options.Search.Seed))
+    return Err;
+  if (Error Err = Args.read("tune-top-k", Options.TopK))
+    return Err;
+  if (Error Err = Args.read("tune-workers", Options.Workers))
+    return Err;
+  Options.Simulate = !Args.has("no-simulate");
+  return Options;
+}
+
 //===----------------------------------------------------------------------===//
 // Session facade
 //===----------------------------------------------------------------------===//
@@ -239,18 +268,8 @@ Expected<tuner::TuningOutcome>
 Session::tune(const tuner::TuneOptions &Options) {
   if (Error Err = Program.validate())
     return Err.addContext("program validation");
-  return tuner::tuneProgram(Program, Opts, Options);
-}
-
-Expected<tuner::TuningOutcome> Session::tune() {
-  // Fold the fluent tune* setters into an option block; axis overrides
-  // beyond these knobs go through the explicit tune(Options) overload.
-  tuner::TuneOptions Options;
-  Options.Search.CandidateBudget = Tuning.Budget;
-  if (Tuning.HaveSeed)
-    Options.Search.Seed = Tuning.Seed;
-  Options.TopK = Tuning.TopK;
-  Options.Workers = Tuning.Workers;
-  Options.Simulate = Tuning.Simulate;
-  return tune(Options);
+  Expected<PipelineOptions> O = effectiveOptions();
+  if (!O)
+    return O.takeError();
+  return tuner::tuneProgram(Program, *O, Options);
 }

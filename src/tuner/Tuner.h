@@ -26,6 +26,7 @@
 #define STENCILFLOW_TUNER_TUNER_H
 
 #include "runtime/Pipeline.h"
+#include "support/CommandLine.h"
 #include "tuner/CostModel.h"
 #include "tuner/DesignSpace.h"
 #include "tuner/Search.h"
@@ -55,6 +56,13 @@ struct TuneOptions {
   bool Simulate = true;
 };
 
+/// Fills a \c TuneOptions from the shared autotuner flag pack
+/// (support/Args.h \c tuneFlagSpecs): --tune-budget, --tune-beam,
+/// --tune-seed, --tune-top-k, --tune-workers and --no-simulate. Absent
+/// flags keep the \c TuneOptions defaults; a value that is not an integer
+/// is an InvalidInput error naming the flag.
+Expected<TuneOptions> tuneOptionsFromArgs(const CommandLine &Args);
+
 /// The tuner's result: the chosen mapping, the full report, and — when
 /// simulation ran — the winning candidate's complete pipeline result
 /// (simulator stats and reference-executor validation included).
@@ -71,6 +79,8 @@ struct TuningOutcome {
 /// taken from it; its MaxDevices caps the device axis). Fails only when
 /// the space cannot be enumerated or *no* candidate is feasible —
 /// individual infeasible candidates are pruned into the report instead.
+/// \p Base must not checkpoint or resume (InvalidInput): those are per-run
+/// state the concurrently simulated candidates cannot share.
 Expected<TuningOutcome> tuneProgram(const StencilProgram &Program,
                                     const PipelineOptions &Base,
                                     const TuneOptions &Options = {});

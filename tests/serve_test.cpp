@@ -80,20 +80,26 @@ ServerOptions testOptions() {
 //===----------------------------------------------------------------------===//
 
 TEST(PlanFingerprint, DeterministicAcrossEncodings) {
-  StencilProgram Program = laplace2d();
-  uint64_t A = fingerprintProgram(Program);
-  uint64_t B = fingerprintProgram(Program);
-  EXPECT_EQ(A, B);
-  // The JSON round trip preserves the fingerprint: a program loaded from
+  json::Value Description = programToJson(laplace2d());
+  uint64_t A = fingerprintProgramJson(Description);
+  EXPECT_EQ(A, fingerprintProgramJson(Description));
+  // The text round trip preserves the fingerprint: a program loaded from
   // a file and the same program sent inline share cache entries.
-  EXPECT_EQ(A, fingerprintProgramJson(programToJson(Program)));
+  Expected<json::Value> Reparsed = json::parse(Description.toString());
+  ASSERT_TRUE(Reparsed) << Reparsed.message();
+  EXPECT_EQ(A, fingerprintProgramJson(*Reparsed));
+  // Pinned: FNV-1a of the compact text, so plan key ids stay stable.
+  Expected<json::Value> Tiny = json::parse(R"({"a":1})");
+  ASSERT_TRUE(Tiny) << Tiny.message();
+  EXPECT_EQ(fingerprintProgramJson(*Tiny), 0x32e51dac937672f3ull);
 }
 
 TEST(PlanFingerprint, DistinguishesPrograms) {
-  EXPECT_NE(fingerprintProgram(laplace2d()),
-            fingerprintProgram(diamondProgram()));
-  EXPECT_NE(fingerprintProgram(laplace2d(32, 32)),
-            fingerprintProgram(laplace2d(32, 64)));
+  auto Fingerprint = [](const StencilProgram &P) {
+    return fingerprintProgramJson(programToJson(P));
+  };
+  EXPECT_NE(Fingerprint(laplace2d()), Fingerprint(diamondProgram()));
+  EXPECT_NE(Fingerprint(laplace2d(32, 32)), Fingerprint(laplace2d(32, 64)));
 }
 
 TEST(PlanKey, EveryKnobChangesTheKey) {
@@ -570,6 +576,26 @@ TEST(ServeProtocol, DecodeFailureKeepsRequestId) {
                               Shutdown);
   EXPECT_TRUE(Ack.Ok);
   EXPECT_EQ(Ack.Id, "bye");
+  EXPECT_TRUE(Shutdown);
+}
+
+TEST(ServeProtocol, AcksCarryNoErrorBlock) {
+  // Ping and shutdown succeed with a bare ack: only failures carry an
+  // "error" object.
+  Server S(testOptions());
+  bool Shutdown = false;
+  for (const char *Line : {"{\"id\":\"a\",\"op\":\"ping\"}",
+                           "{\"id\":\"b\",\"op\":\"shutdown\"}"}) {
+    Response Ack = S.handleLine(Line, Shutdown);
+    ASSERT_TRUE(Ack.Ok) << Line;
+    std::string Text = Ack.toJsonText();
+    Expected<json::Value> Doc = json::parse(Text);
+    ASSERT_TRUE(Doc) << Doc.message();
+    const json::Object &O = Doc->getObject();
+    EXPECT_FALSE(O.contains("error")) << Text;
+    EXPECT_FALSE(O.contains("cycles")) << Text;
+    EXPECT_TRUE(O.get("ok")->getBoolean()) << Text;
+  }
   EXPECT_TRUE(Shutdown);
 }
 

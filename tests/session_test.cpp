@@ -144,6 +144,52 @@ TEST(SessionTest, KernelEngineFlagRejectsRetiredTiers) {
   }
 }
 
+TEST(SessionTest, NumericFlagsRejectValuesThatAreNotNumbers) {
+  // A malformed number is a typed input error naming the flag, not a
+  // silent zero (which would switch the watchdog off).
+  cli::ArgSet Spec("session_test", "flag parsing");
+  Spec.pack(cli::sessionFlagSpecs()).pack(cli::checkpointFlagSpecs());
+  const char *Argv[] = {"session_test", "--stall-timeout", "abc"};
+  auto Args = Spec.parse(3, Argv);
+  ASSERT_TRUE(Args) << Args.message();
+  auto S = Session::fromJsonText(LaplaceJson);
+  ASSERT_TRUE(S) << S.message();
+  Error Err = cli::applySessionArgs(*S, *Args);
+  ASSERT_TRUE(static_cast<bool>(Err));
+  EXPECT_EQ(Err.code(), ErrorCode::InvalidInput);
+  EXPECT_EQ(exitCodeFor(Err.code()), 1);
+  EXPECT_NE(Err.message().find("--stall-timeout"), std::string::npos)
+      << Err.message();
+
+  const char *Keep[] = {"session_test", "--checkpoint-dir=d",
+                        "--checkpoint-keep=2.5"};
+  Args = Spec.parse(3, Keep);
+  ASSERT_TRUE(Args) << Args.message();
+  Err = cli::applyCheckpointArgs(*S, *Args);
+  ASSERT_TRUE(static_cast<bool>(Err));
+  EXPECT_NE(Err.message().find("--checkpoint-keep"), std::string::npos)
+      << Err.message();
+}
+
+TEST(SessionTest, CheckpointSecondsFlagKeepsFractions) {
+  // --checkpoint-every-seconds is a wall-clock cadence in (fractional)
+  // seconds; reading it as an integer would turn 0.5 into 0, i.e. off.
+  cli::ArgSet Spec("session_test", "flag parsing");
+  Spec.pack(cli::checkpointFlagSpecs());
+  const char *Argv[] = {"session_test", "--checkpoint-dir=d",
+                        "--checkpoint-every-seconds=0.5"};
+  auto Args = Spec.parse(3, Argv);
+  ASSERT_TRUE(Args) << Args.message();
+  auto S = Session::fromJsonText(LaplaceJson);
+  ASSERT_TRUE(S) << S.message();
+  ASSERT_FALSE(static_cast<bool>(cli::applyCheckpointArgs(*S, *Args)));
+  const sim::SimConfig &Sim =
+      static_cast<const Session &>(*S).pipelineOptions().Simulator;
+  EXPECT_DOUBLE_EQ(Sim.CheckpointEverySeconds, 0.5);
+  EXPECT_EQ(Sim.CheckpointDir, "d");
+  EXPECT_EQ(Sim.CheckpointKeep, 3);
+}
+
 TEST(SessionTest, VectorizeOverridesProgramWidth) {
   Session S = Session::fromProgram(laplace2d(12, 16));
   S.unconstrainedMemory(true);

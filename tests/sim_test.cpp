@@ -508,48 +508,34 @@ TEST(SimTest, OversubscribedMemoryDegradesGracefully) {
 }
 
 //===----------------------------------------------------------------------===//
-// SimConfig::Builder
+// SimConfig::validate
 //===----------------------------------------------------------------------===//
 
 TEST(SimConfigBuilderTest, DefaultsBuild) {
-  auto Config = SimConfig::Builder().build();
-  ASSERT_TRUE(Config) << Config.message();
-  EXPECT_FALSE(Config->UnconstrainedMemory);
-  EXPECT_EQ(Config->Trace, nullptr);
-}
-
-TEST(SimConfigBuilderTest, ChainedSettersStick) {
+  SimConfig Config;
+  EXPECT_FALSE(static_cast<bool>(Config.validate()));
+  EXPECT_FALSE(Config.UnconstrainedMemory);
+  EXPECT_EQ(Config.Trace, nullptr);
   // Tracing and a zero hop latency combine with any other setting.
   Tracer Trace;
-  auto Config = SimConfig::Builder()
-                    .unconstrainedMemory(true)
-                    .trace(&Trace)
-                    .networkLatencyCyclesPerHop(0)
-                    .stallTimeoutCycles(4096)
-                    .build();
-  ASSERT_TRUE(Config) << Config.message();
-  EXPECT_TRUE(Config->UnconstrainedMemory);
-  EXPECT_EQ(Config->Trace, &Trace);
-  EXPECT_EQ(Config->NetworkLatencyCyclesPerHop, 0);
-  EXPECT_EQ(Config->StallTimeoutCycles, 4096);
+  Config.UnconstrainedMemory = true;
+  Config.Trace = &Trace;
+  Config.NetworkLatencyCyclesPerHop = 0;
+  Config.StallTimeoutCycles = 4096;
+  EXPECT_FALSE(static_cast<bool>(Config.validate()));
 }
 
 TEST(SimConfigBuilderTest, RejectsNonPositiveRates) {
-  EXPECT_FALSE(SimConfig::Builder().peakMemoryBytesPerCycle(0.0).build());
-  EXPECT_FALSE(SimConfig::Builder().linkBytesPerCycle(-1.0).build());
-  EXPECT_FALSE(SimConfig::Builder().minChannelDepth(0).build());
-  EXPECT_FALSE(SimConfig::Builder().sendWindowVectors(0).build());
-}
-
-TEST(SimConfigBuilderTest, SeededFromExistingConfig) {
-  SimConfig Base;
-  Base.UnconstrainedMemory = true;
-  Base.MinChannelDepth = 16;
-  auto Config = SimConfig::Builder(Base).stallTimeoutCycles(512).build();
-  ASSERT_TRUE(Config) << Config.message();
-  EXPECT_TRUE(Config->UnconstrainedMemory);
-  EXPECT_EQ(Config->MinChannelDepth, 16);
-  EXPECT_EQ(Config->StallTimeoutCycles, 512);
+  auto Rejects = [](auto Mutate) {
+    SimConfig Config;
+    Mutate(Config);
+    Error Err = Config.validate();
+    return static_cast<bool>(Err) && Err.code() == ErrorCode::InvalidInput;
+  };
+  EXPECT_TRUE(Rejects([](SimConfig &C) { C.PeakMemoryBytesPerCycle = 0.0; }));
+  EXPECT_TRUE(Rejects([](SimConfig &C) { C.LinkBytesPerCycle = -1.0; }));
+  EXPECT_TRUE(Rejects([](SimConfig &C) { C.MinChannelDepth = 0; }));
+  EXPECT_TRUE(Rejects([](SimConfig &C) { C.SendWindowVectors = 0; }));
 }
 
 TEST(SimConfigBuilderTest, MachineBuildValidatesHandAssembledConfig) {

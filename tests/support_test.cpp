@@ -233,7 +233,7 @@ TEST(CommandLineTest, ParsesFlagsAndPositional) {
   const char *Argv[] = {"prog", "--size=64", "--name", "hdiff", "input.json"};
   auto Parsed = CommandLine::parse(5, Argv, {"size", "name"});
   ASSERT_TRUE(Parsed);
-  EXPECT_EQ(Parsed->getInt("size", 0), 64);
+  EXPECT_EQ(*Parsed->getInt("size", 0), 64);
   EXPECT_EQ(Parsed->getString("name"), "hdiff");
   ASSERT_EQ(Parsed->positional().size(), 1u);
   EXPECT_EQ(Parsed->positional()[0], "input.json");
@@ -248,9 +248,39 @@ TEST(CommandLineTest, DefaultsApply) {
   const char *Argv[] = {"prog"};
   auto Parsed = CommandLine::parse(1, Argv, {"w"});
   ASSERT_TRUE(Parsed);
-  EXPECT_EQ(Parsed->getInt("w", 4), 4);
-  EXPECT_DOUBLE_EQ(Parsed->getDouble("w", 2.5), 2.5);
+  EXPECT_EQ(*Parsed->getInt("w", 4), 4);
+  EXPECT_DOUBLE_EQ(*Parsed->getDouble("w", 2.5), 2.5);
   EXPECT_FALSE(Parsed->has("w"));
+  int Kept = 7;
+  EXPECT_FALSE(static_cast<bool>(Parsed->read("w", Kept)));
+  EXPECT_EQ(Kept, 7);
+}
+
+TEST(CommandLineTest, RejectsValuesThatAreNotNumbers) {
+  // A numeric flag must parse completely: trailing text, a fraction for
+  // an integer, or an empty value is a typed error naming the flag.
+  const char *Argv[] = {"prog", "--n=abc", "--m=12x", "--f=0.5", "--e="};
+  auto Parsed = CommandLine::parse(5, Argv, {"n", "m", "f", "e"});
+  ASSERT_TRUE(Parsed);
+  for (const char *Flag : {"n", "m", "f", "e"}) {
+    Expected<int64_t> Value = Parsed->getInt(Flag, 0);
+    ASSERT_FALSE(Value) << Flag;
+    EXPECT_EQ(Value.code(), ErrorCode::InvalidInput);
+    EXPECT_NE(Value.message().find(std::string("--") + Flag),
+              std::string::npos)
+        << Value.message();
+  }
+  EXPECT_FALSE(Parsed->getDouble("n", 0.0));
+  EXPECT_FALSE(Parsed->getDouble("m", 0.0));
+  EXPECT_FALSE(Parsed->getDouble("e", 0.0));
+  // A fraction is a valid double, and read() picks the parser by type.
+  EXPECT_DOUBLE_EQ(*Parsed->getDouble("f", 0.0), 0.5);
+  double Seconds = 0.0;
+  EXPECT_FALSE(static_cast<bool>(Parsed->read("f", Seconds)));
+  EXPECT_DOUBLE_EQ(Seconds, 0.5);
+  int Count = 3;
+  EXPECT_TRUE(static_cast<bool>(Parsed->read("f", Count)));
+  EXPECT_EQ(Count, 3);
 }
 
 //===----------------------------------------------------------------------===//

@@ -20,6 +20,7 @@
 #include "runtime/Session.h"
 #include "sdfg/StencilFusion.h"
 #include "sdfg/TemporalUnroll.h"
+#include "support/Args.h"
 #include "support/Json.h"
 #include "workloads/Workloads.h"
 
@@ -1107,4 +1108,104 @@ TEST(TunerTest, SessionFacadeTunes) {
   ASSERT_TRUE(Analytic) << Analytic.message();
   EXPECT_EQ(Analytic->Report.SimulatedCount, 0u);
   EXPECT_GE(Analytic->Report.BestIndex, 0);
+}
+
+TEST(TunerTest, SessionTuneValidatesTheBaseConfigFirst) {
+  // Like run(), tune() rejects an inconsistent configuration with the
+  // typed InvalidInput error before any candidate is costed or simulated.
+  Session S = Session::fromProgram(smallDiffusion());
+  S.unconstrainedMemory(true).stallTimeout(-5);
+  Expected<TuningOutcome> Out = S.tune(TuneOptions());
+  ASSERT_FALSE(Out);
+  EXPECT_EQ(Out.code(), ErrorCode::InvalidInput);
+  EXPECT_NE(Out.message().find("StallTimeoutCycles must be non-negative"),
+            std::string::npos)
+      << Out.message();
+}
+
+TEST(TunerTest, SessionTuneCarriesTheFaultPlanToCandidates) {
+  // A device loss on every candidate, with recovery off, fails every
+  // simulation: the session's fault plan reaches the candidate runs.
+  Session S = Session::fromProgram(smallDiffusion());
+  S.unconstrainedMemory(true);
+  S.pipelineOptions().RecoverFromDeviceLoss = false;
+  TuneOptions Opts;
+  Opts.TopK = 1;
+  Opts.Workers = 1;
+  ASSERT_TRUE(S.tune(Opts));
+
+  sim::FaultPlan Plan;
+  sim::FaultEvent Death;
+  Death.Kind = sim::FaultKind::DeviceFailure;
+  Death.Device = 0;
+  Death.StartCycle = 32;
+  Plan.Events.push_back(Death);
+  S.faults(std::move(Plan));
+  Expected<TuningOutcome> Out = S.tune(Opts);
+  ASSERT_FALSE(Out);
+  EXPECT_EQ(Out.code(), ErrorCode::Infeasible);
+  EXPECT_NE(Out.message().find("failed simulation or validation"),
+            std::string::npos)
+      << Out.message();
+}
+
+TEST(TunerTest, TuningRejectsCheckpointAndResume) {
+  // Candidates simulate concurrently on different machines, so per-run
+  // snapshot state is a typed input error naming the setting.
+  Session S = Session::fromProgram(smallDiffusion());
+  S.unconstrainedMemory(true).checkpointDir("snapshots");
+  Expected<TuningOutcome> Out = S.tune(TuneOptions());
+  ASSERT_FALSE(Out);
+  EXPECT_EQ(Out.code(), ErrorCode::InvalidInput);
+  EXPECT_NE(Out.message().find("CheckpointDir"), std::string::npos)
+      << Out.message();
+
+  S.checkpointDir("").resumeFrom("snapshots");
+  Out = S.tune(TuneOptions());
+  ASSERT_FALSE(Out);
+  EXPECT_EQ(Out.code(), ErrorCode::InvalidInput);
+  EXPECT_NE(Out.message().find("ResumeFrom"), std::string::npos)
+      << Out.message();
+}
+
+TEST(TunerTest, TuneOptionsFromArgsReadsTheSharedPack) {
+  cli::ArgSet Spec("tuner_test", "flag parsing");
+  Spec.pack(cli::tuneFlagSpecs());
+
+  // No flags: exactly the TuneOptions defaults.
+  const char *Bare[] = {"tuner_test"};
+  Expected<CommandLine> None = Spec.parse(1, Bare);
+  ASSERT_TRUE(None) << None.message();
+  Expected<TuneOptions> Defaults = tuneOptionsFromArgs(*None);
+  ASSERT_TRUE(Defaults) << Defaults.message();
+  TuneOptions Stock;
+  EXPECT_EQ(Defaults->Search.CandidateBudget, Stock.Search.CandidateBudget);
+  EXPECT_EQ(Defaults->Search.BeamWidth, Stock.Search.BeamWidth);
+  EXPECT_EQ(Defaults->Search.Seed, Stock.Search.Seed);
+  EXPECT_EQ(Defaults->TopK, Stock.TopK);
+  EXPECT_EQ(Defaults->Workers, Stock.Workers);
+  EXPECT_TRUE(Defaults->Simulate);
+
+  const char *Full[] = {"tuner_test",    "--tune-budget=16", "--tune-beam=1",
+                        "--tune-seed=9", "--tune-top-k=2",   "--tune-workers=3",
+                        "--no-simulate"};
+  Expected<CommandLine> All = Spec.parse(7, Full);
+  ASSERT_TRUE(All) << All.message();
+  Expected<TuneOptions> Read = tuneOptionsFromArgs(*All);
+  ASSERT_TRUE(Read) << Read.message();
+  EXPECT_EQ(Read->Search.CandidateBudget, 16);
+  EXPECT_EQ(Read->Search.BeamWidth, 1);
+  EXPECT_EQ(Read->Search.Seed, 9u);
+  EXPECT_EQ(Read->TopK, 2);
+  EXPECT_EQ(Read->Workers, 3);
+  EXPECT_FALSE(Read->Simulate);
+
+  const char *Bad[] = {"tuner_test", "--tune-beam=wide"};
+  Expected<CommandLine> Malformed = Spec.parse(2, Bad);
+  ASSERT_TRUE(Malformed) << Malformed.message();
+  Expected<TuneOptions> Rejected = tuneOptionsFromArgs(*Malformed);
+  ASSERT_FALSE(Rejected);
+  EXPECT_EQ(Rejected.code(), ErrorCode::InvalidInput);
+  EXPECT_NE(Rejected.message().find("--tune-beam"), std::string::npos)
+      << Rejected.message();
 }
