@@ -9,6 +9,7 @@
 #include "support/StringUtils.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <map>
 #include <set>
@@ -34,13 +35,20 @@ std::string channelName(const std::string &Source,
   return "ch_" + Source + "__to__" + Consumer;
 }
 
-/// Emits a floating-point literal with the type's suffix.
+/// Emits a floating-point literal with the type's suffix. Non-integral
+/// values print exactly: 9 significant digits round-trip a float, and a
+/// double takes its shortest round-trip form.
 std::string literalText(double Value, DataType Type) {
   std::string Text;
-  if (Value == std::floor(Value) && std::fabs(Value) < 1e15)
+  if (Value == std::floor(Value) && std::fabs(Value) < 1e15) {
     Text = formatString("%.1f", Value);
-  else
+  } else if (Type == DataType::Float32) {
     Text = formatString("%.9g", Value);
+  } else {
+    char Digits[32];
+    Text.assign(Digits,
+                std::to_chars(Digits, Digits + sizeof(Digits), Value).ptr);
+  }
   if (Type == DataType::Float32)
     Text += "f";
   return Text;

@@ -8,6 +8,7 @@
 
 #include "support/StringUtils.h"
 
+#include <charconv>
 #include <cmath>
 
 using namespace stencilflow;
@@ -195,7 +196,11 @@ Expected<Intrinsic> stencilflow::parseIntrinsic(std::string_view Name) {
 std::string LiteralExpr::toString() const {
   if (Value == std::floor(Value) && std::fabs(Value) < 1e15)
     return formatString("%.1f", Value);
-  return formatString("%g", Value);
+  // The shortest text that parses back to the same double, so a program
+  // survives a trip through its own printed form.
+  char Text[32];
+  char *End = std::to_chars(Text, Text + sizeof(Text), Value).ptr;
+  return std::string(Text, End);
 }
 
 std::string FieldAccessExpr::toString() const {

@@ -10,8 +10,9 @@
 //  2. The file format: magic | version | crc | body-size | body, written
 //     crash-consistently (temp file + fsync + atomic rename) with bounded
 //     retention, read back with typed SnapshotInvalid errors.
-//  3. The Machine side: signatures, captureSnapshot, the exact and
-//     rehydrate restore paths, and the checkpoint cadence the run loops
+//  3. The Machine side: signatures; the state codec, the one description
+//     of the payload layout that capture and both restore paths walk;
+//     the rehydrate regrouping; and the checkpoint cadence the run loops
 //     call into.
 //
 //===----------------------------------------------------------------------===//
@@ -389,143 +390,334 @@ uint64_t Machine::machineSignature(bool IncludePlacement) const {
 }
 
 //===----------------------------------------------------------------------===//
-// Capture
+// State codec
 //===----------------------------------------------------------------------===//
 
-MachineSnapshot Machine::captureSnapshot(int64_t Cycle) const {
-  ByteWriter W;
+/// One pass over the state payload in either direction: saving appends
+/// each visited field to a ByteWriter, loading overwrites it from the
+/// payload. Loading never trusts the bytes. A count is bounded before
+/// anything is sized from it, a field of the machine's fixed shape or
+/// identity must equal the live value, and any defect fails the pass, after
+/// which no container is sized from the payload.
+class Machine::StateArchive {
+public:
+  /// Loaded counts beyond this are malformed, whatever the payload size.
+  static constexpr uint64_t SaneCount = 1ull << 32;
 
-  // Component counts up front so a restore can verify shape before
-  // touching any state.
-  W.u64(Readers.size());
-  W.u64(Units.size());
-  W.u64(Writers.size());
-  W.u64(Channels.size());
-  W.u64(Reliable.size());
-  W.i64(NumDevices);
-  W.i64(Lanes);
+  explicit StateArchive(ByteWriter &Out) : Out(&Out), In(nullptr, 0) {}
+  explicit StateArchive(const std::vector<uint8_t> &State) : In(State) {}
+
+  bool loading() const { return Out == nullptr; }
+  bool ok() const { return !Bad && !In.failed(); }
+  /// True once a load consumed the whole payload without a defect.
+  bool complete() const { return ok() && (Out || In.exhausted()); }
+  void fail() { Bad = true; }
+
+  void io(uint8_t &V) { Out ? Out->u8(V) : void(V = In.u8()); }
+  void io(uint64_t &V) { Out ? Out->u64(V) : void(V = In.u64()); }
+  void io(int64_t &V) { Out ? Out->i64(V) : void(V = In.i64()); }
+  void io(double &V) { Out ? Out->f64(V) : void(V = In.f64()); }
+  void io(std::string &V) { Out ? Out->str(V) : void(V = In.str()); }
+  /// The int fields (devices, NACK streaks, attempt counters) are all
+  /// non-negative and narrower than their encoding.
+  void io(int &V) {
+    int64_t Wide = V;
+    io(Wide);
+    if (Wide < 0 || Wide > std::numeric_limits<int>::max())
+      Bad = true;
+    else
+      V = static_cast<int>(Wide);
+  }
+  void io(bool &V) {
+    uint8_t Byte = V ? 1 : 0;
+    io(Byte);
+    V = Byte != 0;
+  }
+  void io(StallCause &V) {
+    uint8_t Byte = static_cast<uint8_t>(V);
+    io(Byte);
+    if (Byte >= NumStallCauses)
+      Bad = true;
+    else
+      V = static_cast<StallCause>(Byte);
+  }
+  void io(StallBreakdown &V) {
+    for (int64_t &Count : V.Counts)
+      io(Count);
+  }
+
+  /// A count that sizes what follows. \p Fixed: the machine's own shape,
+  /// which a load must reproduce. Otherwise a load takes the count, bounded
+  /// by SaneCount and by the bytes left (every element takes at least one).
+  void count(size_t &N, bool Fixed) {
+    uint64_t Value = N;
+    io(Value);
+    if (!loading())
+      return;
+    if (Fixed) {
+      Bad |= Value != N;
+      return;
+    }
+    if (Value > SaneCount || Value > In.remaining())
+      Bad = true;
+    N = ok() ? static_cast<size_t>(Value) : 0;
+  }
+
+  /// An identity field (a name, device, or channel index). \p Fixed: a
+  /// load checks it against the live value instead of overwriting it.
+  template <typename T> void ident(T &V, bool Fixed) {
+    T Loaded = V;
+    io(Loaded);
+    if (Fixed && Loaded != V)
+      Bad = true;
+    else
+      V = Loaded;
+  }
+
+  /// A counted sequence; \p Fixed as for count().
+  template <typename Seq> void seq(Seq &V, bool Fixed) {
+    size_t N = V.size();
+    count(N, Fixed);
+    if (!ok())
+      return;
+    V.resize(N);
+    for (auto &Element : V)
+      io(Element);
+  }
+  void seq(std::vector<double> &V, bool Fixed) {
+    if (Out)
+      return Out->f64span(V.data(), V.size());
+    std::vector<double> Loaded = In.f64span();
+    if (Fixed && Loaded.size() != V.size())
+      Bad = true;
+    else
+      V = std::move(Loaded);
+  }
+
+private:
+  ByteWriter *Out = nullptr;
+  ByteReader In;
+  bool Bad = false;
+};
+
+/// What the rehydrate restore loads aside instead of into the machine:
+/// the old placement's reader endpoints, reliable windows, per-device and
+/// per-hop totals, and each channel's producer cursor.
+struct Machine::RehydrateState {
+  int64_t Cycle = 0; ///< Snapshot cycle; in-flight stamps clamp to it.
+  std::vector<Reader> Readers;
+  std::vector<ReliableStream> Reliable;
+  std::vector<double> MemoryBytesMoved, MemoryBudget, WriterBudget,
+      HopBudget;
+  std::vector<int64_t> Produced;
+};
+
+bool Machine::transferState(StateArchive &Ar, RehydrateState *Old) {
+  // Capture and the exact restore bind every section to the live machine.
+  // The rehydrate restore binds the placement-dependent ones to Old.
+  bool Live = Old == nullptr;
+  std::vector<Reader> &ReaderSet = Live ? Readers : Old->Readers;
+  std::vector<ReliableStream> &Streams = Live ? Reliable : Old->Reliable;
+  std::vector<double> &Moved = Live ? MemoryBytesMoved : Old->MemoryBytesMoved;
+  std::vector<double> &Budget = Live ? MemoryBudget : Old->MemoryBudget;
+  std::vector<double> &WBudget = Live ? WriterBudget : Old->WriterBudget;
+  std::vector<double> &Hops = Live ? HopBudget : Old->HopBudget;
+
+  // Component counts up front so a restore verifies shape before touching
+  // any state.
+  size_t NumReaders = ReaderSet.size(), NumUnits = Units.size(),
+         NumWriters = Writers.size(), NumChannels = Channels.size(),
+         NumReliable = Streams.size(),
+         NumDevs = static_cast<size_t>(NumDevices),
+         NumLanes = static_cast<size_t>(Lanes);
+  Ar.count(NumReaders, Live);
+  Ar.count(NumUnits, true);
+  Ar.count(NumWriters, true);
+  Ar.count(NumChannels, true);
+  Ar.count(NumReliable, Live);
+  Ar.count(NumDevs, Live);
+  Ar.count(NumLanes, true);
+  if (!Ar.ok() || NumDevs == 0)
+    return false;
+  ReaderSet.resize(NumReaders);
+  Streams.resize(NumReliable);
+  for (std::vector<double> *PerDevice : {&Moved, &Budget, &WBudget})
+    PerDevice->resize(NumDevs);
+
+  for (Reader &R : ReaderSet) {
+    Ar.ident(R.Field, Live);
+    Ar.ident(R.Device, Live);
+    Ar.io(R.VectorsPushed);
+    Ar.io(R.Stalls);
+    Ar.io(R.LastCause);
+    Ar.io(R.LastProgress);
+  }
+
+  // Units and writers transplant by index on both restore paths:
+  // Machine::build creates them in a placement-independent order
+  // (topological for units, program output order for writers), which the
+  // topology signature pins down.
+  for (Unit &U : Units) {
+    Ar.ident(U.Name, true);
+    size_t NumStreams = U.Streams.size();
+    Ar.count(NumStreams, true);
+    for (FieldStream &Stream : U.Streams) {
+      Ar.seq(Stream.Ring, true);
+      Ar.io(Stream.WrittenElements);
+    }
+    Ar.io(U.Step);
+    Ar.io(U.Issued);
+    Ar.io(U.Emitted);
+    Ar.seq(U.PipeReady, false);
+    Ar.seq(U.PipeValues, false);
+    Ar.seq(U.CenterIndex, true);
+    Ar.io(U.StallCycles);
+    Ar.io(U.Stalls);
+    Ar.io(U.LastCause);
+    Ar.io(U.LastProgress);
+    // The effective kernel tier, so the restore can report how many units
+    // were reassigned (e.g. scalar -> specialized when the restoring
+    // config asks for another tier). Informational: all tiers are
+    // bit-exact.
+    std::string Tier = compute::kernelEngineName(U.Eval.tier());
+    std::string Recorded = Tier;
+    Ar.io(Recorded);
+    if (Recorded != Tier)
+      ++TierReassignedUnits;
+  }
+
+  for (Writer &Wr : Writers) {
+    Ar.ident(Wr.Field, true);
+    Ar.seq(Wr.Data, true);
+    Ar.seq(Wr.Index, true);
+    Ar.io(Wr.VectorsWritten);
+    Ar.io(Wr.Stalls);
+    Ar.io(Wr.LastCause);
+    Ar.io(Wr.LastProgress);
+  }
 
   // Producer cursors per channel: how many vectors its single producer
   // has pushed (transport-accepted for reliable streams). Only the
   // rehydrate path consumes these — they become the reader-side delivery
   // cursors after a re-partitioning regroups the reader endpoints.
   std::vector<int64_t> Produced(Channels.size(), 0);
-  for (const Reader &R : Readers)
-    for (size_t ChannelIndex : R.OutChannels)
-      Produced[ChannelIndex] = R.VectorsPushed;
-  for (const Unit &U : Units)
-    for (size_t ChannelIndex : U.OutChannels)
-      Produced[ChannelIndex] = U.Emitted;
-
-  for (const Reader &R : Readers) {
-    W.str(R.Field);
-    W.i64(R.Device);
-    W.i64(R.VectorsPushed);
-    for (int64_t Count : R.Stalls.Counts)
-      W.i64(Count);
-    W.u8(static_cast<uint8_t>(R.LastCause));
-    W.i64(R.LastProgress);
+  if (!Ar.loading()) {
+    for (const Reader &R : Readers)
+      for (size_t ChannelIndex : R.OutChannels)
+        Produced[ChannelIndex] = R.VectorsPushed;
+    for (const Unit &U : Units)
+      for (size_t ChannelIndex : U.OutChannels)
+        Produced[ChannelIndex] = U.Emitted;
   }
 
-  for (const Unit &U : Units) {
-    W.str(U.Name);
-    W.u64(U.Streams.size());
-    for (const FieldStream &Stream : U.Streams) {
-      W.f64span(Stream.Ring.data(), Stream.Ring.size());
-      W.i64(Stream.WrittenElements);
-    }
-    W.i64(U.Step);
-    W.i64(U.Issued);
-    W.i64(U.Emitted);
-    W.u64(U.PipeReady.size());
-    for (int64_t Ready : U.PipeReady)
-      W.i64(Ready);
-    W.u64(U.PipeValues.size());
-    for (double Value : U.PipeValues)
-      W.f64(Value);
-    W.u64(U.CenterIndex.size());
-    for (int64_t Component : U.CenterIndex)
-      W.i64(Component);
-    W.i64(U.StallCycles);
-    for (int64_t Count : U.Stalls.Counts)
-      W.i64(Count);
-    W.u8(static_cast<uint8_t>(U.LastCause));
-    W.i64(U.LastProgress);
-    // The effective kernel tier, so the restore can report how many units
-    // were reassigned (e.g. scalar -> specialized when the restoring
-    // config asks for another tier). Informational: all tiers are
-    // bit-exact.
-    W.str(compute::kernelEngineName(U.Eval.tier()));
-  }
-
-  for (const Writer &Wr : Writers) {
-    W.str(Wr.Field);
-    W.f64span(Wr.Data.data(), Wr.Data.size());
-    W.u64(Wr.Index.size());
-    for (int64_t Component : Wr.Index)
-      W.i64(Component);
-    W.i64(Wr.VectorsWritten);
-    for (int64_t Count : Wr.Stalls.Counts)
-      W.i64(Count);
-    W.u8(static_cast<uint8_t>(Wr.LastCause));
-    W.i64(Wr.LastProgress);
-  }
-
+  // Channels transplant by index too (channel creation order is
+  // placement-independent). On rehydrate their physical parameters changed
+  // with the placement: capacities may have shrunk (a formerly-remote
+  // channel lost its extra network depth) and in-flight arrival stamps
+  // belong to links that no longer exist. Undersized channels grow, and
+  // every ready cycle clamps to the resume cycle — the data already
+  // traversed the old wire; replaying the tail must not pay its latency
+  // twice. The exact restore requires the contents to fit.
+  std::vector<double> Vector(static_cast<size_t>(Lanes));
   for (size_t Index = 0; Index != Channels.size(); ++Index) {
-    const Channel &C = *Channels[Index];
-    W.str(C.name());
-    W.i64(Produced[Index]);
-    W.i64(C.size());
-    for (int64_t I = 0; I != C.size(); ++I) {
-      W.i64(C.readyCycleAt(I));
-      const double *Vector = C.vectorAt(I);
-      for (int Lane = 0; Lane != Lanes; ++Lane)
-        W.f64(Vector[Lane]);
+    Channel &C = *Channels[Index];
+    std::string Name = C.name();
+    Ar.ident(Name, true);
+    Ar.io(Produced[Index]);
+    size_t Count = static_cast<size_t>(C.size());
+    Ar.count(Count, false);
+    if (Live && Ar.loading() && static_cast<int64_t>(Count) > C.capacity())
+      Ar.fail();
+    if (!Ar.ok())
+      return false;
+    if (Ar.loading()) {
+      C.clearForRestore();
+      C.ensureCapacity(static_cast<int64_t>(Count));
     }
-    W.i64(C.peakOccupancy());
-    W.i64(C.highWaterMark());
+    for (int64_t I = 0; I != static_cast<int64_t>(Count); ++I) {
+      int64_t Ready = 0;
+      if (!Ar.loading()) {
+        Ready = C.readyCycleAt(I);
+        std::copy_n(C.vectorAt(I), Lanes, Vector.begin());
+      }
+      Ar.io(Ready);
+      for (double &Value : Vector)
+        Ar.io(Value);
+      if (Ar.loading())
+        C.restorePush(Vector.data(),
+                      Live ? Ready : std::min(Ready, Old->Cycle));
+    }
+    int64_t Peak = C.peakOccupancy(), HighWater = C.highWaterMark();
+    Ar.io(Peak);
+    Ar.io(HighWater);
+    if (Ar.loading())
+      C.restoreStats(Peak, HighWater);
   }
 
-  for (const ReliableStream &RS : Reliable) {
-    W.u64(RS.ChannelIndex);
-    W.u64(RS.SendBuffer.size());
-    for (const std::vector<double> &Payload : RS.SendBuffer)
-      for (double Value : Payload)
-        W.f64(Value);
-    W.i64(RS.NextSeq);
-    W.i64(RS.SendBase);
-    W.i64(RS.ResendNext);
-    W.i64(RS.BackoffUntil);
-    W.i64(RS.NackStreak);
-    W.u64(RS.TransmissionNonce);
-    W.u64(RS.Wire.size());
-    for (const ReliableStream::InFlight &F : RS.Wire) {
-      W.i64(F.Seq);
-      W.i64(F.ArriveCycle);
-      W.u8(F.Corrupted ? 1 : 0);
+  for (ReliableStream &RS : Streams) {
+    Ar.ident(RS.ChannelIndex, Live);
+    if (RS.ChannelIndex >= Channels.size())
+      Ar.fail();
+    size_t Window = RS.SendBuffer.size();
+    Ar.count(Window, false);
+    if (!Ar.ok())
+      return false;
+    RS.SendBuffer.resize(Window);
+    for (std::vector<double> &Payload : RS.SendBuffer) {
+      Payload.resize(static_cast<size_t>(Lanes));
+      for (double &Value : Payload)
+        Ar.io(Value);
     }
-    W.i64(RS.ExpectedSeq);
-    W.i64(RS.AttemptsOnExpected);
-    W.i64(RS.PeakOutstanding);
-    W.i64(RS.Stats.Transmissions);
-    W.i64(RS.Stats.Retransmissions);
-    W.i64(RS.Stats.CorruptedVectors);
-    W.i64(RS.Stats.Nacks);
-    W.i64(RS.Stats.Delivered);
+    Ar.io(RS.NextSeq);
+    Ar.io(RS.SendBase);
+    Ar.io(RS.ResendNext);
+    Ar.io(RS.BackoffUntil);
+    Ar.io(RS.NackStreak);
+    Ar.io(RS.TransmissionNonce);
+    size_t InFlight = RS.Wire.size();
+    Ar.count(InFlight, false);
+    if (!Ar.ok())
+      return false;
+    RS.Wire.resize(InFlight);
+    for (ReliableStream::InFlight &F : RS.Wire) {
+      Ar.io(F.Seq);
+      Ar.io(F.ArriveCycle);
+      Ar.io(F.Corrupted);
+    }
+    Ar.io(RS.ExpectedSeq);
+    Ar.io(RS.AttemptsOnExpected);
+    Ar.io(RS.PeakOutstanding);
+    Ar.io(RS.Stats.Transmissions);
+    Ar.io(RS.Stats.Retransmissions);
+    Ar.io(RS.Stats.CorruptedVectors);
+    Ar.io(RS.Stats.Nacks);
+    Ar.io(RS.Stats.Delivered);
   }
 
   // Globals: carry-over bandwidth budgets (unused budget persists across
   // cycles, so they are state, not scratch) and the accumulated transfer
   // totals.
-  W.f64(NetworkBytesMoved);
-  for (int Device = 0; Device != NumDevices; ++Device) {
-    W.f64(MemoryBytesMoved[static_cast<size_t>(Device)]);
-    W.f64(MemoryBudget[static_cast<size_t>(Device)]);
-    W.f64(WriterBudget[static_cast<size_t>(Device)]);
+  Ar.io(NetworkBytesMoved);
+  for (size_t Device = 0; Device != NumDevs; ++Device) {
+    Ar.io(Moved[Device]);
+    Ar.io(Budget[Device]);
+    Ar.io(WBudget[Device]);
   }
-  W.u64(HopBudget.size());
-  for (double Budget : HopBudget)
-    W.f64(Budget);
+  Ar.seq(Hops, Live);
+
+  if (Old)
+    Old->Produced = std::move(Produced);
+  return Ar.complete();
+}
+
+//===----------------------------------------------------------------------===//
+// Capture
+//===----------------------------------------------------------------------===//
+
+MachineSnapshot Machine::captureSnapshot(int64_t Cycle) {
+  ByteWriter W;
+  StateArchive Ar(W);
+  transferState(Ar, /*Old=*/nullptr);
 
   MachineSnapshot Snap;
   Snap.Cycle = Cycle;
@@ -546,254 +738,6 @@ Error incompatible(const std::string &What) {
   return makeError(ErrorCode::SnapshotIncompatible, "snapshot: " + What);
 }
 
-Error malformed() {
-  return makeError(ErrorCode::SnapshotInvalid,
-                   "snapshot: state payload is malformed (decoder ran past "
-                   "the end or left trailing bytes)");
-}
-
-/// Decoded per-component state shared by both restore paths.
-struct ReaderState {
-  std::string Field;
-  int64_t Device = 0;
-  int64_t VectorsPushed = 0;
-  StallBreakdown Stalls;
-  uint8_t LastCause = 0;
-  int64_t LastProgress = 0;
-};
-
-struct StreamState {
-  std::vector<double> Ring;
-  int64_t WrittenElements = 0;
-};
-
-struct UnitState {
-  std::string Name;
-  std::vector<StreamState> Streams;
-  int64_t Step = 0, Issued = 0, Emitted = 0;
-  std::vector<int64_t> PipeReady;
-  std::vector<double> PipeValues;
-  std::vector<int64_t> CenterIndex;
-  int64_t StallCycles = 0;
-  StallBreakdown Stalls;
-  uint8_t LastCause = 0;
-  int64_t LastProgress = 0;
-  std::string Tier;
-};
-
-struct WriterState {
-  std::string Field;
-  std::vector<double> Data;
-  std::vector<int64_t> Index;
-  int64_t VectorsWritten = 0;
-  StallBreakdown Stalls;
-  uint8_t LastCause = 0;
-  int64_t LastProgress = 0;
-};
-
-struct ChannelState {
-  std::string Name;
-  int64_t Produced = 0;
-  std::vector<int64_t> ReadyCycles;
-  std::vector<double> Vectors; ///< Lanes doubles per entry.
-  int64_t PeakOccupancy = 0;
-  int64_t HighWater = 0;
-};
-
-struct ReliableState {
-  uint64_t ChannelIndex = 0;
-  std::vector<std::vector<double>> SendBuffer;
-  int64_t NextSeq = 0, SendBase = 0, ResendNext = -1, BackoffUntil = 0;
-  int64_t NackStreak = 0;
-  uint64_t TransmissionNonce = 0;
-  struct WireEntry {
-    int64_t Seq, ArriveCycle;
-    uint8_t Corrupted;
-  };
-  std::vector<WireEntry> Wire;
-  int64_t ExpectedSeq = 0, AttemptsOnExpected = 0, PeakOutstanding = 0;
-  LinkStats Stats;
-};
-
-struct DecodedState {
-  uint64_t NumReaders = 0, NumUnits = 0, NumWriters = 0, NumChannels = 0,
-           NumReliable = 0;
-  int64_t NumDevices = 0, Lanes = 0;
-  std::vector<ReaderState> Readers;
-  std::vector<UnitState> Units;
-  std::vector<WriterState> Writers;
-  std::vector<ChannelState> Channels;
-  std::vector<ReliableState> Reliable;
-  double NetworkBytesMoved = 0.0;
-  std::vector<double> MemoryBytesMoved, MemoryBudget, WriterBudget,
-      HopBudget;
-};
-
-/// Decodes the full state payload. Count fields are sanity-bounded before
-/// any allocation so a corrupted-but-CRC-colliding payload cannot OOM the
-/// process; the CRC makes this path unreachable in practice.
-bool decodeState(const std::vector<uint8_t> &State, DecodedState &D) {
-  ByteReader R(State);
-  constexpr uint64_t SaneCount = 1ull << 32;
-
-  D.NumReaders = R.u64();
-  D.NumUnits = R.u64();
-  D.NumWriters = R.u64();
-  D.NumChannels = R.u64();
-  D.NumReliable = R.u64();
-  D.NumDevices = R.i64();
-  D.Lanes = R.i64();
-  if (R.failed() || D.NumReaders > SaneCount || D.NumUnits > SaneCount ||
-      D.NumWriters > SaneCount || D.NumChannels > SaneCount ||
-      D.NumReliable > SaneCount || D.NumDevices < 1 || D.Lanes < 1)
-    return false;
-
-  auto ReadCounts = [&](StallBreakdown &Stalls) {
-    for (int Cause = 0; Cause != NumStallCauses; ++Cause)
-      Stalls.Counts[Cause] = R.i64();
-  };
-
-  D.Readers.resize(static_cast<size_t>(D.NumReaders));
-  for (ReaderState &RS : D.Readers) {
-    RS.Field = R.str();
-    RS.Device = R.i64();
-    RS.VectorsPushed = R.i64();
-    ReadCounts(RS.Stalls);
-    RS.LastCause = R.u8();
-    RS.LastProgress = R.i64();
-  }
-
-  D.Units.resize(static_cast<size_t>(D.NumUnits));
-  for (UnitState &U : D.Units) {
-    U.Name = R.str();
-    uint64_t NumStreams = R.u64();
-    if (R.failed() || NumStreams > SaneCount)
-      return false;
-    U.Streams.resize(static_cast<size_t>(NumStreams));
-    for (StreamState &Stream : U.Streams) {
-      Stream.Ring = R.f64span();
-      Stream.WrittenElements = R.i64();
-    }
-    U.Step = R.i64();
-    U.Issued = R.i64();
-    U.Emitted = R.i64();
-    uint64_t PipeLen = R.u64();
-    if (R.failed() || PipeLen > SaneCount)
-      return false;
-    U.PipeReady.resize(static_cast<size_t>(PipeLen));
-    for (int64_t &Ready : U.PipeReady)
-      Ready = R.i64();
-    uint64_t ValueLen = R.u64();
-    if (R.failed() || ValueLen > SaneCount)
-      return false;
-    U.PipeValues.resize(static_cast<size_t>(ValueLen));
-    for (double &Value : U.PipeValues)
-      Value = R.f64();
-    uint64_t Dims = R.u64();
-    if (R.failed() || Dims > SaneCount)
-      return false;
-    U.CenterIndex.resize(static_cast<size_t>(Dims));
-    for (int64_t &Component : U.CenterIndex)
-      Component = R.i64();
-    U.StallCycles = R.i64();
-    ReadCounts(U.Stalls);
-    U.LastCause = R.u8();
-    U.LastProgress = R.i64();
-    U.Tier = R.str();
-  }
-
-  D.Writers.resize(static_cast<size_t>(D.NumWriters));
-  for (WriterState &Wr : D.Writers) {
-    Wr.Field = R.str();
-    Wr.Data = R.f64span();
-    uint64_t Dims = R.u64();
-    if (R.failed() || Dims > SaneCount)
-      return false;
-    Wr.Index.resize(static_cast<size_t>(Dims));
-    for (int64_t &Component : Wr.Index)
-      Component = R.i64();
-    Wr.VectorsWritten = R.i64();
-    ReadCounts(Wr.Stalls);
-    Wr.LastCause = R.u8();
-    Wr.LastProgress = R.i64();
-  }
-
-  D.Channels.resize(static_cast<size_t>(D.NumChannels));
-  for (ChannelState &C : D.Channels) {
-    C.Name = R.str();
-    C.Produced = R.i64();
-    int64_t Count = R.i64();
-    if (R.failed() || Count < 0 ||
-        static_cast<uint64_t>(Count) > SaneCount)
-      return false;
-    C.ReadyCycles.resize(static_cast<size_t>(Count));
-    C.Vectors.resize(static_cast<size_t>(Count) *
-                     static_cast<size_t>(D.Lanes));
-    for (int64_t I = 0; I != Count; ++I) {
-      C.ReadyCycles[static_cast<size_t>(I)] = R.i64();
-      for (int64_t Lane = 0; Lane != D.Lanes; ++Lane)
-        C.Vectors[static_cast<size_t>(I * D.Lanes + Lane)] = R.f64();
-    }
-    C.PeakOccupancy = R.i64();
-    C.HighWater = R.i64();
-  }
-
-  D.Reliable.resize(static_cast<size_t>(D.NumReliable));
-  for (ReliableState &RS : D.Reliable) {
-    RS.ChannelIndex = R.u64();
-    uint64_t BufLen = R.u64();
-    if (R.failed() || BufLen > SaneCount)
-      return false;
-    RS.SendBuffer.resize(static_cast<size_t>(BufLen));
-    for (std::vector<double> &Payload : RS.SendBuffer) {
-      Payload.resize(static_cast<size_t>(D.Lanes));
-      for (double &Value : Payload)
-        Value = R.f64();
-    }
-    RS.NextSeq = R.i64();
-    RS.SendBase = R.i64();
-    RS.ResendNext = R.i64();
-    RS.BackoffUntil = R.i64();
-    RS.NackStreak = R.i64();
-    RS.TransmissionNonce = R.u64();
-    uint64_t WireLen = R.u64();
-    if (R.failed() || WireLen > SaneCount)
-      return false;
-    RS.Wire.resize(static_cast<size_t>(WireLen));
-    for (ReliableState::WireEntry &F : RS.Wire) {
-      F.Seq = R.i64();
-      F.ArriveCycle = R.i64();
-      F.Corrupted = R.u8();
-    }
-    RS.ExpectedSeq = R.i64();
-    RS.AttemptsOnExpected = R.i64();
-    RS.PeakOutstanding = R.i64();
-    RS.Stats.Transmissions = R.i64();
-    RS.Stats.Retransmissions = R.i64();
-    RS.Stats.CorruptedVectors = R.i64();
-    RS.Stats.Nacks = R.i64();
-    RS.Stats.Delivered = R.i64();
-  }
-
-  D.NetworkBytesMoved = R.f64();
-  D.MemoryBytesMoved.resize(static_cast<size_t>(D.NumDevices));
-  D.MemoryBudget.resize(static_cast<size_t>(D.NumDevices));
-  D.WriterBudget.resize(static_cast<size_t>(D.NumDevices));
-  for (int64_t Device = 0; Device != D.NumDevices; ++Device) {
-    D.MemoryBytesMoved[static_cast<size_t>(Device)] = R.f64();
-    D.MemoryBudget[static_cast<size_t>(Device)] = R.f64();
-    D.WriterBudget[static_cast<size_t>(Device)] = R.f64();
-  }
-  uint64_t Hops = R.u64();
-  if (R.failed() || Hops > SaneCount)
-    return false;
-  D.HopBudget.resize(static_cast<size_t>(Hops));
-  for (double &Budget : D.HopBudget)
-    Budget = R.f64();
-
-  return !R.failed() && R.exhausted();
-}
-
 } // namespace
 
 Error Machine::restoreSnapshot(const MachineSnapshot &Snap,
@@ -801,205 +745,39 @@ Error Machine::restoreSnapshot(const MachineSnapshot &Snap,
   if (Snap.InputsHash != InputsHash)
     return incompatible("taken against different input data (resuming "
                         "requires the original inputs)");
-  Error Err;
-  if (Snap.ExactSignature == machineSignature(/*IncludePlacement=*/true))
-    Err = restoreExact(Snap);
-  else if (Snap.TopologySignature ==
-           machineSignature(/*IncludePlacement=*/false))
-    Err = restoreRehydrate(Snap);
-  else
+  bool Exact =
+      Snap.ExactSignature == machineSignature(/*IncludePlacement=*/true);
+  if (!Exact &&
+      Snap.TopologySignature != machineSignature(/*IncludePlacement=*/false))
     return incompatible(
         "belongs to a different program or machine (neither the exact nor "
         "the topology signature matches)");
-  if (Err)
-    return Err;
+
+  // Exact: every section loads verbatim. The signature already matched,
+  // so a shape or identity mismatch means an undetected payload defect,
+  // not a legitimate different machine. Rehydrate: the topology-derived
+  // sections load the same way, and the placement-derived ones (readers,
+  // devices, reliable streams) load aside and are regrouped below.
+  RehydrateState Old;
+  Old.Cycle = Snap.Cycle;
+  StateArchive Ar(Snap.State);
+  if (!transferState(Ar, Exact ? nullptr : &Old))
+    return makeError(ErrorCode::SnapshotInvalid,
+                     "snapshot: state payload is malformed (decoder ran past "
+                     "the end or left trailing bytes)");
+  if (!Exact)
+    rehydrate(Old);
   ResumeCycle = Snap.Cycle;
   ResumedFromCycle = Snap.Cycle;
   return Error::success();
 }
 
-Error Machine::restoreExact(const MachineSnapshot &Snap) {
-  DecodedState D;
-  if (!decodeState(Snap.State, D))
-    return malformed();
-  // The exact signature already matched, so shape mismatches here mean an
-  // undetected payload defect, not a legitimate different machine.
-  if (D.Readers.size() != Readers.size() || D.Units.size() != Units.size() ||
-      D.Writers.size() != Writers.size() ||
-      D.Channels.size() != Channels.size() ||
-      D.Reliable.size() != Reliable.size() || D.NumDevices != NumDevices ||
-      D.Lanes != Lanes || D.HopBudget.size() != HopBudget.size())
-    return malformed();
-
-  for (size_t Index = 0; Index != Readers.size(); ++Index) {
-    Reader &R = Readers[Index];
-    const ReaderState &RS = D.Readers[Index];
-    if (RS.Field != R.Field || RS.Device != R.Device)
-      return malformed();
-    R.VectorsPushed = RS.VectorsPushed;
-    R.Stalls = RS.Stalls;
-    R.LastCause = static_cast<StallCause>(RS.LastCause);
-    R.LastProgress = RS.LastProgress;
-  }
-
-  for (size_t Index = 0; Index != Units.size(); ++Index) {
-    Unit &U = Units[Index];
-    UnitState &US = D.Units[Index];
-    if (US.Name != U.Name || US.Streams.size() != U.Streams.size() ||
-        US.CenterIndex.size() != U.CenterIndex.size())
-      return malformed();
-    for (size_t S = 0; S != U.Streams.size(); ++S) {
-      if (US.Streams[S].Ring.size() != U.Streams[S].Ring.size())
-        return malformed();
-      U.Streams[S].Ring = std::move(US.Streams[S].Ring);
-      U.Streams[S].WrittenElements = US.Streams[S].WrittenElements;
-    }
-    U.Step = US.Step;
-    U.Issued = US.Issued;
-    U.Emitted = US.Emitted;
-    U.PipeReady.assign(US.PipeReady.begin(), US.PipeReady.end());
-    U.PipeValues.assign(US.PipeValues.begin(), US.PipeValues.end());
-    U.CenterIndex = std::move(US.CenterIndex);
-    U.StallCycles = US.StallCycles;
-    U.Stalls = US.Stalls;
-    U.LastCause = static_cast<StallCause>(US.LastCause);
-    U.LastProgress = US.LastProgress;
-    if (US.Tier != compute::kernelEngineName(U.Eval.tier()))
-      ++TierReassignedUnits;
-  }
-
-  for (size_t Index = 0; Index != Writers.size(); ++Index) {
-    Writer &Wr = Writers[Index];
-    WriterState &WS = D.Writers[Index];
-    if (WS.Field != Wr.Field || WS.Data.size() != Wr.Data.size() ||
-        WS.Index.size() != Wr.Index.size())
-      return malformed();
-    Wr.Data = std::move(WS.Data);
-    Wr.Index = std::move(WS.Index);
-    Wr.VectorsWritten = WS.VectorsWritten;
-    Wr.Stalls = WS.Stalls;
-    Wr.LastCause = static_cast<StallCause>(WS.LastCause);
-    Wr.LastProgress = WS.LastProgress;
-  }
-
-  for (size_t Index = 0; Index != Channels.size(); ++Index) {
-    Channel &C = *Channels[Index];
-    const ChannelState &CS = D.Channels[Index];
-    int64_t Count = static_cast<int64_t>(CS.ReadyCycles.size());
-    if (CS.Name != C.name() || Count > C.capacity())
-      return malformed();
-    C.clearForRestore();
-    for (int64_t I = 0; I != Count; ++I)
-      C.restorePush(&CS.Vectors[static_cast<size_t>(I * Lanes)],
-                    CS.ReadyCycles[static_cast<size_t>(I)]);
-    C.restoreStats(CS.PeakOccupancy, CS.HighWater);
-  }
-
-  for (size_t Index = 0; Index != Reliable.size(); ++Index) {
-    ReliableStream &RS = Reliable[Index];
-    ReliableState &DS = D.Reliable[Index];
-    if (DS.ChannelIndex != RS.ChannelIndex)
-      return malformed();
-    RS.SendBuffer.assign(DS.SendBuffer.begin(), DS.SendBuffer.end());
-    RS.NextSeq = DS.NextSeq;
-    RS.SendBase = DS.SendBase;
-    RS.ResendNext = DS.ResendNext;
-    RS.BackoffUntil = DS.BackoffUntil;
-    RS.NackStreak = static_cast<int>(DS.NackStreak);
-    RS.TransmissionNonce = DS.TransmissionNonce;
-    RS.Wire.clear();
-    for (const ReliableState::WireEntry &F : DS.Wire)
-      RS.Wire.push_back({F.Seq, F.ArriveCycle, F.Corrupted != 0});
-    RS.ExpectedSeq = DS.ExpectedSeq;
-    RS.AttemptsOnExpected = static_cast<int>(DS.AttemptsOnExpected);
-    RS.PeakOutstanding = DS.PeakOutstanding;
-    RS.Stats = DS.Stats;
-  }
-
-  NetworkBytesMoved = D.NetworkBytesMoved;
-  MemoryBytesMoved = D.MemoryBytesMoved;
-  MemoryBudget = D.MemoryBudget;
-  WriterBudget = D.WriterBudget;
-  HopBudget = D.HopBudget;
-  return Error::success();
-}
-
-Error Machine::restoreRehydrate(const MachineSnapshot &Snap) {
-  DecodedState D;
-  if (!decodeState(Snap.State, D))
-    return malformed();
-  // Topology-derived shape must match; the placement-derived shape
-  // (readers, devices, reliable streams) legitimately differs.
-  if (D.Units.size() != Units.size() ||
-      D.Writers.size() != Writers.size() ||
-      D.Channels.size() != Channels.size() || D.Lanes != Lanes)
-    return malformed();
-
-  // Units and writers transplant by index: Machine::build creates both in
-  // a placement-independent order (topological for units, program output
-  // order for writers), which the topology signature pins down.
-  for (size_t Index = 0; Index != Units.size(); ++Index) {
-    Unit &U = Units[Index];
-    UnitState &US = D.Units[Index];
-    if (US.Name != U.Name || US.Streams.size() != U.Streams.size() ||
-        US.CenterIndex.size() != U.CenterIndex.size())
-      return malformed();
-    for (size_t S = 0; S != U.Streams.size(); ++S) {
-      if (US.Streams[S].Ring.size() != U.Streams[S].Ring.size())
-        return malformed();
-      U.Streams[S].Ring = std::move(US.Streams[S].Ring);
-      U.Streams[S].WrittenElements = US.Streams[S].WrittenElements;
-    }
-    U.Step = US.Step;
-    U.Issued = US.Issued;
-    U.Emitted = US.Emitted;
-    U.PipeReady.assign(US.PipeReady.begin(), US.PipeReady.end());
-    U.PipeValues.assign(US.PipeValues.begin(), US.PipeValues.end());
-    U.CenterIndex = std::move(US.CenterIndex);
-    U.StallCycles = US.StallCycles;
-    U.Stalls = US.Stalls;
-    U.LastCause = static_cast<StallCause>(US.LastCause);
-    // Avoid spurious watchdog trips right after the placement change.
-    U.LastProgress = Snap.Cycle;
-    if (US.Tier != compute::kernelEngineName(U.Eval.tier()))
-      ++TierReassignedUnits;
-  }
-
-  for (size_t Index = 0; Index != Writers.size(); ++Index) {
-    Writer &Wr = Writers[Index];
-    WriterState &WS = D.Writers[Index];
-    if (WS.Field != Wr.Field || WS.Data.size() != Wr.Data.size() ||
-        WS.Index.size() != Wr.Index.size())
-      return malformed();
-    Wr.Data = std::move(WS.Data);
-    Wr.Index = std::move(WS.Index);
-    Wr.VectorsWritten = WS.VectorsWritten;
-    Wr.Stalls = WS.Stalls;
-    Wr.LastCause = static_cast<StallCause>(WS.LastCause);
-    Wr.LastProgress = Snap.Cycle;
-  }
-
-  // Channels transplant by index too (channel creation order is
-  // placement-independent), but their physical parameters changed with
-  // the placement: capacities may have shrunk (a formerly-remote channel
-  // lost its extra network depth) and in-flight arrival stamps belong to
-  // links that no longer exist. Grow undersized channels and clamp every
-  // ready cycle to the resume cycle — the data already traversed the old
-  // wire; replaying the tail must not pay its latency twice.
-  for (size_t Index = 0; Index != Channels.size(); ++Index) {
-    Channel &C = *Channels[Index];
-    const ChannelState &CS = D.Channels[Index];
-    if (CS.Name != C.name())
-      return malformed();
-    int64_t Count = static_cast<int64_t>(CS.ReadyCycles.size());
-    C.clearForRestore();
-    C.ensureCapacity(Count);
-    for (int64_t I = 0; I != Count; ++I)
-      C.restorePush(&CS.Vectors[static_cast<size_t>(I * Lanes)],
-                    std::min(CS.ReadyCycles[static_cast<size_t>(I)],
-                             Snap.Cycle));
-    C.restoreStats(CS.PeakOccupancy, CS.HighWater);
-  }
+void Machine::rehydrate(const RehydrateState &Old) {
+  // Avoid spurious watchdog trips right after the placement change.
+  for (Unit &U : Units)
+    U.LastProgress = Old.Cycle;
+  for (Writer &Wr : Writers)
+    Wr.LastProgress = Old.Cycle;
 
   // Old reliable streams are flattened into their delivery channels: the
   // channel already holds the delivered-not-popped window, and the send
@@ -1010,14 +788,12 @@ Error Machine::restoreRehydrate(const MachineSnapshot &Snap) {
   // is still remote in the new placement its fresh stream starts at
   // sequence zero on both ends, so the protocol stays consistent; the old
   // link statistics carry over for reporting continuity.
-  for (ReliableState &DS : D.Reliable) {
-    if (DS.ChannelIndex >= Channels.size())
-      return malformed();
+  for (const ReliableStream &DS : Old.Reliable) {
     Channel &C = *Channels[DS.ChannelIndex];
     C.ensureCapacity(C.size() +
                      static_cast<int64_t>(DS.SendBuffer.size()));
     for (const std::vector<double> &Payload : DS.SendBuffer)
-      C.restorePush(Payload.data(), Snap.Cycle);
+      C.restorePush(Payload.data(), Old.Cycle);
     int Rel = ReliableOf[DS.ChannelIndex];
     if (Rel >= 0) {
       Reliable[static_cast<size_t>(Rel)].Stats = DS.Stats;
@@ -1034,17 +810,17 @@ Error Machine::restoreRehydrate(const MachineSnapshot &Snap) {
   // duplicated or lost. Stall attribution aggregates per field onto the
   // field's first new reader.
   std::map<std::string, StallBreakdown> FieldStalls;
-  std::map<std::string, uint8_t> FieldCause;
-  for (const ReaderState &RS : D.Readers) {
-    FieldStalls[RS.Field] += RS.Stalls;
-    FieldCause.emplace(RS.Field, RS.LastCause);
+  std::map<std::string, StallCause> FieldCause;
+  for (const Reader &R : Old.Readers) {
+    FieldStalls[R.Field] += R.Stalls;
+    FieldCause.emplace(R.Field, R.LastCause);
   }
   std::map<std::string, bool> FieldClaimed;
   for (Reader &R : Readers) {
     int64_t Minimum = std::numeric_limits<int64_t>::max();
     R.ChannelBase.assign(R.OutChannels.size(), 0);
     for (size_t I = 0; I != R.OutChannels.size(); ++I) {
-      R.ChannelBase[I] = D.Channels[R.OutChannels[I]].Produced;
+      R.ChannelBase[I] = Old.Produced[R.OutChannels[I]];
       Minimum = std::min(Minimum, R.ChannelBase[I]);
     }
     R.VectorsPushed = R.OutChannels.empty() ? 0 : Minimum;
@@ -1053,25 +829,20 @@ Error Machine::restoreRehydrate(const MachineSnapshot &Snap) {
       R.Stalls = FieldStalls[R.Field];
       auto It = FieldCause.find(R.Field);
       if (It != FieldCause.end())
-        R.LastCause = static_cast<StallCause>(It->second);
+        R.LastCause = It->second;
     }
-    R.LastProgress = Snap.Cycle;
+    R.LastProgress = Old.Cycle;
   }
 
-  // Globals: transfer totals carry over; per-device accounting folds
-  // lost devices onto device 0; carry-over budgets stay zeroed
-  // (sub-transaction amounts — rehydration is not exactness-bound).
-  NetworkBytesMoved = D.NetworkBytesMoved;
-  for (int64_t Device = 0; Device != D.NumDevices; ++Device) {
-    size_t Dest = Device < NumDevices ? static_cast<size_t>(Device) : 0;
-    if (Device < NumDevices)
-      MemoryBytesMoved[Dest] =
-          D.MemoryBytesMoved[static_cast<size_t>(Device)];
+  // Globals: per-device transfer totals fold lost devices onto device 0;
+  // carry-over budgets stay zeroed (sub-transaction amounts — rehydration
+  // is not exactness-bound).
+  for (size_t Device = 0; Device != Old.MemoryBytesMoved.size(); ++Device) {
+    if (Device < static_cast<size_t>(NumDevices))
+      MemoryBytesMoved[Device] = Old.MemoryBytesMoved[Device];
     else
-      MemoryBytesMoved[Dest] +=
-          D.MemoryBytesMoved[static_cast<size_t>(Device)];
+      MemoryBytesMoved[0] += Old.MemoryBytesMoved[Device];
   }
-  return Error::success();
 }
 
 //===----------------------------------------------------------------------===//

@@ -160,6 +160,8 @@ public:
 
 private:
   void raw(void *Dest, size_t Count) {
+    if (Count == 0)
+      return; // An empty span may have no storage; memcpy needs some.
     if (Count > remaining()) {
       Fail = true;
       std::memset(Dest, 0, Count);

@@ -1296,7 +1296,11 @@ Machine::run(const std::map<std::string, std::vector<double>> &Inputs,
              const MachineSnapshot *Resume) {
   if (Error Err = prepareRun(Inputs))
     return Err;
-  InputsHashOfRun = hashInputFields(Inputs);
+  // Only snapshots read the inputs hash; skip hashing every input cell
+  // on runs that neither write nor resume one.
+  InputsHashOfRun = Resume || !Config.CheckpointDir.empty()
+                        ? hashInputFields(Inputs)
+                        : 0;
   if (Resume) {
     if (Error Err = restoreSnapshot(*Resume, InputsHashOfRun))
       return SimFailure(std::move(Err));

@@ -479,15 +479,26 @@ private:
 
   /// Serializes the complete runtime state after completing cycles
   /// [0, \p Cycle). Only legal between cycles.
-  MachineSnapshot captureSnapshot(int64_t Cycle) const;
+  MachineSnapshot captureSnapshot(int64_t Cycle);
 
   /// Overwrites the freshly prepared runtime state from \p Snap,
   /// dispatching to the exact or rehydrate path by signature; sets
   /// ResumeCycle on success. \p InputsHash guards against resuming with
   /// different input data.
   Error restoreSnapshot(const MachineSnapshot &Snap, uint64_t InputsHash);
-  Error restoreExact(const MachineSnapshot &Snap);
-  Error restoreRehydrate(const MachineSnapshot &Snap);
+
+  /// The snapshot state layout, written once: a saving archive reads every
+  /// field of the machine, a loading one overwrites it. With \p Old set
+  /// (the rehydrate restore), the placement-dependent sections load into
+  /// \p Old instead of the machine. False when a load finds the payload
+  /// malformed.
+  class StateArchive;
+  struct RehydrateState;
+  bool transferState(StateArchive &Ar, RehydrateState *Old);
+
+  /// Moves the old placement's reader cursors, reliable windows and
+  /// per-device totals onto this machine's placement.
+  void rehydrate(const RehydrateState &Old);
 
   /// Writes a snapshot when the cycle or wall-clock cadence says one is
   /// due after completing \p CompletedCycles cycles. The wall clock is
@@ -497,7 +508,9 @@ private:
   void writeCheckpoint(int64_t CompletedCycles);
 
   int64_t ResumeCycle = 0; ///< First cycle the current run steps.
-  uint64_t InputsHashOfRun = 0; ///< hashInputFields of the bound inputs.
+  /// hashInputFields of the bound inputs; 0 when the run neither writes
+  /// nor resumes a snapshot.
+  uint64_t InputsHashOfRun = 0;
   int64_t NextCheckpointCycle = 0;
   std::chrono::steady_clock::time_point LastCheckpointWall;
   int64_t CheckpointsWritten = 0;  ///< Snapshots persisted this run.

@@ -6,9 +6,9 @@
 
 #include "support/Json.h"
 
+#include "support/JsonWriter.h"
 #include "support/StringUtils.h"
 
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -59,43 +59,6 @@ void Object::set(std::string Key, Value Val) {
 
 namespace {
 
-void escapeStringTo(std::string &Out, const std::string &S) {
-  Out += '"';
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20)
-        Out += formatString("\\u%04x", C);
-      else
-        Out += C;
-    }
-  }
-  Out += '"';
-}
-
-void numberTo(std::string &Out, double D) {
-  if (std::isfinite(D) && D == std::floor(D) && std::fabs(D) < 1e15) {
-    Out += formatString("%lld", static_cast<long long>(D));
-    return;
-  }
-  Out += formatString("%.17g", D);
-}
-
 void serialize(std::string &Out, const Value &V, int Indent, int Depth) {
   auto newline = [&](int D) {
     if (Indent < 0)
@@ -111,10 +74,10 @@ void serialize(std::string &Out, const Value &V, int Indent, int Depth) {
     Out += V.getBoolean() ? "true" : "false";
     return;
   case ValueKind::Number:
-    numberTo(Out, V.getNumber());
+    JsonWriter(Out).value(V.getNumber());
     return;
   case ValueKind::String:
-    escapeStringTo(Out, V.getString());
+    JsonWriter(Out).value(V.getString());
     return;
   case ValueKind::Array: {
     const auto &Elements = V.getArray();
@@ -146,7 +109,7 @@ void serialize(std::string &Out, const Value &V, int Indent, int Depth) {
         Out += ',';
       First = false;
       newline(Depth + 1);
-      escapeStringTo(Out, Key);
+      JsonWriter(Out).value(Key);
       Out += Indent < 0 ? ":" : ": ";
       serialize(Out, *Member, Indent, Depth + 1);
     }

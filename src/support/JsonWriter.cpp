@@ -113,7 +113,8 @@ void JsonWriter::value(std::string_view S) {
 
 void JsonWriter::value(double D) {
   beforeValue();
-  // Match json::Value serialization: integral doubles print as integers.
+  // Integral doubles print as integers. json::Value serializes numbers
+  // and strings through this writer too, so both emit the same text.
   if (std::isfinite(D) && D == std::floor(D) && std::fabs(D) < 1e15)
     Out += formatString("%lld", static_cast<long long>(D));
   else

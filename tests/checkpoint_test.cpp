@@ -10,6 +10,10 @@
 //    bounds-checked ByteReader);
 //  - the snapshot file layer: round trips, crash-consistent naming,
 //    latest-snapshot resolution, bounded retention;
+//  - the format-v2 fixture (tests/data): it still resumes bit-exactly, a
+//    fresh run reproduces its state byte for byte, and CRC-valid but
+//    malformed state payloads fail both restore paths with
+//    ErrorCode::SnapshotInvalid;
 //  - rejection of damaged files — corrupted, truncated, bad magic,
 //    version skew — with ErrorCode::SnapshotInvalid, and of mismatched
 //    programs/inputs with ErrorCode::SnapshotIncompatible;
@@ -442,6 +446,146 @@ TEST(SnapshotFileTest, RejectsDamagedFiles) {
 }
 
 //===----------------------------------------------------------------------===//
+// Format v2 fixture
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The run the checked-in fixture was taken from: jacobi3dChain(6, 4, 6, 6)
+/// split over two devices under corruptionPlan(), snapshotted at cycle
+/// 600 with a reliable window and a transmission in flight. The file pins
+/// the format-v2 state layout byte for byte.
+class SnapshotFormatTest : public ::testing::Test {
+protected:
+  void SetUp() override {
+    auto Built = CompiledProgram::compile(jacobi3dChain(6, 4, 6, 6));
+    ASSERT_TRUE(Built) << Built.message();
+    Compiled = std::make_unique<CompiledProgram>(Built.takeValue());
+    auto Analysis = analyzeDataflow(*Compiled);
+    ASSERT_TRUE(Analysis) << Analysis.message();
+    Dataflow = std::make_unique<DataflowAnalysis>(Analysis.takeValue());
+    Placement = makeSplitPartition(*Compiled, *Dataflow, 3);
+    ASSERT_EQ(Placement.numDevices(), 2u);
+    Inputs = materializeInputs(Compiled->program());
+    auto Loaded = readSnapshotFile(SF_TEST_DATA_DIR
+                                   "/snapshot_v2_jacobi3d_faults.sfck");
+    ASSERT_TRUE(Loaded) << Loaded.message();
+    Fixture = Loaded.takeValue();
+  }
+
+  /// The configuration the fixture was written under.
+  SimConfig faultConfig() const {
+    SimConfig Config;
+    Config.UnconstrainedMemory = true;
+    Config.Faults = &Plan;
+    return Config;
+  }
+
+  /// The fixture's own machine under \p Config (exact restore).
+  Machine build(const SimConfig &Config) const {
+    return make(&Placement, Config);
+  }
+
+  /// One device without the fault plan: the same topology on another
+  /// placement and config, so the fixture takes the rehydrate restore.
+  Machine buildRehydrate() const { return make(nullptr, SimConfig{}); }
+
+  Machine make(const Partition *Where, SimConfig Config) const {
+    Config.UnconstrainedMemory = true;
+    auto M = Machine::build(*Compiled, *Dataflow, Where, Config);
+    EXPECT_TRUE(M) << M.message();
+    return M.takeValue();
+  }
+
+  FaultPlan Plan = corruptionPlan();
+  std::unique_ptr<CompiledProgram> Compiled;
+  std::unique_ptr<DataflowAnalysis> Dataflow;
+  Partition Placement;
+  std::map<std::string, std::vector<double>> Inputs;
+  MachineSnapshot Fixture;
+};
+
+} // namespace
+
+TEST_F(SnapshotFormatTest, V2FixtureResumesAndIsReproduced) {
+  // (a) The file layer accepts it.
+  EXPECT_EQ(Fixture.Cycle, 600);
+
+  // (b) Resuming from it is bit- and cycle-exact with the uninterrupted
+  // run, so snapshots written by earlier builds stay usable.
+  auto Uninterrupted = build(faultConfig()).run(Inputs);
+  ASSERT_TRUE(Uninterrupted) << Uninterrupted.message();
+  EXPECT_GT(Uninterrupted->Stats.Links.begin()->second.Retransmissions, 0);
+  auto Resumed = build(faultConfig()).run(Inputs, &Fixture);
+  ASSERT_TRUE(Resumed) << Resumed.message();
+  EXPECT_EQ(Resumed->Stats.ResumedFromCycle, Fixture.Cycle);
+  expectSameRun(*Uninterrupted, *Resumed, "v2 fixture resume");
+
+  // (c) A fresh run's snapshot at the same cycle is byte-identical.
+  SimConfig Ck = faultConfig();
+  Ck.CheckpointDir = freshDir("v2_fixture");
+  Ck.CheckpointEveryCycles = Fixture.Cycle;
+  Ck.CheckpointKeep = 1000;
+  auto Run = build(Ck).run(Inputs);
+  ASSERT_TRUE(Run) << Run.message();
+  auto Fresh = readSnapshotFile(Ck.CheckpointDir + "/" +
+                                snapshotFileName(Fixture.Cycle));
+  ASSERT_TRUE(Fresh) << Fresh.message();
+  EXPECT_EQ(Fresh->ExactSignature, Fixture.ExactSignature);
+  EXPECT_EQ(Fresh->TopologySignature, Fixture.TopologySignature);
+  EXPECT_EQ(Fresh->InputsHash, Fixture.InputsHash);
+  EXPECT_TRUE(Fresh->State == Fixture.State)
+      << "state layout drifted from format v2 (" << Fresh->State.size()
+      << " vs " << Fixture.State.size() << " bytes)";
+}
+
+TEST_F(SnapshotFormatTest, MalformedStateIsRejected) {
+  // The CRC guards the file, not the decoder: feed CRC-valid but damaged
+  // state payloads straight to both restore paths. Every one must fail
+  // with SnapshotInvalid, without a crash or an outsized allocation.
+  for (bool Exact : {true, false}) {
+    std::string Path = Exact ? "exact" : "rehydrate";
+    // The undamaged payload takes the intended path and resumes.
+    auto Build = [&] {
+      return Exact ? build(faultConfig()) : buildRehydrate();
+    };
+    auto Reference = Build().run(Inputs);
+    ASSERT_TRUE(Reference) << Path << ": " << Reference.message();
+    auto Resumed = Build().run(Inputs, &Fixture);
+    ASSERT_TRUE(Resumed) << Path << ": " << Resumed.message();
+    EXPECT_EQ(Resumed->Stats.ResumedFromCycle, Fixture.Cycle) << Path;
+    EXPECT_EQ(Resumed->Outputs, Reference->Outputs) << Path;
+
+    Machine M = Build();
+    auto ExpectRejected = [&](const MachineSnapshot &Damaged,
+                              const std::string &What) {
+      auto Result = M.run(Inputs, &Damaged);
+      ASSERT_FALSE(Result) << Path << ": accepted " << What;
+      ASSERT_EQ(Result.code(), ErrorCode::SnapshotInvalid)
+          << Path << " " << What << ": " << Result.message();
+    };
+    for (size_t Length = 0; Length != Fixture.State.size(); ++Length) {
+      MachineSnapshot Truncated = Fixture;
+      Truncated.State.resize(Length);
+      ExpectRejected(Truncated, formatString("truncation to %zu bytes",
+                                             Length));
+      if (::testing::Test::HasFatalFailure())
+        return;
+    }
+    // The leading words: reader, unit, writer, channel and reliable-stream
+    // counts, then the device count and the lane count.
+    for (size_t Word = 0; Word != 7; ++Word) {
+      MachineSnapshot Huge = Fixture;
+      uint64_t Count = 1ull << 40;
+      std::memcpy(Huge.State.data() + Word * 8, &Count, sizeof(Count));
+      ExpectRejected(Huge, formatString("leading word %zu = 2^40", Word));
+      if (::testing::Test::HasFatalFailure())
+        return;
+    }
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // Kill/resume parity
 //===----------------------------------------------------------------------===//
 
@@ -487,7 +631,7 @@ TEST(CheckpointParityTest, ScalarKernelTier) {
                          /*MultiDevice=*/false, "scalar_tier");
 }
 
-TEST(CheckpointParityTest, AutoKernelTier) {
+TEST(CheckpointParityTest, MixedKernelTiers) {
   // The default tier picks chain or tape per unit; carry a machine that
   // runs both across the snapshot boundary.
   SimConfig Config;
@@ -630,7 +774,7 @@ TEST(CheckpointRestoreTest, ConfigChangeFallsBackToRehydrate) {
   }
 }
 
-TEST(CheckpointRestoreTest, EngineAndTierAreResumeInvariant) {
+TEST(CheckpointRestoreTest, TierIsResumeInvariant) {
   // The exact signature deliberately EXCLUDES the kernel tier: a
   // snapshot from a Specialized run resumes on
   // a machine with a different tier, reports the reassignment, and still

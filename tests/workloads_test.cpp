@@ -5,9 +5,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/RuntimeModel.h"
+#include "frontend/ProgramLoader.h"
 #include "runtime/InputData.h"
 #include "runtime/Iterate.h"
 #include "runtime/Pipeline.h"
+#include "runtime/Validation.h"
 #include "sdfg/StencilFusion.h"
 #include "workloads/Workloads.h"
 
@@ -201,6 +203,33 @@ TEST(WorkloadsTest, HdiffInitializationLatencyNegligible) {
                     static_cast<double>(Runtime.StreamedCycles);
   EXPECT_LT(Fraction, 0.02);
   EXPECT_GT(Fraction, 0.0001);
+}
+
+TEST(WorkloadsTest, ProgramsSurviveTheirOwnText) {
+  // programToJson -> programFromJsonText must give back the same program:
+  // the same text and the same reference outputs. Non-integral constants
+  // (the wave chains' 4/3 and -1/12 from radius 2 up) must print with
+  // every digit.
+  std::vector<std::pair<std::string, StencilProgram>> Programs;
+  Programs.emplace_back("jacobi2d", jacobi2dChain(3, 12, 12));
+  Programs.emplace_back("jacobi3d", jacobi3dChain(3, 4, 8, 8));
+  Programs.emplace_back("diffusion2d", diffusion2dChain(3, 12, 12));
+  Programs.emplace_back("diffusion3d", diffusion3dChain(3, 4, 8, 8));
+  Programs.emplace_back("hdiff", horizontalDiffusion(4, 16, 16));
+  for (int Radius = 1; Radius <= 4; ++Radius)
+    Programs.emplace_back("wave2d_r" + std::to_string(Radius),
+                          wave2dChain(Radius, 4, 32, 128, 8));
+  Programs.emplace_back("wave3d_r3", wave3dChain(3, 2, 8, 8, 8));
+  Programs.emplace_back("hotspot2d", hotspot2dChain(3, 12, 12));
+  for (const auto &[Name, Program] : Programs) {
+    std::string Text = programToJson(Program).toString();
+    auto Back = programFromJsonText(Text);
+    ASSERT_TRUE(Back) << Name << ": " << Back.message();
+    EXPECT_EQ(programToJson(*Back).toString(), Text) << Name;
+    EXPECT_EQ(outputsCrc(Back->Outputs, referenceAfterSteps(*Back, 1)),
+              outputsCrc(Program.Outputs, referenceAfterSteps(Program, 1)))
+        << Name;
+  }
 }
 
 TEST(WorkloadsTest, VectorizedWorkloadsValid) {
