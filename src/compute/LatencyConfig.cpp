@@ -6,8 +6,6 @@
 
 #include "compute/LatencyConfig.h"
 
-#include <cmath>
-
 using namespace stencilflow;
 using namespace stencilflow::compute;
 
@@ -24,24 +22,29 @@ Expected<OpCode> compute::parseOpCodeName(std::string_view Name) {
   for (OpCode Op : AllOps)
     if (opCodeName(Op) == Name)
       return Op;
-  return makeError("unknown operation '" + std::string(Name) +
-                   "' in latency configuration");
+  return makeError(ErrorCode::InvalidInput,
+                   "unknown operation '" + std::string(Name) +
+                       "' in latency configuration");
 }
 
 Expected<LatencyTable>
 compute::latencyTableFromJson(const json::Value &Config) {
   if (!Config.isObject())
-    return makeError("latency configuration must be a JSON object");
+    return makeError(ErrorCode::InvalidInput,
+                     "latency configuration must be a JSON object");
   LatencyTable Table;
   for (const auto &[Name, Value] : Config.getObject()) {
     Expected<OpCode> Op = parseOpCodeName(Name);
     if (!Op)
       return Op.takeError();
-    if (!Value->isNumber() || Value->getNumber() < 0 ||
-        Value->getNumber() != std::floor(Value->getNumber()))
-      return makeError("latency of '" + Name +
-                       "' must be a non-negative integer");
-    Table.setLatency(*Op, Value->getInteger());
+    std::optional<int64_t> Cycles =
+        Value->isNumber() ? json::toInteger<int64_t>(Value->getNumber())
+                          : std::nullopt;
+    if (!Cycles || *Cycles < 0)
+      return makeError(ErrorCode::InvalidInput,
+                       "latency of '" + Name +
+                           "' must be a non-negative integer");
+    Table.setLatency(*Op, *Cycles);
   }
   return Table;
 }

@@ -11,7 +11,6 @@
 #include "support/StringUtils.h"
 
 #include <algorithm>
-#include <cmath>
 
 using namespace stencilflow;
 using json::Value;
@@ -67,7 +66,14 @@ Expected<DataSource> dataSourceFromJson(const Value &V,
         return badField(Path + ".seed",
                         "random data source 'seed' must be a number",
                         SeedValue);
-      Seed = static_cast<uint64_t>(SeedValue->getInteger());
+      // Read as int64: programToJson writes seeds that way.
+      std::optional<int64_t> Signed =
+          json::toInteger<int64_t>(SeedValue->getNumber());
+      if (!Signed)
+        return badField(Path + ".seed",
+                        "random data source 'seed' must be a 64-bit integer",
+                        SeedValue);
+      Seed = static_cast<uint64_t>(*Signed);
     }
     return DataSource::random(Seed);
   }
@@ -193,12 +199,17 @@ Expected<StencilProgram> stencilflow::programFromJson(const Value &Root) {
     return badField("dimensions", "program requires a 'dimensions' array",
                     Dims);
   std::vector<int64_t> Extents;
+  int64_t Cells = 1;
   for (const Value &Extent : Dims->getArray()) {
-    if (!Extent.isNumber() || Extent.getNumber() <= 0 ||
-        Extent.getNumber() != std::floor(Extent.getNumber()))
+    std::optional<int64_t> E =
+        Extent.isNumber() ? json::toInteger<int64_t>(Extent.getNumber())
+                          : std::nullopt;
+    if (!E || *E <= 0)
       return badField("dimensions", "must contain positive integers",
                       &Extent);
-    Extents.push_back(Extent.getInteger());
+    if (__builtin_mul_overflow(Cells, *E, &Cells))
+      return badField("dimensions", "cell count overflows 64 bits", Dims);
+    Extents.push_back(*E);
   }
   if (Extents.empty() || Extents.size() > 3)
     return badField("dimensions", "programs must have 1, 2, or 3 dimensions",
@@ -207,10 +218,11 @@ Expected<StencilProgram> stencilflow::programFromJson(const Value &Root) {
   size_t Rank = Program.IterationSpace.rank();
 
   if (const Value *W = Obj.get("vectorization")) {
-    if (!W->isNumber() || W->getNumber() < 1 ||
-        W->getNumber() != std::floor(W->getNumber()))
+    std::optional<int> Width =
+        W->isNumber() ? json::toInteger<int>(W->getNumber()) : std::nullopt;
+    if (!Width || *Width < 1)
       return badField("vectorization", "must be a positive integer", W);
-    Program.VectorWidth = static_cast<int>(W->getInteger());
+    Program.VectorWidth = *Width;
   }
 
   // Inputs.

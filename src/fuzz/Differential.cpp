@@ -86,19 +86,17 @@ Expected<DiffConfig> DiffConfig::fromJson(const json::Value &V) {
                      "finding 'config' must be an object");
   const json::Object &O = V.getObject();
   DiffConfig Config;
-  if (const json::Value *K = O.get("kernel"); K && K->isString())
-    Config.Kernel = K->getString();
+  if (Error Err = json::readMembers(
+          O, {{"kernel", &Config.Kernel},
+              {"temporal_degree", &Config.TemporalDegree},
+              {"faults", &Config.Faults},
+              {"resume", &Config.Resume}}))
+    return Err.addContext("finding 'config'");
   // Reproducers recorded on a retired tier (batched, jit, auto) replay on
   // its successor; every tier is bit-exact, so the finding still holds.
   if (Config.Kernel == "batched" || Config.Kernel == "jit" ||
       Config.Kernel == "auto")
     Config.Kernel = "specialized";
-  if (const json::Value *T = O.get("temporal_degree"); T && T->isNumber())
-    Config.TemporalDegree = static_cast<int>(T->getInteger());
-  if (const json::Value *F = O.get("faults"); F && F->isBoolean())
-    Config.Faults = F->getBoolean();
-  if (const json::Value *R = O.get("resume"); R && R->isBoolean())
-    Config.Resume = R->getBoolean();
   if (Config.TemporalDegree < 1)
     return makeError(ErrorCode::InvalidInput,
                      "config 'temporal_degree' must be >= 1");
@@ -127,35 +125,32 @@ json::Value FuzzFinding::toJson() const {
   return json::Value(std::move(O));
 }
 
-static uint64_t parseHex64(const json::Value *V) {
-  if (!V || !V->isString())
-    return 0;
-  return strtoull(V->getString().c_str(), nullptr, 0);
-}
-
 Expected<FuzzFinding> FuzzFinding::fromJson(const json::Value &V) {
   if (!V.isObject())
     return makeError(ErrorCode::InvalidInput, "finding must be an object");
   const json::Object &O = V.getObject();
   FuzzFinding Finding;
-  if (const json::Value *K = O.get("kind"); K && K->isString()) {
-    std::optional<FindingKind> Kind = findingKindFromName(K->getString());
-    if (!Kind)
-      return makeError(ErrorCode::InvalidInput,
-                       "unknown finding kind '" + K->getString() + "'");
-    Finding.Kind = *Kind;
-  }
-  Finding.Seed = parseHex64(O.get("seed"));
+  std::string KindName = findingKindName(Finding.Kind);
+  if (Error Err = json::readMembers(
+          O, {{"kind", &KindName}, {"detail", &Finding.Detail}}))
+    return Err.addContext("finding");
+  std::optional<FindingKind> Kind = findingKindFromName(KindName);
+  if (!Kind)
+    return makeError(ErrorCode::InvalidInput,
+                     "unknown finding kind '" + KindName + "'");
+  Finding.Kind = *Kind;
+  if (Error Err = json::readHexMember(O, "seed", Finding.Seed))
+    return Err.addContext("finding");
   if (const json::Value *C = O.get("config")) {
     Expected<DiffConfig> Config = DiffConfig::fromJson(*C);
     if (!Config)
       return Config.takeError();
     Finding.Config = std::move(*Config);
   }
-  if (const json::Value *D = O.get("detail"); D && D->isString())
-    Finding.Detail = D->getString();
-  Finding.ExpectedCrc = parseHex64(O.get("expected_crc"));
-  Finding.ActualCrc = parseHex64(O.get("actual_crc"));
+  if (Error Err = json::readHexMember(O, "expected_crc", Finding.ExpectedCrc))
+    return Err.addContext("finding");
+  if (Error Err = json::readHexMember(O, "actual_crc", Finding.ActualCrc))
+    return Err.addContext("finding");
   const json::Value *P = O.get("program");
   if (!P)
     return makeError(ErrorCode::InvalidInput,

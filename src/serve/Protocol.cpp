@@ -8,10 +8,6 @@
 
 #include "support/StringUtils.h"
 
-#include <climits>
-#include <cmath>
-#include <cstdlib>
-
 using namespace stencilflow;
 using namespace stencilflow::serve;
 
@@ -29,75 +25,16 @@ const char *serve::requestOpName(RequestOp Op) {
   return "run";
 }
 
-namespace {
-
-/// Reads an optional scalar member, type-checked. Returns an error only
-/// on a present-but-mistyped member; absence keeps the default.
-Error readBool(const json::Object &O, const char *Key, bool &Out) {
-  const json::Value *V = O.get(Key);
-  if (!V)
-    return Error::success();
-  if (!V->isBoolean())
-    return makeError(ErrorCode::InvalidInput,
-                     formatString("'%s' must be a boolean", Key));
-  Out = V->getBoolean();
-  return Error::success();
-}
-
-/// JSON numbers are doubles; an int member must hold an integral value in
-/// the int range, so a fraction or an overflow is an error, not a silent
-/// truncation.
-Error readInt(const json::Object &O, const char *Key, int &Out) {
-  const json::Value *V = O.get(Key);
-  if (!V)
-    return Error::success();
-  if (!V->isNumber())
-    return makeError(ErrorCode::InvalidInput,
-                     formatString("'%s' must be a number", Key));
-  double D = V->getNumber();
-  if (std::trunc(D) != D || D < INT_MIN || D > INT_MAX)
-    return makeError(ErrorCode::InvalidInput,
-                     formatString("'%s' must be an integer in [%d, %d]", Key,
-                                  INT_MIN, INT_MAX));
-  Out = static_cast<int>(D);
-  return Error::success();
-}
-
-Error readDouble(const json::Object &O, const char *Key, double &Out) {
-  const json::Value *V = O.get(Key);
-  if (!V)
-    return Error::success();
-  if (!V->isNumber())
-    return makeError(ErrorCode::InvalidInput,
-                     formatString("'%s' must be a number", Key));
-  Out = V->getNumber();
-  return Error::success();
-}
-
-Error readString(const json::Object &O, const char *Key, std::string &Out) {
-  const json::Value *V = O.get(Key);
-  if (!V)
-    return Error::success();
-  if (!V->isString())
-    return makeError(ErrorCode::InvalidInput,
-                     formatString("'%s' must be a string", Key));
-  Out = V->getString();
-  return Error::success();
-}
-
-} // namespace
-
 Expected<Request> Request::fromJson(const json::Value &V) {
   if (!V.isObject())
     return makeError(ErrorCode::InvalidInput, "request must be an object");
   const json::Object &O = V.getObject();
 
   Request R;
-  if (Error Err = readString(O, "id", R.Id))
-    return Err;
-
   std::string OpName = "run";
-  if (Error Err = readString(O, "op", OpName))
+  if (Error Err = json::readMembers(O, {{"id", &R.Id},
+                                       {"op", &OpName},
+                                       {"program_path", &R.ProgramPath}}))
     return Err;
   if (OpName == "run")
     R.Op = RequestOp::Run;
@@ -117,8 +54,6 @@ Expected<Request> Request::fromJson(const json::Value &V) {
                        "'program' must be an object");
     R.Program = *P;
   }
-  if (Error Err = readString(O, "program_path", R.ProgramPath))
-    return Err;
   if (R.Op == RequestOp::Run && R.Program.isNull() && R.ProgramPath.empty())
     return makeError(ErrorCode::InvalidInput,
                      "run request needs 'program' or 'program_path'");
@@ -132,21 +67,18 @@ Expected<Request> Request::fromJson(const json::Value &V) {
                        "'options' must be an object");
     const json::Object &OO = Opt->getObject();
     RequestOptions &RO = R.Options;
-    if (Error Err = readBool(OO, "fuse", RO.Fuse))
-      return Err;
-    if (Error Err = readBool(OO, "simplify", RO.Simplify))
-      return Err;
-    if (Error Err = readInt(OO, "vectorize", RO.Vectorize))
-      return Err;
-    if (Error Err = readInt(OO, "temporal_degree", RO.TemporalDegree))
-      return Err;
-    if (Error Err = readInt(OO, "max_devices", RO.MaxDevices))
-      return Err;
-    if (Error Err = readDouble(OO, "target_utilization",
-                               RO.TargetUtilization))
-      return Err;
     std::string Engine;
-    if (Error Err = readString(OO, "kernel_engine", Engine))
+    if (Error Err = json::readMembers(
+            OO, {{"fuse", &RO.Fuse},
+                 {"simplify", &RO.Simplify},
+                 {"vectorize", &RO.Vectorize},
+                 {"temporal_degree", &RO.TemporalDegree},
+                 {"max_devices", &RO.MaxDevices},
+                 {"target_utilization", &RO.TargetUtilization},
+                 {"kernel_engine", &Engine},
+                 {"validate", &RO.Validate},
+                 {"tune", &RO.Tune},
+                 {"tune_budget", &RO.TuneBudget}}))
       return Err;
     if (!Engine.empty()) {
       Expected<compute::KernelEngine> Parsed =
@@ -155,12 +87,6 @@ Expected<Request> Request::fromJson(const json::Value &V) {
         return Parsed.takeError();
       RO.KernelExec = *Parsed;
     }
-    if (Error Err = readBool(OO, "validate", RO.Validate))
-      return Err;
-    if (Error Err = readBool(OO, "tune", RO.Tune))
-      return Err;
-    if (Error Err = readInt(OO, "tune_budget", RO.TuneBudget))
-      return Err;
   }
   return R;
 }
@@ -260,12 +186,9 @@ Expected<Response> Response::fromJsonText(std::string_view Line) {
   const json::Object &O = V->getObject();
 
   Response R;
-  if (Error Err = readString(O, "id", R.Id))
-    return Err;
-  if (Error Err = readBool(O, "ok", R.Ok))
-    return Err;
   std::string Cache;
-  if (Error Err = readString(O, "cache", Cache))
+  if (Error Err = json::readMembers(
+          O, {{"id", &R.Id}, {"ok", &R.Ok}, {"cache", &Cache}}))
     return Err;
   if (!Cache.empty())
     R.CacheHit = Cache == "hit";
@@ -276,34 +199,18 @@ Expected<Response> Response::fromJsonText(std::string_view Line) {
   }
 
   if (R.Ok) {
-    int Devices = 0;
-    double Cycles = 0, Queue = 0, Compile = 0, Execute = 0;
-    if (Error Err = readDouble(O, "cycles", Cycles))
+    if (Error Err = json::readMembers(
+            O, {{"cycles", &R.Cycles},
+                {"devices", &R.Devices},
+                {"frequency_mhz", &R.FrequencyMHz},
+                {"validation_passed", &R.ValidationPassed},
+                {"kernel_tiers", &R.KernelTiers},
+                {"queue_us", &R.QueueMicros},
+                {"compile_us", &R.CompileMicros},
+                {"execute_us", &R.ExecuteMicros}}))
       return Err;
-    if (Error Err = readInt(O, "devices", Devices))
+    if (Error Err = json::readHexMember(O, "outputs_crc", R.OutputsCrc))
       return Err;
-    if (Error Err = readDouble(O, "frequency_mhz", R.FrequencyMHz))
-      return Err;
-    if (Error Err = readBool(O, "validation_passed", R.ValidationPassed))
-      return Err;
-    std::string Crc;
-    if (Error Err = readString(O, "outputs_crc", Crc))
-      return Err;
-    if (!Crc.empty())
-      R.OutputsCrc = strtoull(Crc.c_str(), nullptr, 16);
-    if (Error Err = readString(O, "kernel_tiers", R.KernelTiers))
-      return Err;
-    if (Error Err = readDouble(O, "queue_us", Queue))
-      return Err;
-    if (Error Err = readDouble(O, "compile_us", Compile))
-      return Err;
-    if (Error Err = readDouble(O, "execute_us", Execute))
-      return Err;
-    R.Cycles = static_cast<int64_t>(Cycles);
-    R.Devices = Devices;
-    R.QueueMicros = static_cast<int64_t>(Queue);
-    R.CompileMicros = static_cast<int64_t>(Compile);
-    R.ExecuteMicros = static_cast<int64_t>(Execute);
     return R;
   }
 
@@ -312,13 +219,11 @@ Expected<Response> Response::fromJsonText(std::string_view Line) {
       return makeError(ErrorCode::InvalidInput,
                        "'error' must be an object");
     std::string Code;
-    if (Error Err = readString(E->getObject(), "code", Code))
+    if (Error Err = json::readMembers(
+            E->getObject(), {{"code", &Code}, {"message", &R.ErrorMessage}}))
       return Err;
     if (std::optional<ErrorCode> Parsed = errorCodeFromName(Code))
       R.Code = *Parsed;
-    if (Error Err =
-            readString(E->getObject(), "message", R.ErrorMessage))
-      return Err;
   }
   if (const json::Value *F = O.get("failure_report")) {
     Expected<sim::FailureReport> Report = sim::FailureReport::fromJson(*F);

@@ -13,6 +13,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <new>
+#include <stdexcept>
 
 using namespace stencilflow;
 using namespace stencilflow::serve;
@@ -23,6 +25,28 @@ int64_t microsSince(std::chrono::steady_clock::time_point Start) {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now() - Start)
       .count();
+}
+
+Error allocationFailure(const std::exception &E) {
+  return makeError(ErrorCode::Infeasible,
+                   formatString("request needs more host memory than the "
+                                "server can allocate (%s)",
+                                E.what()));
+}
+
+/// Runs \p Body and returns its result. An allocation failure inside it
+/// (a domain the host cannot hold) becomes a typed error of that result
+/// type, so the request fails alone instead of the exception ending the
+/// worker and, uncaught, the process.
+template <typename Fn>
+auto catchAllocationFailure(Fn &&Body) -> decltype(Body()) {
+  try {
+    return Body();
+  } catch (const std::bad_alloc &E) {
+    return allocationFailure(E);
+  } catch (const std::length_error &E) {
+    return allocationFailure(E);
+  }
 }
 
 } // namespace
@@ -325,7 +349,12 @@ Server::resolvePlan(const Request &R, bool &Hit, int64_t &CompileMicros) {
     return Out.Plan;
   }
 
-  CompileOutcome Out = compileForRequest(R);
+  CompileOutcome Out;
+  if (Error Err = catchAllocationFailure([&] {
+        Out = compileForRequest(R);
+        return Error::success();
+      }))
+    Out.Err = std::move(Err);
   if (Out.Plan)
     Cache.insert(KeyId, Out.Plan);
   Publish.set_value(Out);
@@ -392,7 +421,8 @@ Response Server::process(Request &R, int64_t QueueMicros) {
   EO.Simulator.KernelExec = R.Options.KernelExec;
 
   auto ExecStart = std::chrono::steady_clock::now();
-  Expected<PlanExecution, sim::SimFailure> Exec = executePlan(**Plan, EO);
+  Expected<PlanExecution, sim::SimFailure> Exec =
+      catchAllocationFailure([&] { return executePlan(**Plan, EO); });
   int64_t ExecuteMicros = microsSince(ExecStart);
   {
     std::lock_guard<std::mutex> Lock(Mutex);

@@ -215,12 +215,8 @@ Expected<FaultPlan> FaultPlan::fromJson(const json::Value &V) {
                      "fault plan must be a JSON object");
   const json::Object &Root = V.getObject();
   FaultPlan Plan;
-  if (const json::Value *Seed = Root.get("seed")) {
-    if (!Seed->isNumber())
-      return makeError(ErrorCode::InvalidInput,
-                       "fault plan 'seed' must be a number");
-    Plan.Seed = static_cast<uint64_t>(Seed->getNumber());
-  }
+  if (Error Err = json::readMember(Root, "seed", Plan.Seed))
+    return Err.addContext("fault plan");
   const json::Value *Events = Root.get("events");
   if (Events) {
     if (!Events->isArray())
@@ -241,43 +237,14 @@ Expected<FaultPlan> FaultPlan::fromJson(const json::Value &V) {
         return makeError(ErrorCode::InvalidInput,
                          "unknown fault kind '" + Kind->getString() + "'");
       E.Kind = *Parsed;
-      auto ReadInt = [&](const char *Key, int64_t &Out) -> Error {
-        if (const json::Value *Val = Obj.get(Key)) {
-          if (!Val->isNumber())
-            return makeError(ErrorCode::InvalidInput,
-                             formatString("fault event '%s' must be a "
-                                          "number",
-                                          Key));
-          Out = Val->getInteger();
-        }
-        return Error::success();
-      };
-      auto ReadDouble = [&](const char *Key, double &Out) -> Error {
-        if (const json::Value *Val = Obj.get(Key)) {
-          if (!Val->isNumber())
-            return makeError(ErrorCode::InvalidInput,
-                             formatString("fault event '%s' must be a "
-                                          "number",
-                                          Key));
-          Out = Val->getNumber();
-        }
-        return Error::success();
-      };
-      int64_t Device = E.Device, Hop = E.Hop;
-      if (Error Err = ReadInt("start", E.StartCycle))
-        return Err;
-      if (Error Err = ReadInt("end", E.EndCycle))
-        return Err;
-      if (Error Err = ReadInt("device", Device))
-        return Err;
-      if (Error Err = ReadInt("hop", Hop))
-        return Err;
-      if (Error Err = ReadDouble("factor", E.Factor))
-        return Err;
-      if (Error Err = ReadDouble("probability", E.Probability))
-        return Err;
-      E.Device = static_cast<int>(Device);
-      E.Hop = static_cast<int>(Hop);
+      if (Error Err = json::readMembers(
+              Obj, {{"start", &E.StartCycle},
+                    {"end", &E.EndCycle},
+                    {"device", &E.Device},
+                    {"hop", &E.Hop},
+                    {"factor", &E.Factor},
+                    {"probability", &E.Probability}}))
+        return Err.addContext("fault event");
       Plan.Events.push_back(E);
     }
   }
@@ -415,53 +382,22 @@ Expected<FailureReport> FailureReport::fromJson(const json::Value &V) {
   const json::Object &Root = V.getObject();
   FailureReport Report;
 
-  auto GetString = [&](const json::Object &Obj, const char *Key,
-                       std::string &Out) -> Error {
-    if (const json::Value *Val = Obj.get(Key)) {
-      if (!Val->isString())
-        return makeError(ErrorCode::InvalidInput,
-                         formatString("failure report '%s' must be a "
-                                      "string",
-                                      Key));
-      Out = Val->getString();
-    }
-    return Error::success();
-  };
-  auto GetInt = [&](const json::Object &Obj, const char *Key,
-                    int64_t &Out) -> Error {
-    if (const json::Value *Val = Obj.get(Key)) {
-      if (!Val->isNumber())
-        return makeError(ErrorCode::InvalidInput,
-                         formatString("failure report '%s' must be a "
-                                      "number",
-                                      Key));
-      Out = Val->getInteger();
-    }
-    return Error::success();
-  };
-
   std::string CodeName, CauseName;
-  if (Error Err = GetString(Root, "code", CodeName))
-    return Err;
+  if (Error Err = json::readMembers(
+          Root, {{"code", &CodeName},
+                 {"cycle", &Report.Cycle},
+                 {"component", &Report.Component},
+                 {"dominant_cause", &CauseName},
+                 {"failed_device", &Report.FailedDevice},
+                 {"failed_channel", &Report.FailedChannel}}))
+    return Err.addContext("failure report");
   if (std::optional<ErrorCode> Code = errorCodeFromName(CodeName))
     Report.Code = *Code;
   else
     return makeError(ErrorCode::InvalidInput,
                      "unknown error code '" + CodeName + "'");
-  if (Error Err = GetInt(Root, "cycle", Report.Cycle))
-    return Err;
-  if (Error Err = GetString(Root, "component", Report.Component))
-    return Err;
-  if (Error Err = GetString(Root, "dominant_cause", CauseName))
-    return Err;
   if (std::optional<StallCause> Cause = stallCauseFromName(CauseName))
     Report.DominantCause = *Cause;
-  int64_t FailedDevice = -1;
-  if (Error Err = GetInt(Root, "failed_device", FailedDevice))
-    return Err;
-  Report.FailedDevice = static_cast<int>(FailedDevice);
-  if (Error Err = GetString(Root, "failed_channel", Report.FailedChannel))
-    return Err;
 
   if (const json::Value *Components = Root.get("components")) {
     if (!Components->isArray())
@@ -473,25 +409,17 @@ Expected<FailureReport> FailureReport::fromJson(const json::Value &V) {
                          "failure component must be an object");
       const json::Object &Obj = Entry.getObject();
       FailureComponent C;
-      int64_t Device = 0;
       std::string Name;
-      if (Error Err = GetString(Obj, "name", C.Name))
-        return Err;
-      if (Error Err = GetString(Obj, "kind", C.Kind))
-        return Err;
-      if (Error Err = GetInt(Obj, "device", Device))
-        return Err;
-      C.Device = static_cast<int>(Device);
-      if (Error Err = GetString(Obj, "cause", Name))
-        return Err;
+      if (Error Err = json::readMembers(Obj, {{"name", &C.Name},
+                                              {"kind", &C.Kind},
+                                              {"device", &C.Device},
+                                              {"cause", &Name},
+                                              {"stall_cycles", &C.StallCycles},
+                                              {"progress", &C.Progress},
+                                              {"total", &C.Total}}))
+        return Err.addContext("failure report");
       if (std::optional<StallCause> Cause = stallCauseFromName(Name))
         C.Cause = *Cause;
-      if (Error Err = GetInt(Obj, "stall_cycles", C.StallCycles))
-        return Err;
-      if (Error Err = GetInt(Obj, "progress", C.Progress))
-        return Err;
-      if (Error Err = GetInt(Obj, "total", C.Total))
-        return Err;
       Report.Components.push_back(std::move(C));
     }
   }
@@ -505,14 +433,11 @@ Expected<FailureReport> FailureReport::fromJson(const json::Value &V) {
                          "failure channel must be an object");
       const json::Object &Obj = Entry.getObject();
       FailureChannel C;
-      if (Error Err = GetString(Obj, "name", C.Name))
-        return Err;
-      if (Error Err = GetInt(Obj, "occupancy", C.Occupancy))
-        return Err;
-      if (Error Err = GetInt(Obj, "capacity", C.Capacity))
-        return Err;
-      if (const json::Value *Full = Obj.get("full"))
-        C.Full = Full->isBoolean() && Full->getBoolean();
+      if (Error Err = json::readMembers(Obj, {{"name", &C.Name},
+                                              {"occupancy", &C.Occupancy},
+                                              {"capacity", &C.Capacity},
+                                              {"full", &C.Full}}))
+        return Err.addContext("failure report");
       Report.Channels.push_back(std::move(C));
     }
   }

@@ -649,23 +649,13 @@ bool Machine::stepUnit(Unit &U, int64_t Cycle) {
       }
       // Issue an output once the initialization phase has passed.
       if (U.Step >= U.InitSteps) {
-        if (U.Eval.tier() == compute::KernelEngine::Scalar) {
-          // Reference path: per-lane gather and scalar interpretation.
-          for (int Lane = 0; Lane != Lanes; ++Lane) {
-            for (size_t Slot = 0, E = U.Slots.size(); Slot != E; ++Slot)
-              U.SlotValues[Slot] = readSlot(U, U.Slots[Slot], Lane);
-            U.OutVector[static_cast<size_t>(Lane)] =
-                U.Kernel->evaluate(U.SlotValues.data(), U.Scratch.data());
-          }
-        } else {
-          // Batched path: gather each slot's whole vector, then run the
-          // compiled tape once for all lanes.
-          for (size_t Slot = 0, E = U.Slots.size(); Slot != E; ++Slot)
-            gatherSlot(U, U.Slots[Slot],
-                       U.SlotSoA.data() + Slot * static_cast<size_t>(Lanes));
-          U.Eval.evaluate(U.SlotSoA.data(), U.OutVector.data(),
-                          U.EvalScratch.data());
-        }
+        // Gather each slot's whole vector, then evaluate all lanes at once
+        // on the configured tier.
+        for (size_t Slot = 0, E = U.Slots.size(); Slot != E; ++Slot)
+          gatherSlot(U, U.Slots[Slot],
+                     U.SlotSoA.data() + Slot * static_cast<size_t>(Lanes));
+        U.Eval.evaluate(U.SlotSoA.data(), U.OutVector.data(),
+                        U.EvalScratch.data());
         for (int Lane = 0; Lane != Lanes; ++Lane)
           U.PipeValues.push_back(U.OutVector[static_cast<size_t>(Lane)]);
         U.PipeReady.push_back(Cycle + U.CircuitLatency);
@@ -935,8 +925,6 @@ Error Machine::prepareRun(
     U.Stalls = StallBreakdown();
     U.LastCause = StallCause::PipelineLatency;
     U.LastProgress = 0;
-    U.Scratch.assign(U.Kernel->instructions().size(), 0.0);
-    U.SlotValues.assign(U.Slots.size(), 0.0);
     U.OutVector.assign(static_cast<size_t>(Lanes), 0.0);
     U.PopStaging.assign(static_cast<size_t>(Lanes), 0.0);
     U.SlotSoA.assign(U.Slots.size() * static_cast<size_t>(Lanes), 0.0);

@@ -276,15 +276,13 @@ private:
     StallCause LastCause = StallCause::PipelineLatency; ///< Most recent stall.
     int64_t LastProgress = 0; ///< Last cycle the unit made progress.
     int TraceTrack = -1;   ///< Timeline track when tracing.
-    std::vector<double> Scratch;    ///< Kernel evaluation scratch.
-    std::vector<double> SlotValues; ///< Kernel input staging.
     std::vector<double> OutVector;  ///< Output staging.
     std::vector<double> PopStaging; ///< Channel pop staging.
     /// Lane-batched kernel evaluator (compute/Engine.h), compiled at
     /// build() for the configured tier and immutable afterwards.
     compute::KernelEvaluator Eval;
     std::vector<double> SlotSoA;     ///< Gathered inputs [slot*W + lane].
-    std::vector<double> EvalScratch; ///< Batched register file scratch.
+    std::vector<double> EvalScratch; ///< Evaluator scratch.
   };
 
   /// A memory reader endpoint: streams one input field on one device.
@@ -415,7 +413,7 @@ private:
   double readSlot(const Unit &U, const SlotRef &Slot, int Lane) const;
 
   /// Gathers all lanes of one slot into \p Dst (Lanes doubles) for the
-  /// batched kernel engine. Interior stream taps take a precomputed
+  /// kernel evaluator. Interior stream taps take a precomputed
   /// two-span ring copy (one modulo per vector instead of one per lane);
   /// boundary vectors and ROM slots fall back to readSlot per lane.
   void gatherSlot(const Unit &U, const SlotRef &Slot, double *Dst) const;

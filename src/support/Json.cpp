@@ -9,6 +9,7 @@
 #include "support/JsonWriter.h"
 #include "support/StringUtils.h"
 
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -403,4 +404,43 @@ Expected<Value> json::parseFile(const std::string &Path) {
   if (!Result)
     return Result.takeError().addContext(Path);
   return Result;
+}
+
+//===----------------------------------------------------------------------===//
+// Typed member readers
+//===----------------------------------------------------------------------===//
+
+Error json::memberError(std::string_view Key, const std::string &What) {
+  return makeError(ErrorCode::InvalidInput,
+                   "'" + std::string(Key) + "' must be " + What);
+}
+
+Error json::readMembers(
+    const Object &O,
+    std::initializer_list<std::pair<std::string_view, MemberOut>> Members) {
+  for (const auto &Member : Members)
+    if (Error Err = std::visit(
+            [&](auto *Out) { return readMember(O, Member.first, *Out); },
+            Member.second))
+      return Err;
+  return Error::success();
+}
+
+Error json::readHexMember(const Object &O, std::string_view Key,
+                          uint64_t &Out) {
+  const Value *V = O.get(Key);
+  if (!V)
+    return Error::success();
+  if (!V->isString())
+    return memberError(Key, "a string");
+  std::string_view Digits = V->getString();
+  if (startsWith(Digits, "0x") || startsWith(Digits, "0X"))
+    Digits.remove_prefix(2);
+  const char *End = Digits.data() + Digits.size();
+  uint64_t Parsed = 0;
+  auto [Stop, Ec] = std::from_chars(Digits.data(), End, Parsed, 16);
+  if (Digits.empty() || Ec != std::errc() || Stop != End)
+    return memberError(Key, "a 64-bit hex string");
+  Out = Parsed;
+  return Error::success();
 }

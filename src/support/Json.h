@@ -20,11 +20,16 @@
 #include "support/Error.h"
 
 #include <cassert>
+#include <cmath>
 #include <cstdint>
+#include <initializer_list>
+#include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -100,9 +105,6 @@ public:
   /// Typed accessors; must only be called when the kind matches.
   bool getBoolean() const { return std::get<bool>(Storage); }
   double getNumber() const { return std::get<double>(Storage); }
-  int64_t getInteger() const {
-    return static_cast<int64_t>(std::get<double>(Storage));
-  }
   const std::string &getString() const { return std::get<std::string>(Storage); }
   const std::vector<Value> &getArray() const {
     return std::get<std::vector<Value>>(Storage);
@@ -122,6 +124,77 @@ private:
                Object>
       Storage;
 };
+
+/// The one checked number-to-integer conversion. JSON numbers are doubles:
+/// \p D converts only when it is integral and inside \p Int's range, so a
+/// fraction, an infinity, NaN or an out-of-range magnitude is nullopt,
+/// never a truncated, wrapped or undefined cast.
+template <typename Int> std::optional<Int> toInteger(double D) {
+  static_assert(std::is_integral_v<Int> && !std::is_same_v<Int, bool>,
+                "toInteger converts to an integer type");
+  // Int's limits as doubles, both exact: min() is 0 or -2^k, and the
+  // exclusive upper bound max() + 1 is 2^k.
+  constexpr double Lo = static_cast<double>(std::numeric_limits<Int>::min());
+  constexpr double Hi =
+      2.0 * static_cast<double>(std::numeric_limits<Int>::max() / 2 + 1);
+  if (!(D >= Lo && D < Hi) || std::trunc(D) != D)
+    return std::nullopt;
+  return static_cast<Int>(D);
+}
+
+/// "'Key' must be <What>", an InvalidInput error.
+Error memberError(std::string_view Key, const std::string &What);
+
+/// The one reader of an optional typed member \p Key of \p O; every
+/// decoder reads through it. An absent member leaves \p Out untouched. A
+/// present member of the wrong type is an InvalidInput error ("'key' must
+/// be a number"), and so is a number an integer \p Out cannot hold
+/// exactly ("'key' must be an integer in [min, max]").
+template <typename T>
+Error readMember(const Object &O, std::string_view Key, T &Out) {
+  const Value *V = O.get(Key);
+  if (!V)
+    return Error::success();
+  if constexpr (std::is_same_v<T, bool>) {
+    if (!V->isBoolean())
+      return memberError(Key, "a boolean");
+    Out = V->getBoolean();
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    if (!V->isString())
+      return memberError(Key, "a string");
+    Out = V->getString();
+  } else {
+    static_assert(std::is_arithmetic_v<T>, "unsupported member type");
+    if (!V->isNumber())
+      return memberError(Key, "a number");
+    if constexpr (std::is_integral_v<T>) {
+      std::optional<T> I = toInteger<T>(V->getNumber());
+      if (!I)
+        return memberError(
+            Key, "an integer in [" +
+                     std::to_string(std::numeric_limits<T>::min()) + ", " +
+                     std::to_string(std::numeric_limits<T>::max()) + "]");
+      Out = *I;
+    } else {
+      Out = V->getNumber();
+    }
+  }
+  return Error::success();
+}
+
+/// The destination of one member in a \c readMembers list.
+using MemberOut =
+    std::variant<bool *, int *, int64_t *, uint64_t *, double *, std::string *>;
+
+/// Reads each listed member with \c readMember, in order, and returns the
+/// first error.
+Error readMembers(
+    const Object &O,
+    std::initializer_list<std::pair<std::string_view, MemberOut>> Members);
+
+/// Reads a 64-bit member carried as hex text because a double cannot hold
+/// it (CRCs, seeds): an optional "0x" and hex digits, else an error.
+Error readHexMember(const Object &O, std::string_view Key, uint64_t &Out);
 
 /// Parses JSON text. Errors include 1-based line:column positions.
 Expected<Value> parse(std::string_view Text);

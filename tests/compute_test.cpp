@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "common/IntegerBoundaries.h"
 #include "common/TestPrograms.h"
 #include "compute/Kernel.h"
 #include "core/CompiledProgram.h"
@@ -464,6 +465,13 @@ TEST(LatencyConfigTest, RejectsBadValues) {
   EXPECT_FALSE(compute::latencyTableFromJsonText(R"({"add": -1})"));
   EXPECT_FALSE(compute::latencyTableFromJsonText(R"({"add": 1.5})"));
   EXPECT_FALSE(compute::latencyTableFromJsonText(R"([1, 2])"));
+}
+
+TEST(LatencyConfigTest, IntegerMembersRejectOutOfRangeNumbers) {
+  expectIntegerBoundariesRejected(
+      {{R"({"add": @})", Int64OnePast}}, [](const std::string &Text) {
+        return compute::latencyTableFromJsonText(Text);
+      });
 }
 
 TEST(LatencyConfigTest, ConfiguredLatenciesReachTheModel) {

@@ -18,6 +18,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "common/IntegerBoundaries.h"
 #include "common/SimDigest.h"
 #include "common/TestPrograms.h"
 #include "core/Partitioner.h"
@@ -174,6 +175,41 @@ TEST(FaultPlanTest, FromJsonTextRejectsGarbage) {
   EXPECT_TRUE(Empty->empty());
 }
 
+TEST(FaultPlanTest, IntegerMembersRejectOutOfRangeNumbers) {
+  expectIntegerBoundariesRejected(
+      {{R"({"seed": @})", UInt64OnePast},
+       {R"({"events": [{"kind": "link-outage", "start": @, "end": 10}]})",
+        Int64OnePast},
+       {R"({"events": [{"kind": "link-outage", "start": 0, "end": @}]})",
+        Int64OnePast},
+       {R"({"events": [{"kind": "device-failure", "start": 5,
+                        "device": @}]})",
+        IntOnePast},
+       {R"({"events": [{"kind": "link-outage", "start": 0, "end": 10,
+                        "hop": @}]})",
+        IntOnePast}},
+      [](const std::string &Text) { return FaultPlan::fromJsonText(Text); });
+}
+
+TEST(FaultPlanTest, OutOfRangeDeviceAndNegativeSeedAreErrors) {
+  // Device 2^32 once wrapped to device 0 and failed it; seed -1 was an
+  // undefined conversion to the unsigned seed.
+  auto Device = FaultPlan::fromJsonText(
+      R"({"events": [{"kind": "device-failure", "start": 5,
+                      "device": 4294967296}]})");
+  ASSERT_FALSE(Device);
+  EXPECT_EQ(Device.code(), ErrorCode::InvalidInput);
+  EXPECT_NE(Device.message().find("fault event: 'device' must be an integer"),
+            std::string::npos)
+      << Device.message();
+  auto Seed = FaultPlan::fromJsonText(R"({"seed": -1})");
+  ASSERT_FALSE(Seed);
+  EXPECT_EQ(Seed.code(), ErrorCode::InvalidInput);
+  EXPECT_NE(Seed.message().find("fault plan: 'seed' must be an integer"),
+            std::string::npos)
+      << Seed.message();
+}
+
 TEST(FaultPlanTest, CorruptionIsDeterministicAndSeeded) {
   FaultPlan Plan;
   Plan.Seed = 42;
@@ -281,6 +317,26 @@ TEST(FailureReportTest, JsonRoundTrip) {
   std::string Text = Report.render();
   EXPECT_NE(Text.find("deadlock"), std::string::npos);
   EXPECT_NE(Text.find("[FULL]"), std::string::npos);
+}
+
+TEST(FailureReportTest, IntegerMembersRejectOutOfRangeNumbers) {
+  expectIntegerBoundariesRejected(
+      {{R"({"code": "deadlock", "cycle": @})", Int64OnePast},
+       {R"({"code": "deadlock", "failed_device": @})", IntOnePast},
+       {R"({"code": "deadlock", "components": [{"device": @}]})", IntOnePast},
+       {R"({"code": "deadlock", "components": [{"stall_cycles": @}]})",
+        Int64OnePast},
+       {R"({"code": "deadlock", "components": [{"progress": @}]})",
+        Int64OnePast},
+       {R"({"code": "deadlock", "components": [{"total": @}]})",
+        Int64OnePast},
+       {R"({"code": "deadlock", "channels": [{"occupancy": @}]})",
+        Int64OnePast},
+       {R"({"code": "deadlock", "channels": [{"capacity": @}]})",
+        Int64OnePast}},
+      [](const std::string &Text) {
+        return FailureReport::fromJsonText(Text);
+      });
 }
 
 TEST(FailureReportTest, Fig4DiamondProducesStructuredDeadlock) {

@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "common/IntegerBoundaries.h"
 #include "common/TestPrograms.h"
 #include "frontend/Lexer.h"
 #include "frontend/Parser.h"
@@ -398,6 +399,14 @@ TEST(LoaderTest, ErrorsNameTheFieldPathAndOffendingJson) {
       {R"({"dimensions": [8, 8], "vectorization": -2,
            "program": {"b": {"computation": "b = 1.0;"}}})",
        "vectorization: must be a positive integer (got -2)"},
+      // 2^32 + 1 once wrapped to W = 1.
+      {R"({"dimensions": [8, 8], "vectorization": 4294967297,
+           "program": {"b": {"computation": "b = 1.0;"}}})",
+       "vectorization: must be a positive integer (got 4294967297)"},
+      {R"({"dimensions": [4294967296, 4294967296, 4294967296],
+           "program": {}})",
+       "dimensions: cell count overflows 64 bits (got "
+       "[4294967296,4294967296,4294967296])"},
       {R"({"dimensions": [8, 8],
            "inputs": {"a": {"data": {"kind": 1}}},
            "program": {"b": {"computation": "b = a[0,0];"}}})",
@@ -436,6 +445,21 @@ TEST(LoaderTest, ErrorsNameTheFieldPathAndOffendingJson) {
         << "\nexpected fragment: " << C.ExpectedFragment;
     EXPECT_EQ(Program.code(), ErrorCode::InvalidInput) << C.Json;
   }
+}
+
+TEST(LoaderTest, IntegerMembersRejectOutOfRangeNumbers) {
+  expectIntegerBoundariesRejected(
+      {{R"({"dimensions": [@, 8], "inputs": {"a": {}},
+            "program": {"b": {"computation": "b = a[0,0];"}}})",
+        Int64OnePast},
+       {R"({"dimensions": [8, 8], "vectorization": @, "inputs": {"a": {}},
+            "program": {"b": {"computation": "b = a[0,0];"}}})",
+        IntOnePast},
+       {R"({"dimensions": [8, 8],
+            "inputs": {"a": {"data": {"kind": "random", "seed": @}}},
+            "program": {"b": {"computation": "b = a[0,0];"}}})",
+        Int64OnePast}},
+      [](const std::string &Text) { return programFromJsonText(Text); });
 }
 
 TEST(LoaderTest, ErrorContextTruncatesLargeValues) {

@@ -16,6 +16,7 @@
 #include "fuzz/Generate.h"
 #include "fuzz/Minimize.h"
 
+#include "common/IntegerBoundaries.h"
 #include "common/TestPrograms.h"
 #include "frontend/ProgramLoader.h"
 #include "support/Json.h"
@@ -285,6 +286,41 @@ TEST(FindingTest, ReproducerJsonRoundTrips) {
   EXPECT_EQ(Loaded->ExpectedCrc, Finding->ExpectedCrc);
   EXPECT_EQ(Loaded->ActualCrc, Finding->ActualCrc);
   EXPECT_EQ(programText(Loaded->Program), programText(Finding->Program));
+}
+
+TEST(FindingTest, ConfigIntegerMembersRejectOutOfRangeNumbers) {
+  stencilflow::testing::expectIntegerBoundariesRejected(
+      {{R"({"kernel": "specialized", "temporal_degree": @})",
+        stencilflow::testing::IntOnePast}},
+      [](const std::string &Text) -> Expected<DiffConfig> {
+        Expected<json::Value> Doc = json::parse(Text);
+        if (!Doc)
+          return Doc.takeError();
+        return DiffConfig::fromJson(*Doc);
+      });
+}
+
+TEST(FindingTest, MalformedMembersAreErrors) {
+  // Malformed hex once decoded to a zero seed or CRC, and a mistyped
+  // member was skipped; a reproducer must replay what it recorded.
+  std::optional<FuzzFinding> Finding = syntheticAsymmetryFinding();
+  ASSERT_TRUE(Finding.has_value());
+  std::vector<std::pair<const char *, json::Value>> Members = {
+      {"seed", json::Value("0xzz")},     {"seed", json::Value(7)},
+      {"expected_crc", json::Value("")}, {"actual_crc", json::Value("0x")},
+      {"detail", json::Value(3)},        {"kind", json::Value(true)}};
+  for (const auto &[Key, Value] : Members) {
+    json::Value Doc = Finding->toJson();
+    Doc.getObject().set(Key, Value);
+    Expected<FuzzFinding> Loaded = FuzzFinding::fromJson(Doc);
+    EXPECT_FALSE(Loaded) << Key << " = " << Value.toString();
+    if (!Loaded) {
+      EXPECT_EQ(Loaded.code(), ErrorCode::InvalidInput) << Loaded.message();
+    }
+  }
+  json::Value Doc = Finding->toJson();
+  Doc.getObject().get("config")->getObject().set("kernel", json::Value(5));
+  EXPECT_FALSE(FuzzFinding::fromJson(Doc));
 }
 
 TEST(FindingTest, ExitCodesRankFindingsBySeverity) {

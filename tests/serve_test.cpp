@@ -15,6 +15,7 @@
 
 #include "serve/Server.h"
 
+#include "common/IntegerBoundaries.h"
 #include "common/TestPrograms.h"
 #include "frontend/ProgramLoader.h"
 #include "runtime/Session.h"
@@ -357,6 +358,29 @@ TEST(ServeAdmission, InvalidProgramFailsGracefully) {
   S.stop();
 }
 
+TEST(ServeAdmission, UnallocatableProgramFailsAloneAndTheWorkerLivesOn) {
+  // 2^61 cells: a well-formed program whose fields no host can allocate.
+  // The request fails with a typed error; the process and its worker
+  // keep serving.
+  Server S(testOptions());
+  S.start();
+  Expected<Request> Req = Request::fromJsonText(
+      R"({"id":"big","op":"run","program":{"dimensions":[2305843009213693952],
+          "inputs":{"a":{}},"program":{"b":{"computation":"b = a[0];"}}}})");
+  ASSERT_TRUE(Req) << Req.message();
+  Response Big = S.handle(Req.takeValue());
+  EXPECT_FALSE(Big.Ok);
+  EXPECT_EQ(Big.Code, ErrorCode::Infeasible);
+  EXPECT_NE(Big.ErrorMessage.find("more host memory"), std::string::npos)
+      << Big.ErrorMessage;
+
+  EXPECT_TRUE(S.handle(laplaceRequest("good")).Ok);
+  ServeStats Stats = S.stats();
+  EXPECT_EQ(Stats.Failed, 1);
+  EXPECT_EQ(Stats.Completed, 1);
+  S.stop();
+}
+
 //===----------------------------------------------------------------------===//
 // Parity with direct Session runs
 //===----------------------------------------------------------------------===//
@@ -543,6 +567,34 @@ TEST(ServeProtocol, RejectsOutOfRangeTuneBudget) {
   EXPECT_NE(Message.find("'tune_budget' must be an integer"),
             std::string::npos)
       << Message;
+}
+
+TEST(ServeProtocol, IntegerMembersRejectOutOfRangeNumbers) {
+  // Request options and response counters alike: a fraction or an
+  // out-of-range magnitude is an error, never a truncated count.
+  expectIntegerBoundariesRejected(
+      {{R"({"program":{},"options":{"vectorize":@}})", IntOnePast},
+       {R"({"program":{},"options":{"temporal_degree":@}})", IntOnePast},
+       {R"({"program":{},"options":{"max_devices":@}})", IntOnePast},
+       {R"({"program":{},"options":{"tune_budget":@}})", IntOnePast}},
+      [](const std::string &Text) { return Request::fromJsonText(Text); });
+  expectIntegerBoundariesRejected(
+      {{R"({"ok":true,"cycles":@})", Int64OnePast},
+       {R"({"ok":true,"devices":@})", IntOnePast},
+       {R"({"ok":true,"queue_us":@})", Int64OnePast},
+       {R"({"ok":true,"compile_us":@})", Int64OnePast},
+       {R"({"ok":true,"execute_us":@})", Int64OnePast}},
+      [](const std::string &Text) { return Response::fromJsonText(Text); });
+}
+
+TEST(ServeProtocol, RejectsMalformedOutputsCrc) {
+  // A CRC that is not 64-bit hex text is an error, not a zero CRC.
+  for (const char *Crc : {R"("")", R"("0x")", R"("12zz")",
+                          R"("10000000000000000")", "7"}) {
+    std::string Text = std::string(R"({"ok":true,"outputs_crc":)") + Crc + "}";
+    Expected<Response> R = Response::fromJsonText(Text);
+    EXPECT_FALSE(R) << Text;
+  }
 }
 
 TEST(ServeProtocol, RejectsRetiredKernelEngine) {

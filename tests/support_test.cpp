@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 
 using namespace stencilflow;
@@ -120,7 +121,8 @@ TEST(JsonTest, ParsesScalars) {
   EXPECT_TRUE((*json::parse("true")).getBoolean());
   EXPECT_FALSE((*json::parse("false")).getBoolean());
   EXPECT_DOUBLE_EQ((*json::parse("3.5")).getNumber(), 3.5);
-  EXPECT_EQ((*json::parse("-17")).getInteger(), -17);
+  EXPECT_EQ(json::toInteger<int64_t>((*json::parse("-17")).getNumber()),
+            std::optional<int64_t>(-17));
   EXPECT_EQ((*json::parse("\"hi\\n\"")).getString(), "hi\n");
 }
 
@@ -158,10 +160,81 @@ TEST(JsonTest, RejectsUnterminatedString) {
   EXPECT_FALSE(json::parse("\"abc"));
 }
 
+TEST(JsonTest, ToIntegerAcceptsOnlyIntegralNumbersInRange) {
+  EXPECT_EQ(json::toInteger<int>(-17.0), std::optional<int>(-17));
+  EXPECT_EQ(json::toInteger<int>(2147483647.0), std::optional<int>(INT32_MAX));
+  EXPECT_EQ(json::toInteger<int>(-2147483648.0), std::optional<int>(INT32_MIN));
+  EXPECT_FALSE(json::toInteger<int>(2147483648.0));
+  EXPECT_FALSE(json::toInteger<int>(-2147483649.0));
+  EXPECT_FALSE(json::toInteger<int>(1.5));
+  EXPECT_FALSE(json::toInteger<int>(-0.5));
+  EXPECT_EQ(json::toInteger<int64_t>(-9223372036854775808.0),
+            std::optional<int64_t>(INT64_MIN));
+  EXPECT_FALSE(json::toInteger<int64_t>(9223372036854775808.0));
+  EXPECT_EQ(json::toInteger<uint64_t>(18446744073709549568.0),
+            std::optional<uint64_t>(18446744073709549568ull));
+  EXPECT_FALSE(json::toInteger<uint64_t>(18446744073709551616.0));
+  EXPECT_FALSE(json::toInteger<uint64_t>(-1.0));
+  for (double Bad : {1e300, -1e300, HUGE_VAL, -HUGE_VAL, std::nan("")})
+    EXPECT_FALSE(json::toInteger<int64_t>(Bad)) << Bad;
+}
+
+TEST(JsonTest, ReadMemberChecksTypeAndRange) {
+  auto Doc = json::parse(
+      R"({"b": true, "i": 7, "d": 2.5, "s": "x", "h": "0xfF", "big": 1e10})");
+  ASSERT_TRUE(Doc);
+  const json::Object &O = Doc->getObject();
+  // Absent members leave the output untouched.
+  int I = -1;
+  EXPECT_FALSE(static_cast<bool>(json::readMember(O, "missing", I)));
+  EXPECT_EQ(I, -1);
+  EXPECT_FALSE(static_cast<bool>(json::readMember(O, "i", I)));
+  EXPECT_EQ(I, 7);
+  bool B = false;
+  EXPECT_FALSE(static_cast<bool>(json::readMember(O, "b", B)));
+  EXPECT_TRUE(B);
+  double D = 0;
+  EXPECT_FALSE(static_cast<bool>(json::readMember(O, "d", D)));
+  EXPECT_EQ(D, 2.5);
+  std::string S;
+  EXPECT_FALSE(static_cast<bool>(json::readMember(O, "s", S)));
+  EXPECT_EQ(S, "x");
+  uint64_t H = 0;
+  EXPECT_FALSE(static_cast<bool>(json::readHexMember(O, "h", H)));
+  EXPECT_EQ(H, 0xffu);
+  int64_t Big = 0;
+  EXPECT_FALSE(static_cast<bool>(json::readMember(O, "big", Big)));
+  EXPECT_EQ(Big, 10000000000);
+
+  // Mistyped and out-of-range members are InvalidInput errors, and the
+  // output keeps its value.
+  struct Case {
+    Error Err;
+    const char *Message;
+  } Cases[] = {
+      {json::readMember(O, "s", I), "'s' must be a number"},
+      {json::readMember(O, "i", B), "'i' must be a boolean"},
+      {json::readMember(O, "i", S), "'i' must be a string"},
+      {json::readMember(O, "d", I),
+       "'d' must be an integer in [-2147483648, 2147483647]"},
+      {json::readMember(O, "big", I),
+       "'big' must be an integer in [-2147483648, 2147483647]"},
+      {json::readHexMember(O, "s", H), "'s' must be a 64-bit hex string"},
+      {json::readHexMember(O, "i", H), "'i' must be a string"},
+  };
+  for (const Case &C : Cases) {
+    ASSERT_TRUE(static_cast<bool>(C.Err)) << C.Message;
+    EXPECT_EQ(C.Err.code(), ErrorCode::InvalidInput);
+    EXPECT_EQ(C.Err.message(), C.Message);
+  }
+  EXPECT_EQ(I, 7);
+  EXPECT_EQ(H, 0xffu);
+}
+
 TEST(JsonTest, LineCommentsAllowed) {
   auto Parsed = json::parse("// header\n{\"a\": 1 // trailing\n}");
   ASSERT_TRUE(Parsed);
-  EXPECT_EQ(Parsed->getObject().get("a")->getInteger(), 1);
+  EXPECT_EQ(Parsed->getObject().get("a")->getNumber(), 1);
 }
 
 TEST(JsonTest, RoundTripCompact) {
@@ -184,9 +257,9 @@ TEST(JsonTest, DeepCopySemantics) {
   ASSERT_TRUE(Parsed);
   json::Value Copy = *Parsed;
   Copy.getObject().get("a")->getObject().set("b", 2);
-  EXPECT_EQ(Parsed->getObject().get("a")->getObject().get("b")->getInteger(),
+  EXPECT_EQ(Parsed->getObject().get("a")->getObject().get("b")->getNumber(),
             1);
-  EXPECT_EQ(Copy.getObject().get("a")->getObject().get("b")->getInteger(), 2);
+  EXPECT_EQ(Copy.getObject().get("a")->getObject().get("b")->getNumber(), 2);
 }
 
 TEST(JsonTest, UnicodeEscapes) {

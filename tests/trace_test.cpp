@@ -263,8 +263,10 @@ TEST(ChromeTraceTest, ProducesValidEventStream) {
         SawUnitTrack = true;
     } else if (Phase == "X") {
       ++Complete;
-      int64_t Ts = Obj.get("ts")->getInteger();
-      int64_t Dur = Obj.get("dur")->getInteger();
+      int64_t Ts =
+          json::toInteger<int64_t>(Obj.get("ts")->getNumber()).value_or(-1);
+      int64_t Dur =
+          json::toInteger<int64_t>(Obj.get("dur")->getNumber()).value_or(0);
       EXPECT_GE(Ts, 0);
       EXPECT_GT(Dur, 0);
       EXPECT_LE(Ts + Dur, Cycles);
@@ -281,12 +283,12 @@ TEST(ChromeTraceTest, ProducesValidEventStream) {
   EXPECT_GT(Counter, 0);
   EXPECT_TRUE(SawUnitTrack);
   EXPECT_TRUE(SawStateEvent);
-  EXPECT_EQ(Trace.getObject()
-                .get("otherData")
-                ->getObject()
-                .get("cycles")
-                ->getInteger(),
-            Cycles);
+  EXPECT_EQ(json::toInteger<int64_t>(Trace.getObject()
+                                         .get("otherData")
+                                         ->getObject()
+                                         .get("cycles")
+                                         ->getNumber()),
+            std::optional<int64_t>(Cycles));
 }
 
 TEST(ChromeTraceTest, RerunResetsTheRecording) {

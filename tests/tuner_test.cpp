@@ -357,9 +357,11 @@ TEST(TunerTest, TunesAcrossTemporalDegreeAxis) {
        Doc->getObject().get("candidates")->getArray()) {
     const json::Object &Obj = V.getObject();
     ASSERT_TRUE(Obj.contains("temporal_degree"));
-    int Degree = static_cast<int>(Obj.get("temporal_degree")->getInteger());
+    std::optional<int> Degree =
+        json::toInteger<int>(Obj.get("temporal_degree")->getNumber());
+    ASSERT_TRUE(Degree);
     std::string Id = Obj.get("id")->getString();
-    EXPECT_EQ(Degree > 1, Id.find("-T") != std::string::npos) << Id;
+    EXPECT_EQ(*Degree > 1, Id.find("-T") != std::string::npos) << Id;
   }
 
   TuningOutcome Again = tuneOrDie(smallDiffusion(), Opts, Base);
@@ -1081,8 +1083,8 @@ TEST(TunerTest, JsonReportParsesAndMatchesTheReport) {
   EXPECT_EQ(Root.get("candidates")->getArray().size(),
             Out.Report.Explored);
   EXPECT_EQ(Root.get("best")->getString(), Out.Best.id());
-  EXPECT_EQ(static_cast<int>(Root.get("best_index")->getInteger()),
-            Out.Report.BestIndex);
+  EXPECT_EQ(json::toInteger<int>(Root.get("best_index")->getNumber()),
+            std::optional<int>(Out.Report.BestIndex));
   // Prune reasons are serialized for infeasible candidates.
   for (const json::Value &V : Root.get("candidates")->getArray()) {
     const json::Object &Obj = V.getObject();
