@@ -182,7 +182,7 @@ LatencyTable::LatencyTable() {
   // Conservative defaults modeling hardened fp32 units on a Stratix
   // 10-class device; see Sec. IV-B ("default to conservative values to
   // account for the worst case scenario").
-  auto set = [&](OpCode Op, int64_t Cycles) { Latencies[Op] = Cycles; };
+  auto set = [&](OpCode Op, int64_t Cycles) { setLatency(Op, Cycles); };
   set(OpCode::Const, 0);
   set(OpCode::Input, 0);
   set(OpCode::Neg, 1);

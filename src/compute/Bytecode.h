@@ -21,8 +21,9 @@
 #include "ir/DataType.h"
 #include "ir/Expr.h"
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <string>
 
 namespace stencilflow {
@@ -60,6 +61,9 @@ enum class OpCode {
   Pow,
   Select ///< Register <- A != 0 ? B : C (data-dependent branch).
 };
+
+/// Number of opcodes; Select is the last.
+constexpr size_t NumOpCodes = static_cast<size_t>(OpCode::Select) + 1;
 
 /// Returns a printable mnemonic for \p Op.
 std::string_view opCodeName(OpCode Op);
@@ -102,13 +106,17 @@ public:
   LatencyTable();
 
   /// Latency in cycles of \p Op.
-  int64_t latency(OpCode Op) const { return Latencies.at(Op); }
+  int64_t latency(OpCode Op) const {
+    return Latencies[static_cast<size_t>(Op)];
+  }
 
   /// Overrides the latency of \p Op.
-  void setLatency(OpCode Op, int64_t Cycles) { Latencies[Op] = Cycles; }
+  void setLatency(OpCode Op, int64_t Cycles) {
+    Latencies[static_cast<size_t>(Op)] = Cycles;
+  }
 
 private:
-  std::map<OpCode, int64_t> Latencies;
+  std::array<int64_t, NumOpCodes> Latencies{};
 };
 
 /// Operation counts of a compiled kernel, following the accounting of

@@ -8,10 +8,9 @@
 
 #include "support/StringUtils.h"
 
+#include <bit>
 #include <cmath>
-#include <cstring>
-#include <map>
-#include <tuple>
+#include <unordered_map>
 
 using namespace stencilflow;
 using namespace stencilflow::compute;
@@ -80,7 +79,29 @@ OpCode intrinsicOpCode(Intrinsic Fn) {
   return OpCode::Sqrt;
 }
 
-/// Incrementally builds the instruction tape with value numbering.
+/// Value-numbering key of an instruction: its opcode, operands, constant
+/// bits and input slot.
+struct InstructionKey {
+  OpCode Op;
+  int A, B, C;
+  uint64_t ConstBits;
+  int InputIndex;
+
+  bool operator==(const InstructionKey &Other) const = default;
+};
+
+struct InstructionKeyHash {
+  size_t operator()(const InstructionKey &K) const {
+    size_t Hash = std::hash<uint64_t>()(K.ConstBits);
+    for (int Part : {static_cast<int>(K.Op), K.A, K.B, K.C, K.InputIndex})
+      Hash = (Hash ^ static_cast<unsigned>(Part)) * 0x100000001b3ull;
+    return Hash;
+  }
+};
+
+/// Incrementally builds the instruction tape with value numbering. Names
+/// and offsets are looked up by hash, viewed in the node's code, so the
+/// build is linear in the number of expressions.
 class KernelBuilder {
 public:
   KernelBuilder(const StencilNode &Node, const KernelOptions &Options)
@@ -106,25 +127,23 @@ private:
   KernelOptions Options;
   std::vector<KernelInput> Inputs;
   std::vector<Instruction> Code;
-  std::map<std::string, int> Locals;
-  // Value numbering: (op, a, b, c, const-bits, input-index) -> register.
-  std::map<std::tuple<OpCode, int, int, int, uint64_t, int>, int> Numbering;
+  std::unordered_map<std::string_view, int> Locals;
+  // (field, offset) -> index into Inputs, in first-use order.
+  std::unordered_map<FieldOffsetRef, int, FieldOffsetRefHash> Slots;
+  std::unordered_map<InstructionKey, int, InstructionKeyHash> Numbering;
 
   int intern(Instruction Inst) {
-    uint64_t ConstBits;
-    static_assert(sizeof(ConstBits) == sizeof(Inst.Constant));
-    std::memcpy(&ConstBits, &Inst.Constant, sizeof(ConstBits));
-    auto Key = std::make_tuple(Inst.Op, Inst.A, Inst.B, Inst.C, ConstBits,
-                               Inst.InputIndex);
-    if (Options.EnableCSE) {
-      auto It = Numbering.find(Key);
-      if (It != Numbering.end())
-        return It->second;
+    if (!Options.EnableCSE) {
+      Code.push_back(Inst);
+      return static_cast<int>(Code.size()) - 1;
     }
-    int Reg = static_cast<int>(Code.size());
-    Code.push_back(Inst);
-    Numbering[Key] = Reg;
-    return Reg;
+    InstructionKey Key{Inst.Op, Inst.A, Inst.B, Inst.C,
+                       std::bit_cast<uint64_t>(Inst.Constant), Inst.InputIndex};
+    auto [It, Inserted] =
+        Numbering.try_emplace(Key, static_cast<int>(Code.size()));
+    if (Inserted)
+      Code.push_back(Inst);
+    return It->second;
   }
 
   int emitConst(double Value) {
@@ -135,17 +154,13 @@ private:
   }
 
   int emitInput(const std::string &Field, const Offset &Off) {
-    int Index = -1;
-    for (size_t I = 0, E = Inputs.size(); I != E; ++I)
-      if (Inputs[I].Field == Field && Inputs[I].Off == Off)
-        Index = static_cast<int>(I);
-    if (Index < 0) {
-      Index = static_cast<int>(Inputs.size());
+    auto [It, Inserted] = Slots.try_emplace(FieldOffsetRef{Field, &Off},
+                                            static_cast<int>(Inputs.size()));
+    if (Inserted)
       Inputs.push_back(KernelInput{Field, Off});
-    }
     Instruction Inst;
     Inst.Op = OpCode::Input;
-    Inst.InputIndex = Index;
+    Inst.InputIndex = It->second;
     return intern(Inst);
   }
 

@@ -10,18 +10,9 @@ using namespace stencilflow;
 using namespace stencilflow::compute;
 
 Expected<OpCode> compute::parseOpCodeName(std::string_view Name) {
-  static const OpCode AllOps[] = {
-      OpCode::Const, OpCode::Input, OpCode::Neg,   OpCode::Not,
-      OpCode::Add,   OpCode::Sub,   OpCode::Mul,   OpCode::Div,
-      OpCode::Lt,    OpCode::Le,    OpCode::Gt,    OpCode::Ge,
-      OpCode::Eq,    OpCode::Ne,    OpCode::And,   OpCode::Or,
-      OpCode::Sqrt,  OpCode::Abs,   OpCode::Exp,   OpCode::Log,
-      OpCode::Sin,   OpCode::Cos,   OpCode::Tanh,  OpCode::Floor,
-      OpCode::Ceil,  OpCode::Min,   OpCode::Max,   OpCode::Pow,
-      OpCode::Select};
-  for (OpCode Op : AllOps)
-    if (opCodeName(Op) == Name)
-      return Op;
+  for (size_t Index = 0; Index != NumOpCodes; ++Index)
+    if (opCodeName(static_cast<OpCode>(Index)) == Name)
+      return static_cast<OpCode>(Index);
   return makeError(ErrorCode::InvalidInput,
                    "unknown operation '" + std::string(Name) +
                        "' in latency configuration");

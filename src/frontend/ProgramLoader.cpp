@@ -62,11 +62,19 @@ Expected<DataSource> dataSourceFromJson(const Value &V,
   if (Kind == "random") {
     uint64_t Seed = 42;
     if (const Value *SeedValue = Obj.get("seed")) {
+      // A seed above 2^53 is hex text (json::uint64ToJson).
+      if (SeedValue->isString() && startsWith(SeedValue->getString(), "0x")) {
+        if (json::readHexMember(Obj, "seed", Seed))
+          return badField(Path + ".seed",
+                          "random data source 'seed' must be 64-bit hex",
+                          SeedValue);
+        return DataSource::random(Seed);
+      }
       if (!SeedValue->isNumber())
         return badField(Path + ".seed",
                         "random data source 'seed' must be a number",
                         SeedValue);
-      // Read as int64: programToJson writes seeds that way.
+      // Read as int64: programToJson once wrote seeds above 2^63 that way.
       std::optional<int64_t> Signed =
           json::toInteger<int64_t>(SeedValue->getNumber());
       if (!Signed)
@@ -105,7 +113,7 @@ Value dataSourceToJson(const DataSource &Source) {
     break;
   case DataSource::Kind::Random:
     Obj.set("kind", "random");
-    Obj.set("seed", static_cast<int64_t>(Source.Seed));
+    Obj.set("seed", json::uint64ToJson(Source.Seed));
     break;
   case DataSource::Kind::Ramp:
     Obj.set("kind", "ramp");

@@ -20,7 +20,9 @@
 ///       "data_type": "float32",               // optional
 ///       "dimensions": ["j", "i"],             // optional subset for
 ///                                             // lower-dimensional inputs
-///       "data": {"kind": "random", "seed": 7} // optional data source
+///       "data": {"kind": "random", "seed": 7} // optional data source;
+///                                             // a seed above 2^53 is
+///                                             // "0x..." hex text
 ///     }
 ///   },
 ///   "outputs": ["b"],

@@ -9,7 +9,9 @@
 #include "support/StringUtils.h"
 
 #include <algorithm>
-#include <set>
+#include <optional>
+#include <unordered_map>
+#include <unordered_set>
 
 using namespace stencilflow;
 
@@ -26,20 +28,33 @@ bool offsetLess(const Offset &A, const Offset &B) {
 
 Error stencilflow::analyzeNode(const StencilProgram &Program,
                                StencilNode &Node) {
-  std::set<std::string> Locals;
-  // Field name -> deduplicated offsets, kept in first-use order.
+  std::unordered_set<std::string_view> Locals;
+  // Field name -> deduplicated offsets, fields in first-use order.
   std::vector<FieldAccesses> Accesses;
+  // Hashed views into the node's code: each field's index in Accesses and
+  // every (field, offset) pair recorded so far.
+  std::unordered_map<std::string_view, size_t> FieldIndex;
+  std::unordered_set<FieldOffsetRef, FieldOffsetRefHash> Recorded;
 
-  auto recordAccess = [&](const std::string &Field, const Offset &Off) {
-    for (FieldAccesses &FA : Accesses) {
-      if (FA.Field != Field)
-        continue;
-      if (std::find(FA.Offsets.begin(), FA.Offsets.end(), Off) ==
-          FA.Offsets.end())
-        FA.Offsets.push_back(Off);
+  // The rank of field \p Name, or nullopt if the program does not define
+  // it. A field already read has the rank of its recorded offsets.
+  auto rankOf = [&](const std::string &Name) -> std::optional<size_t> {
+    auto It = FieldIndex.find(Name);
+    if (It != FieldIndex.end())
+      return Accesses[It->second].Offsets.front().size();
+    if (!Program.isFieldDefined(Name))
+      return std::nullopt;
+    return Program.fieldRank(Name);
+  };
+
+  auto recordAccess = [&](const FieldAccessExpr &Access) {
+    if (!Recorded.insert({Access.field(), &Access.offset()}).second)
       return;
-    }
-    Accesses.push_back(FieldAccesses{Field, {Off}});
+    auto [It, NewField] =
+        FieldIndex.try_emplace(Access.field(), Accesses.size());
+    if (NewField)
+      Accesses.push_back(FieldAccesses{Access.field(), {}});
+    Accesses[It->second].Offsets.push_back(Access.offset());
   };
 
   for (size_t StmtIndex = 0, NumStmts = Node.Code.Statements.size();
@@ -55,11 +70,9 @@ Error stencilflow::analyzeNode(const StencilProgram &Program,
       if (auto *Ref = dyn_cast<LocalRefExpr>(E.get())) {
         if (Locals.count(Ref->name()))
           return; // A local temporary; stays a LocalRefExpr.
-        if (Program.isFieldDefined(Ref->name())) {
-          Offset Zero(Program.fieldRank(Ref->name()), 0);
-          std::string Field = Ref->name();
-          E = std::make_unique<FieldAccessExpr>(Field, Zero);
-          recordAccess(Field, Zero);
+        if (std::optional<size_t> Rank = rankOf(Ref->name())) {
+          E = std::make_unique<FieldAccessExpr>(Ref->name(), Offset(*Rank, 0));
+          recordAccess(*cast<FieldAccessExpr>(E.get()));
           return;
         }
         DeferredError = makeError(
@@ -74,22 +87,22 @@ Error stencilflow::analyzeNode(const StencilProgram &Program,
                                     "' cannot be indexed with offsets");
           return;
         }
-        if (!Program.isFieldDefined(Access->field())) {
+        std::optional<size_t> FieldRank = rankOf(Access->field());
+        if (!FieldRank) {
           DeferredError = makeError("stencil '" + Node.Name +
                                     "': access to undefined field '" +
                                     Access->field() + "'");
           return;
         }
-        size_t FieldRank = Program.fieldRank(Access->field());
-        if (Access->offset().size() != FieldRank) {
+        if (Access->offset().size() != *FieldRank) {
           DeferredError = makeError(formatString(
               "stencil '%s': field '%s' has rank %zu but is accessed with "
               "offset %s",
-              Node.Name.c_str(), Access->field().c_str(), FieldRank,
+              Node.Name.c_str(), Access->field().c_str(), *FieldRank,
               offsetToString(Access->offset()).c_str()));
           return;
         }
-        recordAccess(Access->field(), Access->offset());
+        recordAccess(*Access);
       }
     });
     if (DeferredError)

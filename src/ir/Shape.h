@@ -23,7 +23,9 @@
 
 #include <cassert>
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace stencilflow {
@@ -33,6 +35,27 @@ using Offset = std::vector<int>;
 
 /// Renders an offset as "[k, j, i]".
 std::string offsetToString(const Offset &Off);
+
+/// A (field, offset) pair viewed in place, e.g. in an expression tree, as
+/// a hash key. It owns neither part: both must outlive every table that
+/// holds the key.
+struct FieldOffsetRef {
+  std::string_view Field;
+  const Offset *Off;
+
+  bool operator==(const FieldOffsetRef &Other) const {
+    return Field == Other.Field && *Off == *Other.Off;
+  }
+};
+
+struct FieldOffsetRefHash {
+  size_t operator()(const FieldOffsetRef &Ref) const {
+    size_t Hash = std::hash<std::string_view>()(Ref.Field);
+    for (int Component : *Ref.Off)
+      Hash = (Hash ^ static_cast<unsigned>(Component)) * 0x100000001b3ull;
+    return Hash;
+  }
+};
 
 /// An iteration space or field shape: extents in memory order, last
 /// dimension innermost.

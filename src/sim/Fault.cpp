@@ -173,7 +173,7 @@ int64_t FaultPlan::earliestDeviceFailure() const {
 
 json::Value FaultPlan::toJson() const {
   json::Object Root;
-  Root.set("seed", json::Value(static_cast<double>(Seed)));
+  Root.set("seed", json::uint64ToJson(Seed));
   std::vector<json::Value> Array;
   for (const FaultEvent &E : Events) {
     json::Object Obj;
@@ -215,7 +215,7 @@ Expected<FaultPlan> FaultPlan::fromJson(const json::Value &V) {
                      "fault plan must be a JSON object");
   const json::Object &Root = V.getObject();
   FaultPlan Plan;
-  if (Error Err = json::readMember(Root, "seed", Plan.Seed))
+  if (Error Err = json::readUInt64Member(Root, "seed", Plan.Seed))
     return Err.addContext("fault plan");
   const json::Value *Events = Root.get("events");
   if (Events) {

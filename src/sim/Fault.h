@@ -146,7 +146,8 @@ struct FaultPlan {
 
   /// {"seed": N, "events": [{"kind": "...", "start": N, "end": N,
   ///  "device": N, "hop": N, "factor": X, "probability": X}, ...]}
-  /// Absent fields keep their defaults; "end" is exclusive.
+  /// Absent fields keep their defaults; "end" is exclusive. A seed above
+  /// 2^53 is "0x..." hex text (json::uint64ToJson).
   json::Value toJson() const;
   static Expected<FaultPlan> fromJson(const json::Value &V);
 

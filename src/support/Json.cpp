@@ -10,6 +10,7 @@
 #include "support/StringUtils.h"
 
 #include <charconv>
+#include <cinttypes>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -443,4 +444,18 @@ Error json::readHexMember(const Object &O, std::string_view Key,
     return memberError(Key, "a 64-bit hex string");
   Out = Parsed;
   return Error::success();
+}
+
+json::Value json::uint64ToJson(uint64_t V) {
+  if (V <= (uint64_t(1) << 53))
+    return Value(static_cast<double>(V));
+  return Value(formatString("0x%" PRIx64, V));
+}
+
+Error json::readUInt64Member(const Object &O, std::string_view Key,
+                             uint64_t &Out) {
+  const Value *V = O.get(Key);
+  if (V && V->isString())
+    return readHexMember(O, Key, Out);
+  return readMember(O, Key, Out);
 }

@@ -196,6 +196,16 @@ Error readMembers(
 /// it (CRCs, seeds): an optional "0x" and hex digits, else an error.
 Error readHexMember(const Object &O, std::string_view Key, uint64_t &Out);
 
+/// A 64-bit value (a seed) as JSON that survives its own round trip: a
+/// number when a double holds it exactly (up to 2^53), else "0x..." hex
+/// text.
+Value uint64ToJson(uint64_t V);
+
+/// Reads a member written by \c uint64ToJson: a number, read as
+/// \c readMember reads a uint64_t, or hex text, read as \c readHexMember
+/// reads it.
+Error readUInt64Member(const Object &O, std::string_view Key, uint64_t &Out);
+
 /// Parses JSON text. Errors include 1-based line:column positions.
 Expected<Value> parse(std::string_view Text);
 

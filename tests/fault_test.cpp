@@ -165,6 +165,29 @@ TEST(FaultPlanTest, JsonRoundTrip) {
   EXPECT_EQ(Back->firstFailedDevice(998), -1);
 }
 
+TEST(FaultPlanTest, SeedsSurviveTheirOwnJson) {
+  // A double holds 53 bits: a larger seed is written as hex text, and
+  // 0xdeadbeefcafebabe once came back as 0xdeadbeefcafeb800.
+  for (uint64_t Seed : {uint64_t(7), uint64_t(1) << 53, (uint64_t(1) << 53) + 1,
+                        uint64_t(0xdeadbeefcafebabeull),
+                        uint64_t(0x9e3779b97f4a7c15ull), ~uint64_t(0)}) {
+    FaultPlan Plan;
+    Plan.Seed = Seed;
+    std::string Text = Plan.toJson().toString();
+    auto Back = FaultPlan::fromJsonText(Text);
+    ASSERT_TRUE(Back) << Text << ": " << Back.message();
+    EXPECT_EQ(Back->Seed, Seed) << Text;
+  }
+  // A seed a double holds keeps its numeric form.
+  FaultPlan Small;
+  Small.Seed = 7;
+  EXPECT_NE(Small.toJson().toString().find("\"seed\":7"), std::string::npos)
+      << Small.toJson().toString();
+  auto Malformed = FaultPlan::fromJsonText(R"({"seed": "0xzz"})");
+  ASSERT_FALSE(Malformed);
+  EXPECT_EQ(Malformed.code(), ErrorCode::InvalidInput);
+}
+
 TEST(FaultPlanTest, FromJsonTextRejectsGarbage) {
   EXPECT_FALSE(FaultPlan::fromJsonText("{"));
   EXPECT_FALSE(

@@ -487,6 +487,32 @@ TEST(LoaderTest, RoundTripThroughJson) {
   EXPECT_EQ(Reloaded->Outputs, Program->Outputs);
 }
 
+TEST(LoaderTest, RandomSeedsSurviveTheirOwnJson) {
+  // Seeds above 2^53 are written as hex text; 0x9e3779b97f4a7c15 once
+  // reloaded as 0x9e3779b97f4a7c00.
+  for (uint64_t Seed : {uint64_t(7), uint64_t(1) << 53,
+                        uint64_t(0xdeadbeefcafebabeull),
+                        uint64_t(0x9e3779b97f4a7c15ull), ~uint64_t(0)}) {
+    auto Program = programFromJsonText(LaplaceJson);
+    ASSERT_TRUE(Program);
+    Program->Inputs[0].Source = DataSource::random(Seed);
+    std::string Text = programToJson(*Program).toString();
+    auto Reloaded = programFromJsonText(Text);
+    ASSERT_TRUE(Reloaded) << Reloaded.message();
+    EXPECT_EQ(Reloaded->Inputs[0].Source.Seed, Seed) << Text;
+  }
+  auto Malformed = programFromJsonText(
+      R"({"dimensions": [8, 8],
+          "inputs": {"a": {"data": {"kind": "random", "seed": "0xzz"}}},
+          "program": {"b": {"computation": "b = a[0,0];"}}})");
+  ASSERT_FALSE(Malformed);
+  EXPECT_NE(Malformed.message().find(
+                "inputs.a.data.seed: random data source 'seed' must be "
+                "64-bit hex (got \"0xzz\")"),
+            std::string::npos)
+      << Malformed.message();
+}
+
 TEST(LoaderTest, RandomProgramsRoundTrip) {
   for (uint64_t Seed = 1; Seed <= 10; ++Seed) {
     StencilProgram Program = randomProgram(Seed);

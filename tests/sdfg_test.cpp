@@ -6,6 +6,8 @@
 
 #include "common/TestPrograms.h"
 #include "core/DataflowAnalysis.h"
+#include "frontend/ProgramLoader.h"
+#include "fuzz/Differential.h"
 #include "runtime/InputData.h"
 #include "runtime/ReferenceExecutor.h"
 #include "runtime/Validation.h"
@@ -522,6 +524,25 @@ TEST(TransformsTest, CanonicalizeAndExtractRunsEndToEnd) {
   ValidationReport Validation = validateField(
       "out_field", A->field("out_field"), B->field("out_field"));
   EXPECT_TRUE(Validation.Passed) << Validation.Summary;
+}
+
+TEST(TransformsTest, ExtractedProgramSurvivesItsOwnJson) {
+  // Extraction seeds each input with a hash of its name, above 2^53 here;
+  // reloaded from its own JSON text, the program must read the same input
+  // data and compute the same outputs.
+  SDFG G = buildVerticalMapSDFG();
+  ASSERT_FALSE(canonicalize(G));
+  auto Program = extractStencilProgram(G);
+  ASSERT_TRUE(Program) << Program.message();
+  ASSERT_GT(Program->Inputs[0].Source.Seed, uint64_t(1) << 53);
+  auto Reloaded = programFromJsonText(programToJson(*Program).toString());
+  ASSERT_TRUE(Reloaded) << Reloaded.message();
+  EXPECT_EQ(Reloaded->Inputs[0].Source.Seed, Program->Inputs[0].Source.Seed);
+  Expected<uint64_t> Original = fuzz::oracleCrc(*Program, 1);
+  Expected<uint64_t> Again = fuzz::oracleCrc(*Reloaded, 1);
+  ASSERT_TRUE(Original) << Original.message();
+  ASSERT_TRUE(Again) << Again.message();
+  EXPECT_EQ(*Again, *Original);
 }
 
 TEST(TransformsTest, ExtractionThenFusionShrinksDag) {

@@ -20,13 +20,16 @@
 #include "runtime/Session.h"
 #include "sdfg/StencilFusion.h"
 #include "sdfg/TemporalUnroll.h"
+#include "sim/Checkpoint.h"
 #include "support/Args.h"
 #include "support/Json.h"
+#include "support/StringUtils.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <map>
 #include <thread>
@@ -1210,4 +1213,127 @@ TEST(TunerTest, TuneOptionsFromArgsReadsTheSharedPack) {
   EXPECT_EQ(Rejected.code(), ErrorCode::InvalidInput);
   EXPECT_NE(Rejected.message().find("--tune-beam"), std::string::npos)
       << Rejected.message();
+}
+
+//===----------------------------------------------------------------------===//
+// Compile-half pins
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Canonical text of one fusion level: per node its accesses (fields and
+/// offsets, in order), then the kernel compiled with \p Options — input
+/// slots, instruction tape with constants as bit patterns, and output
+/// register.
+std::string compileDigestText(const StencilProgram &Program,
+                              const compute::KernelOptions &Options) {
+  std::string Out;
+  for (const StencilNode &Node : Program.Nodes) {
+    Out += "node " + Node.Name + "\n";
+    for (const FieldAccesses &FA : Node.Accesses) {
+      Out += " reads " + FA.Field;
+      for (const Offset &Off : FA.Offsets)
+        Out += " " + offsetToString(Off);
+      Out += "\n";
+    }
+    Expected<compute::Kernel> Kernel = compute::Kernel::compile(Node, Options);
+    if (!Kernel) {
+      Out += " error " + Kernel.message() + "\n";
+      continue;
+    }
+    for (const compute::KernelInput &In : Kernel->inputs())
+      Out += " slot " + In.Field + " " + offsetToString(In.Off) + "\n";
+    for (const compute::Instruction &Inst : Kernel->instructions())
+      Out += formatString(
+          " %s %d %d %d %016llx %d\n",
+          std::string(compute::opCodeName(Inst.Op)).c_str(), Inst.A, Inst.B,
+          Inst.C, std::bit_cast<unsigned long long>(Inst.Constant),
+          Inst.InputIndex);
+    Out += formatString(" output r%d\n", Kernel->outputRegister());
+  }
+  return Out;
+}
+
+/// Canonical text of a tuning report's integral results: every explored
+/// candidate's id, feasibility, predicted cycles and devices, and for the
+/// simulated ones their cycles and validation, then the chosen indices.
+std::string reportDigestText(const TuningReport &Report) {
+  std::string Out = formatString(
+      "explored %zu pruned %zu simulated %zu best %d default %d\n",
+      Report.Explored, Report.Pruned, Report.SimulatedCount, Report.BestIndex,
+      Report.DefaultIndex);
+  for (const CandidateRecord &R : Report.Candidates)
+    Out += formatString(
+        "%s feasible %d model %lld predicted %lld devices %d simulated %d "
+        "cycles %lld valid %d\n",
+        R.Mapping.id().c_str(), R.Cost.Feasible ? 1 : 0,
+        static_cast<long long>(R.Cost.ModelCycles),
+        static_cast<long long>(R.Cost.PredictedCycles), R.Cost.Devices,
+        R.Simulated ? 1 : 0, static_cast<long long>(R.SimulatedCycles),
+        R.ValidationPassed ? 1 : 0);
+  return Out;
+}
+
+uint64_t textDigest(const std::string &Text) {
+  return sim::fnv1a(Text.data(), Text.size());
+}
+
+} // namespace
+
+TEST(CompileDigestTest, TuneProgramsAtEveryFusionLevel) {
+  // Pinned before the compile path's lookups were hashed: the accesses
+  // and kernels of every fusion level of the three programs the `tune`
+  // benchmark tunes, compiled with and without folding and CSE, and the
+  // integral results of tuning each under the benchmark's options. A
+  // hash-table iteration order leaking into slot order, register
+  // numbering or access order changes a digest.
+  struct Case {
+    const char *Name;
+    StencilProgram Program;
+    std::vector<uint64_t> LevelDigests; ///< One per fusion level 0..pairs.
+    uint64_t ReportDigest;
+  };
+  Case Cases[] = {
+      {"hdiff",
+       workloads::horizontalDiffusion(4, 8, 8),
+       {0x9410f90422cd8c3aull, 0xf5fdede8c469ab74ull, 0x5433f1ba2615e246ull,
+        0x242504972f352951ull, 0x34e31cf895844270ull, 0xbb6eb5538037b7deull,
+        0x50f887d733062dc8ull},
+       0xc63ed969832b5c52ull},
+      {"jacobi3d",
+       workloads::jacobi3dChain(4, 4, 8, 8),
+       {0xe8d3326c2f6d2025ull, 0x82479532a7c00eb0ull, 0x5ebf217838ec287dull,
+        0x49dfd5e42545c47aull},
+       0x46c19d1bcb4797a1ull},
+      // Each wave step is read by the next two steps, so none fuses.
+      {"wave2d",
+       workloads::wave2dChain(2, 4, 16, 16),
+       {0xab8738ae05079067ull},
+       0x600e770d0e7f6115ull},
+  };
+  for (Case &C : Cases) {
+    SCOPED_TRACE(C.Name);
+    FusionWalk Walk(C.Program.clone(), std::numeric_limits<int>::max(),
+                    [](int) { return true; });
+    ASSERT_FALSE(Walk.failure()) << Walk.failure().message();
+    std::vector<uint64_t> Digests;
+    for (int F = 0; F <= Walk.pairs(); ++F) {
+      std::shared_ptr<const StencilProgram> Level = Walk.level(F);
+      ASSERT_NE(Level, nullptr) << "level " << F;
+      std::string Text = compileDigestText(*Level, compute::KernelOptions()) +
+                         "unoptimized\n" +
+                         compileDigestText(*Level, {false, false});
+      Digests.push_back(textDigest(Text));
+    }
+    TuneOptions Opts;
+    Opts.Space.DeviceCounts = {1, 2};
+    Opts.Space.TargetUtilizations = {0.85};
+    Opts.Search.CandidateBudget = 32;
+    Opts.TopK = 3;
+    Opts.Workers = 3;
+    TuningOutcome Out = tuneOrDie(C.Program.clone(), Opts, PipelineOptions());
+    std::string Report = reportDigestText(Out.Report);
+    EXPECT_EQ(Digests, C.LevelDigests);
+    EXPECT_EQ(textDigest(Report), C.ReportDigest) << Report;
+  }
 }
