@@ -147,12 +147,8 @@ std::string Response::toJsonText() const {
     E.set("exit_code", json::Value(exitCodeFor(Code)));
     E.set("message", json::Value(ErrorMessage));
     O.set("error", json::Value(std::move(E)));
-    if (Failure) {
-      // FailureReport serializes itself to text; splice it in as a value.
-      Expected<json::Value> Report = json::parse(Failure->toJson());
-      if (Report)
-        O.set("failure_report", Report.takeValue());
-    }
+    if (Failure)
+      O.set("failure_report", Failure->toJson());
   } else if (Stats) {
     O.set("stats", *Stats);
   } else if (CacheHit) {

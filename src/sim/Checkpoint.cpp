@@ -8,7 +8,7 @@
 //
 //  1. Primitives: CRC-32, FNV-1a, the input-data hash.
 //  2. The file format: magic | version | crc | body-size | body, written
-//     crash-consistently (temp file + fsync + atomic rename) with bounded
+//     crash-consistently (writeTextFileAtomic) with bounded
 //     retention, read back with typed SnapshotInvalid errors.
 //  3. The Machine side: signatures; the state codec, the one description
 //     of the payload layout that capture and both restore paths walk;
@@ -20,6 +20,7 @@
 #include "sim/Checkpoint.h"
 
 #include "sim/Machine.h"
+#include "sim/Trace.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
@@ -105,70 +106,30 @@ std::string sim::snapshotFileName(int64_t Cycle) {
 
 Error sim::writeSnapshotFile(const std::string &Path,
                              const MachineSnapshot &Snapshot) {
-  ByteWriter Body;
-  Body.i64(Snapshot.Cycle);
-  Body.u64(Snapshot.ExactSignature);
-  Body.u64(Snapshot.TopologySignature);
-  Body.u64(Snapshot.InputsHash);
-  Body.blob(Snapshot.State);
-
-  ByteWriter File;
+  // The image is built in one buffer: the header's crc and body-size
+  // fields are patched in once the body behind them is complete.
+  ByteWriter Image;
   for (char C : SnapshotMagic)
-    File.u8(static_cast<uint8_t>(C));
-  File.u32(SnapshotFormatVersion);
-  File.u32(crc32(Body.bytes().data(), Body.bytes().size()));
-  File.u64(Body.bytes().size());
-  const std::vector<uint8_t> &Bytes = Body.bytes();
-
-  // Crash consistency: write the full image to a temp file in the same
-  // directory, fsync it, then atomically rename over the final path. A
-  // crash at any instant leaves either no file, the previous snapshot, or
-  // the complete new one — never a torn image. The directory fsync makes
-  // the rename itself durable; failures there are ignored (the data is
-  // already safe, only the name could be lost).
-  size_t Slash = Path.find_last_of('/');
-  std::string Dir = Slash == std::string::npos ? "." : Path.substr(0, Slash);
-  std::string Temp =
-      Path + formatString(".tmp.%ld", static_cast<long>(::getpid()));
-  int Fd = ::open(Temp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (Fd < 0)
-    return makeError("cannot create snapshot temp file '" + Temp +
-                     "': " + std::strerror(errno));
-  auto WriteAll = [&](const uint8_t *Data, size_t Size) {
-    size_t Done = 0;
-    while (Done != Size) {
-      ssize_t N = ::write(Fd, Data + Done, Size - Done);
-      if (N < 0) {
-        if (errno == EINTR)
-          continue;
-        return false;
-      }
-      Done += static_cast<size_t>(N);
-    }
-    return true;
-  };
-  bool Ok = WriteAll(File.bytes().data(), File.bytes().size()) &&
-            WriteAll(Bytes.data(), Bytes.size());
-  if (Ok && ::fsync(Fd) != 0)
-    Ok = false;
-  int SavedErrno = errno;
-  ::close(Fd);
-  if (!Ok) {
-    ::unlink(Temp.c_str());
-    return makeError("cannot write snapshot '" + Path +
-                     "': " + std::strerror(SavedErrno));
-  }
-  if (::rename(Temp.c_str(), Path.c_str()) != 0) {
-    SavedErrno = errno;
-    ::unlink(Temp.c_str());
-    return makeError("cannot publish snapshot '" + Path +
-                     "': " + std::strerror(SavedErrno));
-  }
-  if (int DirFd = ::open(Dir.c_str(), O_RDONLY | O_DIRECTORY); DirFd >= 0) {
-    ::fsync(DirFd); // Best-effort durability of the rename.
-    ::close(DirFd);
-  }
-  return Error::success();
+    Image.u8(static_cast<uint8_t>(C));
+  Image.u32(SnapshotFormatVersion);
+  Image.u32(0); // crc
+  Image.u64(0); // body size
+  Image.i64(Snapshot.Cycle);
+  Image.u64(Snapshot.ExactSignature);
+  Image.u64(Snapshot.TopologySignature);
+  Image.u64(Snapshot.InputsHash);
+  Image.blob(Snapshot.State);
+  std::vector<uint8_t> Bytes = Image.take();
+  uint64_t BodySize = Bytes.size() - HeaderBytes;
+  uint32_t Crc = crc32(Bytes.data() + HeaderBytes, BodySize);
+  std::memcpy(Bytes.data() + sizeof(SnapshotMagic) + 4, &Crc, sizeof(Crc));
+  std::memcpy(Bytes.data() + sizeof(SnapshotMagic) + 8, &BodySize,
+              sizeof(BodySize));
+  // Crash consistency: a crash at any instant leaves either no file, the
+  // previous snapshot, or the complete new one — never a torn image.
+  return writeTextFileAtomic(
+      Path, std::string_view(reinterpret_cast<const char *>(Bytes.data()),
+                             Bytes.size()));
 }
 
 Expected<MachineSnapshot> sim::readSnapshotFile(const std::string &Path) {

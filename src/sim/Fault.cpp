@@ -6,7 +6,6 @@
 
 #include "sim/Fault.h"
 
-#include "support/JsonWriter.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
@@ -335,44 +334,38 @@ std::string FailureReport::render() const {
   return Out;
 }
 
-std::string FailureReport::toJson() const {
-  std::string Out;
-  json::JsonWriter W(Out);
-  W.beginObject();
-  W.attribute("code", errorCodeName(Code));
-  W.attribute("cycle", Cycle);
-  W.attribute("component", Component);
-  W.attribute("dominant_cause", stallCauseName(DominantCause));
-  W.attribute("failed_device", FailedDevice);
-  W.attribute("failed_channel", FailedChannel);
-  W.key("components");
-  W.beginArray();
+json::Value FailureReport::toJson() const {
+  json::Object Root;
+  Root.set("code", json::Value(errorCodeName(Code)));
+  Root.set("cycle", json::Value(Cycle));
+  Root.set("component", json::Value(Component));
+  Root.set("dominant_cause", json::Value(stallCauseName(DominantCause)));
+  Root.set("failed_device", json::Value(FailedDevice));
+  Root.set("failed_channel", json::Value(FailedChannel));
+  std::vector<json::Value> ComponentArray;
   for (const FailureComponent &C : Components) {
-    W.beginObject();
-    W.attribute("name", C.Name);
-    W.attribute("kind", C.Kind);
-    W.attribute("device", C.Device);
-    W.attribute("cause", stallCauseName(C.Cause));
-    W.attribute("stall_cycles", C.StallCycles);
-    W.attribute("progress", C.Progress);
-    W.attribute("total", C.Total);
-    W.endObject();
+    json::Object Obj;
+    Obj.set("name", json::Value(C.Name));
+    Obj.set("kind", json::Value(C.Kind));
+    Obj.set("device", json::Value(C.Device));
+    Obj.set("cause", json::Value(stallCauseName(C.Cause)));
+    Obj.set("stall_cycles", json::Value(C.StallCycles));
+    Obj.set("progress", json::Value(C.Progress));
+    Obj.set("total", json::Value(C.Total));
+    ComponentArray.push_back(json::Value(std::move(Obj)));
   }
-  W.endArray();
-  W.key("channels");
-  W.beginArray();
+  Root.set("components", json::Value(std::move(ComponentArray)));
+  std::vector<json::Value> ChannelArray;
   for (const FailureChannel &C : Channels) {
-    W.beginObject();
-    W.attribute("name", C.Name);
-    W.attribute("occupancy", C.Occupancy);
-    W.attribute("capacity", C.Capacity);
-    W.attribute("full", C.Full);
-    W.endObject();
+    json::Object Obj;
+    Obj.set("name", json::Value(C.Name));
+    Obj.set("occupancy", json::Value(C.Occupancy));
+    Obj.set("capacity", json::Value(C.Capacity));
+    Obj.set("full", json::Value(C.Full));
+    ChannelArray.push_back(json::Value(std::move(Obj)));
   }
-  W.endArray();
-  W.endObject();
-  assert(W.complete() && "unbalanced failure report document");
-  return Out;
+  Root.set("channels", json::Value(std::move(ChannelArray)));
+  return json::Value(std::move(Root));
 }
 
 Expected<FailureReport> FailureReport::fromJson(const json::Value &V) {

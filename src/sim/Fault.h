@@ -208,8 +208,8 @@ struct FailureReport {
   /// Human-readable rendering (what Error::message carries).
   std::string render() const;
 
-  /// Serializes via the streaming JsonWriter.
-  std::string toJson() const;
+  /// The object the serve protocol carries as "failure_report".
+  json::Value toJson() const;
   static Expected<FailureReport> fromJson(const json::Value &V);
   static Expected<FailureReport> fromJsonText(std::string_view Text);
 };

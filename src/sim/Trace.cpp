@@ -7,7 +7,7 @@
 #include "sim/Trace.h"
 
 #include "sim/Machine.h"
-#include "support/JsonWriter.h"
+#include "support/Json.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
@@ -132,12 +132,28 @@ void Tracer::finish(int64_t Cycle) {
 //===----------------------------------------------------------------------===//
 
 std::string Tracer::chromeTraceJson() const {
+  // Events stream out one at a time through json's own scalar printers: a
+  // trace can hold hundreds of thousands of events, so it never becomes
+  // one json::Value tree.
   std::string Out;
   Out.reserve(128 + 96 * (Intervals.size() + Samples.size()));
-  json::JsonWriter W(Out);
-  W.beginObject();
-  W.key("traceEvents");
-  W.beginArray();
+  auto Str = [&](std::string_view S) { json::appendString(Out, S); };
+  // Appends ,"Key":D. Keys are literals that need no escaping.
+  auto Num = [&](const char *Key, double D) {
+    Out += ",\"";
+    Out += Key;
+    Out += "\":";
+    json::appendNumber(Out, D);
+  };
+  bool First = true;
+  auto Begin = [&](const char *Phase, std::string_view Name) {
+    Out += First ? "{\"ph\":\"" : ",{\"ph\":\"";
+    First = false;
+    Out += Phase;
+    Out += "\",\"name\":";
+    Str(Name);
+  };
+  Out += "{\"traceEvents\":[";
 
   // Process metadata: one "process" per simulated device.
   std::set<int> Devices;
@@ -146,85 +162,61 @@ std::string Tracer::chromeTraceJson() const {
   for (const Counter &C : Counters)
     Devices.insert(C.Device);
   for (int Device : Devices) {
-    W.beginObject();
-    W.attribute("ph", "M");
-    W.attribute("name", "process_name");
-    W.attribute("pid", Device);
-    W.attribute("tid", 0);
-    W.key("args");
-    W.beginObject();
-    W.attribute("name", formatString("device %d", Device));
-    W.endObject();
-    W.endObject();
+    Begin("M", "process_name");
+    Num("pid", Device);
+    Num("tid", 0);
+    Out += ",\"args\":{\"name\":";
+    Str(formatString("device %d", Device));
+    Out += "}}";
   }
 
   // Thread metadata: one "thread" per timeline track. tid 0 is reserved
   // for the process row, so tracks start at 1.
   for (size_t TrackId = 0; TrackId != Tracks.size(); ++TrackId) {
     const Track &T = Tracks[TrackId];
-    W.beginObject();
-    W.attribute("ph", "M");
-    W.attribute("name", "thread_name");
-    W.attribute("pid", T.Device);
-    W.attribute("tid", static_cast<int64_t>(TrackId) + 1);
-    W.key("args");
-    W.beginObject();
-    W.attribute("name", T.Name);
-    W.endObject();
-    W.endObject();
-    W.beginObject();
-    W.attribute("ph", "M");
-    W.attribute("name", "thread_sort_index");
-    W.attribute("pid", T.Device);
-    W.attribute("tid", static_cast<int64_t>(TrackId) + 1);
-    W.key("args");
-    W.beginObject();
-    W.attribute("sort_index", static_cast<int64_t>(TrackId));
-    W.endObject();
-    W.endObject();
+    Begin("M", "thread_name");
+    Num("pid", T.Device);
+    Num("tid", TrackId + 1);
+    Out += ",\"args\":{\"name\":";
+    Str(T.Name);
+    Out += "}}";
+    Begin("M", "thread_sort_index");
+    Num("pid", T.Device);
+    Num("tid", TrackId + 1);
+    Out += ",\"args\":{\"sort_index\":";
+    json::appendNumber(Out, TrackId);
+    Out += "}}";
   }
 
   // State intervals as complete ("X") events; 1 cycle = 1 microsecond.
   for (const Interval &I : Intervals) {
-    const Track &T = Tracks[static_cast<size_t>(I.Track)];
-    W.beginObject();
-    W.attribute("ph", "X");
-    W.attribute("name",
-                StateNames[static_cast<size_t>(I.State)]);
-    W.attribute("cat", "sim");
-    W.attribute("ts", I.Start);
-    W.attribute("dur", I.End - I.Start);
-    W.attribute("pid", T.Device);
-    W.attribute("tid", static_cast<int64_t>(I.Track) + 1);
-    W.endObject();
+    Begin("X", StateNames[static_cast<size_t>(I.State)]);
+    Out += ",\"cat\":\"sim\"";
+    Num("ts", I.Start);
+    Num("dur", I.End - I.Start);
+    Num("pid", Tracks[static_cast<size_t>(I.Track)].Device);
+    Num("tid", I.Track + 1);
+    Out += '}';
   }
 
   // Counter ("C") samples.
   for (const Sample &S : Samples) {
     const Counter &C = Counters[static_cast<size_t>(S.Counter)];
-    W.beginObject();
-    W.attribute("ph", "C");
-    W.attribute("name", C.Name);
-    W.attribute("ts", S.Cycle);
-    W.attribute("pid", C.Device);
-    W.key("args");
-    W.beginObject();
-    W.attribute(C.Series, S.Value);
-    W.endObject();
-    W.endObject();
+    Begin("C", C.Name);
+    Num("ts", S.Cycle);
+    Num("pid", C.Device);
+    Out += ",\"args\":{";
+    Str(C.Series);
+    Out += ':';
+    json::appendNumber(Out, S.Value);
+    Out += "}}";
   }
 
-  W.endArray();
-  W.attribute("displayTimeUnit", "ms");
-  W.key("otherData");
-  W.beginObject();
-  W.attribute("generator", "stencilflow-sim");
-  W.attribute("cycles", FinalCycle);
-  W.attribute("sampleStride", SampleStride);
-  W.attribute("timeUnit", "1 cycle = 1 us");
-  W.endObject();
-  W.endObject();
-  assert(W.complete() && "unbalanced trace document");
+  Out += "],\"displayTimeUnit\":\"ms\",\"otherData\":{"
+         "\"generator\":\"stencilflow-sim\"";
+  Num("cycles", FinalCycle);
+  Num("sampleStride", SampleStride);
+  Out += ",\"timeUnit\":\"1 cycle = 1 us\"}}";
   return Out;
 }
 
@@ -374,6 +366,14 @@ Error sim::writeTextFileAtomic(const std::string &Path,
     ::unlink(Temp.c_str());
     return makeError("failed to rename '" + Temp + "' to '" + Path +
                      "': " + std::strerror(Cause));
+  }
+  // The directory fsync makes the rename itself durable. It is best
+  // effort: the data is already safe, only the new name could be lost.
+  size_t Slash = Path.find_last_of('/');
+  std::string Dir = Slash == std::string::npos ? "." : Path.substr(0, Slash);
+  if (int DirFd = ::open(Dir.c_str(), O_RDONLY | O_DIRECTORY); DirFd >= 0) {
+    ::fsync(DirFd);
+    ::close(DirFd);
   }
   return Error::success();
 }

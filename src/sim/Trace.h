@@ -211,10 +211,12 @@ std::string formatMetricsCsv(const SimStats &Stats);
 Error writeTextFile(const std::string &Path, std::string_view Text);
 
 /// Crash-consistent variant of \c writeTextFile: writes to a temporary
-/// file in the same directory, fsyncs, and renames over \p Path. A crash
-/// (or a failure partway through) leaves either the complete old file or
-/// the complete new file — never a truncated artifact. Report writers
-/// (Chrome traces, metrics CSVs, tuning JSON) route through this.
+/// file in the same directory, fsyncs, renames over \p Path, and fsyncs
+/// the directory (best effort) so the rename is durable too. A crash (or
+/// a failure partway through) leaves either the complete old file or the
+/// complete new file — never a truncated artifact. \p Text may hold any
+/// bytes: every persisted file (Chrome traces, metrics CSVs, tuning
+/// reports, fuzz findings, checkpoint snapshots) routes through this.
 Error writeTextFileAtomic(const std::string &Path, std::string_view Text);
 
 } // namespace sim

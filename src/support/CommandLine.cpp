@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdlib>
+#include <utility>
 
 using namespace stencilflow;
 
@@ -46,34 +47,47 @@ std::string CommandLine::getString(const std::string &Flag,
   return It == Values.end() ? Default : It->second;
 }
 
-namespace {
-
-/// Parses \p Text completely with \p Parse (a strtoll/strtod shape), or
-/// fails naming \p Flag.
-template <typename T, typename ParseFn>
-Expected<T> parseNumber(const std::string &Flag, const std::string &Text,
-                        const char *Kind, ParseFn Parse) {
+template <typename Wide>
+Expected<Wide> CommandLine::getInteger(const std::string &Flag, Wide Min,
+                                       Wide Max) const {
+  const std::string &Text = Values.at(Flag);
   const char *Begin = Text.c_str();
   char *End = nullptr;
+  // strtoull accepts "-1" and wraps it to 2^64 - 1, so any text with a
+  // minus sign parses signed.
+  bool Signed =
+      std::is_signed_v<Wide> || Text.find('-') != std::string::npos;
   errno = 0;
-  T Value = Parse(Begin, &End);
-  if (Text.empty() || End != Begin + Text.size() || errno == ERANGE)
+  long long S = Signed ? std::strtoll(Begin, &End, 10) : 0;
+  unsigned long long U = Signed ? 0 : std::strtoull(Begin, &End, 10);
+  if (Text.empty() || End != Begin + Text.size())
     return makeError(ErrorCode::InvalidInput,
-                     formatString("--%s: '%s' is not %s", Flag.c_str(),
-                                  Text.c_str(), Kind));
-  return Value;
+                     formatString("--%s: '%s' is not an integer", Flag.c_str(),
+                                  Text.c_str()));
+  bool InRange = errno != ERANGE && (Signed ? std::cmp_greater_equal(S, Min) &&
+                                                  std::cmp_less_equal(S, Max)
+                                            : std::cmp_less_equal(U, Max));
+  if (!InRange)
+    return makeError(ErrorCode::InvalidInput,
+                     formatString("--%s: '%s' must be an integer in [%s, %s]",
+                                  Flag.c_str(), Text.c_str(),
+                                  std::to_string(Min).c_str(),
+                                  std::to_string(Max).c_str()));
+  return Signed ? static_cast<Wide>(S) : static_cast<Wide>(U);
 }
 
-} // namespace
+template Expected<int64_t>
+CommandLine::getInteger<int64_t>(const std::string &, int64_t, int64_t) const;
+template Expected<uint64_t>
+CommandLine::getInteger<uint64_t>(const std::string &, uint64_t,
+                                  uint64_t) const;
 
 Expected<int64_t> CommandLine::getInt(const std::string &Flag,
                                       int64_t Default) const {
-  auto It = Values.find(Flag);
-  if (It == Values.end())
+  if (!has(Flag))
     return Default;
-  return parseNumber<int64_t>(
-      Flag, It->second, "an integer",
-      [](const char *S, char **End) { return std::strtoll(S, End, 10); });
+  return getInteger<int64_t>(Flag, std::numeric_limits<int64_t>::min(),
+                             std::numeric_limits<int64_t>::max());
 }
 
 Expected<double> CommandLine::getDouble(const std::string &Flag,
@@ -81,7 +95,14 @@ Expected<double> CommandLine::getDouble(const std::string &Flag,
   auto It = Values.find(Flag);
   if (It == Values.end())
     return Default;
-  return parseNumber<double>(
-      Flag, It->second, "a number",
-      [](const char *S, char **End) { return std::strtod(S, End); });
+  const std::string &Text = It->second;
+  const char *Begin = Text.c_str();
+  char *End = nullptr;
+  errno = 0;
+  double Value = std::strtod(Begin, &End);
+  if (Text.empty() || End != Begin + Text.size() || errno == ERANGE)
+    return makeError(ErrorCode::InvalidInput,
+                     formatString("--%s: '%s' is not a number", Flag.c_str(),
+                                  Text.c_str()));
+  return Value;
 }

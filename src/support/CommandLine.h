@@ -18,6 +18,7 @@
 #include "support/Error.h"
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <type_traits>
@@ -47,20 +48,29 @@ public:
   Expected<double> getDouble(const std::string &Flag, double Default) const;
 
   /// Stores the value of \p Flag in \p Out — read by \c getDouble for a
-  /// floating-point \p T, else by \c getInt — when the flag was given,
-  /// and leaves \p Out untouched otherwise.
+  /// floating-point \p T, else as an integer \p T must hold — when the
+  /// flag was given, and leaves \p Out untouched otherwise. An integer
+  /// outside \p T's range, such as a negative one for an unsigned \p T,
+  /// is an InvalidInput error naming the flag ("must be an integer in
+  /// [min, max]"), never a wrapped value.
   template <typename T> Error read(const std::string &Flag, T &Out) const {
     if (!has(Flag))
       return Error::success();
-    auto Value = [&] {
-      if constexpr (std::is_floating_point_v<T>)
-        return getDouble(Flag, 0.0);
-      else
-        return getInt(Flag, 0);
-    }();
-    if (!Value)
-      return Value.takeError();
-    Out = static_cast<T>(*Value);
+    if constexpr (std::is_floating_point_v<T>) {
+      Expected<double> Value = getDouble(Flag, 0.0);
+      if (!Value)
+        return Value.takeError();
+      Out = static_cast<T>(*Value);
+    } else {
+      static_assert(std::is_integral_v<T> && !std::is_same_v<T, bool>,
+                    "read() fills a number");
+      using Wide = std::conditional_t<std::is_signed_v<T>, int64_t, uint64_t>;
+      Expected<Wide> Value = getInteger<Wide>(
+          Flag, std::numeric_limits<T>::min(), std::numeric_limits<T>::max());
+      if (!Value)
+        return Value.takeError();
+      Out = static_cast<T>(*Value);
+    }
     return Error::success();
   }
 
@@ -71,6 +81,12 @@ public:
   const std::vector<std::string> &positional() const { return Positional; }
 
 private:
+  /// The value of the given integer flag \p Flag, parsed as \p Wide
+  /// (int64_t or uint64_t) and checked against [Min, Max].
+  template <typename Wide>
+  Expected<Wide> getInteger(const std::string &Flag, Wide Min,
+                            Wide Max) const;
+
   std::map<std::string, std::string> Values;
   std::vector<std::string> Positional;
 };

@@ -6,7 +6,6 @@
 
 #include "support/Json.h"
 
-#include "support/JsonWriter.h"
 #include "support/StringUtils.h"
 
 #include <charconv>
@@ -59,6 +58,56 @@ void Object::set(std::string Key, Value Val) {
 // Serialization
 //===----------------------------------------------------------------------===//
 
+void json::appendString(std::string &Out, std::string_view S) {
+  Out += '"';
+  // Runs of characters that need no escape are copied in one append.
+  size_t Plain = 0;
+  for (size_t I = 0, E = S.size(); I != E; ++I) {
+    unsigned char C = static_cast<unsigned char>(S[I]);
+    if (C >= 0x20 && C != '"' && C != '\\')
+      continue;
+    Out.append(S.data() + Plain, I - Plain);
+    Plain = I + 1;
+    switch (C) {
+    case '"':
+      Out += "\\\"";
+      break;
+    case '\\':
+      Out += "\\\\";
+      break;
+    case '\n':
+      Out += "\\n";
+      break;
+    case '\t':
+      Out += "\\t";
+      break;
+    case '\r':
+      Out += "\\r";
+      break;
+    default: {
+      char Escape[8];
+      std::snprintf(Escape, sizeof(Escape), "\\u%04x", C);
+      Out += Escape;
+    }
+    }
+  }
+  Out.append(S.data() + Plain, S.size() - Plain);
+  Out += '"';
+}
+
+void json::appendNumber(std::string &Out, double D) {
+  // Integral doubles print as integers; the rest with the 17 significant
+  // digits that make every double survive its own text.
+  char Text[32];
+  std::to_chars_result Printed =
+      std::isfinite(D) && D == std::floor(D) && std::fabs(D) < 1e15
+          ? std::to_chars(Text, Text + sizeof(Text),
+                          static_cast<long long>(D))
+          : std::to_chars(Text, Text + sizeof(Text), D,
+                          std::chars_format::general, 17);
+  Out.append(Text, Printed.ptr);
+}
+
 namespace {
 
 void serialize(std::string &Out, const Value &V, int Indent, int Depth) {
@@ -76,10 +125,10 @@ void serialize(std::string &Out, const Value &V, int Indent, int Depth) {
     Out += V.getBoolean() ? "true" : "false";
     return;
   case ValueKind::Number:
-    JsonWriter(Out).value(V.getNumber());
+    appendNumber(Out, V.getNumber());
     return;
   case ValueKind::String:
-    JsonWriter(Out).value(V.getString());
+    appendString(Out, V.getString());
     return;
   case ValueKind::Array: {
     const auto &Elements = V.getArray();
@@ -90,7 +139,7 @@ void serialize(std::string &Out, const Value &V, int Indent, int Depth) {
     Out += '[';
     for (size_t I = 0, E = Elements.size(); I != E; ++I) {
       if (I != 0)
-        Out += Indent < 0 ? "," : ",";
+        Out += ',';
       newline(Depth + 1);
       serialize(Out, Elements[I], Indent, Depth + 1);
     }
@@ -111,7 +160,7 @@ void serialize(std::string &Out, const Value &V, int Indent, int Depth) {
         Out += ',';
       First = false;
       newline(Depth + 1);
-      JsonWriter(Out).value(Key);
+      appendString(Out, Key);
       Out += Indent < 0 ? ":" : ": ";
       serialize(Out, *Member, Indent, Depth + 1);
     }

@@ -125,6 +125,13 @@ private:
       Storage;
 };
 
+/// The scalar printers behind \c Value::toString, for emitters too large
+/// to build as one tree (the Chrome trace): appends \p S as a quoted,
+/// escaped JSON string, and \p D as a JSON number (integral doubles as
+/// integers, the rest with 17 significant digits).
+void appendString(std::string &Out, std::string_view S);
+void appendNumber(std::string &Out, double D);
+
 /// The one checked number-to-integer conversion. JSON numbers are doubles:
 /// \p D converts only when it is integral and inside \p Int's range, so a
 /// fraction, an infinity, NaN or an out-of-range magnitude is nullopt,

@@ -6,7 +6,7 @@
 
 #include "tuner/TuningReport.h"
 
-#include "support/JsonWriter.h"
+#include "support/Json.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
@@ -112,92 +112,82 @@ void stencilflow::tuner::calibrateSlowdowns(TuningReport &Report) {
 
 namespace {
 
-void writeCandidate(json::JsonWriter &W, const CandidateRecord &R) {
-  W.beginObject();
-  W.attribute("id", R.Mapping.id());
-  W.attribute("vector_width", R.Mapping.VectorWidth);
-  W.attribute("fusion_pairs", R.Mapping.FusionPairs);
-  W.attribute("max_devices", R.Mapping.MaxDevices);
-  W.attribute("target_utilization", R.Mapping.TargetUtilization);
-  W.attribute("temporal_degree", R.Mapping.TemporalDegree);
-  W.attribute("kernel_engine",
-              compute::kernelEngineName(R.Mapping.KernelExec));
-  W.attribute("round", R.Round);
-  W.attribute("feasible", R.Cost.Feasible);
+json::Value candidateToJson(const CandidateRecord &R) {
+  json::Object O;
+  O.set("id", json::Value(R.Mapping.id()));
+  O.set("vector_width", json::Value(R.Mapping.VectorWidth));
+  O.set("fusion_pairs", json::Value(R.Mapping.FusionPairs));
+  O.set("max_devices", json::Value(R.Mapping.MaxDevices));
+  O.set("target_utilization", json::Value(R.Mapping.TargetUtilization));
+  O.set("temporal_degree", json::Value(R.Mapping.TemporalDegree));
+  O.set("kernel_engine",
+        json::Value(compute::kernelEngineName(R.Mapping.KernelExec)));
+  O.set("round", json::Value(R.Round));
+  O.set("feasible", json::Value(R.Cost.Feasible));
   if (!R.Cost.Feasible) {
-    W.attribute("prune_reason", R.Cost.PruneReason);
+    O.set("prune_reason", json::Value(R.Cost.PruneReason));
   } else {
-    W.attribute("model_cycles", R.Cost.ModelCycles);
-    W.attribute("predicted_cycles", R.Cost.PredictedCycles);
-    W.attribute("predicted_seconds", R.Cost.PredictedSeconds);
-    W.attribute("frequency_mhz", R.Cost.FrequencyMHz);
-    W.attribute("memory_slowdown", R.Cost.MemorySlowdown);
-    W.attribute("network_slowdown", R.Cost.NetworkSlowdown);
-    W.attribute("devices", R.Cost.Devices);
-    W.attribute("peak_utilization", R.Cost.PeakUtilization);
+    O.set("model_cycles", json::Value(R.Cost.ModelCycles));
+    O.set("predicted_cycles", json::Value(R.Cost.PredictedCycles));
+    O.set("predicted_seconds", json::Value(R.Cost.PredictedSeconds));
+    O.set("frequency_mhz", json::Value(R.Cost.FrequencyMHz));
+    O.set("memory_slowdown", json::Value(R.Cost.MemorySlowdown));
+    O.set("network_slowdown", json::Value(R.Cost.NetworkSlowdown));
+    O.set("devices", json::Value(R.Cost.Devices));
+    O.set("peak_utilization", json::Value(R.Cost.PeakUtilization));
   }
-  W.attribute("simulated", R.Simulated);
+  O.set("simulated", json::Value(R.Simulated));
   if (R.Simulated) {
     if (!R.SimulationError.empty()) {
-      W.attribute("simulation_error", R.SimulationError);
+      O.set("simulation_error", json::Value(R.SimulationError));
     } else {
-      W.attribute("validation_passed", R.ValidationPassed);
-      W.attribute("simulated_cycles", R.SimulatedCycles);
-      W.attribute("simulated_seconds", R.SimulatedSeconds);
-      W.attribute("model_error_pct", R.ModelErrorPct);
+      O.set("validation_passed", json::Value(R.ValidationPassed));
+      O.set("simulated_cycles", json::Value(R.SimulatedCycles));
+      O.set("simulated_seconds", json::Value(R.SimulatedSeconds));
+      O.set("model_error_pct", json::Value(R.ModelErrorPct));
       if (R.CalibratedPredictedCycles > 0.0) {
-        W.attribute("calibrated_predicted_cycles",
-                    R.CalibratedPredictedCycles);
-        W.attribute("calibrated_error_pct", R.CalibratedErrorPct);
+        O.set("calibrated_predicted_cycles",
+              json::Value(R.CalibratedPredictedCycles));
+        O.set("calibrated_error_pct", json::Value(R.CalibratedErrorPct));
       }
     }
   }
-  W.endObject();
+  return json::Value(std::move(O));
 }
 
 } // namespace
 
 std::string TuningReport::toJson() const {
-  std::string Out;
-  json::JsonWriter W(Out);
-  W.beginObject();
-  W.attribute("program", ProgramName);
-  W.attribute("search", SearchKind);
-  W.attribute("seed", static_cast<int64_t>(Seed));
-  W.attribute("space_size", SpaceSize);
-  W.attribute("explored", Explored);
-  W.attribute("pruned", Pruned);
-  W.attribute("simulated", SimulatedCount);
-  W.key("candidates");
-  W.beginArray();
+  json::Object O;
+  O.set("program", json::Value(ProgramName));
+  O.set("search", json::Value(SearchKind));
+  O.set("seed", json::uint64ToJson(Seed));
+  O.set("space_size", json::Value(SpaceSize));
+  O.set("explored", json::Value(Explored));
+  O.set("pruned", json::Value(Pruned));
+  O.set("simulated", json::Value(SimulatedCount));
+  std::vector<json::Value> CandidateArray;
   for (const CandidateRecord &R : Candidates)
-    writeCandidate(W, R);
-  W.endArray();
-  W.key("pareto_front");
-  W.beginArray();
-  for (size_t Index : ParetoFront)
-    W.value(Index);
-  W.endArray();
-  W.key("calibration");
-  W.beginObject();
-  W.attribute("fitted", Calibration.Fitted);
-  W.attribute("memory_factor", Calibration.MemoryFactor);
-  W.attribute("network_factor", Calibration.NetworkFactor);
-  W.attribute("memory_samples",
-              static_cast<int64_t>(Calibration.MemorySamples));
-  W.attribute("network_samples",
-              static_cast<int64_t>(Calibration.NetworkSamples));
-  W.attribute("mean_error_pct_before", Calibration.MeanErrorPctBefore);
-  W.attribute("mean_error_pct_after", Calibration.MeanErrorPctAfter);
-  W.endObject();
-  W.attribute("best_index", static_cast<int64_t>(BestIndex));
-  W.attribute("default_index", static_cast<int64_t>(DefaultIndex));
+    CandidateArray.push_back(candidateToJson(R));
+  O.set("candidates", json::Value(std::move(CandidateArray)));
+  std::vector<json::Value> Front(ParetoFront.begin(), ParetoFront.end());
+  O.set("pareto_front", json::Value(std::move(Front)));
+  json::Object C;
+  C.set("fitted", json::Value(Calibration.Fitted));
+  C.set("memory_factor", json::Value(Calibration.MemoryFactor));
+  C.set("network_factor", json::Value(Calibration.NetworkFactor));
+  C.set("memory_samples", json::Value(Calibration.MemorySamples));
+  C.set("network_samples", json::Value(Calibration.NetworkSamples));
+  C.set("mean_error_pct_before", json::Value(Calibration.MeanErrorPctBefore));
+  C.set("mean_error_pct_after", json::Value(Calibration.MeanErrorPctAfter));
+  O.set("calibration", json::Value(std::move(C)));
+  O.set("best_index", json::Value(BestIndex));
+  O.set("default_index", json::Value(DefaultIndex));
   if (const CandidateRecord *B = best())
-    W.attribute("best", B->Mapping.id());
+    O.set("best", json::Value(B->Mapping.id()));
   if (const CandidateRecord *D = defaultCandidate())
-    W.attribute("default", D->Mapping.id());
-  W.endObject();
-  return Out;
+    O.set("default", json::Value(D->Mapping.id()));
+  return json::Value(std::move(O)).toString();
 }
 
 std::string TuningReport::summary() const {

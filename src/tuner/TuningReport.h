@@ -135,7 +135,8 @@ struct TuningReport {
   }
 
   /// Serializes the full report (trajectory, prune reasons, predicted vs
-  /// simulated cycles, Pareto front, chosen plan) as a JSON document.
+  /// simulated cycles, Pareto front, chosen plan) as compact JSON text.
+  /// A seed above 2^53 is "0x..." hex text (json::uint64ToJson).
   std::string toJson() const;
 
   /// Short human-readable summary for CLI output.

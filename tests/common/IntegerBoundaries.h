@@ -5,10 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Boundary tables for JSON decoders. JSON numbers are doubles, so every
-/// integer member must reject a fraction, a magnitude no integer type
-/// holds, and the first value past its own type's range — with an
-/// InvalidInput error, never by truncating, wrapping or an undefined cast.
+/// Boundary tables for JSON decoders and integer command-line flags. JSON
+/// numbers are doubles, so every integer member must reject a fraction, a
+/// magnitude no integer type holds, and the first value past its own
+/// type's range — with an InvalidInput error, never by truncating,
+/// wrapping or an undefined cast. A flag's value must do the same.
 ///
 //===----------------------------------------------------------------------===//
 

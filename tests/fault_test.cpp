@@ -321,7 +321,7 @@ TEST(FailureReportTest, JsonRoundTrip) {
   Ch.Full = true;
   Report.Channels.push_back(Ch);
 
-  auto Back = FailureReport::fromJsonText(Report.toJson());
+  auto Back = FailureReport::fromJson(Report.toJson());
   ASSERT_TRUE(Back) << Back.message();
   EXPECT_EQ(Back->Code, Report.Code);
   EXPECT_EQ(Back->Cycle, Report.Cycle);
@@ -399,7 +399,7 @@ TEST(FailureReportTest, Fig4DiamondProducesStructuredDeadlock) {
   }
   EXPECT_TRUE(AnyFull);
   // The structured report survives a JSON round trip.
-  auto Back = FailureReport::fromJsonText(Failure.toJson());
+  auto Back = FailureReport::fromJson(Failure.toJson());
   ASSERT_TRUE(Back) << Back.message();
   EXPECT_EQ(Back->Code, ErrorCode::Deadlock);
   EXPECT_EQ(Back->Channels.size(), Failure.Channels.size());

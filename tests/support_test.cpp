@@ -4,19 +4,22 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "common/IntegerBoundaries.h"
 #include "support/CommandLine.h"
 #include "support/Error.h"
 #include "support/Json.h"
-#include "support/JsonWriter.h"
 #include "support/Random.h"
 #include "support/StringUtils.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <limits>
 #include <set>
 
 using namespace stencilflow;
+using namespace stencilflow::testing;
 
 //===----------------------------------------------------------------------===//
 // Error / Expected
@@ -356,69 +359,120 @@ TEST(CommandLineTest, RejectsValuesThatAreNotNumbers) {
   EXPECT_EQ(Count, 3);
 }
 
+namespace {
+
+/// Reads "--n <Text>" into a \p T through CommandLine::read.
+template <typename T> Expected<T> readFlag(const std::string &Text) {
+  const char *Argv[] = {"prog", "--n", Text.c_str()};
+  Expected<CommandLine> Parsed = CommandLine::parse(3, Argv, {"n"});
+  if (!Parsed)
+    return Parsed.takeError();
+  T Out{};
+  if (Error Err = Parsed->read("n", Out))
+    return Err;
+  return Out;
+}
+
+} // namespace
+
+TEST(CommandLineTest, IntegerFlagsRejectValuesTheirTypeCannotHold) {
+  // Every integer type a flag is read into (size_t is uint64_t here): a
+  // fraction, a huge magnitude and the first value past the type's range
+  // are InvalidInput errors, never wrapped values.
+  expectIntegerBoundariesRejected({{"@", IntOnePast}},
+                                  readFlag<int>);
+  expectIntegerBoundariesRejected({{"@", Int64OnePast}},
+                                  readFlag<int64_t>);
+  expectIntegerBoundariesRejected({{"@", UInt64OnePast}},
+                                  readFlag<uint64_t>);
+  expectIntegerBoundariesRejected({{"@", UInt64OnePast}},
+                                  readFlag<size_t>);
+
+  // Below the range, a negative value for an unsigned type included, in
+  // the wording json::readMember uses.
+  EXPECT_EQ(readFlag<int>("4294967297").message(),
+            "--n: '4294967297' must be an integer in "
+            "[-2147483648, 2147483647]");
+  EXPECT_EQ(readFlag<int>("-2147483649").message(),
+            "--n: '-2147483649' must be an integer in "
+            "[-2147483648, 2147483647]");
+  EXPECT_FALSE(readFlag<int64_t>("-9223372036854775809"));
+  EXPECT_EQ(readFlag<uint64_t>("-1").message(),
+            "--n: '-1' must be an integer in [0, 18446744073709551615]");
+  EXPECT_EQ(readFlag<uint64_t>("-1").code(), ErrorCode::InvalidInput);
+  EXPECT_EQ(readFlag<uint64_t>("-x").message(),
+            "--n: '-x' is not an integer");
+
+  // Each type's own extremes are read exactly.
+  EXPECT_EQ(*readFlag<int>("-2147483648"), std::numeric_limits<int>::min());
+  EXPECT_EQ(*readFlag<int>("2147483647"), std::numeric_limits<int>::max());
+  EXPECT_EQ(*readFlag<int64_t>("-9223372036854775808"),
+            std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(*readFlag<int64_t>("9223372036854775807"),
+            std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(*readFlag<uint64_t>("18446744073709551615"),
+            std::numeric_limits<uint64_t>::max());
+  EXPECT_EQ(*readFlag<uint64_t>("-0"), 0u);
+}
+
 //===----------------------------------------------------------------------===//
-// JsonWriter
+// Value serialization
 //===----------------------------------------------------------------------===//
 
-TEST(JsonWriterTest, EmitsNestedDocument) {
-  std::string Out;
-  json::JsonWriter W(Out);
-  W.beginObject();
-  W.attribute("name", "trace");
-  W.key("events");
-  W.beginArray();
-  W.beginObject();
-  W.attribute("ts", static_cast<int64_t>(42));
-  W.attribute("ok", true);
-  W.endObject();
-  W.value(1.5);
-  W.valueNull();
-  W.endArray();
-  W.endObject();
-  EXPECT_TRUE(W.complete());
-  EXPECT_EQ(Out,
+TEST(JsonSerializeTest, EmitsNestedDocument) {
+  json::Object Event;
+  Event.set("ts", json::Value(static_cast<int64_t>(42)));
+  Event.set("ok", json::Value(true));
+  json::Object Root;
+  Root.set("name", json::Value("trace"));
+  Root.set("events", json::Value(std::vector<json::Value>{
+                         json::Value(std::move(Event)), json::Value(1.5),
+                         json::Value()}));
+  EXPECT_EQ(json::Value(std::move(Root)).toString(),
             "{\"name\":\"trace\",\"events\":[{\"ts\":42,\"ok\":true},"
             "1.5,null]}");
 }
 
-TEST(JsonWriterTest, EscapesStrings) {
-  std::string Out;
-  json::JsonWriter W(Out);
-  W.beginObject();
-  W.attribute("k\"ey", "line\nbreak\ttab\\slash");
-  W.endObject();
-  EXPECT_EQ(Out, "{\"k\\\"ey\":\"line\\nbreak\\ttab\\\\slash\"}");
+TEST(JsonSerializeTest, EscapesStrings) {
+  json::Object Root;
+  Root.set("k\"ey", json::Value("line\nbreak\ttab\\slash\r\x01"));
+  EXPECT_EQ(json::Value(std::move(Root)).toString(),
+            "{\"k\\\"ey\":\"line\\nbreak\\ttab\\\\slash\\r\\u0001\"}");
 }
 
-TEST(JsonWriterTest, IntegralDoublesPrintAsIntegers) {
-  std::string Out;
-  json::JsonWriter W(Out);
-  W.beginArray();
-  W.value(3.0);
-  W.value(0.25);
-  W.endArray();
-  EXPECT_EQ(Out, "[3,0.25]");
-}
-
-TEST(JsonWriterTest, OutputRoundTripsThroughParser) {
-  std::string Out;
-  json::JsonWriter W(Out);
-  W.beginObject();
-  W.key("nested");
-  W.beginArray();
-  for (int I = 0; I != 3; ++I) {
-    W.beginObject();
-    W.attribute("i", I);
-    W.attribute("label", formatString("item %d", I));
-    W.endObject();
+TEST(JsonSerializeTest, IntegralDoublesPrintAsIntegers) {
+  json::Value Numbers(std::vector<json::Value>{
+      json::Value(3.0), json::Value(0.25), json::Value(-0.0),
+      json::Value(999999999999999.0), json::Value(1e15), json::Value(0.1)});
+  EXPECT_EQ(Numbers.toString(),
+            "[3,0.25,0,999999999999999,1000000000000000,"
+            "0.10000000000000001]");
+  // Non-integral numbers print as C's "%.17g" would.
+  for (double D : {0.1, 1.0 / 3.0, -2.5e-300, 6.02214076e23, 1e15,
+                   9007199254740993.0}) {
+    char Expected[32];
+    std::snprintf(Expected, sizeof(Expected), "%.17g", D);
+    EXPECT_EQ(json::Value(D).toString(), Expected);
   }
-  W.endArray();
-  W.endObject();
+}
+
+TEST(JsonSerializeTest, OutputRoundTripsThroughParser) {
+  std::vector<json::Value> Items;
+  for (int I = 0; I != 3; ++I) {
+    json::Object Item;
+    Item.set("i", json::Value(I));
+    Item.set("label", json::Value(formatString("item %d", I)));
+    Items.push_back(json::Value(std::move(Item)));
+  }
+  json::Object Root;
+  Root.set("nested", json::Value(std::move(Items)));
+  std::string Out = json::Value(std::move(Root)).toString();
   auto Parsed = json::parse(Out);
   ASSERT_TRUE(Parsed) << Parsed.message();
   const auto &Nested = Parsed->getObject().get("nested")->getArray();
   ASSERT_EQ(Nested.size(), 3u);
   EXPECT_EQ(Nested[2].getObject().get("label")->getString(), "item 2");
+  EXPECT_EQ(Parsed->toString(), Out);
 }
 
 //===----------------------------------------------------------------------===//
