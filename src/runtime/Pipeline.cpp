@@ -268,23 +268,35 @@ stencilflow::executePlan(const CompiledPlan &Plan,
     }
   }
 
-  if (Options.Validate) {
-    std::optional<ExecutionResult> Computed;
-    if (!Reference) {
-      Expected<ExecutionResult> Ran = runReference(Plan.Compiled, Inputs);
-      if (!Ran)
-        return Ran.takeError().addContext("reference execution");
-      Reference = &Computed.emplace(Ran.takeValue());
-    }
-    for (const std::string &Output : Plan.Compiled.program().Outputs) {
-      ValidationReport Report = validateField(
-          Output, Exec.Simulation.Outputs.at(Output),
-          Reference->field(Output), Options.Tolerance);
-      Exec.ValidationPassed &= Report.Passed;
-      Exec.Validations.push_back(std::move(Report));
-    }
-  }
+  if (Options.Validate)
+    if (Error Err = validateExecution(Plan, Options.Tolerance, Reference,
+                                      Exec, &Inputs))
+      return Err;
   return Exec;
+}
+
+Error stencilflow::validateExecution(
+    const CompiledPlan &Plan, double Tolerance,
+    const ExecutionResult *Reference, PlanExecution &Exec,
+    const std::map<std::string, std::vector<double>> *Inputs) {
+  std::optional<ExecutionResult> Computed;
+  if (!Reference) {
+    Expected<ExecutionResult> Ran =
+        Inputs ? runReference(Plan.Compiled, *Inputs)
+               : runReference(Plan.Compiled,
+                              materializeInputs(Plan.Compiled.program()));
+    if (!Ran)
+      return Ran.takeError().addContext("reference execution");
+    Reference = &Computed.emplace(Ran.takeValue());
+  }
+  for (const std::string &Output : Plan.Compiled.program().Outputs) {
+    ValidationReport Report =
+        validateField(Output, Exec.Simulation.Outputs.at(Output),
+                      Reference->field(Output), Tolerance);
+    Exec.ValidationPassed &= Report.Passed;
+    Exec.Validations.push_back(std::move(Report));
+  }
+  return Error::success();
 }
 
 Expected<PipelineResult>

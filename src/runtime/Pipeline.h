@@ -217,6 +217,18 @@ Expected<PlanExecution, sim::SimFailure>
 executePlan(const CompiledPlan &Plan, const PipelineOptions &Options = {},
             const ExecutionResult *Reference = nullptr);
 
+/// The validation tail of \c executePlan, for callers that simulate with
+/// Validate off and check later: compares every output of \p Exec's
+/// simulation with \p Reference field by field under \p Tolerance,
+/// appending to Exec.Validations and folding into Exec.ValidationPassed.
+/// A null \p Reference runs the reference executor on \p Inputs (the
+/// plan's program inputs; null materializes them), and its failure is the
+/// error.
+Error validateExecution(
+    const CompiledPlan &Plan, double Tolerance,
+    const ExecutionResult *Reference, PlanExecution &Exec,
+    const std::map<std::string, std::vector<double>> *Inputs = nullptr);
+
 /// Runs the full pipeline on \p Program: \c compilePipeline composed with
 /// \c executePlan, assembled into the all-in-one \c PipelineResult.
 Expected<PipelineResult> runPipeline(StencilProgram Program,

@@ -177,10 +177,10 @@ json::Value FaultPlan::toJson() const {
   for (const FaultEvent &E : Events) {
     json::Object Obj;
     Obj.set("kind", json::Value(faultKindName(E.Kind)));
-    Obj.set("start", json::Value(E.StartCycle));
+    Obj.set("start", json::int64ToJson(E.StartCycle));
     if (E.Kind != FaultKind::DeviceFailure &&
         E.EndCycle != std::numeric_limits<int64_t>::max())
-      Obj.set("end", json::Value(E.EndCycle));
+      Obj.set("end", json::int64ToJson(E.EndCycle));
     switch (E.Kind) {
     case FaultKind::MemoryBrownout:
       Obj.set("device", json::Value(E.Device));
@@ -236,10 +236,12 @@ Expected<FaultPlan> FaultPlan::fromJson(const json::Value &V) {
         return makeError(ErrorCode::InvalidInput,
                          "unknown fault kind '" + Kind->getString() + "'");
       E.Kind = *Parsed;
+      if (Error Err = json::readInt64Member(Obj, "start", E.StartCycle))
+        return Err.addContext("fault event");
+      if (Error Err = json::readInt64Member(Obj, "end", E.EndCycle))
+        return Err.addContext("fault event");
       if (Error Err = json::readMembers(
-              Obj, {{"start", &E.StartCycle},
-                    {"end", &E.EndCycle},
-                    {"device", &E.Device},
+              Obj, {{"device", &E.Device},
                     {"hop", &E.Hop},
                     {"factor", &E.Factor},
                     {"probability", &E.Probability}}))

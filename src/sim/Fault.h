@@ -147,7 +147,8 @@ struct FaultPlan {
   /// {"seed": N, "events": [{"kind": "...", "start": N, "end": N,
   ///  "device": N, "hop": N, "factor": X, "probability": X}, ...]}
   /// Absent fields keep their defaults; "end" is exclusive. A seed above
-  /// 2^53 is "0x..." hex text (json::uint64ToJson).
+  /// 2^53 is "0x..." hex text (json::uint64ToJson), and so is a "start" or
+  /// "end" cycle beyond +-2^53 (json::int64ToJson, "-0x..." if negative).
   json::Value toJson() const;
   static Expected<FaultPlan> fromJson(const json::Value &V);
 

@@ -297,28 +297,6 @@ std::string sim::formatMetricsCsv(const SimStats &Stats) {
   return Out;
 }
 
-Error sim::writeTextFile(const std::string &Path, std::string_view Text) {
-  std::FILE *File = std::fopen(Path.c_str(), "wb");
-  if (!File)
-    return makeError("cannot open '" + Path + "' for writing: " +
-                     std::strerror(errno));
-  // The stream must be closed on every path — a short fwrite must not
-  // leak the FILE*, and fclose can itself fail when buffered bytes hit
-  // a full disk at flush time.
-  errno = 0;
-  size_t Written = std::fwrite(Text.data(), 1, Text.size(), File);
-  int WriteErrno = errno;
-  errno = 0;
-  bool CloseOk = std::fclose(File) == 0;
-  if (Written != Text.size() || !CloseOk) {
-    int Cause = Written != Text.size() ? WriteErrno : errno;
-    return makeError("failed to write '" + Path + "'" +
-                     (Cause ? std::string(": ") + std::strerror(Cause)
-                            : std::string()));
-  }
-  return Error::success();
-}
-
 Error sim::writeTextFileAtomic(const std::string &Path,
                                std::string_view Text) {
   // The temp file lives in the target's directory so the final rename

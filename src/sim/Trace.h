@@ -207,12 +207,10 @@ private:
 /// `reader`, `writer`, `channel`.
 std::string formatMetricsCsv(const SimStats &Stats);
 
-/// Writes \p Text to \p Path, reporting I/O failures.
-Error writeTextFile(const std::string &Path, std::string_view Text);
-
-/// Crash-consistent variant of \c writeTextFile: writes to a temporary
-/// file in the same directory, fsyncs, renames over \p Path, and fsyncs
-/// the directory (best effort) so the rename is durable too. A crash (or
+/// Writes \p Text to \p Path crash-consistently, reporting I/O failures:
+/// writes to a temporary file in the same directory, fsyncs, renames over
+/// \p Path, and fsyncs the directory (best effort) so the rename is
+/// durable too. A crash (or
 /// a failure partway through) leaves either the complete old file or the
 /// complete new file — never a truncated artifact. \p Text may hold any
 /// bytes: every persisted file (Chrome traces, metrics CSVs, tuning

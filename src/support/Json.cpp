@@ -476,6 +476,23 @@ Error json::readMembers(
   return Error::success();
 }
 
+namespace {
+
+/// \p Digits, an optional "0x" and hex digits, as a uint64; nullopt when
+/// malformed or wider than 64 bits.
+std::optional<uint64_t> parseHex(std::string_view Digits) {
+  if (startsWith(Digits, "0x") || startsWith(Digits, "0X"))
+    Digits.remove_prefix(2);
+  const char *End = Digits.data() + Digits.size();
+  uint64_t Parsed = 0;
+  auto [Stop, Ec] = std::from_chars(Digits.data(), End, Parsed, 16);
+  if (Digits.empty() || Ec != std::errc() || Stop != End)
+    return std::nullopt;
+  return Parsed;
+}
+
+} // namespace
+
 Error json::readHexMember(const Object &O, std::string_view Key,
                           uint64_t &Out) {
   const Value *V = O.get(Key);
@@ -483,15 +500,10 @@ Error json::readHexMember(const Object &O, std::string_view Key,
     return Error::success();
   if (!V->isString())
     return memberError(Key, "a string");
-  std::string_view Digits = V->getString();
-  if (startsWith(Digits, "0x") || startsWith(Digits, "0X"))
-    Digits.remove_prefix(2);
-  const char *End = Digits.data() + Digits.size();
-  uint64_t Parsed = 0;
-  auto [Stop, Ec] = std::from_chars(Digits.data(), End, Parsed, 16);
-  if (Digits.empty() || Ec != std::errc() || Stop != End)
+  std::optional<uint64_t> Parsed = parseHex(V->getString());
+  if (!Parsed)
     return memberError(Key, "a 64-bit hex string");
-  Out = Parsed;
+  Out = *Parsed;
   return Error::success();
 }
 
@@ -507,4 +519,33 @@ Error json::readUInt64Member(const Object &O, std::string_view Key,
   if (V && V->isString())
     return readHexMember(O, Key, Out);
   return readMember(O, Key, Out);
+}
+
+json::Value json::int64ToJson(int64_t V) {
+  // The magnitude as uint64: -INT64_MIN does not fit an int64.
+  uint64_t Magnitude =
+      V < 0 ? uint64_t(0) - static_cast<uint64_t>(V) : static_cast<uint64_t>(V);
+  if (Magnitude <= (uint64_t(1) << 53))
+    return Value(static_cast<double>(V));
+  return Value(formatString("%s0x%" PRIx64, V < 0 ? "-" : "", Magnitude));
+}
+
+Error json::readInt64Member(const Object &O, std::string_view Key,
+                            int64_t &Out) {
+  const Value *V = O.get(Key);
+  if (!V || !V->isString())
+    return readMember(O, Key, Out);
+  std::string_view Text = V->getString();
+  bool Negative = startsWith(Text, "-");
+  if (Negative)
+    Text.remove_prefix(1);
+  std::optional<uint64_t> Magnitude = parseHex(Text);
+  // INT64_MIN's magnitude is one more than INT64_MAX.
+  uint64_t Limit =
+      uint64_t(std::numeric_limits<int64_t>::max()) + (Negative ? 1 : 0);
+  if (!Magnitude || *Magnitude > Limit)
+    return memberError(Key, "a signed 64-bit hex string");
+  Out = Negative ? static_cast<int64_t>(uint64_t(0) - *Magnitude)
+                 : static_cast<int64_t>(*Magnitude);
+  return Error::success();
 }

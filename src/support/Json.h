@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <initializer_list>
 #include <limits>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -39,8 +38,9 @@ namespace json {
 
 class Value;
 
-/// An ordered JSON object: preserves insertion order on iteration while
-/// providing O(log n) lookup by key.
+/// An ordered JSON object: preserves insertion order on iteration. Lookup
+/// by key (\c get, \c set, \c contains) is a linear scan of the members,
+/// which suits the small objects of this project's formats.
 class Object {
 public:
   Object() = default;
@@ -212,6 +212,15 @@ Value uint64ToJson(uint64_t V);
 /// \c readMember reads a uint64_t, or hex text, read as \c readHexMember
 /// reads it.
 Error readUInt64Member(const Object &O, std::string_view Key, uint64_t &Out);
+
+/// The signed twin of \c uint64ToJson (cycle counts): a number when a
+/// double holds it exactly (|V| up to 2^53), else "0x..." hex text of the
+/// magnitude, with a leading '-' when negative.
+Value int64ToJson(int64_t V);
+
+/// Reads a member written by \c int64ToJson: a number, read as
+/// \c readMember reads an int64_t, or optionally signed hex text.
+Error readInt64Member(const Object &O, std::string_view Key, int64_t &Out);
 
 /// Parses JSON text. Errors include 1-based line:column positions.
 Expected<Value> parse(std::string_view Text);

@@ -89,29 +89,40 @@ const CostModel::Walk &CostModel::walk(int Degree) const {
 }
 
 CostModel::Prefix &CostModel::prefix(const CandidateMapping &Mapping) const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  auto [It, Inserted] = Prefixes.try_emplace(
-      std::make_pair(Mapping.FusionPairs, Mapping.TemporalDegree));
-  Prefix &P = It->second;
-  if (!Inserted)
-    return P;
-  const Walk &W = walk(Mapping.TemporalDegree);
-  if (!W.Levels) {
-    P.PruneReason = W.PruneReason;
-    return P;
+  Prefix *P;
+  {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    P = &Prefixes[std::make_pair(Mapping.FusionPairs,
+                                 Mapping.TemporalDegree)];
+  }
+  // Compiled outside the lock, so other prefixes stay reachable meanwhile.
+  std::call_once(P->CompileOnce, [&] { buildPrefix(*P, Mapping); });
+  return *P;
+}
+
+void CostModel::buildPrefix(Prefix &P, const CandidateMapping &Mapping) const {
+  std::shared_ptr<const FusionWalk> Levels;
+  {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    const Walk &W = walk(Mapping.TemporalDegree);
+    if (!W.Levels) {
+      P.PruneReason = W.PruneReason;
+      return;
+    }
+    Levels = W.Levels;
   }
   std::shared_ptr<const StencilProgram> Fused =
-      W.Levels->level(Mapping.FusionPairs);
+      Levels->level(Mapping.FusionPairs);
   if (!Fused) {
     P.PruneReason =
         "mapping: " +
-        (W.Levels->failure()
+        (Levels->failure()
              ? formatString("fusing %d pair(s): ", Mapping.FusionPairs) +
-                   W.Levels->failure().message()
+                   Levels->failure().message()
              : formatString("fusion level %d is not a level of the design "
                             "space",
                             Mapping.FusionPairs));
-    return P;
+    return;
   }
   // The walk's program is at width 1; each candidate's own width is a
   // view of the compiled prefix (CompiledProgram::withVectorWidth).
@@ -124,7 +135,6 @@ CostModel::Prefix &CostModel::prefix(const CandidateMapping &Mapping) const {
     P.Compiled = std::make_shared<const CompiledProgram>(Compiled.takeValue());
   else
     P.PruneReason = Compiled.message();
-  return P;
 }
 
 Expected<CompiledProgram>

@@ -107,11 +107,15 @@ struct CandidateCost {
 ///    first use (\c reference), since its outputs depend only on the
 ///    program and its input seeds.
 ///
-/// The memos are guarded by a mutex, and each prefix's reference by its
-/// own once-guard, so \c cost, \c compile and \c reference may be called
-/// from multiple threads, and a reference run blocks only the callers that
-/// wait for the same prefix. They live as long as the model, which is one
-/// tuning run.
+/// \c cost, \c compile and \c reference may be called from multiple
+/// threads: the tuner's search costs candidates on one thread while its
+/// validation pool runs reference executions and simulations on others.
+/// A mutex guards only the memo maps and the fusion walks; each prefix is
+/// compiled, and its reference run, under that prefix's own once-guards,
+/// outside the mutex. So a caller waits for the prefix it asks about, or
+/// for a fusion walk of a new temporal degree, but never behind another
+/// prefix's compile or reference run. The memos live as long as the
+/// model, which is one tuning run.
 class CostModel {
 public:
   /// Prices the mappings of \p Space, a space enumerated for \p Program.
@@ -150,6 +154,7 @@ private:
   /// null with the reason its candidates are pruned, and its reference
   /// outputs once computed.
   struct Prefix {
+    std::once_flag CompileOnce;
     std::shared_ptr<const CompiledProgram> Compiled;
     std::string PruneReason;
     std::once_flag ReferenceOnce;
@@ -158,6 +163,9 @@ private:
 
   /// \p Mapping's prefix, built on first use.
   Prefix &prefix(const CandidateMapping &Mapping) const;
+
+  /// Compiles \p P, the prefix of \p Mapping, or records why it is pruned.
+  void buildPrefix(Prefix &P, const CandidateMapping &Mapping) const;
 
   /// The walk of temporal degree \p Degree, built on first use; requires
   /// \c Mutex to be held.

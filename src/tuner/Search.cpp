@@ -62,9 +62,11 @@ struct AxisGrid {
 class Explorer {
 public:
   Explorer(const DesignSpace &Space, const CostModel &Model,
-           SearchResult &Result, int Budget)
+           SearchResult &Result, int Budget, size_t DefaultLinear,
+           const CandidateCost &DefaultCost)
       : Space(Space), Model(Model), Result(Result), Grid(Space),
-        Visited(Space.size(), false), Budget(Budget) {}
+        Visited(Space.size(), false), Budget(Budget),
+        DefaultLinear(DefaultLinear), DefaultCost(DefaultCost) {}
 
   bool budgetLeft() const {
     return Result.Records.size() < static_cast<size_t>(Budget);
@@ -81,7 +83,8 @@ public:
     CandidateRecord Record;
     Record.Mapping = Space.at(Index[0], Index[1], Index[2], Index[3],
                               Index[4], Index[5]);
-    Record.Cost = Model.cost(Record.Mapping);
+    Record.Cost =
+        Linear == DefaultLinear ? DefaultCost : Model.cost(Record.Mapping);
     Record.Round = Round;
     Result.Records.push_back(std::move(Record));
     return true;
@@ -96,6 +99,8 @@ private:
   AxisGrid Grid;
   std::vector<bool> Visited;
   int Budget;
+  size_t DefaultLinear;
+  const CandidateCost &DefaultCost;
 };
 
 } // namespace
@@ -104,11 +109,15 @@ SearchResult
 stencilflow::tuner::searchDesignSpace(const DesignSpace &Space,
                                       const CostModel &Model,
                                       const SearchOptions &Options,
-                                      const CandidateMapping &Default) {
+                                      const CandidateMapping &Default,
+                                      const CandidateCost &DefaultCost) {
   SearchResult Result;
   int Budget = std::max(1, Options.CandidateBudget);
-  Explorer Exp(Space, Model, Result, Budget);
   AxisGrid Grid(Space);
+  size_t Index[6];
+  Space.closestIndices(Default, Index);
+  size_t DefaultLinear = Grid.linearize(Index);
+  Explorer Exp(Space, Model, Result, Budget, DefaultLinear, DefaultCost);
 
   if (Space.size() <= static_cast<size_t>(Budget)) {
     // Small space: sweep every point in enumeration order.
@@ -125,10 +134,7 @@ stencilflow::tuner::searchDesignSpace(const DesignSpace &Space,
   int BeamWidth = std::max(1, Options.BeamWidth);
   Random Rng(Options.Seed);
 
-  std::vector<size_t> Beam;
-  size_t Index[6];
-  Space.closestIndices(Default, Index);
-  Beam.push_back(Grid.linearize(Index));
+  std::vector<size_t> Beam{DefaultLinear};
   for (int Attempt = 0;
        static_cast<int>(Beam.size()) < BeamWidth && Attempt < 16 * BeamWidth;
        ++Attempt) {

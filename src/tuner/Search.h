@@ -67,11 +67,13 @@ bool rankByPrediction(const CandidateRecord &A, const CandidateRecord &B);
 
 /// Explores \p Space with \p Model. \p Default seeds the beam (it is
 /// always costed, even exhaustively — it is part of every space by
-/// construction of the axes).
+/// construction of the axes); \p DefaultCost is its \c CostModel::cost,
+/// which the caller has already computed.
 SearchResult searchDesignSpace(const DesignSpace &Space,
                                const CostModel &Model,
                                const SearchOptions &Options,
-                               const CandidateMapping &Default);
+                               const CandidateMapping &Default,
+                               const CandidateCost &DefaultCost);
 
 } // namespace tuner
 } // namespace stencilflow

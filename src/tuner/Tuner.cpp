@@ -10,37 +10,107 @@
 #include "support/StringUtils.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
+#include <condition_variable>
+#include <deque>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
+#include <set>
 #include <thread>
+#include <utility>
+#include <vector>
 
 using namespace stencilflow;
 using namespace stencilflow::tuner;
 
 namespace {
 
-/// Simulates and validates one candidate on the cost model's shared
-/// compile prefix and reference outputs: only the width, the plan and the
-/// run are its own, so jobs are embarrassingly parallel.
-Expected<PipelineResult> runCandidate(const CostModel &Model,
-                                      const PipelineOptions &Base,
-                                      const CandidateMapping &Mapping) {
+/// Simulates one candidate on the cost model's shared compile prefix, with
+/// validation deferred: only the width, the plan and the run are its own,
+/// so simulations are embarrassingly parallel, and none waits for its
+/// prefix's reference outputs.
+Expected<PipelineResult> simulateCandidate(const CostModel &Model,
+                                           const PipelineOptions &Base,
+                                           const CandidateMapping &Mapping) {
   Expected<CompiledProgram> Compiled = Model.compile(Mapping);
   if (!Compiled)
     return Compiled.takeError();
   PipelineOptions O = mappingOptions(Base, Mapping);
   O.Simulate = true;
-  O.Validate = true;
+  O.Validate = false;
   O.EmitCode = false;
   O.Simulator.Trace = nullptr; // One tracer cannot record N runs at once.
   Expected<CompiledPlan> Plan = planProgram(Compiled.takeValue(), O);
   if (!Plan)
     return Plan.takeError();
-  std::shared_ptr<const ExecutionResult> Reference = Model.reference(Mapping);
-  return runPipeline(Plan.takeValue(), O, Reference.get());
+  return runPipeline(Plan.takeValue(), O);
 }
+
+/// A FIFO pool of at most \c MaxThreads threads, started one per queued
+/// task while none is idle, so a pool never runs more threads than it
+/// has had tasks. With a cap of at most 1, \c submit runs the task on the
+/// calling thread. The destructor drains the queue and joins.
+class TaskPool {
+public:
+  explicit TaskPool(size_t MaxThreads) : MaxThreads(MaxThreads) {}
+  TaskPool(const TaskPool &) = delete;
+  TaskPool &operator=(const TaskPool &) = delete;
+  ~TaskPool() { drain(); }
+
+  void submit(std::function<void()> Task) {
+    if (MaxThreads <= 1) {
+      Task();
+      return;
+    }
+    std::lock_guard<std::mutex> Lock(Mutex);
+    Queue.push_back(std::move(Task));
+    if (Queue.size() > Idle && Threads.size() < MaxThreads)
+      Threads.emplace_back([this] { work(); });
+    Ready.notify_one();
+  }
+
+  /// Waits for every queued task to finish and joins the threads.
+  void drain() {
+    {
+      std::lock_guard<std::mutex> Lock(Mutex);
+      Closing = true;
+    }
+    Ready.notify_all();
+    for (std::thread &T : Threads)
+      T.join();
+    Threads.clear();
+  }
+
+private:
+  void work() {
+    std::unique_lock<std::mutex> Lock(Mutex);
+    for (;;) {
+      if (Queue.empty()) {
+        if (Closing)
+          return;
+        ++Idle;
+        Ready.wait(Lock, [this] { return !Queue.empty() || Closing; });
+        --Idle;
+        continue;
+      }
+      std::function<void()> Task = std::move(Queue.front());
+      Queue.pop_front();
+      Lock.unlock();
+      Task();
+      Lock.lock();
+    }
+  }
+
+  const size_t MaxThreads;
+  std::mutex Mutex;
+  std::condition_variable Ready;
+  std::deque<std::function<void()>> Queue;
+  std::vector<std::thread> Threads;
+  size_t Idle = 0;
+  bool Closing = false;
+};
 
 /// Ranks simulated, validation-passing records: fastest simulated time,
 /// then fewest devices, lowest peak utilization, id.
@@ -99,8 +169,41 @@ stencilflow::tuner::tuneProgram(const StencilProgram &Program,
                                        Index[3], Index[4], Index[5]);
 
   CostModel Model(Program, Base, *Space);
-  SearchResult Search =
-      searchDesignSpace(*Space, Model, Options.Search, Default);
+  CandidateCost DefaultCost = Model.cost(Default);
+
+  // Validation: one pool of reference runs and simulations. Each job's run
+  // lands in its own slot (a deque, so later slots never move earlier
+  // ones) and is validated once the pool drains, so thread scheduling
+  // cannot reorder anything observable.
+  using Slot = std::optional<Expected<PipelineResult>>;
+  std::deque<Slot> Slots;
+  std::set<std::pair<int, int>> Referenced; // (fusion level, degree)
+  size_t Workers = Options.Workers > 0
+                       ? static_cast<size_t>(Options.Workers)
+                       : std::max(1u, std::thread::hardware_concurrency());
+  TaskPool Pool(
+      std::min(Workers, static_cast<size_t>(std::max(1, Options.TopK)) + 1));
+  auto Reference = [&](const CandidateMapping &M) {
+    if (Referenced.insert({M.FusionPairs, M.TemporalDegree}).second)
+      Pool.submit([&Model, M] { Model.reference(M); });
+  };
+  auto Simulate = [&](const CandidateMapping &M) {
+    Slot *S = &Slots.emplace_back();
+    Pool.submit([&Model, &Base, S, M] {
+      S->emplace(simulateCandidate(Model, Base, M));
+    });
+    return S;
+  };
+  // The default is simulated whenever it is feasible, so its reference
+  // run and simulation overlap the search.
+  Slot *DefaultSlot = nullptr;
+  if (Options.Simulate && DefaultCost.Feasible) {
+    Reference(Default);
+    DefaultSlot = Simulate(Default);
+  }
+
+  SearchResult Search = searchDesignSpace(*Space, Model, Options.Search,
+                                          Default, DefaultCost);
 
   TuningReport Report;
   Report.ProgramName = Program.Name;
@@ -117,7 +220,7 @@ stencilflow::tuner::tuneProgram(const StencilProgram &Program,
   if (Report.DefaultIndex < 0) {
     CandidateRecord Record;
     Record.Mapping = Default;
-    Record.Cost = Model.cost(Default);
+    Record.Cost = DefaultCost;
     Report.DefaultIndex = static_cast<int>(Report.Candidates.size());
     Report.Candidates.push_back(std::move(Record));
   }
@@ -150,7 +253,8 @@ stencilflow::tuner::tuneProgram(const StencilProgram &Program,
     return Outcome;
   }
 
-  // Simulation set: the analytic top-K plus the default baseline.
+  // Simulation set: the analytic top-K plus the default baseline, whose
+  // slot (when it is feasible) is already queued.
   std::vector<size_t> Jobs(
       Ranked.begin(),
       Ranked.begin() + std::min<size_t>(std::max(1, Options.TopK),
@@ -159,37 +263,28 @@ stencilflow::tuner::tuneProgram(const StencilProgram &Program,
       std::find(Jobs.begin(), Jobs.end(),
                 static_cast<size_t>(Report.DefaultIndex)) == Jobs.end())
     Jobs.push_back(static_cast<size_t>(Report.DefaultIndex));
-
-  // Candidates simulate concurrently; results land in per-job slots so
-  // thread scheduling cannot reorder anything observable.
-  std::vector<std::optional<Expected<PipelineResult>>> Slots(Jobs.size());
-  std::atomic<size_t> NextJob{0};
-  auto Worker = [&]() {
-    for (;;) {
-      size_t Job = NextJob.fetch_add(1);
-      if (Job >= Jobs.size())
-        return;
-      Slots[Job].emplace(
-          runCandidate(Model, Base, Report.Candidates[Jobs[Job]].Mapping));
-    }
-  };
-  size_t WorkerCount = Options.Workers > 0
-                           ? static_cast<size_t>(Options.Workers)
-                           : std::max(1u, std::thread::hardware_concurrency());
-  WorkerCount = std::min(WorkerCount, Jobs.size());
-  if (WorkerCount <= 1) {
-    Worker();
-  } else {
-    std::vector<std::thread> Threads;
-    for (size_t I = 0; I != WorkerCount; ++I)
-      Threads.emplace_back(Worker);
-    for (std::thread &T : Threads)
-      T.join();
+  // Reference runs queue ahead of the simulations: a reference run
+  // usually takes longer than a simulation, so starting it first
+  // shortens the drain.
+  for (size_t Job : Jobs)
+    Reference(Report.Candidates[Job].Mapping);
+  std::vector<Slot *> JobSlots;
+  for (size_t Job : Jobs) {
+    const CandidateMapping &M = Report.Candidates[Job].Mapping;
+    JobSlots.push_back(M == Default ? DefaultSlot : Simulate(M));
   }
+  Pool.drain();
 
   for (size_t Job = 0; Job != Jobs.size(); ++Job) {
     CandidateRecord &R = Report.Candidates[Jobs[Job]];
-    Expected<PipelineResult> &Run = *Slots[Job];
+    Expected<PipelineResult> &Run = **JobSlots[Job];
+    if (Run) {
+      std::shared_ptr<const ExecutionResult> Outputs =
+          Model.reference(R.Mapping);
+      if (Error Err = validateExecution(*Run, Base.Tolerance, Outputs.get(),
+                                        *Run))
+        Run = std::move(Err);
+    }
     R.Simulated = true;
     ++Report.SimulatedCount;
     if (!Run) {
@@ -236,7 +331,7 @@ stencilflow::tuner::tuneProgram(const StencilProgram &Program,
 
   Report.BestIndex = static_cast<int>(Jobs[BestJob]);
   Outcome.Best = Report.Candidates[Jobs[BestJob]].Mapping;
-  Outcome.BestRun = Slots[BestJob]->takeValue();
+  Outcome.BestRun = (*JobSlots[BestJob])->takeValue();
   Outcome.Report = std::move(Report);
   return Outcome;
 }

@@ -12,13 +12,13 @@
 ///
 /// Flow: enumerate -> prune/cost analytically (tuner/CostModel.h) ->
 /// deterministic search (tuner/Search.h) -> validate the top-K candidates
-/// bit-exactly on the cycle-level simulator, concurrently across worker
-/// threads -> emit the Pareto front and the chosen plan
-/// (tuner/TuningReport.h).
+/// bit-exactly on the cycle-level simulator, with reference runs and
+/// simulations as tasks on one worker pool -> emit the Pareto front and
+/// the chosen plan (tuner/TuningReport.h).
 ///
 /// The default mapping (W=1, unfused, base device budget and utilization)
-/// is always costed and always simulated, so every report quantifies the
-/// tuned-vs-default speedup on simulator ground truth.
+/// is always costed and, whenever it is feasible, simulated, so the report
+/// quantifies the tuned-vs-default speedup on simulator ground truth.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,8 +47,11 @@ struct TuneOptions {
   /// addition to the default mapping.
   int TopK = 3;
 
-  /// Worker threads for concurrent candidate simulation; 0 = one per
-  /// hardware core (capped at the number of simulation jobs).
+  /// Worker threads of the validation pool, which runs the reference
+  /// executions and simulations (the default's during the search); 0 = one
+  /// per hardware core. Capped at TopK + 1, and a thread starts only when
+  /// a queued task finds no idle one. At most 1 runs every task on the
+  /// calling thread. The outcome is identical for any value.
   int Workers = 0;
 
   /// When false, skip simulation entirely: the plan is chosen by the

@@ -207,7 +207,13 @@ TEST(CodecRoundTripTest, FaultPlan) {
       Loss.Kind = sim::FaultKind::DeviceFailure;
       Loss.StartCycle = 30;
       Loss.Device = 3;
-      Plan.Events = {Brownout, Degrade, Corruption, Loss};
+      // Cycles a double cannot hold: 2^53 + 1 would read back as 2^53.
+      sim::FaultEvent Outage;
+      Outage.Kind = sim::FaultKind::LinkOutage;
+      Outage.StartCycle = (int64_t(1) << 53) + 1;
+      Outage.EndCycle = std::numeric_limits<int64_t>::max() - 1;
+      Outage.Hop = 0;
+      Plan.Events = {Brownout, Degrade, Corruption, Loss, Outage};
 
       std::string Text = Plan.toJson().toString();
       Expected<sim::FaultPlan> Back = sim::FaultPlan::fromJsonText(Text);
@@ -226,6 +232,42 @@ TEST(CodecRoundTripTest, FaultPlan) {
       }
       EXPECT_EQ(Back->toJson().toString(), Text);
     }
+}
+
+TEST(CodecRoundTripTest, Int64MembersAreExact) {
+  // Numbers up to 2^53 in magnitude keep their plain-number bytes; beyond
+  // that the value is signed hex text, and both read back exactly.
+  constexpr int64_t Max = std::numeric_limits<int64_t>::max();
+  constexpr int64_t Min = std::numeric_limits<int64_t>::min();
+  constexpr int64_t Edge = int64_t(1) << 53;
+  struct Case {
+    int64_t V;
+    const char *Text;
+  };
+  for (const Case &C : {Case{0, "0"}, Case{Edge, "9007199254740992"},
+                        Case{-Edge, "-9007199254740992"},
+                        Case{Edge + 1, "\"0x20000000000001\""},
+                        Case{-Edge - 1, "\"-0x20000000000001\""},
+                        Case{Max - 1, "\"0x7ffffffffffffffe\""},
+                        Case{Max, "\"0x7fffffffffffffff\""},
+                        Case{Min, "\"-0x8000000000000000\""}}) {
+    EXPECT_EQ(json::int64ToJson(C.V).toString(), C.Text);
+    json::Object Root;
+    Root.set("v", json::int64ToJson(C.V));
+    int64_t Back = 1;
+    EXPECT_FALSE(json::readInt64Member(Root, "v", Back)) << C.Text;
+    EXPECT_EQ(Back, C.V) << C.Text;
+  }
+  for (const char *Bad : {"0x8000000000000000", "-0x8000000000000001",
+                          "0x", "-", "12g", "--1"}) {
+    json::Object Root;
+    Root.set("v", json::Value(Bad));
+    int64_t Back = 7;
+    Error Err = json::readInt64Member(Root, "v", Back);
+    ASSERT_TRUE(static_cast<bool>(Err)) << Bad;
+    EXPECT_EQ(Err.code(), ErrorCode::InvalidInput);
+    EXPECT_EQ(Back, 7) << Bad;
+  }
 }
 
 TEST(CodecRoundTripTest, FailureReport) {

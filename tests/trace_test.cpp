@@ -20,7 +20,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <unistd.h>
 
 using namespace stencilflow;
 using namespace stencilflow::sim;
@@ -386,13 +385,16 @@ TEST(MetricsCsvTest, StallRowsMatchStats) {
 }
 
 //===----------------------------------------------------------------------===//
-// writeTextFile
+// writeTextFileAtomic
 //===----------------------------------------------------------------------===//
 
 TEST(WriteTextFileTest, RoundTripsContent) {
   std::string Path = ::testing::TempDir() + "/sf_trace_roundtrip.txt";
-  std::string Text = "line one\nline two\n";
-  Error Err = writeTextFile(Path, Text);
+  // Any bytes, embedded NULs included, and a second write replaces the
+  // first rather than appending to it.
+  std::string Text("line one\nline two\n\0tail", 23);
+  ASSERT_FALSE(writeTextFileAtomic(Path, "stale content that is longer"));
+  Error Err = writeTextFileAtomic(Path, Text);
   EXPECT_FALSE(Err) << Err.message();
   std::FILE *File = std::fopen(Path.c_str(), "rb");
   ASSERT_NE(File, nullptr);
@@ -404,33 +406,13 @@ TEST(WriteTextFileTest, RoundTripsContent) {
 }
 
 TEST(WriteTextFileTest, OpenFailureNamesThePathAndCause) {
-  Error Err = writeTextFile("/nonexistent-sf-dir/out.txt", "x");
+  Error Err = writeTextFileAtomic("/nonexistent-sf-dir/out.txt", "x");
   ASSERT_TRUE(static_cast<bool>(Err));
   EXPECT_NE(Err.message().find("/nonexistent-sf-dir/out.txt"),
             std::string::npos)
       << Err.message();
   // The errno context (ENOENT) must be part of the diagnostic.
   EXPECT_NE(Err.message().find("No such file or directory"),
-            std::string::npos)
-      << Err.message();
-}
-
-TEST(WriteTextFileTest, ShortWriteReportsErrorAndClosesStream) {
-  // /dev/full accepts the open but fails the flush with ENOSPC, which is
-  // exactly the short-write path that used to leak the FILE* (the old
-  // code short-circuited `fwrite(...) == size && fclose(...)`, skipping
-  // fclose whenever the write came up short). The payload is larger than
-  // any stdio buffer so the failure cannot hide in buffering. Running
-  // this test under ASan's leak checker (the sanitize CI job) verifies
-  // the stream is closed on the error path.
-  if (access("/dev/full", W_OK) != 0)
-    GTEST_SKIP() << "/dev/full not writable on this system";
-  std::string Payload(1 << 20, 'x');
-  Error Err = writeTextFile("/dev/full", Payload);
-  ASSERT_TRUE(static_cast<bool>(Err));
-  EXPECT_NE(Err.message().find("/dev/full"), std::string::npos)
-      << Err.message();
-  EXPECT_NE(Err.message().find("No space left on device"),
             std::string::npos)
       << Err.message();
 }

@@ -1154,6 +1154,120 @@ TEST(TunerTest, SessionTuneCarriesTheFaultPlanToCandidates) {
       << Out.message();
 }
 
+//===----------------------------------------------------------------------===//
+// The validation pool: reference runs and simulations as tasks
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Everything observable about one tuning outcome, compared across worker
+/// counts.
+void expectSameOutcome(const TuningOutcome &A, const TuningOutcome &B,
+                       const std::string &What) {
+  SCOPED_TRACE(What);
+  EXPECT_EQ(A.Report.toJson(), B.Report.toJson());
+  EXPECT_EQ(A.Best.id(), B.Best.id());
+  EXPECT_EQ(A.BestRun.Simulation.Stats.Cycles,
+            B.BestRun.Simulation.Stats.Cycles);
+  EXPECT_EQ(A.BestRun.Simulation.Outputs, B.BestRun.Simulation.Outputs);
+  EXPECT_EQ(A.BestRun.ValidationPassed, B.BestRun.ValidationPassed);
+  ASSERT_EQ(A.BestRun.Validations.size(), B.BestRun.Validations.size());
+  for (size_t I = 0; I != A.BestRun.Validations.size(); ++I) {
+    const ValidationReport &X = A.BestRun.Validations[I],
+                           &Y = B.BestRun.Validations[I];
+    EXPECT_EQ(X.Passed, Y.Passed) << I;
+    EXPECT_EQ(X.Mismatches, Y.Mismatches) << I;
+    EXPECT_EQ(X.FirstMismatch, Y.FirstMismatch) << I;
+    EXPECT_EQ(X.MaxAbsoluteError, Y.MaxAbsoluteError) << I;
+    EXPECT_EQ(X.Summary, Y.Summary) << I;
+  }
+}
+
+/// The fusion levels whose candidates were simulated, ascending.
+std::vector<int> simulatedLevels(const TuningReport &Report) {
+  std::vector<int> Levels;
+  for (const CandidateRecord &R : Report.Candidates)
+    if (R.Simulated)
+      Levels.push_back(R.Mapping.FusionPairs);
+  std::sort(Levels.begin(), Levels.end());
+  Levels.erase(std::unique(Levels.begin(), Levels.end()), Levels.end());
+  return Levels;
+}
+
+} // namespace
+
+TEST(TunerTest, WorkerCountDoesNotChangeTheOutcome) {
+  // The default simulates during the search and every simulation is
+  // validated after the pool drains; neither may change what a tuning
+  // returns. hdiff under the benchmark's options sweeps exhaustively and
+  // simulates candidates of three fusion levels, so three reference runs
+  // share the pool with the simulations; smallDiffusion runs the beam.
+  TuneOptions Sweep;
+  Sweep.Space.DeviceCounts = {1, 2};
+  Sweep.Space.TargetUtilizations = {0.85};
+  Sweep.Search.CandidateBudget = 32;
+  Sweep.TopK = 3;
+  TuneOptions Beam;
+  Beam.Search.CandidateBudget = 24;
+  Beam.Search.Seed = 1234;
+  struct Case {
+    const char *Name;
+    StencilProgram Program;
+    TuneOptions Options;
+    PipelineOptions Base;
+    const char *Kind;
+  } Cases[] = {
+      {"hdiff", workloads::horizontalDiffusion(4, 8, 8, 1), Sweep,
+       PipelineOptions(), "exhaustive"},
+      {"diffusion2d", smallDiffusion(), Beam, baseOptions(), "beam"},
+  };
+  for (Case &C : Cases) {
+    std::vector<TuningOutcome> Outcomes;
+    for (int Workers : {0, 1, 3}) {
+      C.Options.Workers = Workers;
+      Outcomes.push_back(tuneOrDie(C.Program.clone(), C.Options, C.Base));
+      expectSameOutcome(Outcomes.front(), Outcomes.back(),
+                        std::string(C.Name) + " workers " +
+                            std::to_string(Workers));
+    }
+    const TuningOutcome &Out = Outcomes.front();
+    EXPECT_EQ(Out.Report.SearchKind, C.Kind) << C.Name;
+    EXPECT_TRUE(Out.BestRun.ValidationPassed) << C.Name;
+    EXPECT_FALSE(Out.BestRun.Validations.empty()) << C.Name;
+    EXPECT_TRUE(Out.Report.Candidates[Out.Report.DefaultIndex].Simulated)
+        << C.Name;
+  }
+  EXPECT_EQ(simulatedLevels(tuneOrDie(workloads::horizontalDiffusion(4, 8, 8, 1),
+                                      Sweep, PipelineOptions())
+                                .Report),
+            (std::vector<int>{0, 3, 6}));
+}
+
+TEST(TunerTest, InfeasibleDefaultIsNotSimulated) {
+  // One device that holds two stencils: the unfused three-stencil default
+  // does not fit, fused candidates do. The default is costed and reported
+  // but never simulated, and the tuning still succeeds.
+  PipelineOptions Base = baseOptions();
+  Base.Partitioning.MaxDevices = 1;
+  Base.Partitioning.MaxStencilsPerDevice = 2;
+  TuneOptions Opts;
+  std::vector<TuningOutcome> Outcomes;
+  for (int Workers : {1, 3}) {
+    Opts.Workers = Workers;
+    Outcomes.push_back(tuneOrDie(smallDiffusion(), Opts, Base));
+    const TuningReport &Report = Outcomes.back().Report;
+    const CandidateRecord &Default = Report.Candidates[Report.DefaultIndex];
+    EXPECT_EQ(Default.Mapping.FusionPairs, 0);
+    EXPECT_FALSE(Default.Cost.Feasible);
+    EXPECT_FALSE(Default.Simulated);
+    EXPECT_EQ(Default.SimulatedCycles, 0);
+    EXPECT_EQ(Report.SimulatedCount, static_cast<size_t>(Opts.TopK));
+    EXPECT_TRUE(Outcomes.back().BestRun.ValidationPassed);
+    EXPECT_GT(Outcomes.back().Best.FusionPairs, 0);
+  }
+  expectSameOutcome(Outcomes[0], Outcomes[1], "workers 1 vs 3");
+}
+
 TEST(TunerTest, TuningRejectsCheckpointAndResume) {
   // Candidates simulate concurrently on different machines, so per-run
   // snapshot state is a typed input error naming the setting.
