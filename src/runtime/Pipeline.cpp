@@ -177,21 +177,19 @@ stencilflow::executePlan(const CompiledPlan &Plan,
         M->run(Inputs, HaveResume ? &ResumeSnap : nullptr);
     if (Sim) {
       Exec.Simulation = Sim.takeValue();
-      if (Exec.Simulation.Stats.ResumedFromCycle >= 0)
-        Exec.Recovery.CyclesSavedByCheckpoint =
-            Exec.Simulation.Stats.ResumedFromCycle;
+      // Transient faults the reliable transport absorbed on this attempt.
+      int64_t Retransmissions = 0, CorruptedVectors = 0;
       for (const auto &[Name, Link] : Exec.Simulation.Stats.Links) {
-        Exec.Recovery.Retransmissions += Link.Retransmissions;
-        Exec.Recovery.CorruptedVectors += Link.CorruptedVectors;
+        Retransmissions += Link.Retransmissions;
+        CorruptedVectors += Link.CorruptedVectors;
       }
-      if (Attempt > 1 || Exec.Recovery.Retransmissions > 0 ||
-          Exec.Recovery.CorruptedVectors > 0)
+      if (Attempt > 1 || Retransmissions > 0 || CorruptedVectors > 0)
         Exec.Recovery.Log.push_back(formatString(
             "attempt %d: completed on %zu device(s), absorbing %lld "
             "corrupted vector(s) via %lld retransmission(s)",
             Attempt, Exec.Placement.numDevices(),
-            static_cast<long long>(Exec.Recovery.CorruptedVectors),
-            static_cast<long long>(Exec.Recovery.Retransmissions)));
+            static_cast<long long>(CorruptedVectors),
+            static_cast<long long>(Retransmissions)));
       break;
     }
     // The structured report travels with the failure itself.

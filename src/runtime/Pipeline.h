@@ -93,22 +93,15 @@ struct PipelineOptions {
 };
 
 /// What the pipeline's resilience policy did across simulation attempts.
+/// The faults the reliable transport absorbed are in the simulation's
+/// SimStats::Links, and the cycles a snapshot resume saved are its
+/// SimStats::ResumedFromCycle.
 struct RecoveryReport {
   /// Simulation attempts performed (1 = no recovery needed).
   int Attempts = 1;
 
   /// Devices lost (and recovered from) across attempts.
   int DevicesLost = 0;
-
-  /// Transient faults the reliable transport absorbed on the final,
-  /// successful attempt (summed over all remote streams).
-  int64_t Retransmissions = 0;
-  int64_t CorruptedVectors = 0;
-
-  /// Cycles the successful attempt did NOT replay because it resumed from
-  /// a snapshot instead of cycle zero — the work a checkpoint saved. Zero
-  /// when every attempt started fresh.
-  int64_t CyclesSavedByCheckpoint = 0;
 
   /// Human-readable narrative, one line per recovery action.
   std::vector<std::string> Log;

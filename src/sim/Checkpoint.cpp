@@ -288,7 +288,7 @@ uint64_t Machine::machineSignature(bool IncludePlacement) const {
   for (const Writer &Wr : Writers) {
     W.str(Wr.Field);
     W.u64(Wr.ChannelIndex);
-    W.i64(Wr.TotalVectors);
+    W.i64(StreamVectors);
     W.u8(Wr.Shrink ? 1 : 0);
     if (IncludePlacement)
       W.i64(Wr.Device);
@@ -300,7 +300,7 @@ uint64_t Machine::machineSignature(bool IncludePlacement) const {
     for (const Reader &R : Readers) {
       W.str(R.Field);
       W.i64(R.Device);
-      W.i64(R.TotalVectors);
+      W.i64(StreamVectors);
       W.u64(R.OutChannels.size());
       for (size_t ChannelIndex : R.OutChannels)
         W.u64(ChannelIndex);
@@ -406,6 +406,21 @@ public:
     for (int64_t &Count : V.Counts)
       io(Count);
   }
+  /// A breakdown preceded by its total. A load rejects negative counts and
+  /// counts that do not add up to the total (checked without overflow).
+  void totalled(StallBreakdown &V) {
+    int64_t Left = V.total();
+    io(Left);
+    io(V);
+    for (int64_t Count : V.Counts) {
+      if (Count < 0 || Count > Left) {
+        Bad = true;
+        return;
+      }
+      Left -= Count;
+    }
+    Bad |= Left != 0;
+  }
 
   /// A count that sizes what follows. \p Fixed: the machine's own shape,
   /// which a load must reproduce. Otherwise a load takes the count, bounded
@@ -508,7 +523,7 @@ bool Machine::transferState(StateArchive &Ar, RehydrateState *Old) {
   for (Reader &R : ReaderSet) {
     Ar.ident(R.Field, Live);
     Ar.ident(R.Device, Live);
-    Ar.io(R.VectorsPushed);
+    Ar.io(R.VectorsDone);
     Ar.io(R.Stalls);
     Ar.io(R.LastCause);
     Ar.io(R.LastProgress);
@@ -528,12 +543,11 @@ bool Machine::transferState(StateArchive &Ar, RehydrateState *Old) {
     }
     Ar.io(U.Step);
     Ar.io(U.Issued);
-    Ar.io(U.Emitted);
+    Ar.io(U.VectorsDone);
     Ar.seq(U.PipeReady, false);
     Ar.seq(U.PipeValues, false);
     Ar.seq(U.CenterIndex, true);
-    Ar.io(U.StallCycles);
-    Ar.io(U.Stalls);
+    Ar.totalled(U.Stalls);
     Ar.io(U.LastCause);
     Ar.io(U.LastProgress);
     // The effective kernel tier, so the restore can report how many units
@@ -551,7 +565,7 @@ bool Machine::transferState(StateArchive &Ar, RehydrateState *Old) {
     Ar.ident(Wr.Field, true);
     Ar.seq(Wr.Data, true);
     Ar.seq(Wr.Index, true);
-    Ar.io(Wr.VectorsWritten);
+    Ar.io(Wr.VectorsDone);
     Ar.io(Wr.Stalls);
     Ar.io(Wr.LastCause);
     Ar.io(Wr.LastProgress);
@@ -565,10 +579,10 @@ bool Machine::transferState(StateArchive &Ar, RehydrateState *Old) {
   if (!Ar.loading()) {
     for (const Reader &R : Readers)
       for (size_t ChannelIndex : R.OutChannels)
-        Produced[ChannelIndex] = R.VectorsPushed;
+        Produced[ChannelIndex] = R.VectorsDone;
     for (const Unit &U : Units)
       for (size_t ChannelIndex : U.OutChannels)
-        Produced[ChannelIndex] = U.Emitted;
+        Produced[ChannelIndex] = U.VectorsDone;
   }
 
   // Channels transplant by index too (channel creation order is
@@ -745,7 +759,7 @@ void Machine::rehydrate(const RehydrateState &Old) {
   // buffer holds [SendBase, NextSeq) — everything accepted from the
   // producer but not yet delivered (including vectors in flight on the
   // old wire). Appending it gives the consumer the contiguous prefix the
-  // producer already accounted for (Emitted == NextSeq). If the channel
+  // producer already accounted for (VectorsDone == NextSeq). If the channel
   // is still remote in the new placement its fresh stream starts at
   // sequence zero on both ends, so the protocol stays consistent; the old
   // link statistics carry over for reporting continuity.
@@ -784,7 +798,7 @@ void Machine::rehydrate(const RehydrateState &Old) {
       R.ChannelBase[I] = Old.Produced[R.OutChannels[I]];
       Minimum = std::min(Minimum, R.ChannelBase[I]);
     }
-    R.VectorsPushed = R.OutChannels.empty() ? 0 : Minimum;
+    R.VectorsDone = R.OutChannels.empty() ? 0 : Minimum;
     if (!FieldClaimed[R.Field]) {
       FieldClaimed[R.Field] = true;
       R.Stalls = FieldStalls[R.Field];

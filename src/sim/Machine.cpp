@@ -108,7 +108,6 @@ Expected<Machine> Machine::build(const CompiledProgram &Compiled,
     U.Kernel = &Compiled.kernel(NodeIndex);
     U.InitSteps = Dataflow.Buffers[NodeIndex].InitCycles;
     U.CircuitLatency = Dataflow.Nodes[NodeIndex].CircuitLatency;
-    U.StreamVectors = M.StreamVectors;
     UnitIndex[Node.Name] = M.Units.size();
     M.Units.push_back(std::move(U));
   }
@@ -244,7 +243,6 @@ Expected<Machine> Machine::build(const CompiledProgram &Compiled,
           Reader R;
           R.Field = Input->Name;
           R.Device = U.Device;
-          R.TotalVectors = M.StreamVectors;
           It = ReaderOf.emplace(Key, M.Readers.size()).first;
           M.Readers.push_back(std::move(R));
         }
@@ -263,7 +261,6 @@ Expected<Machine> Machine::build(const CompiledProgram &Compiled,
     Writer W;
     W.Field = Output;
     W.Device = Producer.Device;
-    W.TotalVectors = M.StreamVectors;
     W.Shrink = Node.ShrinkOutput;
     W.Region = computeValidRegion(Program, Node);
     // Writer channels only need transient capacity.
@@ -387,7 +384,7 @@ void Machine::channelPush(size_t ChannelIndex, const double *Vector,
                                        Channels[ChannelIndex]->size());
 }
 
-Error Machine::linkReceive(int64_t Cycle) {
+std::optional<SimFailure> Machine::linkReceive(int64_t Cycle) {
   for (ReliableStream &RS : Reliable) {
     Channel &Delivery = *Channels[RS.ChannelIndex];
     while (!RS.Wire.empty() && RS.Wire.front().ArriveCycle <= Cycle) {
@@ -425,7 +422,7 @@ Error Machine::linkReceive(int64_t Cycle) {
       RS.NackStreak = 0;
     }
   }
-  return Error::success();
+  return std::nullopt;
 }
 
 void Machine::linkSend(int64_t Cycle) {
@@ -452,41 +449,60 @@ void Machine::linkSend(int64_t Cycle) {
   }
 }
 
-bool Machine::stepReader(Reader &R, int64_t Cycle) {
-  auto Stalled = [&](StallCause Cause) {
-    R.Stalls.add(Cause);
-    R.LastCause = Cause;
-    if (ActiveTrace)
-      ActiveTrace->setState(R.TraceTrack, Cycle, stallStateName(Cause));
-    return false;
-  };
-  if (R.VectorsPushed == R.TotalVectors) {
-    if (ActiveTrace)
-      ActiveTrace->setState(R.TraceTrack, Cycle, "done");
+bool Machine::stalled(Component &C, StallCause Cause, int64_t Cycle) {
+  C.Stalls.add(Cause);
+  C.LastCause = Cause;
+  traceState(C, Cycle, stallStateName(Cause));
+  return false;
+}
+
+template <typename T>
+bool Machine::stepEach(std::vector<T> &Components, int64_t Cycle,
+                       bool Rotate) {
+  size_t Count = Components.size();
+  size_t Index = Rotate && Count != 0 ? static_cast<size_t>(Cycle) % Count
+                                      : 0;
+  bool Progress = false;
+  for (size_t Visited = 0; Visited != Count; ++Visited) {
+    T &C = Components[Index];
+    if (++Index == Count)
+      Index = 0;
+    if (deviceDead(C.Device)) {
+      traceState(C, Cycle, "dead");
+    } else if (step(C, Cycle)) {
+      C.LastProgress = Cycle;
+      Progress = true;
+    }
+  }
+  return Progress;
+}
+
+bool Machine::step(Reader &R, int64_t Cycle) {
+  if (finished(R)) {
+    traceState(R, Cycle, "done");
     return false;
   }
   // After a rehydrating resume, channels that already received vector
-  // number VectorsPushed from the pre-recovery placement are skipped
+  // number VectorsDone from the pre-recovery placement are skipped
   // (ChannelBase is their delivery cursor) until the cursors even out;
   // on fresh runs and exact resumes every ChannelBase is zero.
   for (size_t I = 0; I != R.OutChannels.size(); ++I)
-    if (R.VectorsPushed >= R.ChannelBase[I] &&
+    if (R.VectorsDone >= R.ChannelBase[I] &&
         channelFull(R.OutChannels[I]))
-      return Stalled(StallCause::OutputBlocked);
+      return stalled(R, StallCause::OutputBlocked, Cycle);
   // Charge the arbitration penalty once per requesting endpoint per cycle.
   double DataBytes = static_cast<double>(Lanes) *
                      static_cast<double>(ElementBytes);
   if (!grantMemory(R.Device, DataBytes, /*IsWriter=*/false))
-    return Stalled(StallCause::MemoryDenied);
+    return stalled(R, StallCause::MemoryDenied, Cycle);
   const double *Vector =
-      R.Data->data() + static_cast<size_t>(R.VectorsPushed) *
+      R.Data->data() + static_cast<size_t>(R.VectorsDone) *
                            static_cast<size_t>(Lanes);
   for (size_t I = 0; I != R.OutChannels.size(); ++I)
-    if (R.VectorsPushed >= R.ChannelBase[I])
+    if (R.VectorsDone >= R.ChannelBase[I])
       channelPush(R.OutChannels[I], Vector, Cycle);
-  ++R.VectorsPushed;
-  if (ActiveTrace)
-    ActiveTrace->setState(R.TraceTrack, Cycle, "active");
+  ++R.VectorsDone;
+  traceState(R, Cycle, "active");
   return true;
 }
 
@@ -596,9 +612,9 @@ void Machine::gatherSlot(const Unit &U, const SlotRef &Slot,
     Dst[Lane] = readSlot(U, Slot, Lane);
 }
 
-bool Machine::stepUnit(Unit &U, int64_t Cycle) {
+bool Machine::step(Unit &U, int64_t Cycle) {
   bool MadeProgress = false;
-  int64_t TotalSteps = U.StreamVectors + U.InitSteps;
+  int64_t TotalSteps = StreamVectors + U.InitSteps;
   // First blocking condition observed this cycle; the emit phase below
   // overrides it — a matured result that cannot leave blocks the unit
   // regardless of its inputs. If nothing external blocked, a stalled
@@ -614,7 +630,7 @@ bool Machine::stepUnit(Unit &U, int64_t Cycle) {
     bool InputsReady = true;
     for (FieldStream &Stream : U.Streams) {
       bool Pops = U.Step >= Stream.DelaySteps &&
-                  U.Step < Stream.DelaySteps + U.StreamVectors;
+                  U.Step < Stream.DelaySteps + StreamVectors;
       if (Pops && !Channels[Stream.ChannelIndex]->readable(Cycle)) {
         InputsReady = false;
         break;
@@ -625,8 +641,8 @@ bool Machine::stepUnit(Unit &U, int64_t Cycle) {
     if (InputsReady) {
       for (FieldStream &Stream : U.Streams) {
         bool Pops = U.Step >= Stream.DelaySteps &&
-                    U.Step < Stream.DelaySteps + U.StreamVectors;
-        bool Pads = U.Step >= Stream.DelaySteps + U.StreamVectors;
+                    U.Step < Stream.DelaySteps + StreamVectors;
+        bool Pads = U.Step >= Stream.DelaySteps + StreamVectors;
         if (!Pops && !Pads)
           continue; // Not yet scheduled.
         // Write W elements into the ring (popped data or drain padding).
@@ -713,77 +729,60 @@ bool Machine::stepUnit(Unit &U, int64_t Cycle) {
       U.PipeReady.pop_front();
       for (size_t ChannelIndex : U.OutChannels)
         channelPush(ChannelIndex, U.OutVector.data(), Cycle);
-      ++U.Emitted;
+      ++U.VectorsDone;
       MadeProgress = true;
     }
   }
 
-  bool Finished = U.Emitted == U.StreamVectors;
-  if (!MadeProgress && !Finished) {
-    ++U.StallCycles;
-    U.Stalls.add(Cause);
-    U.LastCause = Cause;
-  }
+  bool Finished = finished(U);
+  if (!MadeProgress && !Finished)
+    return stalled(U, Cause, Cycle);
   if (ActiveTrace) {
-    const char *State;
-    if (Finished)
-      State = "done";
-    else if (!MadeProgress)
-      State = stallStateName(Cause);
-    else if (U.Step <= U.InitSteps)
-      State = "init";
-    else if (U.Issued == U.StreamVectors)
-      State = "drain";
-    else
-      State = "active";
+    const char *State = Finished                    ? "done"
+                        : U.Step <= U.InitSteps     ? "init"
+                        : U.Issued == StreamVectors ? "drain"
+                                                    : "active";
     ActiveTrace->setState(U.TraceTrack, Cycle, State);
   }
   return MadeProgress;
 }
 
-bool Machine::stepWriter(Writer &W, int64_t Cycle) {
-  auto Stalled = [&](StallCause Cause) {
-    W.Stalls.add(Cause);
-    W.LastCause = Cause;
-    if (ActiveTrace)
-      ActiveTrace->setState(W.TraceTrack, Cycle, stallStateName(Cause));
-    return false;
-  };
-  if (W.VectorsWritten == W.TotalVectors) {
-    if (ActiveTrace)
-      ActiveTrace->setState(W.TraceTrack, Cycle, "done");
+bool Machine::step(Writer &W, int64_t Cycle) {
+  if (finished(W)) {
+    traceState(W, Cycle, "done");
     return false;
   }
   Channel &In = *Channels[W.ChannelIndex];
   if (!In.readable(Cycle))
-    return Stalled(StallCause::InputStarved);
+    return stalled(W, StallCause::InputStarved, Cycle);
   double DataBytes = static_cast<double>(Lanes) *
                      static_cast<double>(ElementBytes);
   if (!grantMemory(W.Device, DataBytes, /*IsWriter=*/true))
-    return Stalled(StallCause::MemoryDenied);
+    return stalled(W, StallCause::MemoryDenied, Cycle);
   In.pop(W.InVector.data(), Cycle);
-  int64_t BaseCell = W.VectorsWritten * Lanes;
-  for (int Lane = 0; Lane != Lanes; ++Lane) {
-    bool Valid = true;
-    if (W.Shrink) {
-      // The lane's multi-dim index: W.Index tracks lane 0.
-      std::vector<int64_t> LaneIndex = W.Index;
-      LaneIndex.back() += Lane;
-      Valid = W.Region.contains(LaneIndex);
-    }
-    if (Valid)
-      W.Data[static_cast<size_t>(BaseCell + Lane)] =
-          W.InVector[static_cast<size_t>(Lane)];
+  // The lanes sweep the innermost dimension from W.Index (lane 0). Shrink
+  // outputs keep the lanes [LaneLo, LaneHi) inside the valid region: the
+  // outer dimensions keep all lanes or none.
+  size_t Inner = SpaceExtents.size() - 1;
+  int64_t LaneLo = 0, LaneHi = Lanes;
+  if (W.Shrink) {
+    for (size_t Dim = 0; Dim != Inner; ++Dim)
+      if (W.Index[Dim] < W.Region.Lo[Dim] || W.Index[Dim] >= W.Region.Hi[Dim])
+        LaneHi = 0;
+    LaneLo = std::max<int64_t>(0, W.Region.Lo[Inner] - W.Index[Inner]);
+    LaneHi = std::min(LaneHi, W.Region.Hi[Inner] - W.Index[Inner]);
   }
-  ++W.VectorsWritten;
+  if (LaneLo < LaneHi)
+    std::copy(W.InVector.data() + LaneLo, W.InVector.data() + LaneHi,
+              W.Data.data() + W.VectorsDone * Lanes + LaneLo);
+  ++W.VectorsDone;
   for (size_t Dim = SpaceExtents.size(); Dim-- > 0;) {
-    W.Index[Dim] += Dim + 1 == SpaceExtents.size() ? Lanes : 1;
+    W.Index[Dim] += Dim == Inner ? Lanes : 1;
     if (W.Index[Dim] < SpaceExtents[Dim] || Dim == 0)
       break;
     W.Index[Dim] = 0;
   }
-  if (ActiveTrace)
-    ActiveTrace->setState(W.TraceTrack, Cycle, "active");
+  traceState(W, Cycle, "active");
   return true;
 }
 
@@ -791,12 +790,13 @@ bool Machine::stepWriter(Writer &W, int64_t Cycle) {
 // Run
 //===----------------------------------------------------------------------===//
 
-void Machine::buildFailureReport(ErrorCode Code, int64_t Cycle) {
-  LastFailure = FailureReport();
-  LastFailure.Code = Code;
-  LastFailure.Cycle = Cycle;
+FailureReport Machine::buildFailureReport(ErrorCode Code,
+                                          int64_t Cycle) const {
+  FailureReport Report;
+  Report.Code = Code;
+  Report.Cycle = Cycle;
   if (Config.Faults)
-    LastFailure.FailedDevice = Config.Faults->firstFailedDevice(Cycle);
+    Report.FailedDevice = Config.Faults->firstFailedDevice(Cycle);
 
   // Channels adjacent to any stuck component, each reported once.
   std::vector<char> ChannelSeen(Channels.size(), 0);
@@ -810,74 +810,60 @@ void Machine::buildFailureReport(ErrorCode Code, int64_t Cycle) {
     FC.Occupancy = C.visibleSize(Cycle);
     FC.Capacity = C.capacity();
     FC.Full = channelFull(ChannelIndex);
-    LastFailure.Channels.push_back(std::move(FC));
+    Report.Channels.push_back(std::move(FC));
+  };
+  // Records \p C when it is stuck; returns whether it was.
+  auto AddStuck = [&](const Component &C, const std::string &Name,
+                      const char *Kind) {
+    if (finished(C))
+      return false;
+    FailureComponent FC;
+    FC.Name = Name;
+    FC.Kind = Kind;
+    FC.Device = C.Device;
+    FC.Cause = C.Stalls.dominant();
+    FC.StallCycles = C.Stalls.total();
+    FC.Progress = C.VectorsDone;
+    FC.Total = StreamVectors;
+    Report.Components.push_back(std::move(FC));
+    return true;
   };
 
-  for (const Reader &R : Readers) {
-    if (R.VectorsPushed == R.TotalVectors)
-      continue;
-    FailureComponent FC;
-    FC.Name = R.Field;
-    FC.Kind = "reader";
-    FC.Device = R.Device;
-    FC.Cause = R.Stalls.dominant();
-    FC.StallCycles = R.Stalls.total();
-    FC.Progress = R.VectorsPushed;
-    FC.Total = R.TotalVectors;
-    LastFailure.Components.push_back(std::move(FC));
-    for (size_t ChannelIndex : R.OutChannels)
-      AddChannel(ChannelIndex);
-  }
-  for (const Unit &U : Units) {
-    if (U.Emitted == U.StreamVectors)
-      continue;
-    FailureComponent FC;
-    FC.Name = U.Name;
-    FC.Kind = "unit";
-    FC.Device = U.Device;
-    FC.Cause = U.Stalls.dominant();
-    FC.StallCycles = U.StallCycles;
-    FC.Progress = U.Emitted;
-    FC.Total = U.StreamVectors;
-    LastFailure.Components.push_back(std::move(FC));
-    for (const FieldStream &Stream : U.Streams)
-      AddChannel(Stream.ChannelIndex);
-    for (size_t ChannelIndex : U.OutChannels)
-      AddChannel(ChannelIndex);
-  }
-  for (const Writer &W : Writers) {
-    if (W.VectorsWritten == W.TotalVectors)
-      continue;
-    FailureComponent FC;
-    FC.Name = W.Field;
-    FC.Kind = "writer";
-    FC.Device = W.Device;
-    FC.Cause = W.Stalls.dominant();
-    FC.StallCycles = W.Stalls.total();
-    FC.Progress = W.VectorsWritten;
-    FC.Total = W.TotalVectors;
-    LastFailure.Components.push_back(std::move(FC));
-    AddChannel(W.ChannelIndex);
-  }
+  for (const Reader &R : Readers)
+    if (AddStuck(R, R.Field, "reader"))
+      for (size_t ChannelIndex : R.OutChannels)
+        AddChannel(ChannelIndex);
+  for (const Unit &U : Units)
+    if (AddStuck(U, U.Name, "unit")) {
+      for (const FieldStream &Stream : U.Streams)
+        AddChannel(Stream.ChannelIndex);
+      for (size_t ChannelIndex : U.OutChannels)
+        AddChannel(ChannelIndex);
+    }
+  for (const Writer &W : Writers)
+    if (AddStuck(W, W.Field, "writer"))
+      AddChannel(W.ChannelIndex);
 
   // The headline component: the most-stalled stuck one.
   const FailureComponent *Worst = nullptr;
-  for (const FailureComponent &FC : LastFailure.Components)
+  for (const FailureComponent &FC : Report.Components)
     if (!Worst || FC.StallCycles > Worst->StallCycles)
       Worst = &FC;
   if (Worst) {
-    LastFailure.Component = Worst->Name;
-    LastFailure.DominantCause = Worst->Cause;
+    Report.Component = Worst->Name;
+    Report.DominantCause = Worst->Cause;
   }
+  return Report;
 }
 
 SimFailure Machine::abortRun(ErrorCode Code, int64_t Cycle,
                              const std::string &FailedChannel) {
-  buildFailureReport(Code, Cycle);
-  LastFailure.FailedChannel = FailedChannel;
+  FailureReport Report = buildFailureReport(Code, Cycle);
+  Report.FailedChannel = FailedChannel;
   if (ActiveTrace)
     ActiveTrace->finish(Cycle);
-  return SimFailure(makeError(Code, LastFailure.render()), LastFailure);
+  Error Err = makeError(Code, Report.render());
+  return SimFailure(std::move(Err), std::move(Report));
 }
 
 Error Machine::prepareRun(
@@ -894,11 +880,8 @@ Error Machine::prepareRun(
       return makeError("input field '" + R.Field +
                        "' has the wrong number of cells");
     R.Data = &It->second;
-    R.VectorsPushed = 0;
+    R.reset(StallCause::OutputBlocked);
     R.ChannelBase.assign(R.OutChannels.size(), 0);
-    R.Stalls = StallBreakdown();
-    R.LastCause = StallCause::OutputBlocked;
-    R.LastProgress = 0;
   }
   for (Unit &U : Units) {
     for (FieldStream &Stream : U.Streams) {
@@ -915,16 +898,12 @@ Error Machine::prepareRun(
                          "' has the wrong number of cells");
       R.Data = It->second;
     }
+    U.reset(StallCause::PipelineLatency);
     U.Step = 0;
     U.Issued = 0;
-    U.Emitted = 0;
     U.PipeReady.clear();
     U.PipeValues.clear();
     U.CenterIndex.assign(SpaceExtents.size(), 0);
-    U.StallCycles = 0;
-    U.Stalls = StallBreakdown();
-    U.LastCause = StallCause::PipelineLatency;
-    U.LastProgress = 0;
     U.OutVector.assign(static_cast<size_t>(Lanes), 0.0);
     U.PopStaging.assign(static_cast<size_t>(Lanes), 0.0);
     U.SlotSoA.assign(U.Slots.size() * static_cast<size_t>(Lanes), 0.0);
@@ -933,12 +912,9 @@ Error Machine::prepareRun(
   for (Writer &W : Writers) {
     W.Data.assign(static_cast<size_t>(Program.IterationSpace.numCells()),
                   0.0);
+    W.reset(StallCause::InputStarved);
     W.Index.assign(SpaceExtents.size(), 0);
-    W.VectorsWritten = 0;
     W.InVector.assign(static_cast<size_t>(Lanes), 0.0);
-    W.Stalls = StallBreakdown();
-    W.LastCause = StallCause::InputStarved;
-    W.LastProgress = 0;
   }
   std::fill(MemoryBytesMoved.begin(), MemoryBytesMoved.end(), 0.0);
   std::fill(MemoryBudget.begin(), MemoryBudget.end(), 0.0);
@@ -960,7 +936,6 @@ Error Machine::prepareRun(
   }
   DeadDevice.assign(static_cast<size_t>(NumDevices), 0);
   Brownout.assign(static_cast<size_t>(NumDevices), 0);
-  LastFailure = FailureReport();
 
   // Per-cycle scratch (hoisted: the run loop must not allocate).
   ActiveReaders.assign(MemoryBudget.size(), 0);
@@ -1055,9 +1030,6 @@ Machine::StepOutcome Machine::stepCycle(int64_t Cycle, SimFailure &Failure) {
         DeadDevice[static_cast<size_t>(Device)] =
             Plan->deviceFailedAt(Device, Cycle);
     }
-  auto IsDead = [&](int Device) {
-    return Plan && DeadDevice[static_cast<size_t>(Device)] != 0;
-  };
 
   // Refill per-cycle budgets. Unused budget carries over (bounded by one
   // transaction beyond the per-cycle rate), so rates smaller than a
@@ -1067,10 +1039,10 @@ Machine::StepOutcome Machine::stepCycle(int64_t Cycle, SimFailure &Failure) {
   std::fill(ActiveReaders.begin(), ActiveReaders.end(), 0);
   std::fill(ActiveWriters.begin(), ActiveWriters.end(), 0);
   for (const Reader &R : Readers)
-    if (R.VectorsPushed != R.TotalVectors && !IsDead(R.Device))
+    if (!finished(R) && !deviceDead(R.Device))
       ++ActiveReaders[static_cast<size_t>(R.Device)];
   for (const Writer &W : Writers)
-    if (W.VectorsWritten != W.TotalVectors && !IsDead(W.Device))
+    if (!finished(W) && !deviceDead(W.Device))
       ++ActiveWriters[static_cast<size_t>(W.Device)];
   for (size_t Device = 0; Device != MemoryBudget.size(); ++Device)
     refillDeviceBudgets(Device, Cycle, ActiveReaders[Device],
@@ -1083,8 +1055,8 @@ Machine::StepOutcome Machine::stepCycle(int64_t Cycle, SimFailure &Failure) {
   // delivered before any component steps, so the consumer-visible
   // timing is identical to the plain transport's arrival latency.
   if (!Reliable.empty())
-    if (Error Err = linkReceive(Cycle)) {
-      Failure = SimFailure(std::move(Err), LastFailure);
+    if (std::optional<SimFailure> Broken = linkReceive(Cycle)) {
+      Failure = std::move(*Broken);
       return StepOutcome::Failed;
     }
 
@@ -1101,48 +1073,10 @@ Machine::StepOutcome Machine::stepCycle(int64_t Cycle, SimFailure &Failure) {
   // Readers and writers are served in a rotating order so bandwidth
   // arbitration is fair when the controller is oversubscribed (a fixed
   // priority would starve the tail endpoints and halve throughput).
-  bool Progress = false;
-  if (!Readers.empty()) {
-    size_t Offset = static_cast<size_t>(Cycle) % Readers.size();
-    for (size_t Index = 0; Index != Readers.size(); ++Index) {
-      Reader &R = Readers[(Index + Offset) % Readers.size()];
-      if (IsDead(R.Device)) {
-        if (ActiveTrace)
-          ActiveTrace->setState(R.TraceTrack, Cycle, "dead");
-        continue;
-      }
-      if (stepReader(R, Cycle)) {
-        R.LastProgress = Cycle;
-        Progress = true;
-      }
-    }
-  }
-  for (Unit &U : Units) {
-    if (IsDead(U.Device)) {
-      if (ActiveTrace)
-        ActiveTrace->setState(U.TraceTrack, Cycle, "dead");
-      continue;
-    }
-    if (stepUnit(U, Cycle)) {
-      U.LastProgress = Cycle;
-      Progress = true;
-    }
-  }
-  if (!Writers.empty()) {
-    size_t Offset = static_cast<size_t>(Cycle) % Writers.size();
-    for (size_t Index = 0; Index != Writers.size(); ++Index) {
-      Writer &W = Writers[(Index + Offset) % Writers.size()];
-      if (IsDead(W.Device)) {
-        if (ActiveTrace)
-          ActiveTrace->setState(W.TraceTrack, Cycle, "dead");
-        continue;
-      }
-      if (stepWriter(W, Cycle)) {
-        W.LastProgress = Cycle;
-        Progress = true;
-      }
-    }
-  }
+  // Units step in topological order.
+  bool Progress = stepEach(Readers, Cycle, /*Rotate=*/true);
+  Progress |= stepEach(Units, Cycle, /*Rotate=*/false);
+  Progress |= stepEach(Writers, Cycle, /*Rotate=*/true);
 
   // Reliable streams: rewound senders retransmit from leftover hop
   // bandwidth (fresh emissions had priority this cycle).
@@ -1152,10 +1086,8 @@ Machine::StepOutcome Machine::stepCycle(int64_t Cycle, SimFailure &Failure) {
   if (ActiveTrace && Cycle % ActiveTrace->sampleStride() == 0)
     sampleTrace(*ActiveTrace, Cycle);
 
-  bool Done = true;
-  for (const Writer &W : Writers)
-    Done &= W.VectorsWritten == W.TotalVectors;
-  if (Done)
+  if (std::all_of(Writers.begin(), Writers.end(),
+                  [&](const Writer &W) { return finished(W); }))
     return StepOutcome::Finished;
 
   if (!Progress) {
@@ -1185,17 +1117,13 @@ Machine::StepOutcome Machine::stepCycle(int64_t Cycle, SimFailure &Failure) {
   // cycle they happen). A permanently failed device is reported as the
   // root cause instead of the starvation it induces downstream.
   if (Config.StallTimeoutCycles > 0 && Cycle != 0 && Cycle % 256 == 0) {
-    bool Starved = false;
-    for (const Reader &R : Readers)
-      Starved |= R.VectorsPushed != R.TotalVectors &&
-                 Cycle - R.LastProgress > Config.StallTimeoutCycles;
-    for (const Unit &U : Units)
-      Starved |= U.Emitted != U.StreamVectors &&
-                 Cycle - U.LastProgress > Config.StallTimeoutCycles;
-    for (const Writer &W : Writers)
-      Starved |= W.VectorsWritten != W.TotalVectors &&
-                 Cycle - W.LastProgress > Config.StallTimeoutCycles;
-    if (Starved) {
+    auto Starving = [&](const Component &C) {
+      return !finished(C) &&
+             Cycle - C.LastProgress > Config.StallTimeoutCycles;
+    };
+    if (std::any_of(Readers.begin(), Readers.end(), Starving) ||
+        std::any_of(Units.begin(), Units.end(), Starving) ||
+        std::any_of(Writers.begin(), Writers.end(), Starving)) {
       ErrorCode Code = Plan && Plan->firstFailedDevice(Cycle) >= 0
                            ? ErrorCode::DeviceLost
                            : ErrorCode::Starvation;
@@ -1248,10 +1176,8 @@ SimResult Machine::collectResult(int64_t FinalCycles) {
     Result.Stats.UnitKernelTiers[U.Name] =
         compute::kernelEngineName(Effective);
   }
-  for (const Unit &U : Units) {
-    Result.Stats.UnitStallCycles[U.Name] = U.StallCycles;
+  for (const Unit &U : Units)
     Result.Stats.UnitStalls[U.Name] = U.Stalls;
-  }
   for (const Reader &R : Readers)
     Result.Stats.ReaderStalls[formatString("%s@%d", R.Field.c_str(),
                                            R.Device)] = R.Stalls;
@@ -1259,15 +1185,16 @@ SimResult Machine::collectResult(int64_t FinalCycles) {
     Result.Stats.WriterStalls[W.Field] = W.Stalls;
   for (size_t Index = 0; Index != Channels.size(); ++Index) {
     const Channel &C = *Channels[Index];
-    Result.Stats.ChannelHighWater[C.name()] = C.highWaterMark();
+    ChannelStats &Stats = Result.Stats.Channels[C.name()];
+    Stats.Capacity = C.capacity();
+    Stats.HighWater = C.highWaterMark();
     // Reliable streams model the wire outside the Channel; their peak
     // counts in-flight vectors the same way the plain transport does.
-    Result.Stats.ChannelPeakOccupancy[C.name()] =
+    Stats.PeakOccupancy =
         ReliableOf[Index] >= 0
             ? Reliable[static_cast<size_t>(ReliableOf[Index])]
                   .PeakOutstanding
             : C.peakOccupancy();
-    Result.Stats.ChannelCapacity[C.name()] = C.capacity();
   }
   for (const ReliableStream &RS : Reliable) {
     Result.Stats.Links[Channels[RS.ChannelIndex]->name()] = RS.Stats;

@@ -45,6 +45,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -72,6 +73,21 @@ struct LinkStats {
   int64_t Delivered = 0;
 };
 
+/// Occupancy statistics of one channel.
+struct ChannelStats {
+  /// Configured capacity (vectors).
+  int64_t Capacity = 0;
+  /// Highest observed *visible* occupancy; in-flight remote vectors are
+  /// excluded. Together with the analysis' per-edge BufferDepth this
+  /// empirically validates the delay-buffer sizing: the critical edges
+  /// fill to (at least close to) their computed depth, and no channel
+  /// ever needs more.
+  int64_t HighWater = 0;
+  /// Highest total occupancy including in-flight vectors — what the
+  /// physical FIFO allocation must cover.
+  int64_t PeakOccupancy = 0;
+};
+
 /// Execution statistics of one simulation.
 struct SimStats {
   /// Total cycles until the last output vector was committed.
@@ -86,12 +102,9 @@ struct SimStats {
   /// Total bytes moved across the network.
   double NetworkBytesMoved = 0.0;
 
-  /// Cycles each stencil unit spent stalled (inputs missing or outputs
-  /// blocked).
-  std::map<std::string, int64_t> UnitStallCycles;
-
-  /// Per-cause attribution of each unit's stall cycles (sim/Trace.h).
-  /// For every unit, UnitStalls[name].total() == UnitStallCycles[name].
+  /// Per-cause attribution of each stencil unit's stall cycles (inputs
+  /// missing, outputs blocked, bandwidth denied or pipeline latency; see
+  /// sim/Trace.h). UnitStalls[name].total() is the unit's stall cycles.
   std::map<std::string, StallBreakdown> UnitStalls;
 
   /// Per-cause stall attribution of the memory reader endpoints, keyed
@@ -106,21 +119,9 @@ struct SimStats {
   /// or on memory bandwidth (memory-denied).
   std::map<std::string, StallBreakdown> WriterStalls;
 
-  /// Highest observed *visible* occupancy per channel (vectors), keyed by
-  /// the channel name "source->consumer"; in-flight remote vectors are
-  /// excluded. Together with the analysis' per-edge BufferDepth this
-  /// empirically validates the delay-buffer sizing: the critical edges
-  /// fill to (at least close to) their computed depth, and no channel
-  /// ever needs more.
-  std::map<std::string, int64_t> ChannelHighWater;
-
-  /// Highest total occupancy per channel including in-flight vectors —
-  /// what the physical FIFO allocation must cover.
-  std::map<std::string, int64_t> ChannelPeakOccupancy;
-
-  /// Configured capacity per channel (vectors), for occupancy ratios in
-  /// the metrics export.
-  std::map<std::string, int64_t> ChannelCapacity;
+  /// Capacity and occupancy per channel, keyed by the channel name
+  /// "source->consumer".
+  std::map<std::string, ChannelStats> Channels;
 
   /// Reliable-transport counters per remote stream, keyed by channel
   /// name. Present (with zero counters) for every inter-device stream
@@ -251,31 +252,47 @@ private:
     double BoundaryValue = 0.0;
   };
 
+  /// What every simulated component — reader, stencil unit, writer —
+  /// records the same way: where it runs, how far it got, and what each
+  /// stalled cycle was charged to. Each component moves StreamVectors
+  /// vectors in total.
+  struct Component {
+    int Device = 0;
+    /// Runtime state. Vectors pushed (reader), emitted (unit) or
+    /// committed (writer).
+    int64_t VectorsDone = 0;
+    StallBreakdown Stalls;
+    StallCause LastCause = StallCause::PipelineLatency; ///< Most recent stall.
+    int64_t LastProgress = 0; ///< Last cycle the component made progress.
+    int TraceTrack = -1;      ///< Timeline track when tracing.
+
+    /// Clears the runtime state; \p Initial is the kind's LastCause before
+    /// its first stall.
+    void reset(StallCause Initial) {
+      VectorsDone = 0;
+      Stalls = StallBreakdown();
+      LastCause = Initial;
+      LastProgress = 0;
+    }
+  };
+
   /// One stencil unit.
-  struct Unit {
+  struct Unit : Component {
     std::string Name;
     size_t NodeIndex = 0;
-    int Device = 0;
     const compute::Kernel *Kernel = nullptr;
     std::vector<FieldStream> Streams;
     std::vector<Rom> Roms;
     std::vector<SlotRef> Slots;
     int64_t InitSteps = 0;       ///< D: node initialization in vectors.
     int64_t CircuitLatency = 0;  ///< Pipeline depth in cycles.
-    int64_t StreamVectors = 0;   ///< N_v: real vectors per stream.
     std::vector<size_t> OutChannels;
     /// Runtime state.
     int64_t Step = 0;    ///< Consume steps completed (0 .. N_v + D).
     int64_t Issued = 0;  ///< Outputs entered into the pipe.
-    int64_t Emitted = 0; ///< Outputs pushed to consumers.
     std::deque<int64_t> PipeReady;  ///< Ready cycle per in-flight output.
     std::deque<double> PipeValues;  ///< W values per in-flight output.
     std::vector<int64_t> CenterIndex; ///< Multi-dim index of next output.
-    int64_t StallCycles = 0;
-    StallBreakdown Stalls; ///< Per-cause split of StallCycles.
-    StallCause LastCause = StallCause::PipelineLatency; ///< Most recent stall.
-    int64_t LastProgress = 0; ///< Last cycle the unit made progress.
-    int TraceTrack = -1;   ///< Timeline track when tracing.
     std::vector<double> OutVector;  ///< Output staging.
     std::vector<double> PopStaging; ///< Channel pop staging.
     /// Lane-batched kernel evaluator (compute/Engine.h), compiled at
@@ -286,43 +303,29 @@ private:
   };
 
   /// A memory reader endpoint: streams one input field on one device.
-  struct Reader {
+  struct Reader : Component {
     std::string Field;
-    int Device = 0;
     std::vector<size_t> OutChannels;
-    int64_t TotalVectors = 0;
     /// Runtime state.
     const std::vector<double> *Data = nullptr;
-    int64_t VectorsPushed = 0;
     /// Per-channel delivery cursor for snapshot rehydration: OutChannels[i]
     /// already received the first ChannelBase[i] vectors (pushed by a
     /// reader of the pre-recovery placement), so pushes are skipped for
-    /// that channel until VectorsPushed catches up. All zero on fresh runs
+    /// that channel until VectorsDone catches up. All zero on fresh runs
     /// and exact resumes.
     std::vector<int64_t> ChannelBase;
-    StallBreakdown Stalls;
-    StallCause LastCause = StallCause::OutputBlocked; ///< Most recent stall.
-    int64_t LastProgress = 0;
-    int TraceTrack = -1;
   };
 
   /// A memory writer endpoint: commits one program output.
-  struct Writer {
+  struct Writer : Component {
     std::string Field;
-    int Device = 0;
     size_t ChannelIndex = 0;
-    int64_t TotalVectors = 0;
     bool Shrink = false;
     ValidRegion Region;
     /// Runtime state.
     std::vector<double> Data;
-    std::vector<int64_t> Index;
-    int64_t VectorsWritten = 0;
+    std::vector<int64_t> Index; ///< Multi-dim index of lane 0.
     std::vector<double> InVector;
-    StallBreakdown Stalls;
-    StallCause LastCause = StallCause::InputStarved; ///< Most recent stall.
-    int64_t LastProgress = 0;
-    int TraceTrack = -1;
   };
 
   /// Network bandwidth tracking for one remote channel.
@@ -382,9 +385,36 @@ private:
   // Helpers
   //===--------------------------------------------------------------------===//
 
-  bool stepReader(Reader &R, int64_t Cycle);
-  bool stepUnit(Unit &U, int64_t Cycle);
-  bool stepWriter(Writer &W, int64_t Cycle);
+  /// One cycle of one component; true when it made progress.
+  bool step(Reader &R, int64_t Cycle);
+  bool step(Unit &U, int64_t Cycle);
+  bool step(Writer &W, int64_t Cycle);
+
+  /// Steps every component of \p Components whose device is alive and
+  /// stamps progress; returns whether any of them made progress. With
+  /// \p Rotate the order starts at Cycle modulo the count and wraps.
+  template <typename T>
+  bool stepEach(std::vector<T> &Components, int64_t Cycle, bool Rotate);
+
+  /// True once \p C has moved all of its vectors.
+  bool finished(const Component &C) const {
+    return C.VectorsDone == StreamVectors;
+  }
+
+  /// True when a fault plan has taken \p Device down this cycle.
+  bool deviceDead(int Device) const {
+    return Config.Faults && DeadDevice[static_cast<size_t>(Device)] != 0;
+  }
+
+  /// Records \p State on \p C's timeline track when tracing.
+  void traceState(const Component &C, int64_t Cycle, const char *State) {
+    if (ActiveTrace)
+      ActiveTrace->setState(C.TraceTrack, Cycle, State);
+  }
+
+  /// Charges one stalled cycle of \p C to \p Cause and records the stall
+  /// on its timeline. Returns false (no progress) for the step's return.
+  bool stalled(Component &C, StallCause Cause, int64_t Cycle);
 
   /// Refills one device's reader/writer memory pools for \p Cycle given
   /// the active endpoint counts.
@@ -429,17 +459,18 @@ private:
   /// Start-of-cycle receiver step: matured wire transmissions are
   /// checksum-verified and delivered in order; corrupted or stale ones
   /// are discarded (NACKing the sender when the expected vector was hit).
-  /// Fails with LinkFailure (retransmit budget exhausted) or
-  /// DataCorruption (recovery disabled).
-  Error linkReceive(int64_t Cycle);
+  /// Returns a LinkFailure (retransmit budget exhausted) or DataCorruption
+  /// (recovery disabled) failure, or nothing while every stream is
+  /// healthy.
+  std::optional<SimFailure> linkReceive(int64_t Cycle);
 
   /// End-of-cycle sender step: streams in rewind mode retransmit one
   /// vector per cycle from leftover hop bandwidth, after backoff.
   void linkSend(int64_t Cycle);
 
-  /// Fills LastFailure with the structured state of every stuck
-  /// component and its adjacent channels.
-  void buildFailureReport(ErrorCode Code, int64_t Cycle);
+  /// The structured state of every stuck component and its adjacent
+  /// channels.
+  FailureReport buildFailureReport(ErrorCode Code, int64_t Cycle) const;
 
   /// Builds the failure report, finalizes the trace, and returns the
   /// typed failure carrying both the rendered Error and the structured
@@ -546,7 +577,6 @@ private:
   int64_t EarliestDeviceFail = 0; ///< INT64_MAX when no failure scheduled.
   std::vector<char> DeadDevice;   ///< Per device, refreshed each cycle.
   std::vector<char> Brownout;     ///< Per device, refreshed each cycle.
-  FailureReport LastFailure;
 
   //===--------------------------------------------------------------------===//
   // Per-cycle state

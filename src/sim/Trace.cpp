@@ -282,17 +282,13 @@ std::string sim::formatMetricsCsv(const SimStats &Stats) {
     csvBreakdown(Out, "reader", Name, Stalls);
   for (const auto &[Name, Stalls] : Stats.WriterStalls)
     csvBreakdown(Out, "writer", Name, Stalls);
-  for (const auto &[Name, HighWater] : Stats.ChannelHighWater) {
+  for (const auto &[Name, Channel] : Stats.Channels) {
     csvRow(Out, "channel", Name, "high_water",
-           static_cast<double>(HighWater));
-    auto Peak = Stats.ChannelPeakOccupancy.find(Name);
-    if (Peak != Stats.ChannelPeakOccupancy.end())
-      csvRow(Out, "channel", Name, "peak_occupancy",
-             static_cast<double>(Peak->second));
-    auto Capacity = Stats.ChannelCapacity.find(Name);
-    if (Capacity != Stats.ChannelCapacity.end())
-      csvRow(Out, "channel", Name, "capacity",
-             static_cast<double>(Capacity->second));
+           static_cast<double>(Channel.HighWater));
+    csvRow(Out, "channel", Name, "peak_occupancy",
+           static_cast<double>(Channel.PeakOccupancy));
+    csvRow(Out, "channel", Name, "capacity",
+           static_cast<double>(Channel.Capacity));
   }
   return Out;
 }

@@ -9,9 +9,9 @@
 ///
 ///  1. **Stall attribution.** Every cycle a component fails to make
 ///     progress is attributed to exactly one \c StallCause, accumulated in
-///     a \c StallBreakdown per unit/reader/writer. The per-cause counters
-///     always sum to the component's total stall cycles, which the tests
-///     cross-check against the aggregate \c SimStats::UnitStallCycles.
+///     a \c StallBreakdown per unit/reader/writer, whose total() is the
+///     component's stall cycles. The tests cross-check the counters
+///     against the stall intervals of the Chrome trace.
 ///     Attribution is always on — it costs one branch and one increment on
 ///     cycles that were already stalled.
 ///

@@ -24,7 +24,7 @@
 //  - kernel-tier reassignment on restore (the exact signature excludes
 //    the execution tier by design);
 //  - the pipeline's device-loss recovery resuming from the last snapshot
-//    instead of cycle zero (CyclesSavedByCheckpoint).
+//    instead of cycle zero (SimStats::ResumedFromCycle).
 //
 //===----------------------------------------------------------------------===//
 
@@ -142,12 +142,12 @@ void expectSameRun(const SimResult &A, const SimResult &B,
       EXPECT_EQ(B.Stats.WriterStalls.at(Name).Counts[Cause],
                 Stalls.Counts[Cause])
           << Tag << " writer " << Name;
-  for (const auto &[Name, Peak] : A.Stats.ChannelPeakOccupancy)
-    EXPECT_EQ(B.Stats.ChannelPeakOccupancy.at(Name), Peak)
+  for (const auto &[Name, Channel] : A.Stats.Channels) {
+    EXPECT_EQ(B.Stats.Channels.at(Name).PeakOccupancy, Channel.PeakOccupancy)
         << Tag << " channel " << Name;
-  for (const auto &[Name, High] : A.Stats.ChannelHighWater)
-    EXPECT_EQ(B.Stats.ChannelHighWater.at(Name), High)
+    EXPECT_EQ(B.Stats.Channels.at(Name).HighWater, Channel.HighWater)
         << Tag << " channel " << Name;
+  }
   ASSERT_EQ(A.Stats.Links.size(), B.Stats.Links.size()) << Tag;
   for (const auto &[Name, Link] : A.Stats.Links) {
     const LinkStats &Other = B.Stats.Links.at(Name);
@@ -585,6 +585,45 @@ TEST_F(SnapshotFormatTest, MalformedStateIsRejected) {
   }
 }
 
+TEST_F(SnapshotFormatTest, UnitStallTotalMustMatchItsBreakdown) {
+  // Format v2 stores each unit's stall total right after its center
+  // index (a count of 3, then three coordinates) and ahead of its five
+  // per-cause counts. Find every such record with a positive total in
+  // the fixture and bump the total: the breakdown no longer adds up, so
+  // the load must fail.
+  auto Word = [&](size_t Offset) {
+    int64_t Value;
+    std::memcpy(&Value, Fixture.State.data() + Offset, sizeof(Value));
+    return Value;
+  };
+  size_t Records = 0;
+  Machine M = build(faultConfig());
+  for (size_t Offset = 4 * 8; Offset + 6 * 8 <= Fixture.State.size();
+       ++Offset) {
+    bool Record = Word(Offset - 4 * 8) == 3;
+    for (size_t Dim = 0; Record && Dim != 3; ++Dim)
+      Record = Word(Offset - (3 - Dim) * 8) >= 0 &&
+               Word(Offset - (3 - Dim) * 8) < 8;
+    int64_t Total = Word(Offset), Sum = 0;
+    Record = Record && Total > 0 && Total < (1 << 20);
+    for (size_t Cause = 0; Record && Cause != NumStallCauses; ++Cause) {
+      int64_t Count = Word(Offset + 8 * (Cause + 1));
+      Record = Count >= 0 && Count <= Total;
+      Sum += Count;
+    }
+    if (!Record || Sum != Total)
+      continue;
+    ++Records;
+    MachineSnapshot Damaged = Fixture;
+    int64_t Bumped = Total + 1;
+    std::memcpy(Damaged.State.data() + Offset, &Bumped, sizeof(Bumped));
+    auto Result = M.run(Inputs, &Damaged);
+    ASSERT_FALSE(Result) << "accepted a bumped total at byte " << Offset;
+    EXPECT_EQ(Result.code(), ErrorCode::SnapshotInvalid) << Result.message();
+  }
+  EXPECT_GT(Records, 0u);
+}
+
 //===----------------------------------------------------------------------===//
 // Kill/resume parity
 //===----------------------------------------------------------------------===//
@@ -848,7 +887,7 @@ TEST(CheckpointRecoveryTest, DeviceLossResumesFromSnapshot) {
   ASSERT_TRUE(Result) << Result.message();
   EXPECT_EQ(Result->Recovery.Attempts, 2);
   EXPECT_EQ(Result->Recovery.DevicesLost, 1);
-  EXPECT_GT(Result->Recovery.CyclesSavedByCheckpoint, 0);
+  EXPECT_GT(Result->Simulation.Stats.ResumedFromCycle, 0);
   EXPECT_TRUE(Result->ValidationPassed);
   bool SawRehydrate = false;
   for (const std::string &Line : Result->Recovery.Log)

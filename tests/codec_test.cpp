@@ -110,10 +110,15 @@ TEST(DocumentDigestTest, ChromeTraces) {
     const char *Name;
     StencilProgram Program;
     uint64_t Digest;
+    /// formatMetricsCsv of the same run, captured while SimStats still
+    /// kept one map per channel statistic.
+    uint64_t CsvDigest;
   };
   Case Cases[] = {
-      {"laplace2d", laplace2d(16, 16), 0x6289a81b9e500201ull},
-      {"diamond", diamondProgram(16, 16), 0xf0ef9eeeecb37856ull},
+      {"laplace2d", laplace2d(16, 16), 0x6289a81b9e500201ull,
+       0x9ab0736e3edab094ull},
+      {"diamond", diamondProgram(16, 16), 0xf0ef9eeeecb37856ull,
+       0x79fb0f610dbc8c21ull},
   };
   for (Case &C : Cases) {
     SCOPED_TRACE(C.Name);
@@ -122,6 +127,8 @@ TEST(DocumentDigestTest, ChromeTraces) {
     auto Result = S.run();
     ASSERT_TRUE(Result) << Result.message();
     EXPECT_EQ(digest(S.tracer()->chromeTraceJson()), C.Digest);
+    std::string Csv = sim::formatMetricsCsv(Result->Simulation.Stats);
+    EXPECT_EQ(digest(Csv), C.CsvDigest) << Csv;
   }
 }
 

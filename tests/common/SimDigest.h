@@ -52,18 +52,18 @@ inline std::string simDigestText(const sim::SimResult &R) {
   for (size_t Device = 0; Device != S.MemoryBytesMoved.size(); ++Device)
     Out += formatString("memory %zu %a\n", Device, S.MemoryBytesMoved[Device]);
   Out += formatString("network %a\n", S.NetworkBytesMoved);
-  for (const auto &[Name, Cycles] : S.UnitStallCycles)
+  for (const auto &[Name, Stalls] : S.UnitStalls)
     Out += formatString("unit-stall-cycles %s %lld\n", Name.c_str(),
-                        static_cast<long long>(Cycles));
+                        static_cast<long long>(Stalls.total()));
   appendStalls(Out, "unit", S.UnitStalls);
   appendStalls(Out, "reader", S.ReaderStalls);
   appendStalls(Out, "writer", S.WriterStalls);
-  for (const auto &[Name, Capacity] : S.ChannelCapacity)
+  for (const auto &[Name, Channel] : S.Channels)
     Out += formatString(
         "channel %s capacity %lld high-water %lld peak %lld\n", Name.c_str(),
-        static_cast<long long>(Capacity),
-        static_cast<long long>(S.ChannelHighWater.at(Name)),
-        static_cast<long long>(S.ChannelPeakOccupancy.at(Name)));
+        static_cast<long long>(Channel.Capacity),
+        static_cast<long long>(Channel.HighWater),
+        static_cast<long long>(Channel.PeakOccupancy));
   for (const auto &[Name, L] : S.Links)
     Out += formatString("link %s tx %lld retx %lld corrupt %lld nack %lld "
                         "delivered %lld\n",

@@ -481,8 +481,9 @@ TEST(ReliableStreamTest, EmptyPlanIsCycleAndBitExact) {
       EXPECT_EQ(Other[I], Values[I]) << Name << "[" << I << "]";
   }
   for (const auto &[Name, Peak] :
-       Baseline.Result->Stats.ChannelPeakOccupancy)
-    EXPECT_EQ(Reliable.Result->Stats.ChannelPeakOccupancy.at(Name), Peak)
+       Baseline.Result->Stats.Channels)
+    EXPECT_EQ(Reliable.Result->Stats.Channels.at(Name).PeakOccupancy,
+              Peak.PeakOccupancy)
         << Name;
   // No faults, no retransmissions.
   for (const auto &[Name, Link] : Reliable.Result->Stats.Links) {

@@ -221,10 +221,9 @@ TEST_P(ChannelOccupancyProperty, HighWaterWithinComputedDepth) {
   // Every streamed edge stays within its computed delay-buffer depth plus
   // the constant pipelining slack; the analysis never under-sizes.
   for (const DataflowEdge &Edge : Dataflow->Edges) {
-    auto It = Result->Stats.ChannelHighWater.find(Edge.Source + "->" +
-                                                  Edge.Consumer);
-    ASSERT_NE(It, Result->Stats.ChannelHighWater.end());
-    EXPECT_LE(It->second, Edge.BufferDepth + Config.MinChannelDepth)
+    auto It = Result->Stats.Channels.find(Edge.Source + "->" + Edge.Consumer);
+    ASSERT_NE(It, Result->Stats.Channels.end());
+    EXPECT_LE(It->second.HighWater, Edge.BufferDepth + Config.MinChannelDepth)
         << Edge.Source << " -> " << Edge.Consumer;
   }
 }
@@ -246,7 +245,7 @@ TEST(ChannelOccupancyTest, DiamondCriticalEdgeActuallyFills) {
   auto Result = M->run(materializeInputs(Compiled->program()));
   ASSERT_TRUE(Result) << Result.message();
   int64_t Depth = Dataflow->findEdge("A", "C")->BufferDepth;
-  int64_t HighWater = Result->Stats.ChannelHighWater.at("A->C");
+  int64_t HighWater = Result->Stats.Channels.at("A->C").HighWater;
   EXPECT_GE(HighWater, Depth - 2);
   EXPECT_LE(HighWater, Depth + Config.MinChannelDepth);
 }

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -125,20 +126,35 @@ TEST(SimTest, CopyBoundary) {
 }
 
 TEST(SimTest, ShrinkOutput) {
-  StencilProgram P;
-  P.IterationSpace = Shape({6, 6});
-  addInput(P, "a", DataType::Float32, DataSource::random(12));
-  StencilNode Node;
-  Node.Name = "out";
-  Node.ShrinkOutput = true;
-  auto Code =
-      parseStencilCode("out = a[-1, 0] + a[1, 0] + a[0, -1] + a[0, 1];");
-  ASSERT_TRUE(Code);
-  Node.Code = Code.takeValue();
-  P.Nodes.push_back(std::move(Node));
-  P.Outputs = {"out"};
-  ASSERT_FALSE(analyzeProgram(P));
-  runAndValidate(std::move(P));
+  // The valid region is [1, 5) in both dimensions. At W = 2 and 3 the
+  // writer keeps only part of the first and last vector of each row, and
+  // none of the vectors of the first and last row.
+  for (int Width : {1, 2, 3}) {
+    SCOPED_TRACE(::testing::Message() << "W = " << Width);
+    StencilProgram P;
+    P.IterationSpace = Shape({6, 6});
+    P.VectorWidth = Width;
+    addInput(P, "a", DataType::Float32, DataSource::random(12));
+    StencilNode Node;
+    Node.Name = "out";
+    Node.ShrinkOutput = true;
+    auto Code =
+        parseStencilCode("out = a[-1, 0] + a[1, 0] + a[0, -1] + a[0, 1];");
+    ASSERT_TRUE(Code);
+    Node.Code = Code.takeValue();
+    P.Nodes.push_back(std::move(Node));
+    P.Outputs = {"out"};
+    ASSERT_FALSE(analyzeProgram(P));
+    SimResult Result = runAndValidate(std::move(P));
+    const std::vector<double> &Out = Result.Outputs.at("out");
+    for (int64_t Row = 0; Row != 6; ++Row)
+      for (int64_t Col = 0; Col != 6; ++Col) {
+        bool Valid = Row >= 1 && Row < 5 && Col >= 1 && Col < 5;
+        if (!Valid)
+          EXPECT_EQ(Out[static_cast<size_t>(Row * 6 + Col)], 0.0)
+              << Row << "," << Col;
+      }
+  }
 }
 
 TEST(SimTest, LowerRankInputsViaRom) {
@@ -596,15 +612,10 @@ SimConfig unconstrained() {
 /// Internal consistency of one completed run's statistics.
 void expectConsistentStats(const SimResult &R) {
   const SimStats &S = R.Stats;
-  for (const auto &[Name, Stalls] : S.UnitStalls)
-    EXPECT_EQ(Stalls.total(), S.UnitStallCycles.at(Name)) << Name;
-  ASSERT_EQ(S.ChannelCapacity.size(), S.ChannelHighWater.size());
-  for (const auto &[Name, Capacity] : S.ChannelCapacity) {
-    int64_t HighWater = S.ChannelHighWater.at(Name);
-    int64_t Peak = S.ChannelPeakOccupancy.at(Name);
-    EXPECT_GE(HighWater, 1) << Name;
-    EXPECT_LE(HighWater, Peak) << Name;
-    EXPECT_LE(Peak, Capacity) << Name;
+  for (const auto &[Name, Channel] : S.Channels) {
+    EXPECT_GE(Channel.HighWater, 1) << Name;
+    EXPECT_LE(Channel.HighWater, Channel.PeakOccupancy) << Name;
+    EXPECT_LE(Channel.PeakOccupancy, Channel.Capacity) << Name;
   }
   for (const auto &[Name, Link] : S.Links)
     EXPECT_EQ(Link.Transmissions - Link.Retransmissions, Link.Delivered)
@@ -615,6 +626,72 @@ void expectConsistentStats(const SimResult &R) {
     Achieved += S.AchievedMemoryBytesPerCycle[Device];
   }
   EXPECT_DOUBLE_EQ(Achieved * static_cast<double>(S.Cycles), Moved);
+}
+
+/// Transient payload corruption on every remote stream (the "faults"
+/// setting of the pinned scenarios).
+FaultPlan transientCorruption() {
+  FaultPlan Plan;
+  Plan.Seed = 7;
+  FaultEvent Corrupt;
+  Corrupt.Kind = FaultKind::PayloadCorruption;
+  Corrupt.Probability = 0.2;
+  Corrupt.StartCycle = 0;
+  Corrupt.EndCycle = std::numeric_limits<int64_t>::max();
+  Plan.Events.push_back(Corrupt);
+  return Plan;
+}
+
+/// The configuration of one pinned scenario setting: "plain",
+/// "throttled", "constrained" or "faults" (which attaches \p Faults).
+SimConfig pinnedSetting(const std::string &Setting, const FaultPlan *Faults) {
+  SimConfig Config = unconstrained();
+  if (Setting == "throttled") {
+    Config.LinkBytesPerCycle = 1.0;
+  } else if (Setting == "constrained") {
+    Config.UnconstrainedMemory = false;
+    Config.PeakMemoryBytesPerCycle = 6.0;
+  } else if (Setting == "faults") {
+    Config.Faults = Faults;
+  }
+  return Config;
+}
+
+/// Gives every random input of \p Program a different seed.
+StencilProgram reseeded(StencilProgram Program) {
+  for (Field &Input : Program.Inputs)
+    if (Input.Source.SourceKind == DataSource::Kind::Random)
+      Input.Source.Seed += 1000;
+  return Program;
+}
+
+/// One traced run split into what the timing model reports and the
+/// output values.
+struct TimedRun {
+  /// The digest text without its "output" lines, the metrics CSV and the
+  /// Chrome trace of a completed run; the failure digest and the Chrome
+  /// trace of a failed one.
+  std::string Timing;
+  std::map<std::string, std::vector<double>> Outputs;
+};
+
+TimedRun timedRun(StencilProgram Program, int SplitAt, SimConfig Config) {
+  Tracer Trace(/*SampleStride=*/4);
+  Config.Trace = &Trace;
+  auto Result = simulate(std::move(Program), SplitAt, Config);
+  TimedRun Run;
+  if (Result) {
+    std::istringstream Lines(simDigestText(*Result));
+    for (std::string Line; std::getline(Lines, Line);)
+      if (Line.rfind("output ", 0) != 0)
+        Run.Timing += Line + '\n';
+    Run.Timing += formatMetricsCsv(Result->Stats);
+    Run.Outputs = Result->Outputs;
+  } else {
+    Run.Timing = simDigestText(Result.error());
+  }
+  Run.Timing += Trace.chromeTraceJson();
+  return Run;
 }
 
 int64_t totalStalls(const std::map<std::string, StallBreakdown> &M,
@@ -631,14 +708,7 @@ TEST(PinnedDigestTest, JacobiChains) {
   // Pinned from the simulator's results before its threaded engine was
   // removed: cycles plus the digest of every reported statistic and the
   // output bits, for the 2- and 4-device chains under four settings.
-  FaultPlan Transient;
-  Transient.Seed = 7;
-  FaultEvent Corrupt;
-  Corrupt.Kind = FaultKind::PayloadCorruption;
-  Corrupt.Probability = 0.2;
-  Corrupt.StartCycle = 0;
-  Corrupt.EndCycle = std::numeric_limits<int64_t>::max();
-  Transient.Events.push_back(Corrupt);
+  FaultPlan Transient = transientCorruption();
 
   struct Pin {
     int Devices;
@@ -659,21 +729,48 @@ TEST(PinnedDigestTest, JacobiChains) {
   for (const Pin &P : Pins) {
     SCOPED_TRACE(::testing::Message()
                  << P.Devices << " devices, " << P.Setting);
-    SimConfig Config = unconstrained();
-    if (P.Setting == "throttled") {
-      Config.LinkBytesPerCycle = 1.0;
-    } else if (P.Setting == "constrained") {
-      Config.UnconstrainedMemory = false;
-      Config.PeakMemoryBytesPerCycle = 6.0;
-    } else if (P.Setting == "faults") {
-      Config.Faults = &Transient;
-    }
+    SimConfig Config = pinnedSetting(P.Setting, &Transient);
     auto Result =
         P.Devices == 2 ? twoDeviceChain(Config) : fourDeviceChain(Config);
     ASSERT_TRUE(Result) << Result.message();
     EXPECT_EQ(Result->Stats.Cycles, P.Cycles);
     EXPECT_EQ(simDigest(*Result), P.Digest) << simDigestText(*Result);
   }
+}
+
+TEST(TimingIndependenceTest, ReseededInputsMoveOnlyOutputs) {
+  // Timing never reads a value: with every random input re-seeded, each
+  // pinned scenario reports the same cycles, stalls, channel and link
+  // statistics, metrics CSV and Chrome trace; only the outputs change.
+  FaultPlan Transient = transientCorruption();
+  for (int Devices : {2, 4})
+    for (const char *Setting :
+         {"plain", "throttled", "constrained", "faults"}) {
+      SCOPED_TRACE(::testing::Message()
+                   << Devices << " devices, " << Setting);
+      StencilProgram Program = Devices == 2 ? jacobi3dChain(6, 4, 6, 6)
+                                            : jacobi3dChain(8, 4, 4, 8);
+      int SplitAt = Devices == 2 ? 3 : 2;
+      SimConfig Config = pinnedSetting(Setting, &Transient);
+      TimedRun Original = timedRun(Program.clone(), SplitAt, Config);
+      TimedRun Reseeded = timedRun(reseeded(std::move(Program)), SplitAt,
+                                   Config);
+      EXPECT_EQ(Original.Timing, Reseeded.Timing);
+      ASSERT_FALSE(Original.Outputs.empty());
+      EXPECT_NE(Original.Outputs, Reseeded.Outputs);
+    }
+}
+
+TEST(TimingIndependenceTest, ReseededDeadlockReportsTheSameFailure) {
+  // The Fig. 4 deadlock: undersized channels on the reconvergent diamond.
+  SimConfig Config = unconstrained();
+  Config.ClampChannelsToMinimum = true;
+  Config.MinChannelDepth = 4;
+  TimedRun Original = timedRun(diamondProgram(32, 32), 0, Config);
+  TimedRun Reseeded = timedRun(reseeded(diamondProgram(32, 32)), 0, Config);
+  ASSERT_EQ(Original.Timing.rfind("failure deadlock", 0), 0u)
+      << Original.Timing;
+  EXPECT_EQ(Original.Timing, Reseeded.Timing);
 }
 
 TEST(ParallelParityTest, SingleDevicePrograms) {

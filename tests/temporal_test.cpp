@@ -380,7 +380,7 @@ TEST(TemporalResilienceTest, CheckpointResumeOfUnrolledRun) {
   auto Second = runPipeline(P.clone(), Resume);
   ASSERT_TRUE(Second) << Second.message();
   EXPECT_TRUE(Second->ValidationPassed);
-  EXPECT_GT(Second->Recovery.CyclesSavedByCheckpoint, 0);
+  EXPECT_GT(Second->Simulation.Stats.ResumedFromCycle, 0);
   EXPECT_EQ(Second->Simulation.Stats.Cycles, First->Simulation.Stats.Cycles);
   auto Want = referenceAfterSteps(P, 4);
   expectBitExact(Second->Simulation.Outputs.at("a1"), Want.at("a1"),

@@ -45,14 +45,16 @@ BuiltSim buildSim(StencilProgram Program, const SimConfig &Config,
   return Sim;
 }
 
-/// The core attribution invariant: for every unit, the per-cause counters
-/// sum exactly to the aggregate stall-cycle total.
-void expectCausesSumToTotals(const SimStats &Stats) {
-  ASSERT_EQ(Stats.UnitStalls.size(), Stats.UnitStallCycles.size());
-  for (const auto &[Name, Total] : Stats.UnitStallCycles) {
-    auto It = Stats.UnitStalls.find(Name);
-    ASSERT_NE(It, Stats.UnitStalls.end()) << Name;
-    EXPECT_EQ(It->second.total(), Total) << "unit " << Name;
+/// The core attribution invariant: every unit has a breakdown, and since
+/// each stalled cycle is charged to exactly one cause, no count is
+/// negative and a unit's stall total never exceeds the run's cycles.
+void expectUnitStallsConsistent(const SimStats &Stats) {
+  ASSERT_EQ(Stats.UnitStalls.size(), Stats.UnitKernelTiers.size());
+  for (const auto &[Name, Stalls] : Stats.UnitStalls) {
+    ASSERT_TRUE(Stats.UnitKernelTiers.count(Name)) << Name;
+    for (int64_t Count : Stalls.Counts)
+      EXPECT_GE(Count, 0) << "unit " << Name;
+    EXPECT_LE(Stalls.total(), Stats.Cycles) << "unit " << Name;
   }
 }
 
@@ -81,7 +83,7 @@ TEST(StallAttributionTest, CausesSumOnDiamondUnconstrained) {
   BuiltSim Sim = buildSim(diamondProgram(16, 16), Config);
   auto Result = Sim.M->run(materializeInputs(Sim.Compiled->program()));
   ASSERT_TRUE(Result) << Result.message();
-  expectCausesSumToTotals(Result->Stats);
+  expectUnitStallsConsistent(Result->Stats);
 }
 
 TEST(StallAttributionTest, CausesSumOnDiamondConstrained) {
@@ -91,7 +93,7 @@ TEST(StallAttributionTest, CausesSumOnDiamondConstrained) {
   BuiltSim Sim = buildSim(diamondProgram(16, 16), Config);
   auto Result = Sim.M->run(materializeInputs(Sim.Compiled->program()));
   ASSERT_TRUE(Result) << Result.message();
-  expectCausesSumToTotals(Result->Stats);
+  expectUnitStallsConsistent(Result->Stats);
 
   // Starved readers stall on memory; the units downstream starve on
   // inputs. Both must show up in the attribution.
@@ -112,7 +114,71 @@ TEST(StallAttributionTest, CausesSumOnRandomPrograms) {
     BuiltSim Sim = buildSim(randomProgram(Seed), Config);
     auto Result = Sim.M->run(materializeInputs(Sim.Compiled->program()));
     ASSERT_TRUE(Result) << Result.message();
-    expectCausesSumToTotals(Result->Stats);
+    expectUnitStallsConsistent(Result->Stats);
+  }
+}
+
+TEST(StallAttributionTest, TraceStallIntervalsMatchBreakdowns) {
+  // A stalled cycle is charged and traced in one place: on every
+  // component's timeline the "stall:<cause>" intervals last exactly as
+  // many cycles as its breakdown charged to that cause.
+  for (uint64_t Seed = 200; Seed <= 205; ++Seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << Seed);
+    Tracer T;
+    SimConfig Config;
+    Config.PeakMemoryBytesPerCycle = 6.0; // Starved: every kind stalls.
+    Config.Trace = &T;
+    BuiltSim Sim = buildSim(randomProgram(Seed), Config);
+    auto Result = Sim.M->run(materializeInputs(Sim.Compiled->program()));
+    ASSERT_TRUE(Result) << Result.message();
+
+    // Single device: track names are unique.
+    std::map<std::string, StallBreakdown> Want;
+    for (const auto &[Name, Stalls] : Result->Stats.UnitStalls)
+      Want["unit " + Name] = Stalls;
+    for (const auto &[Name, Stalls] : Result->Stats.ReaderStalls)
+      Want["read " + Name.substr(0, Name.find('@'))] = Stalls;
+    for (const auto &[Name, Stalls] : Result->Stats.WriterStalls)
+      Want["write " + Name] = Stalls;
+
+    auto Parsed = json::parse(T.chromeTraceJson());
+    ASSERT_TRUE(Parsed) << Parsed.message();
+    const std::vector<json::Value> &Events =
+        Parsed->getObject().get("traceEvents")->getArray();
+    std::map<double, std::string> TrackOf; // tid -> track name.
+    for (const json::Value &Event : Events) {
+      const json::Object &Obj = Event.getObject();
+      if (Obj.get("ph")->getString() == "M" &&
+          Obj.get("name")->getString() == "thread_name")
+        TrackOf[Obj.get("tid")->getNumber()] =
+            Obj.get("args")->getObject().get("name")->getString();
+    }
+    std::map<std::string, StallBreakdown> Traced;
+    for (const json::Value &Event : Events) {
+      const json::Object &Obj = Event.getObject();
+      const std::string &State = Obj.get("name")->getString();
+      if (Obj.get("ph")->getString() != "X" || State.rfind("stall:", 0) != 0)
+        continue;
+      int Cause = 0;
+      while (Cause != NumStallCauses &&
+             State.substr(6) !=
+                 stallCauseName(static_cast<StallCause>(Cause)))
+        ++Cause;
+      ASSERT_NE(Cause, NumStallCauses) << State;
+      Traced[TrackOf.at(Obj.get("tid")->getNumber())].Counts[Cause] +=
+          json::toInteger<int64_t>(Obj.get("dur")->getNumber()).value_or(-1);
+    }
+    ASSERT_EQ(Want.size(), TrackOf.size());
+    StallBreakdown All;
+    for (const auto &[Track, Stalls] : Want) {
+      All += Stalls;
+      for (int Cause = 0; Cause != NumStallCauses; ++Cause)
+        EXPECT_EQ(Traced[Track].Counts[Cause], Stalls.Counts[Cause])
+            << Track << " "
+            << stallCauseName(static_cast<StallCause>(Cause));
+    }
+    EXPECT_GT(All[StallCause::MemoryDenied], 0);
+    EXPECT_GT(All[StallCause::InputStarved], 0);
   }
 }
 
@@ -144,7 +210,7 @@ TEST(StallAttributionTest, ThrottledNetworkShowsNetworkStalls) {
   ASSERT_TRUE(M);
   auto Result = M->run(materializeInputs(Compiled->program()));
   ASSERT_TRUE(Result) << Result.message();
-  expectCausesSumToTotals(Result->Stats);
+  expectUnitStallsConsistent(Result->Stats);
   // The unit feeding the crossing stream is throttled by the link.
   StallBreakdown Units;
   for (const auto &[Name, Stalls] : Result->Stats.UnitStalls)
@@ -207,15 +273,15 @@ TEST(ChannelHighWaterTest, DiamondHighWaterWithinAnalysisDepth) {
   ASSERT_TRUE(Result) << Result.message();
   for (const DataflowEdge &Edge : Sim.Dataflow->Edges) {
     std::string Name = Edge.Source + "->" + Edge.Consumer;
-    auto It = Result->Stats.ChannelHighWater.find(Name);
-    ASSERT_NE(It, Result->Stats.ChannelHighWater.end()) << Name;
-    EXPECT_LE(It->second, Edge.BufferDepth + Config.MinChannelDepth)
+    auto It = Result->Stats.Channels.find(Name);
+    ASSERT_NE(It, Result->Stats.Channels.end()) << Name;
+    const ChannelStats &Channel = It->second;
+    EXPECT_LE(Channel.HighWater, Edge.BufferDepth + Config.MinChannelDepth)
         << Name;
     // Visible high water never exceeds the physical peak, which never
     // exceeds the allocated capacity.
-    EXPECT_LE(It->second, Result->Stats.ChannelPeakOccupancy.at(Name));
-    EXPECT_LE(Result->Stats.ChannelPeakOccupancy.at(Name),
-              Result->Stats.ChannelCapacity.at(Name));
+    EXPECT_LE(Channel.HighWater, Channel.PeakOccupancy);
+    EXPECT_LE(Channel.PeakOccupancy, Channel.Capacity);
   }
 }
 
@@ -334,7 +400,7 @@ TEST(ChromeTraceTest, DisabledTracingRecordsNothing) {
   auto Result = Sim.M->run(materializeInputs(Sim.Compiled->program()));
   ASSERT_TRUE(Result) << Result.message();
   // Attribution stays on regardless of tracing.
-  expectCausesSumToTotals(Result->Stats);
+  expectUnitStallsConsistent(Result->Stats);
 }
 
 //===----------------------------------------------------------------------===//
