@@ -384,7 +384,7 @@ stencilflow::emitOpenCL(const CompiledProgram &Compiled,
            Slot != NumSlots; ++Slot) {
         const compute::KernelInput &Input = Kernel.inputs()[Slot];
         BoundaryCondition Boundary = Node.boundaryFor(Input.Field);
-        std::vector<bool> Mask = Program.fieldDimensionMask(Input.Field);
+        const std::vector<bool> &Mask = Program.fieldDimensionMask(Input.Field);
         bool FullRank = std::all_of(Mask.begin(), Mask.end(),
                                     [](bool B) { return B; });
         // Bounds predicate over the logical index.
@@ -458,11 +458,14 @@ stencilflow::emitOpenCL(const CompiledProgram &Compiled,
                           SType.c_str(), Slot, Pred.c_str(), Read.c_str(),
                           Fallback.c_str());
       }
-      // Statements.
-      for (size_t StmtIndex = 0;
-           StmtIndex != Node.Code.Statements.size(); ++StmtIndex) {
-        const Assignment &Stmt = Node.Code.Statements[StmtIndex];
-        bool Final = StmtIndex + 1 == Node.Code.Statements.size();
+      // Statements, as text shows them (fused instances materialized).
+      std::shared_ptr<const std::vector<Assignment>> Code =
+          Node.Code.materialize();
+      const std::vector<Assignment> &Statements = *Code;
+      for (size_t StmtIndex = 0; StmtIndex != Statements.size();
+           ++StmtIndex) {
+        const Assignment &Stmt = Statements[StmtIndex];
+        bool Final = StmtIndex + 1 == Statements.size();
         std::string Value = emitExpr(*Stmt.Value, Kernel, Node.Type);
         if (Final) {
           if (W == 1)

@@ -8,6 +8,7 @@
 
 #include "support/StringUtils.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <unordered_map>
@@ -87,13 +88,16 @@ struct InstructionKey {
   uint64_t ConstBits;
   int InputIndex;
 
-  bool operator==(const InstructionKey &Other) const = default;
-};
+  explicit InstructionKey(const Instruction &Inst)
+      : Op(Inst.Op), A(Inst.A), B(Inst.B), C(Inst.C),
+        ConstBits(std::bit_cast<uint64_t>(Inst.Constant)),
+        InputIndex(Inst.InputIndex) {}
 
-struct InstructionKeyHash {
-  size_t operator()(const InstructionKey &K) const {
-    size_t Hash = std::hash<uint64_t>()(K.ConstBits);
-    for (int Part : {static_cast<int>(K.Op), K.A, K.B, K.C, K.InputIndex})
+  bool operator==(const InstructionKey &Other) const = default;
+
+  size_t hash() const {
+    size_t Hash = std::hash<uint64_t>()(ConstBits);
+    for (int Part : {static_cast<int>(Op), A, B, C, InputIndex})
       Hash = (Hash ^ static_cast<unsigned>(Part)) * 0x100000001b3ull;
     return Hash;
   }
@@ -101,20 +105,31 @@ struct InstructionKeyHash {
 
 /// Incrementally builds the instruction tape with value numbering. Names
 /// and offsets are looked up by hash, viewed in the node's code, so the
-/// build is linear in the number of expressions.
+/// build is linear in the number of expressions. Fused code is emitted
+/// straight from its instances (ir/Expr.h, CodeInstance): each instance's
+/// locals resolve within its own body, its field accesses are shifted as
+/// they are emitted, and an inlined read is the register of its source
+/// instance's final statement. Nothing is materialized.
 class KernelBuilder {
 public:
   KernelBuilder(const StencilNode &Node, const KernelOptions &Options)
       : Node(Node), Options(Options) {}
 
   Expected<int> build() {
+    const std::vector<CodeInstance> &Instances = Node.Code.instances();
+    Outputs.resize(Instances.size(), -1);
     int OutputReg = -1;
-    for (const Assignment &Stmt : Node.Code.Statements) {
-      Expected<int> Reg = emitExpr(*Stmt.Value);
-      if (!Reg)
-        return Reg;
-      Locals[Stmt.Target] = *Reg;
-      OutputReg = *Reg;
+    for (size_t Index = 0; Index != Instances.size(); ++Index) {
+      Instance = &Instances[Index];
+      Locals.clear();
+      for (const Assignment &Stmt : *Instance->Body) {
+        Expected<int> Reg = emitExpr(*Stmt.Value);
+        if (!Reg)
+          return Reg;
+        Locals[Stmt.Target] = *Reg;
+        OutputReg = *Reg;
+      }
+      Outputs[Index] = OutputReg;
     }
     return OutputReg;
   }
@@ -127,23 +142,49 @@ private:
   KernelOptions Options;
   std::vector<KernelInput> Inputs;
   std::vector<Instruction> Code;
+  // The instance being emitted, its locals, and every instance's output
+  // register.
+  const CodeInstance *Instance = nullptr;
   std::unordered_map<std::string_view, int> Locals;
+  std::vector<int> Outputs;
   // (field, offset) -> index into Inputs, in first-use order.
   std::unordered_map<FieldOffsetRef, int, FieldOffsetRefHash> Slots;
-  std::unordered_map<InstructionKey, int, InstructionKeyHash> Numbering;
+  // Value numbers: an open-addressed table of tape indices (-1 = empty),
+  // probed linearly and kept at most half full. With CSE on every tape
+  // entry is unique, so the tape is the key store and interning allocates
+  // only when the table doubles.
+  std::vector<int> Numbering;
 
   int intern(Instruction Inst) {
     if (!Options.EnableCSE) {
       Code.push_back(Inst);
       return static_cast<int>(Code.size()) - 1;
     }
-    InstructionKey Key{Inst.Op, Inst.A, Inst.B, Inst.C,
-                       std::bit_cast<uint64_t>(Inst.Constant), Inst.InputIndex};
-    auto [It, Inserted] =
-        Numbering.try_emplace(Key, static_cast<int>(Code.size()));
-    if (Inserted)
-      Code.push_back(Inst);
-    return It->second;
+    if (2 * (Code.size() + 1) > Numbering.size())
+      growNumbering();
+    InstructionKey Key(Inst);
+    size_t Mask = Numbering.size() - 1;
+    for (size_t Slot = Key.hash() & Mask;; Slot = (Slot + 1) & Mask) {
+      int Index = Numbering[Slot];
+      if (Index < 0) {
+        Numbering[Slot] = static_cast<int>(Code.size());
+        Code.push_back(Inst);
+        return Numbering[Slot];
+      }
+      if (InstructionKey(Code[static_cast<size_t>(Index)]) == Key)
+        return Index;
+    }
+  }
+
+  void growNumbering() {
+    Numbering.assign(std::max<size_t>(64, 2 * Numbering.size()), -1);
+    size_t Mask = Numbering.size() - 1;
+    for (size_t Index = 0; Index != Code.size(); ++Index) {
+      size_t Slot = InstructionKey(Code[Index]).hash() & Mask;
+      while (Numbering[Slot] >= 0)
+        Slot = (Slot + 1) & Mask;
+      Numbering[Slot] = static_cast<int>(Index);
+    }
   }
 
   int emitConst(double Value) {
@@ -153,11 +194,11 @@ private:
     return intern(Inst);
   }
 
-  int emitInput(const std::string &Field, const Offset &Off) {
-    auto [It, Inserted] = Slots.try_emplace(FieldOffsetRef{Field, &Off},
+  int emitInput(std::string_view Field, const Offset &Off) {
+    auto [It, Inserted] = Slots.try_emplace(FieldOffsetRef{Field, Off},
                                             static_cast<int>(Inputs.size()));
     if (Inserted)
-      Inputs.push_back(KernelInput{Field, Off});
+      Inputs.push_back(KernelInput{std::string(Field), Off});
     Instruction Inst;
     Inst.Op = OpCode::Input;
     Inst.InputIndex = It->second;
@@ -193,14 +234,19 @@ private:
       return emitConst(cast<LiteralExpr>(&E)->value());
     case ExprKind::FieldAccess: {
       const auto *Access = cast<FieldAccessExpr>(&E);
-      return emitInput(Access->field(), Access->offset());
+      if (const CodeInstance::InlinedRead *Read =
+              Instance->inlinedRead(Access->field(), Access->offset()))
+        return Outputs[Read->Source];
+      return emitInput(Access->field(),
+                       Instance->shifted(Access->field(), Access->offset()));
     }
     case ExprKind::LocalRef: {
       const auto *Ref = cast<LocalRefExpr>(&E);
       auto It = Locals.find(Ref->name());
       if (It == Locals.end())
         return makeError("stencil '" + Node.Name +
-                         "': unresolved local '" + Ref->name() +
+                         "': unresolved local '" + Instance->Prefix +
+                         Ref->name() +
                          "' (semantic analysis must run before compilation)");
       return It->second;
     }
@@ -224,15 +270,17 @@ private:
     }
     case ExprKind::Call: {
       const auto *Call = cast<CallExpr>(&E);
-      std::vector<int> Args;
-      for (const ExprPtr &Arg : Call->args()) {
-        Expected<int> Reg = emitExpr(*Arg);
+      // Intrinsics take one or two arguments.
+      int Args[2] = {-1, -1};
+      for (size_t Index = 0; Index != Call->args().size(); ++Index) {
+        Expected<int> Reg = emitExpr(*Call->args()[Index]);
         if (!Reg)
           return Reg;
-        Args.push_back(*Reg);
+        if (Index < 2)
+          Args[Index] = *Reg;
       }
       OpCode Op = intrinsicOpCode(Call->intrinsic());
-      return emitOp(Op, Args[0], Args.size() > 1 ? Args[1] : -1);
+      return emitOp(Op, Args[0], Args[1]);
     }
     case ExprKind::Select: {
       const auto *Select = cast<SelectExpr>(&E);
@@ -252,6 +300,64 @@ private:
   }
 };
 
+/// Counts the operations of \p Code by class.
+OpCensus countOperations(const std::vector<Instruction> &Code) {
+  OpCensus Census;
+  for (const Instruction &Inst : Code) {
+    switch (Inst.Op) {
+    case OpCode::Const:
+    case OpCode::Input:
+      break;
+    case OpCode::Add:
+    case OpCode::Sub:
+      ++Census.Additions;
+      break;
+    case OpCode::Mul:
+      ++Census.Multiplications;
+      break;
+    case OpCode::Div:
+      ++Census.Divisions;
+      break;
+    case OpCode::Sqrt:
+      ++Census.SquareRoots;
+      break;
+    case OpCode::Min:
+    case OpCode::Max:
+      ++Census.MinMax;
+      break;
+    case OpCode::Lt:
+    case OpCode::Le:
+    case OpCode::Gt:
+    case OpCode::Ge:
+    case OpCode::Eq:
+    case OpCode::Ne:
+      ++Census.Comparisons;
+      break;
+    case OpCode::Select:
+      ++Census.Branches;
+      break;
+    case OpCode::Exp:
+    case OpCode::Log:
+    case OpCode::Sin:
+    case OpCode::Cos:
+    case OpCode::Tanh:
+    case OpCode::Pow:
+      ++Census.Transcendental;
+      break;
+    case OpCode::Neg:
+    case OpCode::Not:
+    case OpCode::Abs:
+    case OpCode::Floor:
+    case OpCode::Ceil:
+    case OpCode::And:
+    case OpCode::Or:
+      ++Census.Other;
+      break;
+    }
+  }
+  return Census;
+}
+
 } // namespace
 
 Expected<Kernel> Kernel::compile(const StencilNode &Node,
@@ -265,6 +371,7 @@ Expected<Kernel> Kernel::compile(const StencilNode &Node,
   Result.Code = Builder.takeCode();
   Result.OutputRegister = *OutputReg;
   Result.Type = Node.Type;
+  Result.Census = countOperations(Result.Code);
   assert(Result.OutputRegister >= 0 && "empty kernel");
   return Result;
 }
@@ -320,63 +427,6 @@ int64_t Kernel::criticalPathLatency(const LatencyTable &Latencies) const {
     Depth[I] = OperandDepth + Latencies.latency(Inst.Op);
   }
   return Depth[static_cast<size_t>(OutputRegister)];
-}
-
-OpCensus Kernel::census() const {
-  OpCensus Census;
-  for (const Instruction &Inst : Code) {
-    switch (Inst.Op) {
-    case OpCode::Const:
-    case OpCode::Input:
-      break;
-    case OpCode::Add:
-    case OpCode::Sub:
-      ++Census.Additions;
-      break;
-    case OpCode::Mul:
-      ++Census.Multiplications;
-      break;
-    case OpCode::Div:
-      ++Census.Divisions;
-      break;
-    case OpCode::Sqrt:
-      ++Census.SquareRoots;
-      break;
-    case OpCode::Min:
-    case OpCode::Max:
-      ++Census.MinMax;
-      break;
-    case OpCode::Lt:
-    case OpCode::Le:
-    case OpCode::Gt:
-    case OpCode::Ge:
-    case OpCode::Eq:
-    case OpCode::Ne:
-      ++Census.Comparisons;
-      break;
-    case OpCode::Select:
-      ++Census.Branches;
-      break;
-    case OpCode::Exp:
-    case OpCode::Log:
-    case OpCode::Sin:
-    case OpCode::Cos:
-    case OpCode::Tanh:
-    case OpCode::Pow:
-      ++Census.Transcendental;
-      break;
-    case OpCode::Neg:
-    case OpCode::Not:
-    case OpCode::Abs:
-    case OpCode::Floor:
-    case OpCode::Ceil:
-    case OpCode::And:
-    case OpCode::Or:
-      ++Census.Other;
-      break;
-    }
-  }
-  return Census;
 }
 
 std::string Kernel::dump() const {

@@ -83,8 +83,9 @@ public:
   /// (Sec. IV-B).
   int64_t criticalPathLatency(const LatencyTable &Latencies) const;
 
-  /// Operation counts (Sec. IX-A).
-  OpCensus census() const;
+  /// Operation counts (Sec. IX-A), counted once when the kernel is
+  /// compiled.
+  const OpCensus &census() const { return Census; }
 
   /// Disassembles the tape for debugging and golden tests.
   std::string dump() const;
@@ -94,6 +95,7 @@ private:
   std::vector<Instruction> Code;
   int OutputRegister = -1;
   DataType Type = DataType::Float32;
+  OpCensus Census;
 };
 
 } // namespace compute

@@ -171,7 +171,7 @@ int compute::simplifyExpr(ExprPtr &Root) {
 
 int compute::simplifyCode(StencilCode &Code) {
   int Rewrites = 0;
-  for (Assignment &Stmt : Code.Statements)
+  for (Assignment &Stmt : Code.statements())
     Rewrites += simplifyExpr(Stmt.Value);
   return Rewrites;
 }

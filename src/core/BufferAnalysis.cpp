@@ -19,7 +19,7 @@ NodeBuffers stencilflow::computeNodeBuffers(const StencilProgram &Program,
 
   for (const FieldAccesses &FA : Node.Accesses) {
     // Lower-dimensional inputs are preloaded ROMs, not streamed buffers.
-    std::vector<bool> Mask = Program.fieldDimensionMask(FA.Field);
+    const std::vector<bool> &Mask = Program.fieldDimensionMask(FA.Field);
     bool FullRank = std::all_of(Mask.begin(), Mask.end(),
                                 [](bool Spanned) { return Spanned; });
     if (!FullRank)
@@ -28,8 +28,9 @@ NodeBuffers stencilflow::computeNodeBuffers(const StencilProgram &Program,
     InternalBuffer Buffer;
     Buffer.Field = FA.Field;
 
-    // Linearize all offsets in memory order of the iteration space.
-    std::vector<int64_t> Linearized;
+    // Linearize all offsets in memory order of the iteration space; the
+    // taps are rebased on the window's low end below.
+    std::vector<int64_t> &Linearized = Buffer.TapsElements;
     Linearized.reserve(FA.Offsets.size());
     for (const Offset &Off : FA.Offsets)
       Linearized.push_back(Program.IterationSpace.linearize(Off));
@@ -51,9 +52,8 @@ NodeBuffers stencilflow::computeNodeBuffers(const StencilProgram &Program,
     // distance between the lowest and highest access to be resident.
     Buffer.InitCycles = (Buffer.DistanceElements + W - 1) / W;
 
-    Buffer.TapsElements.reserve(Linearized.size());
-    for (int64_t Linear : Linearized)
-      Buffer.TapsElements.push_back(Linear - MinLinear);
+    for (int64_t &Linear : Linearized)
+      Linear -= MinLinear;
     std::sort(Buffer.TapsElements.begin(), Buffer.TapsElements.end());
 
     Result.Buffers.push_back(std::move(Buffer));

@@ -67,10 +67,27 @@ std::string DataflowAnalysis::report() const {
   return Result;
 }
 
+std::vector<int64_t>
+stencilflow::circuitLatencies(const CompiledProgram &Compiled,
+                              const compute::LatencyTable &Latencies) {
+  std::vector<int64_t> Result(Compiled.program().Nodes.size());
+  for (size_t Index = 0; Index != Result.size(); ++Index)
+    Result[Index] = Compiled.kernel(Index).criticalPathLatency(Latencies);
+  return Result;
+}
+
 Expected<DataflowAnalysis>
 stencilflow::analyzeDataflow(const CompiledProgram &Compiled,
                              const compute::LatencyTable &Latencies) {
+  return analyzeDataflow(Compiled, circuitLatencies(Compiled, Latencies));
+}
+
+Expected<DataflowAnalysis>
+stencilflow::analyzeDataflow(const CompiledProgram &Compiled,
+                             const std::vector<int64_t> &CircuitLatencies) {
   const StencilProgram &Program = Compiled.program();
+  assert(CircuitLatencies.size() == Program.Nodes.size() &&
+         "one circuit latency per node");
 
   DataflowAnalysis Result;
   Result.Buffers = computeAllBuffers(Program, Compiled.vectorWidth());
@@ -88,8 +105,7 @@ stencilflow::analyzeDataflow(const CompiledProgram &Compiled,
     NodeDataflow &Info = Result.Nodes[Index];
     Info.Node = Node.Name;
     Info.InitCycles = Result.Buffers[Index].InitCycles;
-    Info.CircuitLatency =
-        Compiled.kernel(Index).criticalPathLatency(Latencies);
+    Info.CircuitLatency = CircuitLatencies[Index];
 
     // Gather incoming streamed edges. The per-edge delay is the source's
     // total delay plus the time this edge's internal buffer spends filling
@@ -98,7 +114,7 @@ stencilflow::analyzeDataflow(const CompiledProgram &Compiled,
     std::vector<DataflowEdge> Incoming;
     int64_t MaxDelay = 0;
     for (const FieldAccesses &FA : Node.Accesses) {
-      std::vector<bool> Mask = Program.fieldDimensionMask(FA.Field);
+      const std::vector<bool> &Mask = Program.fieldDimensionMask(FA.Field);
       bool FullRank = std::all_of(Mask.begin(), Mask.end(),
                                   [](bool Spanned) { return Spanned; });
       if (!FullRank)

@@ -118,6 +118,17 @@ Expected<DataflowAnalysis>
 analyzeDataflow(const CompiledProgram &Compiled,
                 const compute::LatencyTable &Latencies = {});
 
+/// The critical-path latency of every node's kernel under \p Latencies
+/// (node order). It does not depend on the vectorization width.
+std::vector<int64_t> circuitLatencies(const CompiledProgram &Compiled,
+                                      const compute::LatencyTable &Latencies);
+
+/// As above, with the nodes' circuit latencies given, e.g. computed once
+/// by \c circuitLatencies for every width a program is viewed at.
+Expected<DataflowAnalysis>
+analyzeDataflow(const CompiledProgram &Compiled,
+                const std::vector<int64_t> &CircuitLatencies);
+
 } // namespace stencilflow
 
 #endif // STENCILFLOW_CORE_DATAFLOWANALYSIS_H

@@ -66,7 +66,7 @@ stencilflow::estimateNodeResources(const CompiledProgram &Compiled,
                                    const ResourceModelConfig &Config) {
   const StencilProgram &Program = Compiled.program();
   const compute::Kernel &Kernel = Compiled.kernel(NodeIndex);
-  compute::OpCensus Census = Kernel.census();
+  const compute::OpCensus &Census = Kernel.census();
   int64_t W = Compiled.vectorWidth();
   size_t ElementBytes = dataTypeSize(Program.Nodes[NodeIndex].Type);
 

@@ -20,7 +20,7 @@ ValidRegion stencilflow::computeValidRegion(const StencilProgram &Program,
     return Region;
 
   for (const FieldAccesses &FA : Node.Accesses) {
-    std::vector<bool> Mask = Program.fieldDimensionMask(FA.Field);
+    const std::vector<bool> &Mask = Program.fieldDimensionMask(FA.Field);
     for (const Offset &Off : FA.Offsets) {
       // Map the field's offset components back onto program dimensions.
       size_t Component = 0;

@@ -10,6 +10,7 @@
 #include "support/StringUtils.h"
 
 #include <cmath>
+#include <limits>
 
 using namespace stencilflow;
 
@@ -21,16 +22,16 @@ public:
   explicit Parser(std::vector<Token> Tokens) : Tokens(std::move(Tokens)) {}
 
   Expected<StencilCode> parseCode() {
-    StencilCode Code;
+    std::vector<Assignment> Statements;
     while (!at(TokenKind::EndOfInput)) {
       Expected<Assignment> Stmt = parseStatement();
       if (!Stmt)
         return Stmt.takeError();
-      Code.Statements.push_back(std::move(*Stmt));
+      Statements.push_back(std::move(*Stmt));
     }
-    if (Code.Statements.empty())
+    if (Statements.empty())
       return makeError("stencil code contains no statements");
-    return Code;
+    return StencilCode(std::move(Statements));
   }
 
   Expected<ExprPtr> parseSingleExpression() {
@@ -57,8 +58,12 @@ private:
   }
 
   Error error(const std::string &Message) const {
-    return makeError(formatString("%u:%u: %s", current().Line,
-                                  current().Column, Message.c_str()));
+    return error(ErrorCode::Unknown, Message);
+  }
+
+  Error error(ErrorCode Code, const std::string &Message) const {
+    return makeError(Code, formatString("%u:%u: %s", current().Line,
+                                        current().Column, Message.c_str()));
   }
 
   Error expectedError(TokenKind Kind) const {
@@ -249,6 +254,15 @@ private:
         double Value = current().NumberValue;
         if (Value != std::floor(Value))
           return error("field offsets must be integer constants");
+        // Offsets hold at most three int components inline.
+        if (Off.size() == Offset::MaxRank)
+          return error(ErrorCode::InvalidInput,
+                       formatString("field '%s' is accessed with more than "
+                                    "%zu indices",
+                                    Name.c_str(), Offset::MaxRank));
+        if (std::fabs(Value) > std::numeric_limits<int>::max())
+          return error(ErrorCode::InvalidInput,
+                       "field offset component out of range");
         ++Pos;
         int Component = static_cast<int>(Value);
         Off.push_back(Negative ? -Component : Component);

@@ -15,19 +15,15 @@
 
 using namespace stencilflow;
 
-namespace {
-
-/// Compares offsets in memory order (outer dimensions first). Since
-/// dimension extents dominate, lexicographic order on the offset vector is
-/// exactly memory order.
-bool offsetLess(const Offset &A, const Offset &B) {
-  return std::lexicographical_compare(A.begin(), A.end(), B.begin(), B.end());
-}
-
-} // namespace
-
 Error stencilflow::analyzeNode(const StencilProgram &Program,
                                StencilNode &Node) {
+  // Offsets hold at most three components: refuse a wider program before
+  // building any.
+  if (Program.IterationSpace.rank() > Offset::MaxRank)
+    return makeError(ErrorCode::InvalidInput,
+                     formatString("stencil programs must have 1, 2, or 3 "
+                                  "dimensions, got %zu",
+                                  Program.IterationSpace.rank()));
   std::unordered_set<std::string_view> Locals;
   // Field name -> deduplicated offsets, fields in first-use order.
   std::vector<FieldAccesses> Accesses;
@@ -48,7 +44,7 @@ Error stencilflow::analyzeNode(const StencilProgram &Program,
   };
 
   auto recordAccess = [&](const FieldAccessExpr &Access) {
-    if (!Recorded.insert({Access.field(), &Access.offset()}).second)
+    if (!Recorded.insert({Access.field(), Access.offset()}).second)
       return;
     auto [It, NewField] =
         FieldIndex.try_emplace(Access.field(), Accesses.size());
@@ -57,9 +53,10 @@ Error stencilflow::analyzeNode(const StencilProgram &Program,
     Accesses[It->second].Offsets.push_back(Access.offset());
   };
 
-  for (size_t StmtIndex = 0, NumStmts = Node.Code.Statements.size();
+  std::vector<Assignment> &Statements = Node.Code.statements();
+  for (size_t StmtIndex = 0, NumStmts = Statements.size();
        StmtIndex != NumStmts; ++StmtIndex) {
-    Assignment &Stmt = Node.Code.Statements[StmtIndex];
+    Assignment &Stmt = Statements[StmtIndex];
     bool IsFinal = StmtIndex + 1 == NumStmts;
 
     // Resolve names and collect accesses in the right-hand side.
@@ -132,7 +129,7 @@ Error stencilflow::analyzeNode(const StencilProgram &Program,
     return makeError("stencil '" + Node.Name + "' reads its own output");
 
   for (FieldAccesses &FA : Accesses)
-    std::sort(FA.Offsets.begin(), FA.Offsets.end(), offsetLess);
+    std::sort(FA.Offsets.begin(), FA.Offsets.end());
   Node.Accesses = std::move(Accesses);
   return Error::success();
 }

@@ -114,7 +114,7 @@ static bool shrinkExtents(StencilProgram &Program) {
       for (const Offset &Off : FA.Offsets) {
         // Lower-rank fields span a suffix/subset of the dimensions; map
         // the offset onto the spanned dims via the field's mask.
-        std::vector<bool> Mask = Program.fieldDimensionMask(FA.Field);
+        const std::vector<bool> &Mask = Program.fieldDimensionMask(FA.Field);
         size_t Pos = 0;
         for (size_t Dim = 0; Dim < Rank; ++Dim) {
           if (Dim < Mask.size() && !Mask[Dim])
@@ -154,7 +154,7 @@ static bool shrinkExtents(StencilProgram &Program) {
 static bool shrinkOffsets(StencilProgram &Program) {
   bool Changed = false;
   for (StencilNode &Node : Program.Nodes)
-    for (Assignment &Statement : Node.Code.Statements)
+    for (Assignment &Statement : Node.Code.statements())
       walkExprMutable(Statement.Value, [&](ExprPtr &E) {
         if (E->kind() != ExprKind::FieldAccess)
           return;
@@ -179,7 +179,7 @@ static bool shrinkOffsets(StencilProgram &Program) {
 static bool collapseLiterals(StencilProgram &Program) {
   bool Changed = false;
   for (StencilNode &Node : Program.Nodes)
-    for (Assignment &Statement : Node.Code.Statements)
+    for (Assignment &Statement : Node.Code.statements())
       walkExprMutable(Statement.Value, [&](ExprPtr &E) {
         if (E->kind() != ExprKind::Literal)
           return;
@@ -200,10 +200,10 @@ static bool dropStatement(StencilProgram &Program, size_t NodeIndex,
   if (NodeIndex >= Program.Nodes.size())
     return false;
   StencilCode &Code = Program.Nodes[NodeIndex].Code;
-  if (Code.Statements.size() <= 1 || Statement + 1 >= Code.Statements.size())
+  if (Code.size() <= 1 || Statement + 1 >= Code.size())
     return false;
-  Code.Statements.erase(Code.Statements.begin() +
-                        static_cast<long>(Statement));
+  std::vector<Assignment> &Statements = Code.statements();
+  Statements.erase(Statements.begin() + static_cast<long>(Statement));
   return true;
 }
 
@@ -289,7 +289,7 @@ MinimizeResult fuzz::minimizeFinding(const FuzzFinding &Finding,
 
     // 5. Drop local temporaries, last first.
     for (size_t Node = 0; Node < Current.Nodes.size(); ++Node)
-      for (size_t Statement = Current.Nodes[Node].Code.Statements.size();
+      for (size_t Statement = Current.Nodes[Node].Code.size();
            Statement-- > 0;) {
         StencilProgram Candidate = Current.clone();
         if (dropStatement(Candidate, Node, Statement) &&

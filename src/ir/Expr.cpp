@@ -67,12 +67,89 @@ ExprPtr SelectExpr::clone() const {
                                       FalseValue->clone());
 }
 
-StencilCode StencilCode::clone() const {
-  StencilCode Result;
-  Result.Statements.reserve(Statements.size());
-  for (const Assignment &Stmt : Statements)
-    Result.Statements.push_back(Stmt.clone());
-  return Result;
+//===----------------------------------------------------------------------===//
+// Code blocks
+//===----------------------------------------------------------------------===//
+
+StencilCode::StencilCode(std::vector<Assignment> Statements) {
+  CodeInstance Plain;
+  // Made mutable: statements() may write it while this block owns it.
+  Plain.Body = std::make_shared<std::vector<Assignment>>(std::move(Statements));
+  Instances.push_back(std::move(Plain));
+}
+
+size_t StencilCode::size() const {
+  size_t Count = 0;
+  for (const CodeInstance &Instance : Instances)
+    Count += Instance.Body->size();
+  return Count;
+}
+
+bool StencilCode::finalTargetIs(std::string_view Name) const {
+  if (Instances.empty() || Instances.back().Body->empty())
+    return false;
+  const CodeInstance &Last = Instances.back();
+  const std::string &Target = Last.Body->back().Target;
+  return Name.size() == Last.Prefix.size() + Target.size() &&
+         Name.substr(0, Last.Prefix.size()) == Last.Prefix &&
+         Name.substr(Last.Prefix.size()) == Target;
+}
+
+bool StencilCode::isPlain() const {
+  return Instances.size() == 1 && Instances[0].Prefix.empty() &&
+         Instances[0].Shifts.empty() && Instances[0].Inlined.empty();
+}
+
+std::shared_ptr<const std::vector<Assignment>>
+StencilCode::materialize() const {
+  if (isPlain())
+    return Instances[0].Body;
+  auto Statements = std::make_shared<std::vector<Assignment>>();
+  Statements->reserve(size());
+  for (const CodeInstance &Instance : Instances) {
+    for (const Assignment &Stmt : *Instance.Body) {
+      Assignment Copy = Stmt.clone();
+      Copy.Target = Instance.Prefix + Copy.Target;
+      walkExprMutable(Copy.Value, [&](ExprPtr &E) {
+        if (auto *Ref = dyn_cast<LocalRefExpr>(E.get())) {
+          Ref->setName(Instance.Prefix + Ref->name());
+          return;
+        }
+        auto *Access = dyn_cast<FieldAccessExpr>(E.get());
+        if (!Access)
+          return;
+        if (const CodeInstance::InlinedRead *Read =
+                Instance.inlinedRead(Access->field(), Access->offset())) {
+          const CodeInstance &Source = Instances[Read->Source];
+          E = std::make_unique<LocalRefExpr>(Source.Prefix +
+                                             Source.Body->back().Target);
+          return;
+        }
+        Access->setOffset(
+            Instance.shifted(Access->field(), Access->offset()));
+      });
+      Statements->push_back(std::move(Copy));
+    }
+  }
+  return Statements;
+}
+
+std::vector<Assignment> &StencilCode::statements() {
+  if (!isPlain()) {
+    CodeInstance Only;
+    Only.Body = materialize();
+    Instances.assign(1, std::move(Only));
+  } else if (Instances[0].Body.use_count() != 1) {
+    // Shared with another block: copy before writing.
+    auto Copy = std::make_shared<std::vector<Assignment>>();
+    Copy->reserve(Instances[0].Body->size());
+    for (const Assignment &Stmt : *Instances[0].Body)
+      Copy->push_back(Stmt.clone());
+    Instances[0].Body = std::move(Copy);
+  }
+  // Every body is made as a mutable vector, and this one is owned by this
+  // block alone.
+  return const_cast<std::vector<Assignment> &>(*Instances[0].Body);
 }
 
 //===----------------------------------------------------------------------===//
@@ -241,7 +318,8 @@ std::string SelectExpr::toString() const {
 
 std::string StencilCode::toString() const {
   std::string Result;
-  for (const Assignment &Stmt : Statements) {
+  std::shared_ptr<const std::vector<Assignment>> Statements = materialize();
+  for (const Assignment &Stmt : *Statements) {
     Result += Stmt.Target;
     Result += " = ";
     Result += Stmt.Value->toString();

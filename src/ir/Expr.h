@@ -25,6 +25,8 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 namespace stencilflow {
@@ -317,14 +319,113 @@ struct Assignment {
   Assignment clone() const { return Assignment{Target, Value->clone()}; }
 };
 
-/// An entire stencil code block: an ordered list of assignments.
-struct StencilCode {
-  std::vector<Assignment> Statements;
+/// One instance of a statement body inside a code block: the statements a
+/// stencil was written with, shared by reference, plus what fusion did to
+/// them (paper Sec. V-B). Fusing a producer into its consumer places one
+/// instance per offset the consumer reads it at; nothing is cloned or
+/// renamed, so instances of the same body share it across nodes, fusion
+/// levels and threads. The body itself is never mutated once shared.
+struct CodeInstance {
+  /// A field the body reads and the shift fusion added to its accesses,
+  /// in the field's own rank. The name views into \c Body.
+  struct FieldShift {
+    std::string_view Field;
+    Offset Shift;
+  };
 
-  StencilCode clone() const;
+  /// An access the body makes to a fused-away producer: the access to
+  /// \c Field at body offset \c Off reads the output (final statement) of
+  /// instance \c Source of the same code block. The name views into
+  /// \c Body.
+  struct InlinedRead {
+    std::string_view Field;
+    Offset Off;
+    size_t Source;
+  };
+
+  /// The shared, immutable statements.
+  std::shared_ptr<const std::vector<Assignment>> Body;
+
+  /// Prepended to every local name the body assigns or reads, outermost
+  /// instance first ("b__f1__a__f0__"). Empty for a stencil's own body.
+  std::string Prefix;
+
+  /// One entry per field the body reads, in first-use order; empty while
+  /// no access is shifted.
+  std::vector<FieldShift> Shifts;
+
+  /// The body's reads of fused-away producers.
+  std::vector<InlinedRead> Inlined;
+
+  /// The instance read at (\p Field, \p Off), or null when the access
+  /// reads the field itself.
+  const InlinedRead *inlinedRead(std::string_view Field,
+                                 const Offset &Off) const {
+    for (const InlinedRead &Read : Inlined)
+      if (Read.Field == Field && Read.Off == Off)
+        return &Read;
+    return nullptr;
+  }
+
+  /// The offset the body's access (\p Field, \p Off) reads once shifted.
+  Offset shifted(std::string_view Field, Offset Off) const {
+    for (const FieldShift &S : Shifts)
+      if (S.Field == Field) {
+        for (size_t Dim = 0; Dim != Off.size(); ++Dim)
+          Off[Dim] += S.Shift[Dim];
+        break;
+      }
+    return Off;
+  }
+};
+
+/// An entire stencil code block: an ordered list of assignments, held as
+/// instances of shared statement bodies (see \c CodeInstance). A block
+/// the parser built is one plain instance. Copies share the bodies.
+class StencilCode {
+public:
+  StencilCode() = default;
+
+  /// One plain instance of \p Statements.
+  explicit StencilCode(std::vector<Assignment> Statements);
+
+  /// A block of \p Instances, in evaluation order.
+  explicit StencilCode(std::vector<CodeInstance> Instances)
+      : Instances(std::move(Instances)) {}
+
+  const std::vector<CodeInstance> &instances() const { return Instances; }
+
+  /// Moves the instances out, leaving the block empty (for fusion, which
+  /// rebuilds a node's code from its instances).
+  std::vector<CodeInstance> takeInstances() {
+    return std::exchange(Instances, {});
+  }
+
+  /// Number of statements across all instances.
+  size_t size() const;
+  bool empty() const { return size() == 0; }
+
+  /// True if the final statement assigns \p Name.
+  bool finalTargetIs(std::string_view Name) const;
+
+  /// The statements as text shows them: each instance's locals prefixed,
+  /// its field accesses shifted, and its inlined reads turned into reads
+  /// of the source instance's final local. A plain block returns its body;
+  /// fused code is deep-copied, for text and tests, not the compile path.
+  std::shared_ptr<const std::vector<Assignment>> materialize() const;
+
+  /// The statements, for passes that rewrite them in place: the block is
+  /// first materialized into one plain instance that nothing else shares.
+  std::vector<Assignment> &statements();
 
   /// Renders the block as source text, one statement per line.
   std::string toString() const;
+
+private:
+  /// One instance that fusion has not touched.
+  bool isPlain() const;
+
+  std::vector<CodeInstance> Instances;
 };
 
 } // namespace stencilflow

@@ -21,37 +21,98 @@
 
 #include "support/Error.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace stencilflow {
 
-/// A relative access offset, e.g. a[0, 1, 0]. Rank matches the field rank.
-using Offset = std::vector<int>;
+/// A relative access offset, e.g. a[0, 1, 0]. Rank matches the field rank,
+/// at most \c MaxRank (programs have 1, 2 or 3 dimensions; the parser and
+/// loader reject more before any offset is built). The components live
+/// inline, so copying or shifting an offset never allocates. It reads like
+/// a \c std::vector<int> of its components: comparison is by rank and
+/// components, and order is lexicographic, which for offsets of one field
+/// is memory order (dimension extents dominate; Sec. IV-A).
+class Offset {
+public:
+  static constexpr size_t MaxRank = 3;
+
+  using value_type = int;
+  using iterator = int *;
+  using const_iterator = const int *;
+
+  Offset() = default;
+  /// \p Rank components, each \p Value.
+  Offset(size_t Rank, int Value) : Rank(static_cast<uint8_t>(Rank)) {
+    assert(Rank <= MaxRank && "offset rank out of range");
+    for (size_t Dim = 0; Dim != Rank; ++Dim)
+      Components[Dim] = Value;
+  }
+  Offset(std::initializer_list<int> Values)
+      : Rank(static_cast<uint8_t>(Values.size())) {
+    assert(Values.size() <= MaxRank && "offset rank out of range");
+    std::copy(Values.begin(), Values.end(), Components);
+  }
+
+  size_t size() const { return Rank; }
+  bool empty() const { return Rank == 0; }
+
+  int &operator[](size_t Dim) {
+    assert(Dim < Rank && "offset component out of range");
+    return Components[Dim];
+  }
+  int operator[](size_t Dim) const {
+    assert(Dim < Rank && "offset component out of range");
+    return Components[Dim];
+  }
+
+  iterator begin() { return Components; }
+  iterator end() { return Components + Rank; }
+  const_iterator begin() const { return Components; }
+  const_iterator end() const { return Components + Rank; }
+
+  /// Appends a component; the rank must stay within \c MaxRank.
+  void push_back(int Value) {
+    assert(Rank < MaxRank && "offset rank out of range");
+    Components[Rank++] = Value;
+  }
+
+  /// Components past the rank stay zero, so member-wise equality is
+  /// equality of rank and components.
+  bool operator==(const Offset &Other) const = default;
+  bool operator<(const Offset &Other) const {
+    return std::lexicographical_compare(begin(), end(), Other.begin(),
+                                        Other.end());
+  }
+
+private:
+  int Components[MaxRank] = {};
+  uint8_t Rank = 0;
+};
 
 /// Renders an offset as "[k, j, i]".
 std::string offsetToString(const Offset &Off);
 
-/// A (field, offset) pair viewed in place, e.g. in an expression tree, as
-/// a hash key. It owns neither part: both must outlive every table that
-/// holds the key.
+/// A (field, offset) pair as a hash key: the field name viewed in place,
+/// e.g. in an expression tree, so it must outlive every table that holds
+/// the key; the offset is held by value (it is inline).
 struct FieldOffsetRef {
   std::string_view Field;
-  const Offset *Off;
+  Offset Off;
 
-  bool operator==(const FieldOffsetRef &Other) const {
-    return Field == Other.Field && *Off == *Other.Off;
-  }
+  bool operator==(const FieldOffsetRef &Other) const = default;
 };
 
 struct FieldOffsetRefHash {
   size_t operator()(const FieldOffsetRef &Ref) const {
     size_t Hash = std::hash<std::string_view>()(Ref.Field);
-    for (int Component : *Ref.Off)
+    for (int Component : Ref.Off)
       Hash = (Hash ^ static_cast<unsigned>(Component)) * 0x100000001b3ull;
     return Hash;
   }

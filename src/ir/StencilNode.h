@@ -84,16 +84,9 @@ struct StencilNode {
     return Result;
   }
 
-  StencilNode clone() const {
-    StencilNode Result;
-    Result.Name = Name;
-    Result.Type = Type;
-    Result.Code = Code.clone();
-    Result.Boundaries = Boundaries;
-    Result.ShrinkOutput = ShrinkOutput;
-    Result.Accesses = Accesses;
-    return Result;
-  }
+  /// A copy; it shares the statement bodies, which are immutable once
+  /// shared (ir/Expr.h, StencilCode).
+  StencilNode clone() const { return *this; }
 };
 
 } // namespace stencilflow

@@ -13,20 +13,6 @@
 
 using namespace stencilflow;
 
-StencilProgram StencilProgram::clone() const {
-  StencilProgram Result;
-  Result.Name = Name;
-  Result.IterationSpace = IterationSpace;
-  Result.VectorWidth = VectorWidth;
-  Result.Inputs = Inputs;
-  Result.Outputs = Outputs;
-  Result.TimeLoop = TimeLoop;
-  Result.Nodes.reserve(Nodes.size());
-  for (const StencilNode &Node : Nodes)
-    Result.Nodes.push_back(Node.clone());
-  return Result;
-}
-
 const Field *StencilProgram::findInput(const std::string &Name) const {
   for (const Field &Input : Inputs)
     if (Input.Name == Name)
@@ -63,12 +49,17 @@ DataType StencilProgram::fieldType(const std::string &Name) const {
   return Node->Type;
 }
 
-std::vector<bool>
+const std::vector<bool> &
 StencilProgram::fieldDimensionMask(const std::string &Name) const {
   if (const Field *Input = findInput(Name))
     return Input->DimensionMask;
   assert(findNode(Name) && "fieldDimensionMask() of an undefined field");
-  return std::vector<bool>(IterationSpace.rank(), true);
+  // Node outputs span every dimension: one immutable mask per rank.
+  static const std::vector<bool> FullRank[Offset::MaxRank + 1] = {
+      {}, {true}, {true, true}, {true, true, true}};
+  assert(IterationSpace.rank() <= Offset::MaxRank &&
+         "fieldDimensionMask() of an over-rank program");
+  return FullRank[IterationSpace.rank()];
 }
 
 size_t StencilProgram::fieldRank(const std::string &Name) const {
@@ -173,9 +164,9 @@ Error StencilProgram::validate() const {
       return makeError("duplicate field name '" + Node.Name + "'");
 
   for (const StencilNode &Node : Nodes) {
-    if (Node.Code.Statements.empty())
+    if (Node.Code.empty())
       return makeError("stencil '" + Node.Name + "' has no statements");
-    if (Node.Code.Statements.back().Target != Node.Name)
+    if (!Node.Code.finalTargetIs(Node.Name))
       return makeError("the final statement of stencil '" + Node.Name +
                        "' must assign to '" + Node.Name + "'");
     if (Node.Accesses.empty())

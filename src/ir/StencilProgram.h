@@ -66,8 +66,9 @@ public:
   /// temporal blocking).
   std::vector<IterationBinding> TimeLoop;
 
-  /// Deep copy (nodes own expression trees).
-  StencilProgram clone() const;
+  /// A copy; its nodes share their statement bodies, which are immutable
+  /// once shared (ir/Expr.h, StencilCode).
+  StencilProgram clone() const { return *this; }
 
   /// Returns the input field named \p Name, or nullptr.
   const Field *findInput(const std::string &Name) const;
@@ -89,8 +90,9 @@ public:
   DataType fieldType(const std::string &Name) const;
 
   /// Dimension mask of field \p Name within the program iteration space.
-  /// Node outputs are always full rank.
-  std::vector<bool> fieldDimensionMask(const std::string &Name) const;
+  /// Node outputs are always full rank. The mask is stored, not built: the
+  /// reference lives as long as the program and its inputs.
+  const std::vector<bool> &fieldDimensionMask(const std::string &Name) const;
 
   /// Number of iteration-space dimensions field \p Name spans (the set
   /// bits of its dimension mask), without building the mask.

@@ -66,7 +66,7 @@ buildPlans(const StencilProgram &Program, const StencilNode &Node,
     assert(It != Fields.end() && "topological execution order violated");
     Plan.Data = &It->second;
 
-    std::vector<bool> Mask = Program.fieldDimensionMask(Slot.Field);
+    const std::vector<bool> &Mask = Program.fieldDimensionMask(Slot.Field);
     for (size_t Dim = 0; Dim != Mask.size(); ++Dim)
       if (Mask[Dim])
         Plan.SpannedDims.push_back(Dim);

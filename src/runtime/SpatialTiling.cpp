@@ -28,7 +28,7 @@ stencilflow::computeTransitiveHalo(const CompiledProgram &Compiled) {
     std::vector<int64_t> NodeReach(Rank, 0);
     for (const FieldAccesses &FA : Node.Accesses) {
       const std::vector<int64_t> &Upstream = Reach.at(FA.Field);
-      std::vector<bool> Mask = Program.fieldDimensionMask(FA.Field);
+      const std::vector<bool> &Mask = Program.fieldDimensionMask(FA.Field);
       for (const Offset &Off : FA.Offsets) {
         size_t Component = 0;
         for (size_t Dim = 0; Dim != Rank; ++Dim) {

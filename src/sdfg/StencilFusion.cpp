@@ -6,7 +6,6 @@
 
 #include "sdfg/StencilFusion.h"
 
-#include "frontend/SemanticAnalysis.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
@@ -61,9 +60,9 @@ Expected<std::string> stencilflow::canFuseInto(const StencilProgram &Program,
   // grows the code exponentially; stop when the fused block would become
   // unreasonably large (a compile-time/ALM blow-up on real hardware too).
   constexpr size_t MaxFusedStatements = 768;
-  size_t FusedStatements = ConsumerNode.Code.Statements.size() +
+  size_t FusedStatements = ConsumerNode.Code.size() +
                            ProducerAccesses->Offsets.size() *
-                               ProducerNode->Code.Statements.size();
+                               ProducerNode->Code.size();
   if (FusedStatements > MaxFusedStatements)
     return makeError(formatString(
         "fusing '%s' would grow the consumer to %zu statements "
@@ -89,17 +88,37 @@ namespace {
 /// Shifts \p Off (given in the field's own rank) by the producer-read
 /// offset \p Shift (full program rank), respecting the field's dimension
 /// mask.
-Offset shiftOffset(const Offset &Off, const Offset &Shift,
+Offset shiftOffset(Offset Off, const Offset &Shift,
                    const std::vector<bool> &Mask) {
-  Offset Result = Off;
   size_t Component = 0;
   for (size_t Dim = 0; Dim != Mask.size(); ++Dim) {
     if (!Mask[Dim])
       continue;
-    Result[Component] += Shift[Dim];
+    Off[Component] += Shift[Dim];
     ++Component;
   }
-  return Result;
+  return Off;
+}
+
+/// The fields \p Instance's body reads, each with its current shift. A
+/// plain instance lists none until fusion first shifts it; then its body
+/// is walked once and every field starts at a zero shift.
+std::vector<CodeInstance::FieldShift> &
+fieldShifts(CodeInstance &Instance) {
+  if (!Instance.Shifts.empty())
+    return Instance.Shifts;
+  for (const Assignment &Stmt : *Instance.Body)
+    walkExpr(*Stmt.Value, [&](const Expr &E) {
+      const auto *Access = dyn_cast<FieldAccessExpr>(&E);
+      if (!Access)
+        return;
+      for (const CodeInstance::FieldShift &S : Instance.Shifts)
+        if (S.Field == Access->field())
+          return;
+      Instance.Shifts.push_back(
+          {Access->field(), Offset(Access->offset().size(), 0)});
+    });
+  return Instance.Shifts;
 }
 
 /// A producer and the consumer \c canFuseInto accepts it into.
@@ -127,83 +146,120 @@ Error stencilflow::fusePair(StencilProgram &Program,
 
   StencilNode &ProducerNode = *Program.findNode(Producer);
   StencilNode &ConsumerNode = *Program.findNode(*Consumer);
-  const FieldAccesses *Reads = ConsumerNode.accessesFor(Producer);
-  std::vector<Offset> Shifts = Reads->Offsets;
+  const std::vector<Offset> &Shifts =
+      ConsumerNode.accessesFor(Producer)->Offsets;
 
-  // Instantiate the producer once per offset the consumer reads it at.
-  // Every field it reads is an input or a full-rank node output, so masks
-  // are looked up, not copied, per access.
+  // Every field a producer body reads is an input, a full-rank node
+  // output, or a producer fused away earlier (also full rank).
   const std::vector<bool> FullRank(Program.IterationSpace.rank(), true);
-  std::vector<Assignment> NewStatements;
-  std::vector<std::string> InstanceOutputs;
+  auto maskOf = [&](std::string_view Name) -> const std::vector<bool> & {
+    for (const Field &Input : Program.Inputs)
+      if (Input.Name == Name)
+        return Input.DimensionMask;
+    return FullRank;
+  };
+
+  // Instantiate the producer once per offset the consumer reads it at:
+  // its instances, by reference, with the prefix "<producer>__f<k>__"
+  // and every field access shifted by the read offset. The producer node
+  // goes away, so its instances are taken, not copied.
+  std::vector<CodeInstance> ProducerCode = ProducerNode.Code.takeInstances();
+  std::vector<CodeInstance> ConsumerCode = ConsumerNode.Code.takeInstances();
+  std::vector<CodeInstance> Fused;
+  Fused.reserve(Shifts.size() * ProducerCode.size() + ConsumerCode.size());
+  std::vector<size_t> InstanceOutputs;
   for (size_t Instance = 0; Instance != Shifts.size(); ++Instance) {
-    const Offset &Shift = Shifts[Instance];
     std::string Prefix =
         formatString("%s__f%zu__", Producer.c_str(), Instance);
-    for (const Assignment &Stmt : ProducerNode.Code.Statements) {
-      Assignment Copy = Stmt.clone();
-      // Rename the target into the instance namespace.
-      Copy.Target = Prefix + Copy.Target;
-      // Rewrite the right-hand side: locals get the prefix, field accesses
-      // are shifted by the consumer's read offset.
-      walkExprMutable(Copy.Value, [&](ExprPtr &E) {
-        if (auto *Ref = dyn_cast<LocalRefExpr>(E.get())) {
-          Ref->setName(Prefix + Ref->name());
-          return;
-        }
-        if (auto *Access = dyn_cast<FieldAccessExpr>(E.get())) {
-          const Field *Input = Program.findInput(Access->field());
-          Access->setOffset(shiftOffset(
-              Access->offset(), Shift,
-              Input ? Input->DimensionMask : FullRank));
-        }
-      });
-      NewStatements.push_back(std::move(Copy));
+    size_t Base = Fused.size();
+    for (CodeInstance &Source : ProducerCode) {
+      fieldShifts(Source);
+      CodeInstance Copy = Source;
+      Copy.Prefix.insert(0, Prefix);
+      for (CodeInstance::FieldShift &S : Copy.Shifts)
+        S.Shift = shiftOffset(S.Shift, Shifts[Instance], maskOf(S.Field));
+      for (CodeInstance::InlinedRead &Read : Copy.Inlined)
+        Read.Source += Base;
+      Fused.push_back(std::move(Copy));
     }
-    InstanceOutputs.push_back(Prefix + Producer);
+    InstanceOutputs.push_back(Fused.size() - 1);
   }
 
-  // Rewrite the consumer: references to the producer become references to
-  // the instantiated outputs.
-  for (Assignment &Stmt : ConsumerNode.Code.Statements) {
-    walkExprMutable(Stmt.Value, [&](ExprPtr &E) {
-      auto *Access = dyn_cast<FieldAccessExpr>(E.get());
-      if (!Access || Access->field() != Producer)
-        return;
+  // The consumer's instances follow; their reads of the producer become
+  // reads of the instances' outputs. An instance reading the producer at
+  // shifted offset s reads body offset s minus its own shift.
+  size_t Base = Fused.size();
+  for (CodeInstance &Consumed : ConsumerCode) {
+    for (CodeInstance::InlinedRead &Read : Consumed.Inlined)
+      Read.Source += Base;
+    for (const CodeInstance::FieldShift &S : fieldShifts(Consumed)) {
+      if (S.Field != Producer)
+        continue;
       for (size_t Instance = 0; Instance != Shifts.size(); ++Instance) {
-        if (Access->offset() == Shifts[Instance]) {
-          E = std::make_unique<LocalRefExpr>(InstanceOutputs[Instance]);
-          return;
-        }
+        Offset BodyOff = Shifts[Instance];
+        for (size_t Dim = 0; Dim != BodyOff.size(); ++Dim)
+          BodyOff[Dim] -= S.Shift[Dim];
+        Consumed.Inlined.push_back(
+            {S.Field, BodyOff, InstanceOutputs[Instance]});
       }
-      assert(false && "producer read at an unrecorded offset");
-    });
-    NewStatements.push_back(std::move(Stmt));
+    }
+    Fused.push_back(std::move(Consumed));
   }
-  ConsumerNode.Code.Statements = std::move(NewStatements);
+  ConsumerNode.Code = StencilCode(std::move(Fused));
+
+  // The fused node's accesses, derived instead of re-analyzed: the
+  // producer's fields at every shifted offset, then the consumer's other
+  // fields (first-use order of the fused code), offsets sorted and unique.
+  std::vector<FieldAccesses> Accesses;
+  Accesses.reserve(ProducerNode.Accesses.size() +
+                   ConsumerNode.Accesses.size());
+  for (const FieldAccesses &FA : ProducerNode.Accesses) {
+    const std::vector<bool> &Mask = maskOf(FA.Field);
+    FieldAccesses Shifted{FA.Field, {}};
+    Shifted.Offsets.reserve(FA.Offsets.size() * Shifts.size());
+    for (const Offset &Shift : Shifts)
+      for (const Offset &Off : FA.Offsets)
+        Shifted.Offsets.push_back(shiftOffset(Off, Shift, Mask));
+    Accesses.push_back(std::move(Shifted));
+  }
+  for (FieldAccesses &FA : ConsumerNode.Accesses) {
+    if (FA.Field == Producer)
+      continue;
+    auto Known = std::find_if(
+        Accesses.begin(), Accesses.end(),
+        [&](const FieldAccesses &Seen) { return Seen.Field == FA.Field; });
+    if (Known == Accesses.end())
+      Accesses.push_back(std::move(FA));
+    else
+      Known->Offsets.insert(Known->Offsets.end(), FA.Offsets.begin(),
+                            FA.Offsets.end());
+  }
+  for (FieldAccesses &FA : Accesses) {
+    std::sort(FA.Offsets.begin(), FA.Offsets.end());
+    FA.Offsets.erase(std::unique(FA.Offsets.begin(), FA.Offsets.end()),
+                     FA.Offsets.end());
+  }
+  ConsumerNode.Accesses = std::move(Accesses);
 
   // Merge boundary conditions: carry over the producer's for fields the
-  // consumer did not previously read.
+  // consumer did not previously read, and drop declarations for fields
+  // that no longer appear (fully folded away).
   ConsumerNode.Boundaries.erase(Producer);
   for (const auto &[Field, Boundary] : ProducerNode.Boundaries)
     ConsumerNode.Boundaries.emplace(Field, Boundary);
-
-  // Remove the producer node (and with it the connecting container).
-  int ProducerIndex = Program.nodeIndex(Producer);
-  assert(ProducerIndex >= 0);
-  Program.Nodes.erase(Program.Nodes.begin() + ProducerIndex);
-
-  // Re-analyze the fused node; boundary declarations for fields that no
-  // longer appear (fully folded away) would now be rejected, so drop them.
-  StencilNode &Fused = *Program.findNode(*Consumer);
-  if (Error Err = analyzeNode(Program, Fused))
-    return Err;
-  for (auto It = Fused.Boundaries.begin(); It != Fused.Boundaries.end();) {
-    if (!Fused.accessesFor(It->first))
-      It = Fused.Boundaries.erase(It);
+  for (auto It = ConsumerNode.Boundaries.begin();
+       It != ConsumerNode.Boundaries.end();) {
+    if (!ConsumerNode.accessesFor(It->first))
+      It = ConsumerNode.Boundaries.erase(It);
     else
       ++It;
   }
+
+  // Remove the producer node (and with it the connecting container). The
+  // consumer's code still holds the producer's bodies by reference.
+  int ProducerIndex = Program.nodeIndex(Producer);
+  assert(ProducerIndex >= 0);
+  Program.Nodes.erase(Program.Nodes.begin() + ProducerIndex);
   return Program.validate();
 }
 

@@ -56,10 +56,16 @@ namespace stencilflow {
 Expected<std::string> canFuseInto(const StencilProgram &Program,
                                   const std::string &Producer);
 
-/// Fuses \p Producer into its single consumer: the producer's statements
-/// are instantiated once per offset at which the consumer reads it, with
-/// all field accesses shifted accordingly, and the producer node (and its
-/// connecting container) is removed. The program remains analyzed/valid.
+/// Fuses \p Producer into its single consumer: the producer's code is
+/// instantiated once per offset at which the consumer reads it — by
+/// reference, as instances of its shared statement bodies with the shift
+/// and a "<producer>__f<k>__" local prefix (ir/Expr.h, CodeInstance) — and
+/// the consumer's reads of the producer become reads of the instances'
+/// outputs. The fused node's accesses are derived from the producer's
+/// shifted accesses and the consumer's others, not re-analyzed. The
+/// producer node (and its connecting container) is removed. The program
+/// remains analyzed/valid; materialized as text, the fused code is the
+/// statements a copying instantiation would have written.
 Error fusePair(StencilProgram &Program, const std::string &Producer);
 
 /// Summary of an aggressive fusion pass.
@@ -94,7 +100,8 @@ public:
   /// Walks \p Program until no legal pair remains, \p Limit pairs are
   /// fused, or a step fails. Keeps a copy of every level \p Keep accepts
   /// and the level where the walk ends (unless a step failed: the program
-  /// it left behind is discarded).
+  /// it left behind is discarded). The copies share their statement
+  /// bodies.
   FusionWalk(StencilProgram Program, int Limit,
              const std::function<bool(int)> &Keep);
 

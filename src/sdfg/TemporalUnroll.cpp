@@ -56,7 +56,7 @@ static Error validateBindings(const StencilProgram &Program,
 /// statement's target).
 static void renameNodeFields(StencilNode &Node, const std::string &NewName,
                              const std::map<std::string, std::string> &Subst) {
-  for (Assignment &St : Node.Code.Statements) {
+  for (Assignment &St : Node.Code.statements()) {
     if (St.Target == Node.Name)
       St.Target = NewName;
     walkExprMutable(St.Value, [&](ExprPtr &E) {
@@ -110,8 +110,9 @@ stencilflow::sdfg::unrollTimeSteps(const StencilProgram &Program,
     UsedNames.insert(Input.Name);
   for (const StencilNode &Node : Program.Nodes) {
     UsedNames.insert(Node.Name);
-    for (const Assignment &St : Node.Code.Statements)
-      UsedNames.insert(St.Target);
+    for (const CodeInstance &Instance : Node.Code.instances())
+      for (const Assignment &St : *Instance.Body)
+        UsedNames.insert(Instance.Prefix + St.Target);
   }
 
   // Step s of the chain names node N `N__t<s>`; the final step keeps the

@@ -81,11 +81,17 @@ void raiseStencilRank(SDFG &G, StencilNode &Stencil, size_t DimIndex) {
     for (size_t Dim = 0; Dim != DimIndex; ++Dim)
       if (C->DimensionMask[Dim])
         ++Position;
-    Offset Off = Access->offset();
-    Off.insert(Off.begin() + static_cast<long>(Position), 0);
-    Access->setOffset(std::move(Off));
+    const Offset &Old = Access->offset();
+    Offset Off;
+    for (size_t Dim = 0; Dim <= Old.size(); ++Dim) {
+      if (Dim == Position)
+        Off.push_back(0);
+      if (Dim != Old.size())
+        Off.push_back(Old[Dim]);
+    }
+    Access->setOffset(Off);
   };
-  for (Assignment &Stmt : Stencil.Code.Statements)
+  for (Assignment &Stmt : Stencil.Code.statements())
     walkExprMutable(Stmt.Value, rewrite);
   // Access metadata is recovered by semantic analysis after extraction.
   Stencil.Accesses.clear();
@@ -303,8 +309,8 @@ Expected<StencilProgram> sdfg::extractStencilProgram(const SDFG &G) {
       // Canonical form: the node and its final statement are named after
       // the container it produces.
       if (Node.Name != Output) {
-        assert(!Node.Code.Statements.empty());
-        Node.Code.Statements.back().Target = Output;
+        assert(!Node.Code.empty());
+        Node.Code.statements().back().Target = Output;
         Node.Name = Output;
       }
       Written.insert(Output);

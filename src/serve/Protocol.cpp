@@ -155,7 +155,7 @@ std::string Response::toJsonText() const {
     // Run results carry the execution block; ping/shutdown acks are bare.
     // CacheHit doubles as the "this was a run" marker — Server::process
     // always sets it on the run path.
-    O.set("cycles", json::Value(Cycles));
+    O.set("cycles", json::int64ToJson(Cycles));
     O.set("devices", json::Value(Devices));
     O.set("frequency_mhz", json::Value(FrequencyMHz));
     O.set("validation_passed", json::Value(ValidationPassed));
@@ -196,14 +196,15 @@ Expected<Response> Response::fromJsonText(std::string_view Line) {
 
   if (R.Ok) {
     if (Error Err = json::readMembers(
-            O, {{"cycles", &R.Cycles},
-                {"devices", &R.Devices},
+            O, {{"devices", &R.Devices},
                 {"frequency_mhz", &R.FrequencyMHz},
                 {"validation_passed", &R.ValidationPassed},
                 {"kernel_tiers", &R.KernelTiers},
                 {"queue_us", &R.QueueMicros},
                 {"compile_us", &R.CompileMicros},
                 {"execute_us", &R.ExecuteMicros}}))
+      return Err;
+    if (Error Err = json::readInt64Member(O, "cycles", R.Cycles))
       return Err;
     if (Error Err = json::readHexMember(O, "outputs_crc", R.OutputsCrc))
       return Err;

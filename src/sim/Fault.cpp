@@ -339,7 +339,7 @@ std::string FailureReport::render() const {
 json::Value FailureReport::toJson() const {
   json::Object Root;
   Root.set("code", json::Value(errorCodeName(Code)));
-  Root.set("cycle", json::Value(Cycle));
+  Root.set("cycle", json::int64ToJson(Cycle));
   Root.set("component", json::Value(Component));
   Root.set("dominant_cause", json::Value(stallCauseName(DominantCause)));
   Root.set("failed_device", json::Value(FailedDevice));
@@ -351,9 +351,9 @@ json::Value FailureReport::toJson() const {
     Obj.set("kind", json::Value(C.Kind));
     Obj.set("device", json::Value(C.Device));
     Obj.set("cause", json::Value(stallCauseName(C.Cause)));
-    Obj.set("stall_cycles", json::Value(C.StallCycles));
-    Obj.set("progress", json::Value(C.Progress));
-    Obj.set("total", json::Value(C.Total));
+    Obj.set("stall_cycles", json::int64ToJson(C.StallCycles));
+    Obj.set("progress", json::int64ToJson(C.Progress));
+    Obj.set("total", json::int64ToJson(C.Total));
     ComponentArray.push_back(json::Value(std::move(Obj)));
   }
   Root.set("components", json::Value(std::move(ComponentArray)));
@@ -380,11 +380,12 @@ Expected<FailureReport> FailureReport::fromJson(const json::Value &V) {
   std::string CodeName, CauseName;
   if (Error Err = json::readMembers(
           Root, {{"code", &CodeName},
-                 {"cycle", &Report.Cycle},
                  {"component", &Report.Component},
                  {"dominant_cause", &CauseName},
                  {"failed_device", &Report.FailedDevice},
                  {"failed_channel", &Report.FailedChannel}}))
+    return Err.addContext("failure report");
+  if (Error Err = json::readInt64Member(Root, "cycle", Report.Cycle))
     return Err.addContext("failure report");
   if (std::optional<ErrorCode> Code = errorCodeFromName(CodeName))
     Report.Code = *Code;
@@ -408,11 +409,13 @@ Expected<FailureReport> FailureReport::fromJson(const json::Value &V) {
       if (Error Err = json::readMembers(Obj, {{"name", &C.Name},
                                               {"kind", &C.Kind},
                                               {"device", &C.Device},
-                                              {"cause", &Name},
-                                              {"stall_cycles", &C.StallCycles},
-                                              {"progress", &C.Progress},
-                                              {"total", &C.Total}}))
+                                              {"cause", &Name}}))
         return Err.addContext("failure report");
+      for (auto [Key, Out] : {std::pair{"stall_cycles", &C.StallCycles},
+                              std::pair{"progress", &C.Progress},
+                              std::pair{"total", &C.Total}})
+        if (Error Err = json::readInt64Member(Obj, Key, *Out))
+          return Err.addContext("failure report");
       if (std::optional<StallCause> Cause = stallCauseFromName(Name))
         C.Cause = *Cause;
       Report.Components.push_back(std::move(C));

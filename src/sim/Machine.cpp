@@ -155,7 +155,7 @@ Expected<Machine> Machine::build(const CompiledProgram &Compiled,
     std::map<std::string, int> StreamIndexOf;
     std::map<std::string, int> RomIndexOf;
     for (const FieldAccesses &FA : Node.Accesses) {
-      std::vector<bool> Mask = Program.fieldDimensionMask(FA.Field);
+      const std::vector<bool> &Mask = Program.fieldDimensionMask(FA.Field);
       bool FullRank = std::all_of(Mask.begin(), Mask.end(),
                                   [](bool Spanned) { return Spanned; });
       if (FullRank) {

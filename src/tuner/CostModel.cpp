@@ -131,10 +131,40 @@ void CostModel::buildPrefix(Prefix &P, const CandidateMapping &Mapping) const {
   Knobs.TemporalDegree = Mapping.TemporalDegree;
   Expected<CompiledProgram> Compiled =
       compileProgram(std::move(Fused), mappingOptions(Base, Knobs));
-  if (Compiled)
-    P.Compiled = std::make_shared<const CompiledProgram>(Compiled.takeValue());
-  else
+  if (!Compiled) {
     P.PruneReason = Compiled.message();
+    return;
+  }
+  P.Compiled = std::make_shared<const CompiledProgram>(Compiled.takeValue());
+  P.CircuitLatencies = circuitLatencies(*P.Compiled, Base.Latencies);
+}
+
+const CostModel::WidthView &CostModel::widthView(Prefix &P,
+                                                 int Width) const {
+  WidthView *View;
+  {
+    std::lock_guard<std::mutex> Lock(P.WidthsMutex);
+    View = &P.Widths[Width];
+  }
+  std::call_once(View->Once, [&] {
+    Expected<CompiledProgram> Widened = P.Compiled->withVectorWidth(Width);
+    if (!Widened) {
+      View->WidthError = Widened.message();
+      return;
+    }
+    // Size the buffers; failures here are the buffer-sizing /
+    // deadlock-freedom prune (Sec. IV-B).
+    Expected<DataflowAnalysis> Dataflow =
+        analyzeDataflow(*Widened, P.CircuitLatencies);
+    if (!Dataflow) {
+      View->DataflowError = "dataflow: " + Dataflow.message();
+      return;
+    }
+    View->Dataflow = Dataflow.takeValue();
+    View->Runtime = computeRuntimeEstimate(*Widened, View->Dataflow);
+    View->Compiled = Widened.takeValue();
+  });
+  return *View;
 }
 
 Expected<CompiledProgram>
@@ -171,19 +201,21 @@ CandidateCost CostModel::cost(const CandidateMapping &Mapping) const {
   Cost.TemporalDegree = Mapping.TemporalDegree;
 
   // Stage 1: the width-independent prefix (unroll, fuse, simplify,
-  // compile), shared across candidates, viewed at this candidate's width.
-  Expected<CompiledProgram> Compiled = compile(Mapping);
-  if (!Compiled)
-    return pruned(std::move(Cost), Compiled.message());
+  // compile), shared across candidates.
+  Prefix &P = prefix(Mapping);
+  if (!P.Compiled)
+    return pruned(std::move(Cost), P.PruneReason);
 
-  // Stage 2: size the buffers; failures here are the buffer-sizing /
-  // deadlock-freedom prune (Sec. IV-B).
-  Expected<DataflowAnalysis> Dataflow =
-      analyzeDataflow(*Compiled, Base.Latencies);
-  if (!Dataflow)
-    return pruned(std::move(Cost), "dataflow: " + Dataflow.message());
-
-  RuntimeEstimate Runtime = computeRuntimeEstimate(*Compiled, *Dataflow);
+  // Stage 2: the prefix at this candidate's width, with its buffers sized
+  // and its Eq. 1 estimate, shared across device budgets and utilizations.
+  const WidthView &View = widthView(P, Mapping.VectorWidth);
+  if (!View.WidthError.empty())
+    return pruned(std::move(Cost), "mapping: mapping " + Mapping.id() +
+                                       ": " + View.WidthError);
+  if (!View.Compiled)
+    return pruned(std::move(Cost), View.DataflowError);
+  const CompiledProgram *Compiled = &*View.Compiled;
+  const RuntimeEstimate &Runtime = View.Runtime;
   Cost.ModelCycles = Runtime.TotalCycles;
 
   // Stage 3: partition under the mapping's device budget and target
@@ -193,7 +225,7 @@ CandidateCost CostModel::cost(const CandidateMapping &Mapping) const {
   PartOptions.MaxDevices = Mapping.MaxDevices;
   PartOptions.TargetUtilization = Mapping.TargetUtilization;
   Expected<Partition> Placement =
-      partitionProgram(*Compiled, *Dataflow, PartOptions);
+      partitionProgram(*Compiled, View.Dataflow, PartOptions);
   if (!Placement)
     return pruned(std::move(Cost), "partitioning: " + Placement.message());
   Cost.Devices = static_cast<int>(Placement->numDevices());

@@ -42,6 +42,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -102,7 +103,13 @@ struct CandidateCost {
 ///  - Compilation: each (fusion level, temporal degree) prefix is
 ///    simplified and compiled once at width 1, and each candidate views it
 ///    at its own width (\c CompiledProgram::withVectorWidth shares the
-///    program and kernels).
+///    program and kernels). The kernels' census and circuit latencies are
+///    counted once per prefix.
+///  - Width-dependent analysis: buffer sizing, the dataflow analysis and
+///    the Eq. 1 estimate run once per (fusion level, temporal degree,
+///    width) and are shared by every device budget and target
+///    utilization; only partitioning and the bandwidth and frequency
+///    models run per candidate.
 ///  - Reference outputs: the reference executor runs once per prefix, on
 ///    first use (\c reference), since its outputs depend only on the
 ///    program and its input seeds.
@@ -111,11 +118,12 @@ struct CandidateCost {
 /// threads: the tuner's search costs candidates on one thread while its
 /// validation pool runs reference executions and simulations on others.
 /// A mutex guards only the memo maps and the fusion walks; each prefix is
-/// compiled, and its reference run, under that prefix's own once-guards,
-/// outside the mutex. So a caller waits for the prefix it asks about, or
-/// for a fusion walk of a new temporal degree, but never behind another
-/// prefix's compile or reference run. The memos live as long as the
-/// model, which is one tuning run.
+/// compiled, each of its width views analyzed, and its reference run,
+/// under that prefix's own once-guards, outside the mutex. So a caller
+/// waits for the prefix it asks about, or for a fusion walk of a new
+/// temporal degree, but never behind another prefix's compile or
+/// reference run. The memos live as long as the model, which is one
+/// tuning run.
 class CostModel {
 public:
   /// Prices the mappings of \p Space, a space enumerated for \p Program.
@@ -150,13 +158,29 @@ private:
     std::string PruneReason;
   };
 
+  /// A prefix viewed at one width: what its candidates of every device
+  /// budget and target utilization share — the widened program, its
+  /// dataflow analysis and Eq. 1 estimate — or why they are pruned.
+  struct WidthView {
+    std::once_flag Once;
+    std::optional<CompiledProgram> Compiled;
+    DataflowAnalysis Dataflow;
+    RuntimeEstimate Runtime;
+    /// Why the width does not fit the program (each candidate's prune
+    /// reason names its own mapping), or why the dataflow analysis failed.
+    std::string WidthError, DataflowError;
+  };
+
   /// The program of one (fusion level, temporal degree) at width 1, or
-  /// null with the reason its candidates are pruned, and its reference
-  /// outputs once computed.
+  /// null with the reason its candidates are pruned, its kernels' circuit
+  /// latencies, its width views, and its reference outputs once computed.
   struct Prefix {
     std::once_flag CompileOnce;
     std::shared_ptr<const CompiledProgram> Compiled;
     std::string PruneReason;
+    std::vector<int64_t> CircuitLatencies;
+    std::mutex WidthsMutex;
+    std::map<int, WidthView> Widths;
     std::once_flag ReferenceOnce;
     std::shared_ptr<const ExecutionResult> Reference;
   };
@@ -166,6 +190,9 @@ private:
 
   /// Compiles \p P, the prefix of \p Mapping, or records why it is pruned.
   void buildPrefix(Prefix &P, const CandidateMapping &Mapping) const;
+
+  /// \p P, a compiled prefix, viewed at \p Width, built on first use.
+  const WidthView &widthView(Prefix &P, int Width) const;
 
   /// The walk of temporal degree \p Degree, built on first use; requires
   /// \c Mutex to be held.

@@ -127,8 +127,8 @@ json::Value candidateToJson(const CandidateRecord &R) {
   if (!R.Cost.Feasible) {
     O.set("prune_reason", json::Value(R.Cost.PruneReason));
   } else {
-    O.set("model_cycles", json::Value(R.Cost.ModelCycles));
-    O.set("predicted_cycles", json::Value(R.Cost.PredictedCycles));
+    O.set("model_cycles", json::int64ToJson(R.Cost.ModelCycles));
+    O.set("predicted_cycles", json::int64ToJson(R.Cost.PredictedCycles));
     O.set("predicted_seconds", json::Value(R.Cost.PredictedSeconds));
     O.set("frequency_mhz", json::Value(R.Cost.FrequencyMHz));
     O.set("memory_slowdown", json::Value(R.Cost.MemorySlowdown));
@@ -142,7 +142,7 @@ json::Value candidateToJson(const CandidateRecord &R) {
       O.set("simulation_error", json::Value(R.SimulationError));
     } else {
       O.set("validation_passed", json::Value(R.ValidationPassed));
-      O.set("simulated_cycles", json::Value(R.SimulatedCycles));
+      O.set("simulated_cycles", json::int64ToJson(R.SimulatedCycles));
       O.set("simulated_seconds", json::Value(R.SimulatedSeconds));
       O.set("model_error_pct", json::Value(R.ModelErrorPct));
       if (R.CalibratedPredictedCycles > 0.0) {

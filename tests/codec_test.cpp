@@ -318,6 +318,64 @@ TEST(CodecRoundTripTest, FailureReport) {
   EXPECT_EQ(FromText->toJson().toString(), Text);
 }
 
+TEST(CodecRoundTripTest, CycleMembersBeyondTwoToThe53) {
+  // Cycle counts a double cannot hold (2^53 + 1 would read back as 2^53)
+  // survive the failure report, the serve response and the tuning report.
+  constexpr int64_t Wide = (int64_t(1) << 53) + 1;
+
+  sim::FailureReport Report = diamondDeadlock();
+  Report.Cycle = Wide;
+  ASSERT_FALSE(Report.Components.empty());
+  Report.Components[0].StallCycles = Wide + 2;
+  Report.Components[0].Progress = Wide + 4;
+  Report.Components[0].Total = Wide + 6;
+  std::string Text = Report.toJson().toString();
+  Expected<sim::FailureReport> Back = sim::FailureReport::fromJsonText(Text);
+  ASSERT_TRUE(Back) << Back.message();
+  EXPECT_EQ(Back->Cycle, Wide);
+  EXPECT_EQ(Back->Components[0].StallCycles, Wide + 2);
+  EXPECT_EQ(Back->Components[0].Progress, Wide + 4);
+  EXPECT_EQ(Back->Components[0].Total, Wide + 6);
+  EXPECT_EQ(Back->toJson().toString(), Text);
+
+  serve::Response R;
+  R.Id = "run";
+  R.Ok = true;
+  R.CacheHit = false;
+  R.Cycles = Wide;
+  std::string Line = R.toJsonText();
+  Expected<serve::Response> Served = serve::Response::fromJsonText(Line);
+  ASSERT_TRUE(Served) << Served.message();
+  EXPECT_EQ(Served->Cycles, Wide);
+  EXPECT_EQ(Served->toJsonText(), Line);
+
+  // TuningReport has no reader: its cycles are read back the way any
+  // consumer would.
+  tuner::TuningReport Tuned;
+  tuner::CandidateRecord C;
+  C.Cost.Feasible = true;
+  C.Cost.ModelCycles = Wide;
+  C.Cost.PredictedCycles = Wide + 2;
+  C.Simulated = true;
+  C.SimulatedCycles = Wide + 4;
+  Tuned.Candidates.push_back(C);
+  std::string Json = Tuned.toJson();
+  Expected<json::Value> Parsed = json::parse(Json);
+  ASSERT_TRUE(Parsed) << Parsed.message();
+  const json::Object &Candidate =
+      Parsed->getObject().get("candidates")->getArray()[0].getObject();
+  int64_t Model = 0, Predicted = 0, Simulated = 0;
+  EXPECT_FALSE(json::readInt64Member(Candidate, "model_cycles", Model));
+  EXPECT_FALSE(
+      json::readInt64Member(Candidate, "predicted_cycles", Predicted));
+  EXPECT_FALSE(
+      json::readInt64Member(Candidate, "simulated_cycles", Simulated));
+  EXPECT_EQ(Model, Wide);
+  EXPECT_EQ(Predicted, Wide + 2);
+  EXPECT_EQ(Simulated, Wide + 4);
+  EXPECT_EQ(Parsed->toString(), Json);
+}
+
 TEST(CodecRoundTripTest, FuzzFindingAndDiffConfig) {
   for (uint64_t Wide : WideValues) {
     fuzz::FuzzFinding Finding;

@@ -129,6 +129,22 @@ TEST(ParserTest, RejectsNonIntegerOffsets) {
   EXPECT_FALSE(parseExpression("a[b]"));
 }
 
+TEST(ParserTest, RejectsMoreThanThreeOffsetIndices) {
+  // Offsets hold three components inline: a fourth index is an input
+  // error before any offset is built, never an overflow.
+  for (const char *Text : {"a[0, 0, 0, 0]", "a[1, -2, 3, 4, 5]"}) {
+    Expected<ExprPtr> E = parseExpression(Text);
+    ASSERT_FALSE(E) << Text;
+    EXPECT_EQ(E.code(), ErrorCode::InvalidInput) << Text;
+    EXPECT_NE(E.message().find("more than 3 indices"), std::string::npos)
+        << E.message();
+  }
+  EXPECT_TRUE(parseExpression("a[1, -2, 3]"));
+  Expected<ExprPtr> Huge = parseExpression("a[0, 4294967296]");
+  ASSERT_FALSE(Huge);
+  EXPECT_EQ(Huge.code(), ErrorCode::InvalidInput);
+}
+
 TEST(ParserTest, StatementsRequireSemicolons) {
   EXPECT_FALSE(parseStencilCode("a = 1.0"));
   EXPECT_TRUE(parseStencilCode("a = 1.0;"));
@@ -137,9 +153,11 @@ TEST(ParserTest, StatementsRequireSemicolons) {
 TEST(ParserTest, MultiStatementBlock) {
   auto Code = parseStencilCode("t = a[0] + 1.0;\nb = t * t;");
   ASSERT_TRUE(Code);
-  ASSERT_EQ(Code->Statements.size(), 2u);
-  EXPECT_EQ(Code->Statements[0].Target, "t");
-  EXPECT_EQ(Code->Statements[1].Target, "b");
+  std::shared_ptr<const std::vector<Assignment>> Statements =
+      Code->materialize();
+  ASSERT_EQ(Statements->size(), 2u);
+  EXPECT_EQ((*Statements)[0].Target, "t");
+  EXPECT_EQ((*Statements)[1].Target, "b");
 }
 
 TEST(ParserTest, ErrorPositionsReported) {
@@ -363,6 +381,43 @@ TEST(LoaderTest, RejectsBadDimensions) {
       R"({"dimensions": [1,2,3,4], "program": {}})"));
   EXPECT_FALSE(programFromJsonText(
       R"({"dimensions": [0], "program": {}})"));
+}
+
+TEST(LoaderTest, OverRankProgramsAndAccessesAreInputErrors) {
+  // A rank-4 program is refused by the loader before any stencil code is
+  // analyzed, and a four-index access in a valid program by the parser.
+  Expected<StencilProgram> Rank4 = programFromJsonText(R"({
+    "dimensions": [2, 2, 2, 2],
+    "inputs": {"a": {}},
+    "program": {"b": {"computation": "b = a[0, 0, 0, 0];"}}
+  })");
+  ASSERT_FALSE(Rank4);
+  EXPECT_EQ(Rank4.code(), ErrorCode::InvalidInput);
+  Expected<StencilProgram> Wide = programFromJsonText(R"({
+    "dimensions": [2, 2, 2],
+    "inputs": {"a": {}},
+    "program": {"b": {"computation": "b = a[0, 0, 0, 0];"}}
+  })");
+  ASSERT_FALSE(Wide);
+  EXPECT_EQ(Wide.code(), ErrorCode::InvalidInput);
+  EXPECT_NE(Wide.message().find("more than 3 indices"), std::string::npos)
+      << Wide.message();
+
+  // Built in code, a rank-4 program never reaches offset construction.
+  StencilProgram Program;
+  Program.IterationSpace = Shape({2, 2, 2, 2});
+  Program.Inputs.push_back(Field{"a", DataType::Float32,
+                                 std::vector<bool>(4, true), {}});
+  StencilNode Node;
+  Node.Name = "b";
+  Expected<StencilCode> Code = parseStencilCode("b = a;");
+  ASSERT_TRUE(Code) << Code.message();
+  Node.Code = Code.takeValue();
+  Program.Nodes.push_back(std::move(Node));
+  Program.Outputs = {"b"};
+  Error Err = analyzeProgram(Program);
+  ASSERT_TRUE(static_cast<bool>(Err));
+  EXPECT_EQ(Err.code(), ErrorCode::InvalidInput);
 }
 
 TEST(LoaderTest, RejectsMissingComputation) {

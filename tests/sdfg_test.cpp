@@ -470,7 +470,9 @@ TEST(TransformsTest, NestDimRaisesRank) {
   ASSERT_EQ(Libraries.size(), 2u);
   // The laplace stencil's offsets are now rank 3 with a leading 0.
   for (auto *Lib : Libraries) {
-    for (const Assignment &Stmt : Lib->stencil().Code.Statements)
+    std::shared_ptr<const std::vector<Assignment>> Statements =
+        Lib->stencil().Code.materialize();
+    for (const Assignment &Stmt : *Statements)
       walkExpr(*Stmt.Value, [&](const Expr &E) {
         if (const auto *Access = dyn_cast<FieldAccessExpr>(&E)) {
           EXPECT_EQ(Access->offset().size(), 3u);
@@ -572,6 +574,6 @@ TEST(FusionTest, GrowthLimitStopsExponentialChains) {
   EXPECT_FALSE(P.validate());
   size_t Statements = 0;
   for (const StencilNode &Node : P.Nodes)
-    Statements = std::max(Statements, Node.Code.Statements.size());
+    Statements = std::max(Statements, Node.Code.size());
   EXPECT_LE(Statements, 768u);
 }

@@ -16,6 +16,7 @@
 
 #include "common/TestPrograms.h"
 #include "frontend/ProgramLoader.h"
+#include "fuzz/Generate.h"
 #include "runtime/InputData.h"
 #include "runtime/Session.h"
 #include "sdfg/StencilFusion.h"
@@ -1449,5 +1450,59 @@ TEST(CompileDigestTest, TuneProgramsAtEveryFusionLevel) {
     std::string Report = reportDigestText(Out.Report);
     EXPECT_EQ(Digests, C.LevelDigests);
     EXPECT_EQ(textDigest(Report), C.ReportDigest) << Report;
+  }
+}
+
+TEST(CompileDigestTest, ProgramTextAtEveryFusionLevel) {
+  // Pinned before fusion stopped cloning statements: the programToJson
+  // text of every fusion level of the three `tune` programs and of one
+  // generated program per fuzz profile. Fused code becomes statements
+  // only as text (programToJson, code generation), so this pins the
+  // instance naming (prefixes, shifted offsets, inlined locals) and the
+  // merged boundary conditions, not just the kernels compiled from them.
+  struct Case {
+    const char *Name;
+    StencilProgram Program;
+    std::vector<uint64_t> LevelDigests; ///< One per fusion level 0..pairs.
+  };
+  Case Cases[] = {
+      {"hdiff",
+       workloads::horizontalDiffusion(4, 8, 8),
+       {0x29d5256d140a52beull, 0x8281606c47b1c1c7ull, 0x791e9cd58f400b12ull,
+        0x3b03fce3892e0368ull, 0x05cbb1d095f1f578ull, 0xedc1bdd5ee6d9ea1ull,
+        0x60c0e8d0aad64d2full}},
+      {"jacobi3d",
+       workloads::jacobi3dChain(4, 4, 8, 8),
+       {0x9fd1e6c2e655287full, 0x18c69d6d4224668dull, 0x957444fb89985e00ull,
+        0x35f6c52853730abbull}},
+      {"wave2d", workloads::wave2dChain(2, 4, 16, 16), {0x9938a625b99e78d3ull}},
+      {"fuzz-default",
+       fuzz::generateProgram(18),
+       {0x71890daabb419043ull, 0xcd2ea272dae505caull, 0xcfd818cb61afa485ull}},
+      {"fuzz-deep-rings",
+       fuzz::generateProgram(3, fuzz::GenConfig::deepRings()),
+       {0xb9744a8159875605ull, 0x24ac92ece5e219feull, 0x3def8faa4d196991ull}},
+      {"fuzz-wide-dags",
+       fuzz::generateProgram(8, fuzz::GenConfig::wideDags()),
+       {0xdbf81cc0dbe1e305ull, 0x2a1a13d703cc67d1ull, 0x5c4db1b21cdaafaaull}},
+      {"fuzz-degenerate",
+       fuzz::generateProgram(8, fuzz::GenConfig::degenerate()),
+       {0xfa3f70a3f801a565ull, 0x444826eb35856b67ull, 0xe34960b20d937ba9ull}},
+  };
+  for (Case &C : Cases) {
+    SCOPED_TRACE(C.Name);
+    FusionWalk Walk(C.Program.clone(), std::numeric_limits<int>::max(),
+                    [](int) { return true; });
+    ASSERT_FALSE(Walk.failure()) << Walk.failure().message();
+    std::vector<uint64_t> Digests;
+    std::string Listing;
+    for (int F = 0; F <= Walk.pairs(); ++F) {
+      std::shared_ptr<const StencilProgram> Level = Walk.level(F);
+      ASSERT_NE(Level, nullptr) << "level " << F;
+      Digests.push_back(textDigest(programToJson(*Level).toString()));
+      Listing += formatString("0x%016llxull, ",
+                              static_cast<unsigned long long>(Digests.back()));
+    }
+    EXPECT_EQ(Digests, C.LevelDigests) << Listing;
   }
 }
