@@ -75,15 +75,14 @@ static Error matrixFromArgs(const CommandLine &Args,
     return Err;
   if (Args.has("temporal-degrees")) {
     Matrix.TemporalDegrees.clear();
-    for (const std::string &Token :
-         splitString(Args.getString("temporal-degrees"), ',')) {
-      int Degree = std::atoi(Token.c_str());
+    if (Error Err = Args.readList("temporal-degrees", Matrix.TemporalDegrees))
+      return Err;
+    for (int Degree : Matrix.TemporalDegrees)
       if (Degree < 1)
         return makeError(ErrorCode::InvalidInput,
-                         "--temporal-degrees wants positive integers, got '" +
-                             Token + "'");
-      Matrix.TemporalDegrees.push_back(Degree);
-    }
+                         formatString("--temporal-degrees wants positive "
+                                      "integers, got '%d'",
+                                      Degree));
   }
   return Error::success();
 }

@@ -143,20 +143,9 @@ int main(int argc, char **argv) {
       Opts.Space.KernelEngines.push_back(*Engine);
     }
   }
-  if (Args->has("temporal-degrees")) {
-    for (const std::string &Token :
-         splitString(Args->getString("temporal-degrees"), ',')) {
-      char *End = nullptr;
-      long Degree = std::strtol(Token.c_str(), &End, 10);
-      if (Token.empty() || End == nullptr || *End != '\0') {
-        std::fprintf(stderr,
-                     "error: --temporal-degrees: '%s' is not an integer\n",
-                     Token.c_str());
-        return 1;
-      }
-      Opts.Space.TemporalDegrees.push_back(static_cast<int>(Degree));
-    }
-  }
+  if (Error Err =
+          Args->readList("temporal-degrees", Opts.Space.TemporalDegrees))
+    return fail(Err);
 
   Expected<tuner::TuningOutcome> Out = S->tune(Opts);
   if (!Out)

@@ -154,30 +154,6 @@ std::string_view compute::opCodeName(OpCode Op) {
   return "<invalid>";
 }
 
-unsigned compute::opCodeArity(OpCode Op) {
-  switch (Op) {
-  case OpCode::Const:
-  case OpCode::Input:
-    return 0;
-  case OpCode::Neg:
-  case OpCode::Not:
-  case OpCode::Sqrt:
-  case OpCode::Abs:
-  case OpCode::Exp:
-  case OpCode::Log:
-  case OpCode::Sin:
-  case OpCode::Cos:
-  case OpCode::Tanh:
-  case OpCode::Floor:
-  case OpCode::Ceil:
-    return 1;
-  case OpCode::Select:
-    return 3;
-  default:
-    return 2;
-  }
-}
-
 LatencyTable::LatencyTable() {
   // Conservative defaults modeling hardened fp32 units on a Stratix
   // 10-class device; see Sec. IV-B ("default to conservative values to

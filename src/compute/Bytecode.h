@@ -68,9 +68,6 @@ constexpr size_t NumOpCodes = static_cast<size_t>(OpCode::Select) + 1;
 /// Returns a printable mnemonic for \p Op.
 std::string_view opCodeName(OpCode Op);
 
-/// Returns the number of register operands of \p Op (0 for Const/Input).
-unsigned opCodeArity(OpCode Op);
-
 /// Rounds \p Value to \p Type's precision. Float32 kernels round every
 /// intermediate to float, matching the per-operation rounding of hardware
 /// fp32 units (and of the fp32 OpenCL kernels the real system generates).

@@ -31,15 +31,6 @@ DataflowAnalysis::nodeInfo(const std::string &Name) const {
   return Nodes.front();
 }
 
-const NodeBuffers &
-DataflowAnalysis::bufferInfo(const std::string &Name) const {
-  for (const NodeBuffers &Buffers : this->Buffers)
-    if (Buffers.Node == Name)
-      return Buffers;
-  assert(false && "bufferInfo() of an unknown node");
-  return Buffers.front();
-}
-
 int64_t DataflowAnalysis::totalDelayBufferElements(int VectorWidth) const {
   int64_t Total = 0;
   for (const DataflowEdge &Edge : Edges)
@@ -125,6 +116,7 @@ stencilflow::analyzeDataflow(const CompiledProgram &Compiled,
       DataflowEdge Edge;
       Edge.Source = FA.Field;
       Edge.Consumer = Node.Name;
+      Edge.ConsumerIndex = Index;
       for (const InternalBuffer &Buffer : Result.Buffers[Index].Buffers)
         if (Buffer.Field == FA.Field)
           Edge.FillCycles = Buffer.InitCycles;

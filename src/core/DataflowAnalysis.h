@@ -43,8 +43,9 @@ struct DataflowEdge {
   /// output; the producer node has the same name as the field).
   std::string Source;
 
-  /// Consuming stencil node.
+  /// Consuming stencil node, and its index in the program.
   std::string Consumer;
+  size_t ConsumerIndex = 0;
 
   /// Cycles the consumer spends filling this edge's internal buffer before
   /// its first element is useful (the per-field initialization phase,
@@ -101,9 +102,6 @@ struct DataflowAnalysis {
 
   /// Timing entry for node \p Name; must exist.
   const NodeDataflow &nodeInfo(const std::string &Name) const;
-
-  /// Buffer entry for node \p Name; must exist.
-  const NodeBuffers &bufferInfo(const std::string &Name) const;
 
   /// Total on-chip storage of all delay buffers, in elements
   /// (vector units * W).

@@ -40,6 +40,16 @@ Expected<Partition>
 stencilflow::partitionProgram(const CompiledProgram &Compiled,
                               const DataflowAnalysis &Dataflow,
                               const PartitionOptions &Options) {
+  return partitionProgram(
+      Compiled,
+      estimateResourceLedger(Compiled, Dataflow, Options.ResourceConfig),
+      Options);
+}
+
+Expected<Partition>
+stencilflow::partitionProgram(const CompiledProgram &Compiled,
+                              const ResourceLedger &Ledger,
+                              const PartitionOptions &Options) {
   const StencilProgram &Program = Compiled.program();
   DeviceResources Budget;
   Budget.ALMs = static_cast<int64_t>(
@@ -51,46 +61,34 @@ stencilflow::partitionProgram(const CompiledProgram &Compiled,
   Budget.DSPs = static_cast<int64_t>(
       Options.TargetUtilization * static_cast<double>(Options.Device.DSPs));
 
+  // Each device's Resources sums its units while it is filled; its
+  // endpoints are added once the placement is known.
   Partition Result;
   Result.Devices.emplace_back();
-  ResourceUsage Current; // Usage of the device being filled.
-
-  auto nodeCost = [&](size_t Index) {
-    ResourceUsage Cost = estimateNodeResources(
-        Compiled, Index, Dataflow.Buffers[Index], Options.ResourceConfig);
-    // Incoming delay buffers live on the consumer's device.
-    for (const DataflowEdge &Edge : Dataflow.Edges)
-      if (Edge.Consumer == Program.Nodes[Index].Name)
-        Cost += estimateEdgeResources(Compiled, Edge,
-                                      Options.ResourceConfig);
-    return Cost;
-  };
-
   for (size_t Index : Compiled.topologicalOrder()) {
-    ResourceUsage Cost = nodeCost(Index);
+    const ResourceUsage &Cost = Ledger.Units[Index];
     if (!Cost.fitsWithin(Budget))
       return makeError(ErrorCode::Infeasible,
                        "stencil '" + Program.Nodes[Index].Name +
                        "' alone exceeds one device's capacity (" +
                        Cost.report(Options.Device) + ")");
-    ResourceUsage Combined = Current + Cost;
-    bool KernelCountExceeded =
-        static_cast<int>(Result.Devices.back().Nodes.size()) >=
-        Options.MaxStencilsPerDevice;
+    DevicePlacement *Device = &Result.Devices.back();
+    ResourceUsage Combined = Device->Resources + Cost;
+    bool KernelCountExceeded = static_cast<int>(Device->Nodes.size()) >=
+                               Options.MaxStencilsPerDevice;
     if (!Combined.fitsWithin(Budget) || KernelCountExceeded) {
       // Spill to a new device.
       if (static_cast<int>(Result.Devices.size()) >= Options.MaxDevices)
         return makeError(ErrorCode::Infeasible,
                          formatString("program does not fit on %d "
                                       "device(s)", Options.MaxDevices));
-      Result.Devices.emplace_back();
-      Current = Cost;
-    } else {
-      Current = Combined;
+      Device = &Result.Devices.emplace_back();
+      Combined = Cost;
     }
-    int Device = static_cast<int>(Result.Devices.size()) - 1;
-    Result.Devices.back().Nodes.push_back(Program.Nodes[Index].Name);
-    Result.NodeDevice[Program.Nodes[Index].Name] = Device;
+    Device->Resources = Combined;
+    Device->Nodes.push_back(Program.Nodes[Index].Name);
+    Result.NodeDevice[Program.Nodes[Index].Name] =
+        static_cast<int>(Result.Devices.size()) - 1;
   }
 
   // Derive replicated inputs, written outputs, and remote streams.
@@ -122,14 +120,10 @@ stencilflow::partitionProgram(const CompiledProgram &Compiled,
         Output);
   }
 
-  // Account per-device resources including endpoints.
+  // Add each device's memory and network endpoints.
   for (size_t D = 0, E = Result.Devices.size(); D != E; ++D) {
     DevicePlacement &Placement = Result.Devices[D];
-    ResourceUsage Usage;
-    for (const std::string &NodeName : Placement.Nodes) {
-      size_t Index = static_cast<size_t>(Program.nodeIndex(NodeName));
-      Usage += nodeCost(Index);
-    }
+    ResourceUsage &Usage = Placement.Resources;
     for (const std::string &Input : Placement.ReplicatedInputs) {
       const Field *InputField = Program.findInput(Input);
       Usage += estimateMemoryEndpoint(
@@ -144,7 +138,6 @@ stencilflow::partitionProgram(const CompiledProgram &Compiled,
       if (Stream.SourceDevice == static_cast<int>(D) ||
           Stream.ConsumerDevice == static_cast<int>(D))
         Usage += estimateNetworkEndpoint(Options.ResourceConfig);
-    Placement.Resources = Usage;
   }
 
   return Result;

@@ -17,6 +17,9 @@
 /// streams flow from lower- to higher-numbered devices, matching the
 /// testbed's chained FPGA topology (Sec. VIII-B).
 ///
+/// Units are placed from the resource ledger (core/ResourceModel.h); a
+/// device's resources sum its units' entries and its endpoints.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef STENCILFLOW_CORE_PARTITIONER_H
@@ -74,7 +77,7 @@ struct Partition {
 
 private:
   friend Expected<Partition>
-  partitionProgram(const CompiledProgram &, const DataflowAnalysis &,
+  partitionProgram(const CompiledProgram &, const ResourceLedger &,
                    const struct PartitionOptions &);
   std::map<std::string, int> NodeDevice;
 };
@@ -108,6 +111,11 @@ struct PartitionOptions {
 Expected<Partition> partitionProgram(const CompiledProgram &Compiled,
                                      const DataflowAnalysis &Dataflow,
                                      const PartitionOptions &Options = {});
+
+/// As above, from \p Ledger, priced under Options.ResourceConfig.
+Expected<Partition> partitionProgram(const CompiledProgram &Compiled,
+                                     const ResourceLedger &Ledger,
+                                     const PartitionOptions &Options);
 
 } // namespace stencilflow
 

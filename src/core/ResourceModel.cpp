@@ -142,19 +142,23 @@ stencilflow::estimateNetworkEndpoint(const ResourceModelConfig &Config) {
   return Usage;
 }
 
-ResourceUsage
-stencilflow::estimateProgramResources(const CompiledProgram &Compiled,
-                                      const DataflowAnalysis &Dataflow,
-                                      const ResourceModelConfig &Config) {
+ResourceLedger
+stencilflow::estimateResourceLedger(const CompiledProgram &Compiled,
+                                    const DataflowAnalysis &Dataflow,
+                                    const ResourceModelConfig &Config) {
   const StencilProgram &Program = Compiled.program();
-  ResourceUsage Total;
-
+  ResourceLedger Ledger;
+  Ledger.Units.reserve(Program.Nodes.size());
   for (size_t I = 0, E = Program.Nodes.size(); I != E; ++I)
-    Total += estimateNodeResources(Compiled, I, Dataflow.Buffers[I], Config);
-
+    Ledger.Units.push_back(
+        estimateNodeResources(Compiled, I, Dataflow.Buffers[I], Config));
   for (const DataflowEdge &Edge : Dataflow.Edges)
-    Total += estimateEdgeResources(Compiled, Edge, Config);
+    Ledger.Units[Edge.ConsumerIndex] +=
+        estimateEdgeResources(Compiled, Edge, Config);
 
+  ResourceUsage &Total = Ledger.SingleDevice;
+  for (const ResourceUsage &Unit : Ledger.Units)
+    Total += Unit;
   // One reader endpoint per off-chip input that is actually consumed; one
   // writer endpoint per program output.
   for (const Field &Input : Program.Inputs)
@@ -166,7 +170,14 @@ stencilflow::estimateProgramResources(const CompiledProgram &Compiled,
     Total += estimateMemoryEndpoint(Compiled.vectorWidth(),
                                     dataTypeSize(Program.fieldType(Output)),
                                     Config);
-  return Total;
+  return Ledger;
+}
+
+ResourceUsage
+stencilflow::estimateProgramResources(const CompiledProgram &Compiled,
+                                      const DataflowAnalysis &Dataflow,
+                                      const ResourceModelConfig &Config) {
+  return estimateResourceLedger(Compiled, Dataflow, Config).SingleDevice;
 }
 
 double stencilflow::estimateFrequencyMHz(const ResourceUsage &Usage,

@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace stencilflow {
 
@@ -129,6 +130,20 @@ ResourceUsage estimateMemoryEndpoint(int Lanes, size_t ElementBytes,
 
 /// Estimates one network (SMI) endpoint.
 ResourceUsage estimateNetworkEndpoint(const ResourceModelConfig &Config = {});
+
+/// One (program, dataflow analysis) with each unit and edge priced once:
+/// the partitioner places units from it, and SingleDevice is the
+/// single-device estimate (all units plus the memory endpoints).
+struct ResourceLedger {
+  /// Unit I with its internal and incoming delay buffers.
+  std::vector<ResourceUsage> Units;
+  ResourceUsage SingleDevice;
+};
+
+/// Prices \p Compiled's units, then in one pass its incoming edges.
+ResourceLedger estimateResourceLedger(const CompiledProgram &Compiled,
+                                      const DataflowAnalysis &Dataflow,
+                                      const ResourceModelConfig &Config = {});
 
 /// Estimates a complete single-device design: all stencil units, delay
 /// buffers, and one endpoint per off-chip input/output stream.

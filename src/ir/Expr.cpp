@@ -186,20 +186,6 @@ std::string_view stencilflow::binaryOpSpelling(BinaryOp Op) {
   return "<invalid>";
 }
 
-bool stencilflow::isComparison(BinaryOp Op) {
-  switch (Op) {
-  case BinaryOp::Lt:
-  case BinaryOp::Le:
-  case BinaryOp::Gt:
-  case BinaryOp::Ge:
-  case BinaryOp::Eq:
-  case BinaryOp::Ne:
-    return true;
-  default:
-    return false;
-  }
-}
-
 std::string_view stencilflow::intrinsicName(Intrinsic Fn) {
   switch (Fn) {
   case Intrinsic::Sqrt:

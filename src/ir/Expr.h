@@ -193,9 +193,6 @@ enum class BinaryOp {
 /// Returns the source spelling of \p Op ("+", "<=", ...).
 std::string_view binaryOpSpelling(BinaryOp Op);
 
-/// Returns true for <, <=, >, >=, ==, !=.
-bool isComparison(BinaryOp Op);
-
 /// A binary operation.
 class BinaryExpr : public Expr {
 public:

@@ -75,15 +75,6 @@ struct StencilNode {
     return nullptr;
   }
 
-  /// Names of all fields this node reads, in deterministic order.
-  std::vector<std::string> inputFields() const {
-    std::vector<std::string> Result;
-    Result.reserve(Accesses.size());
-    for (const FieldAccesses &FA : Accesses)
-      Result.push_back(FA.Field);
-    return Result;
-  }
-
   /// A copy; it shares the statement bodies, which are immutable once
   /// shared (ir/Expr.h, StencilCode).
   StencilNode clone() const { return *this; }

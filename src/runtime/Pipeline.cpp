@@ -71,20 +71,16 @@ stencilflow::compileProgram(std::shared_ptr<const StencilProgram> Program,
 }
 
 Expected<CompiledPlan>
-stencilflow::planProgram(CompiledProgram Compiled,
+stencilflow::planProgram(CompiledProgram Compiled, DataflowAnalysis Dataflow,
                          const PipelineOptions &Options) {
   CompiledPlan Plan;
   Plan.Compiled = std::move(Compiled);
-
-  Expected<DataflowAnalysis> Dataflow =
-      analyzeDataflow(Plan.Compiled, Options.Latencies);
-  if (!Dataflow)
-    return Dataflow.takeError().addContext("dataflow analysis");
-  Plan.Dataflow = Dataflow.takeValue();
+  Plan.Dataflow = std::move(Dataflow);
 
   Plan.Runtime = computeRuntimeEstimate(Plan.Compiled, Plan.Dataflow);
-  Plan.Resources = estimateProgramResources(
+  ResourceLedger Ledger = estimateResourceLedger(
       Plan.Compiled, Plan.Dataflow, Options.Partitioning.ResourceConfig);
+  Plan.Resources = Ledger.SingleDevice;
   Plan.FrequencyMHz =
       estimateFrequencyMHz(Plan.Resources, Options.Partitioning.Device,
                            Options.Partitioning.ResourceConfig);
@@ -94,7 +90,7 @@ stencilflow::planProgram(CompiledProgram Compiled,
   if (!Options.AllowMultiDevice)
     PartOptions.MaxDevices = 1;
   Expected<Partition> Placement =
-      partitionProgram(Plan.Compiled, Plan.Dataflow, PartOptions);
+      partitionProgram(Plan.Compiled, Ledger, PartOptions);
   if (!Placement)
     return Placement.takeError().addContext("partitioning");
   Plan.Placement = Placement.takeValue();
@@ -119,7 +115,12 @@ stencilflow::compilePipeline(StencilProgram Program,
       compileProgram(std::move(Program), Options, &FusedPairs);
   if (!Compiled)
     return Compiled.takeError();
-  Expected<CompiledPlan> Plan = planProgram(Compiled.takeValue(), Options);
+  Expected<DataflowAnalysis> Dataflow =
+      analyzeDataflow(*Compiled, Options.Latencies);
+  if (!Dataflow)
+    return Dataflow.takeError().addContext("dataflow analysis");
+  Expected<CompiledPlan> Plan =
+      planProgram(Compiled.takeValue(), Dataflow.takeValue(), Options);
   if (Plan)
     Plan->FusedPairs = FusedPairs;
   return Plan;

@@ -178,16 +178,18 @@ Expected<CompiledProgram>
 compileProgram(std::shared_ptr<const StencilProgram> Program,
                const PipelineOptions &Options);
 
-/// The planning half of compilation: dataflow analysis, model estimates,
-/// partitioning and optional code generation of \p Compiled. Reads only
-/// Latencies, Partitioning, AllowMultiDevice and EmitCode from
-/// \p Options. The plan's FusedPairs is left at zero.
+/// The planning half of compilation: model estimates, partitioning and
+/// optional code generation of \p Compiled with \p Dataflow, its
+/// dataflow analysis (\c analyzeDataflow). Reads only Partitioning,
+/// AllowMultiDevice and EmitCode from \p Options. The plan's FusedPairs
+/// is left at zero.
 Expected<CompiledPlan> planProgram(CompiledProgram Compiled,
+                                   DataflowAnalysis Dataflow,
                                    const PipelineOptions &Options);
 
-/// The compile half: \c compileProgram composed with \c planProgram.
-/// Only \p Options fields consumed before simulation are read
-/// (TemporalDegree, FuseStencils, SimplifyCode, Kernel, Latencies,
+/// The compile half: \c compileProgram, \c analyzeDataflow and
+/// \c planProgram. Only \p Options fields consumed before simulation are
+/// read (TemporalDegree, FuseStencils, SimplifyCode, Kernel, Latencies,
 /// Partitioning, AllowMultiDevice, EmitCode).
 Expected<CompiledPlan> compilePipeline(StencilProgram Program,
                                        const PipelineOptions &Options = {});

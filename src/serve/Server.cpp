@@ -222,7 +222,8 @@ void Server::workerLoop() {
   }
 }
 
-Server::CompileOutcome Server::compileForRequest(const Request &R) {
+Server::CompileOutcome
+Server::compileForRequest(const Request &R, const json::Value &Description) {
   auto Start = std::chrono::steady_clock::now();
   CompileOutcome Out;
   auto Fail = [&](Error Err) {
@@ -231,11 +232,13 @@ Server::CompileOutcome Server::compileForRequest(const Request &R) {
     return Out;
   };
 
-  Expected<StencilProgram> Program =
-      R.ProgramPath.empty() ? programFromJson(R.Program)
-                            : loadProgramFile(R.ProgramPath);
-  if (!Program)
-    return Fail(Program.takeError().addContext("loading program"));
+  Expected<StencilProgram> Program = programFromJson(Description);
+  if (!Program) {
+    Error Err = Program.takeError();
+    if (!R.ProgramPath.empty())
+      Err.addContext(R.ProgramPath);
+    return Fail(Err.addContext("loading program"));
+  }
   StencilProgram P = Program.takeValue();
   if (R.Options.Vectorize > 0)
     P.VectorWidth = R.Options.Vectorize;
@@ -282,20 +285,20 @@ Server::resolvePlan(const Request &R, bool &Hit, int64_t &CompileMicros) {
 
   // The program fingerprint: hash the inline description directly; a
   // path-based request hashes the file's parsed content, so an edited
-  // file is a different program, not a stale hit.
-  uint64_t ProgramHash = 0;
-  json::Value Inline;
+  // file is a different program, not a stale hit. The file is read once:
+  // a miss compiles the very description its key was hashed from.
+  const json::Value *Description = &R.Program;
+  json::Value FromFile;
   if (!R.ProgramPath.empty()) {
     Expected<json::Value> Parsed = json::parseFile(R.ProgramPath);
     if (!Parsed)
       return Parsed.takeError().addContext("loading program");
-    ProgramHash = fingerprintProgramJson(*Parsed);
-  } else {
-    ProgramHash = fingerprintProgramJson(R.Program);
+    FromFile = Parsed.takeValue();
+    Description = &FromFile;
   }
 
   PlanKey Key;
-  Key.ProgramHash = ProgramHash;
+  Key.ProgramHash = fingerprintProgramJson(*Description);
   Key.Fuse = R.Options.Fuse;
   Key.Simplify = R.Options.Simplify;
   Key.VectorWidth = R.Options.Vectorize;
@@ -351,7 +354,7 @@ Server::resolvePlan(const Request &R, bool &Hit, int64_t &CompileMicros) {
 
   CompileOutcome Out;
   if (Error Err = catchAllocationFailure([&] {
-        Out = compileForRequest(R);
+        Out = compileForRequest(R, *Description);
         return Error::success();
       }))
     Out.Err = std::move(Err);

@@ -149,8 +149,11 @@ private:
   /// Sets \p Hit and \p CompileMicros.
   Expected<std::shared_ptr<const CompiledPlan>>
   resolvePlan(const Request &R, bool &Hit, int64_t &CompileMicros);
-  /// Compiles the plan for \p R (the cache-miss path).
-  CompileOutcome compileForRequest(const Request &R);
+  /// Compiles the plan for \p R from \p Description, the program
+  /// description its cache key was fingerprinted from (the cache-miss
+  /// path).
+  CompileOutcome compileForRequest(const Request &R,
+                                   const json::Value &Description);
 
   ServerOptions Opts;
   PlanCache Cache;

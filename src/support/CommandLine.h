@@ -16,6 +16,7 @@
 #define STENCILFLOW_SUPPORT_COMMANDLINE_H
 
 #include "support/Error.h"
+#include "support/StringUtils.h"
 
 #include <cstdint>
 #include <limits>
@@ -70,6 +71,24 @@ public:
       if (!Value)
         return Value.takeError();
       Out = static_cast<T>(*Value);
+    }
+    return Error::success();
+  }
+
+  /// Appends each element of \p Flag's comma-separated value to \p Out,
+  /// read by \c read's rule, when the flag was given. The first element
+  /// that breaks the rule is the InvalidInput error naming the flag.
+  template <typename T>
+  Error readList(const std::string &Flag, std::vector<T> &Out) const {
+    if (!has(Flag))
+      return Error::success();
+    CommandLine Element;
+    for (const std::string &Text : splitString(getString(Flag), ',')) {
+      Element.Values[Flag] = Text;
+      T Value{};
+      if (Error Err = Element.read(Flag, Value))
+        return Err;
+      Out.push_back(Value);
     }
     return Error::success();
   }

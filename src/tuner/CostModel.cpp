@@ -157,27 +157,32 @@ const CostModel::WidthView &CostModel::widthView(Prefix &P,
     Expected<DataflowAnalysis> Dataflow =
         analyzeDataflow(*Widened, P.CircuitLatencies);
     if (!Dataflow) {
-      View->DataflowError = "dataflow: " + Dataflow.message();
+      View->DataflowError = Dataflow.takeError();
       return;
     }
     View->Dataflow = Dataflow.takeValue();
     View->Runtime = computeRuntimeEstimate(*Widened, View->Dataflow);
+    View->Ledger = estimateResourceLedger(*Widened, View->Dataflow,
+                                          Base.Partitioning.ResourceConfig);
     View->Compiled = Widened.takeValue();
   });
   return *View;
 }
 
-Expected<CompiledProgram>
-CostModel::compile(const CandidateMapping &Mapping) const {
-  const Prefix &P = prefix(Mapping);
+Expected<CompiledPlan>
+CostModel::plan(const CandidateMapping &Mapping) const {
+  Prefix &P = prefix(Mapping);
   if (!P.Compiled)
     return makeError(P.PruneReason);
-  Expected<CompiledProgram> Widened =
-      P.Compiled->withVectorWidth(Mapping.VectorWidth);
-  if (!Widened)
+  const WidthView &View = widthView(P, Mapping.VectorWidth);
+  if (!View.WidthError.empty())
     return makeError("mapping: mapping " + Mapping.id() + ": " +
-                     Widened.message());
-  return Widened;
+                     View.WidthError);
+  if (!View.Compiled)
+    return Error(View.DataflowError).addContext("dataflow analysis");
+  PipelineOptions O = mappingOptions(Base, Mapping);
+  O.EmitCode = false;
+  return planProgram(*View.Compiled, View.Dataflow, O);
 }
 
 std::shared_ptr<const ExecutionResult>
@@ -213,7 +218,8 @@ CandidateCost CostModel::cost(const CandidateMapping &Mapping) const {
     return pruned(std::move(Cost), "mapping: mapping " + Mapping.id() +
                                        ": " + View.WidthError);
   if (!View.Compiled)
-    return pruned(std::move(Cost), View.DataflowError);
+    return pruned(std::move(Cost),
+                  "dataflow: " + View.DataflowError.message());
   const CompiledProgram *Compiled = &*View.Compiled;
   const RuntimeEstimate &Runtime = View.Runtime;
   Cost.ModelCycles = Runtime.TotalCycles;
@@ -225,7 +231,7 @@ CandidateCost CostModel::cost(const CandidateMapping &Mapping) const {
   PartOptions.MaxDevices = Mapping.MaxDevices;
   PartOptions.TargetUtilization = Mapping.TargetUtilization;
   Expected<Partition> Placement =
-      partitionProgram(*Compiled, View.Dataflow, PartOptions);
+      partitionProgram(*Compiled, View.Ledger, PartOptions);
   if (!Placement)
     return pruned(std::move(Cost), "partitioning: " + Placement.message());
   Cost.Devices = static_cast<int>(Placement->numDevices());

@@ -7,9 +7,9 @@
 /// \file
 /// The analytic cost model of the mapping autotuner. For each candidate it
 /// replays the static half of the pipeline — unroll and fuse once per
-/// temporal degree, compile once per (fusion level, temporal degree), then
-/// the width, dataflow analysis and partitioning per candidate — and
-/// combines
+/// temporal degree, compile once per (fusion level, temporal degree), the
+/// dataflow analysis and resource ledger once per width, then
+/// partitioning per candidate — and combines
 ///
 ///  - the expected-runtime model C = L + N (Sec. VIII-A, Eq. 1),
 ///  - the utilization-derived frequency model (core/ResourceModel), using
@@ -105,16 +105,18 @@ struct CandidateCost {
 ///    at its own width (\c CompiledProgram::withVectorWidth shares the
 ///    program and kernels). The kernels' census and circuit latencies are
 ///    counted once per prefix.
-///  - Width-dependent analysis: buffer sizing, the dataflow analysis and
-///    the Eq. 1 estimate run once per (fusion level, temporal degree,
-///    width) and are shared by every device budget and target
-///    utilization; only partitioning and the bandwidth and frequency
-///    models run per candidate.
+///  - Width-dependent analysis: buffer sizing, the dataflow analysis,
+///    the Eq. 1 estimate and the resource ledger run once per (fusion
+///    level, temporal degree, width) and are shared by every device
+///    budget and target utilization; only partitioning (from the ledger)
+///    and the bandwidth and frequency models run per candidate.
+///  - Simulated candidates: \c plan builds each plan from its width
+///    view, so no simulation re-runs the dataflow analysis.
 ///  - Reference outputs: the reference executor runs once per prefix, on
 ///    first use (\c reference), since its outputs depend only on the
 ///    program and its input seeds.
 ///
-/// \c cost, \c compile and \c reference may be called from multiple
+/// \c cost, \c plan and \c reference may be called from multiple
 /// threads: the tuner's search costs candidates on one thread while its
 /// validation pool runs reference executions and simulations on others.
 /// A mutex guards only the memo maps and the fusion walks; each prefix is
@@ -138,10 +140,10 @@ public:
   /// evaluates a candidate, never the predicted cycles.
   CandidateCost cost(const CandidateMapping &Mapping) const;
 
-  /// \p Mapping's compiled program: the shared compile prefix of its
-  /// fusion level and temporal degree, built on first use, at its width.
-  /// Fails with the candidate's prune reason.
-  Expected<CompiledProgram> compile(const CandidateMapping &Mapping) const;
+  /// \p Mapping's plan (\c planProgram, no code generation) from its
+  /// width view, the analysis its cost came from. Fails with the prune
+  /// reason, or with \c compilePipeline's message.
+  Expected<CompiledPlan> plan(const CandidateMapping &Mapping) const;
 
   /// The reference executor's outputs for \p Mapping's prefix on its
   /// program's inputs (materializeInputs), computed on first use. Null
@@ -160,15 +162,18 @@ private:
 
   /// A prefix viewed at one width: what its candidates of every device
   /// budget and target utilization share — the widened program, its
-  /// dataflow analysis and Eq. 1 estimate — or why they are pruned.
+  /// dataflow analysis, Eq. 1 estimate and resource ledger — or why they
+  /// are pruned.
   struct WidthView {
     std::once_flag Once;
     std::optional<CompiledProgram> Compiled;
     DataflowAnalysis Dataflow;
     RuntimeEstimate Runtime;
+    ResourceLedger Ledger;
     /// Why the width does not fit the program (each candidate's prune
     /// reason names its own mapping), or why the dataflow analysis failed.
-    std::string WidthError, DataflowError;
+    std::string WidthError;
+    Error DataflowError;
   };
 
   /// The program of one (fusion level, temporal degree) at width 1, or

@@ -27,24 +27,20 @@ using namespace stencilflow::tuner;
 
 namespace {
 
-/// Simulates one candidate on the cost model's shared compile prefix, with
-/// validation deferred: only the width, the plan and the run are its own,
-/// so simulations are embarrassingly parallel, and none waits for its
+/// Simulates one candidate on the plan the cost model costed it on, with
+/// validation deferred: only the placement and the run are its own, so
+/// simulations are embarrassingly parallel, and none waits for its
 /// prefix's reference outputs.
 Expected<PipelineResult> simulateCandidate(const CostModel &Model,
                                            const PipelineOptions &Base,
                                            const CandidateMapping &Mapping) {
-  Expected<CompiledProgram> Compiled = Model.compile(Mapping);
-  if (!Compiled)
-    return Compiled.takeError();
+  Expected<CompiledPlan> Plan = Model.plan(Mapping);
+  if (!Plan)
+    return Plan.takeError();
   PipelineOptions O = mappingOptions(Base, Mapping);
   O.Simulate = true;
   O.Validate = false;
-  O.EmitCode = false;
   O.Simulator.Trace = nullptr; // One tracer cannot record N runs at once.
-  Expected<CompiledPlan> Plan = planProgram(Compiled.takeValue(), O);
-  if (!Plan)
-    return Plan.takeError();
   return runPipeline(Plan.takeValue(), O);
 }
 

@@ -24,6 +24,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <set>
 #include <thread>
 #include <vector>
@@ -252,6 +254,61 @@ TEST(ServeCache, EvictionForcesRecompilation) {
   EXPECT_EQ(Stats.CacheSize, 1);
   EXPECT_GE(Stats.CacheEvictions, 2);
   S.stop();
+}
+
+TEST(ServeCache, RewrittenProgramFileIsANewProgram) {
+  // A path request reads its file once and compiles the text its cache
+  // key was fingerprinted from. Once the file is rewritten, the next
+  // request misses and serves the new program: the outputs of an inline
+  // request of the new text on a fresh server.
+  std::string Path = ::testing::TempDir() + "/sf_serve_rewritten.json";
+  auto WriteFile = [&Path](const StencilProgram &P) {
+    std::ofstream(Path) << programToJson(P).toString();
+  };
+  auto PathRequest = [&Path](std::string Id) {
+    Request R;
+    R.Id = std::move(Id);
+    R.Op = RequestOp::Run;
+    R.ProgramPath = Path;
+    return R;
+  };
+  Server S(testOptions());
+  S.start();
+
+  WriteFile(laplace2d());
+  Response First = S.handle(PathRequest("p1"));
+  ASSERT_TRUE(First.Ok) << First.ErrorMessage;
+  EXPECT_FALSE(*First.CacheHit);
+  Response Repeat = S.handle(PathRequest("p2"));
+  ASSERT_TRUE(Repeat.Ok) << Repeat.ErrorMessage;
+  EXPECT_TRUE(*Repeat.CacheHit);
+
+  WriteFile(diamondProgram());
+  Response Rewritten = S.handle(PathRequest("p3"));
+  ASSERT_TRUE(Rewritten.Ok) << Rewritten.ErrorMessage;
+  EXPECT_FALSE(*Rewritten.CacheHit);
+
+  // A file that parses but describes no program names itself.
+  std::ofstream(Path) << "{}";
+  Response Invalid = S.handle(PathRequest("p4"));
+  EXPECT_FALSE(Invalid.Ok);
+  EXPECT_EQ(Invalid.ErrorMessage.rfind("loading program: " + Path + ": ", 0),
+            0u)
+      << Invalid.ErrorMessage;
+  S.stop();
+  std::remove(Path.c_str());
+
+  Server Fresh(testOptions());
+  Fresh.start();
+  Request Inline;
+  Inline.Id = "i1";
+  Inline.Op = RequestOp::Run;
+  Inline.Program = programToJson(diamondProgram());
+  Response Expected = Fresh.handle(std::move(Inline));
+  ASSERT_TRUE(Expected.Ok) << Expected.ErrorMessage;
+  EXPECT_EQ(Rewritten.OutputsCrc, Expected.OutputsCrc);
+  EXPECT_NE(Rewritten.OutputsCrc, First.OutputsCrc);
+  Fresh.stop();
 }
 
 TEST(ServeCache, SingleFlightCompilesOnceUnderConcurrentMisses) {

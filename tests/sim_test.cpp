@@ -761,6 +761,99 @@ TEST(TimingIndependenceTest, ReseededInputsMoveOnlyOutputs) {
     }
 }
 
+TEST(TimingIndependenceTest, ReseededFaultScenariosMoveOnlyOutputs) {
+  // The pinned fault scenarios of the two-device chain
+  // (tests/fault_test.cpp): with every random input re-seeded, each
+  // reports the same digest text without its "output" lines, metrics CSV
+  // and Chrome trace when it completes, and the same failure report and
+  // trace when it aborts.
+  auto Event = [](FaultKind Kind, double Probability = 0.0) {
+    FaultEvent E;
+    E.Kind = Kind;
+    E.Probability = Probability;
+    return E;
+  };
+  struct Scenario {
+    const char *Name;
+    FaultPlan Plan;
+    int MaxRetransmitAttempts = 0; ///< 0 keeps the default.
+    int64_t StallTimeoutCycles = 0; ///< 0 keeps the default.
+    bool Completes = true;
+  };
+  std::vector<Scenario> Scenarios;
+  Scenarios.push_back({"empty reliable plan", FaultPlan()});
+  Scenarios.push_back({"transient corruption", transientCorruption()});
+  {
+    FaultPlan Burst;
+    Burst.Seed = 11;
+    FaultEvent Corrupt = Event(FaultKind::PayloadCorruption, 0.5);
+    Corrupt.StartCycle = 100;
+    Corrupt.EndCycle = 220;
+    Burst.Events.push_back(Corrupt);
+    Scenarios.push_back({"corruption burst", std::move(Burst)});
+  }
+  {
+    FaultPlan Brownout;
+    FaultEvent Window = Event(FaultKind::MemoryBrownout);
+    Window.Device = 0;
+    Window.Factor = 0.1;
+    Window.StartCycle = 50;
+    Window.EndCycle = 400;
+    Brownout.Events.push_back(Window);
+    Scenarios.push_back({"memory brownout", std::move(Brownout)});
+  }
+  {
+    FaultPlan Degrade;
+    FaultEvent Slow = Event(FaultKind::LinkDegrade);
+    Slow.Hop = -1;
+    Slow.Factor = 0.1;
+    Degrade.Events.push_back(Slow);
+    Scenarios.push_back({"link degrade", std::move(Degrade)});
+  }
+  {
+    FaultPlan Death;
+    FaultEvent Lost = Event(FaultKind::DeviceFailure);
+    Lost.Device = 1;
+    Lost.StartCycle = 300;
+    Death.Events.push_back(Lost);
+    Scenarios.push_back({"device failure", std::move(Death), 0, 0, false});
+  }
+  {
+    FaultPlan Exhaust;
+    Exhaust.Events.push_back(Event(FaultKind::PayloadCorruption, 1.0));
+    Scenarios.push_back(
+        {"retransmit exhaustion", std::move(Exhaust), 4, 0, false});
+  }
+  {
+    FaultPlan Outage;
+    FaultEvent Down = Event(FaultKind::LinkOutage);
+    Down.Hop = -1;
+    Outage.Events.push_back(Down);
+    Scenarios.push_back(
+        {"watchdog starvation", std::move(Outage), 0, 2048, false});
+  }
+
+  for (const Scenario &S : Scenarios) {
+    SCOPED_TRACE(S.Name);
+    SimConfig Config = unconstrained();
+    Config.Faults = &S.Plan;
+    if (S.MaxRetransmitAttempts > 0)
+      Config.MaxRetransmitAttempts = S.MaxRetransmitAttempts;
+    if (S.StallTimeoutCycles > 0)
+      Config.StallTimeoutCycles = S.StallTimeoutCycles;
+    TimedRun Original = timedRun(jacobi3dChain(6, 4, 6, 6), 3, Config);
+    TimedRun Reseeded =
+        timedRun(reseeded(jacobi3dChain(6, 4, 6, 6)), 3, Config);
+    EXPECT_EQ(Original.Timing, Reseeded.Timing);
+    EXPECT_EQ(Original.Timing.rfind("failure ", 0) == 0, !S.Completes)
+        << Original.Timing.substr(0, 200);
+    if (S.Completes) {
+      ASSERT_FALSE(Original.Outputs.empty());
+      EXPECT_NE(Original.Outputs, Reseeded.Outputs);
+    }
+  }
+}
+
 TEST(TimingIndependenceTest, ReseededDeadlockReportsTheSameFailure) {
   // The Fig. 4 deadlock: undersized channels on the reconvergent diamond.
   SimConfig Config = unconstrained();

@@ -415,6 +415,47 @@ TEST(CommandLineTest, IntegerFlagsRejectValuesTheirTypeCannotHold) {
   EXPECT_EQ(*readFlag<uint64_t>("-0"), 0u);
 }
 
+TEST(CommandLineTest, IntegerListFlagsCheckEveryElement) {
+  // Each element of a list flag obeys read()'s rule at the int edges, and
+  // the first element that breaks it is an InvalidInput error naming the
+  // flag, never a wrapped value (2^32 + 1 used to become degree 1).
+  auto ReadList = [](const std::string &Text) -> Expected<std::vector<int>> {
+    const char *Argv[] = {"prog", "--degrees", Text.c_str()};
+    Expected<CommandLine> Parsed = CommandLine::parse(3, Argv, {"degrees"});
+    if (!Parsed)
+      return Parsed.takeError();
+    std::vector<int> Out = {7};
+    if (Error Err = Parsed->readList("degrees", Out))
+      return Err;
+    return Out;
+  };
+  EXPECT_EQ(*ReadList("1,2147483647,-2147483648"),
+            (std::vector<int>{7, 1, std::numeric_limits<int>::max(),
+                              std::numeric_limits<int>::min()}));
+  EXPECT_EQ(*ReadList("4"), (std::vector<int>{7, 4}));
+  for (const char *Bad : {"1,2147483648", "-2147483649", "4294967297,2"}) {
+    Expected<std::vector<int>> Read = ReadList(Bad);
+    ASSERT_FALSE(Read) << Bad;
+    EXPECT_EQ(Read.code(), ErrorCode::InvalidInput) << Bad;
+    EXPECT_NE(Read.message().find("--degrees: '"), std::string::npos)
+        << Read.message();
+    EXPECT_NE(Read.message().find("must be an integer in [-2147483648, "
+                                  "2147483647]"),
+              std::string::npos)
+        << Read.message();
+  }
+  EXPECT_EQ(ReadList("1,,2").message(), "--degrees: '' is not an integer");
+  EXPECT_EQ(ReadList("1,2x").message(), "--degrees: '2x' is not an integer");
+
+  // An absent flag leaves the list untouched.
+  const char *Argv[] = {"prog"};
+  Expected<CommandLine> None = CommandLine::parse(1, Argv, {"degrees"});
+  ASSERT_TRUE(None);
+  std::vector<int> Kept = {3};
+  EXPECT_FALSE(static_cast<bool>(None->readList("degrees", Kept)));
+  EXPECT_EQ(Kept, std::vector<int>{3});
+}
+
 //===----------------------------------------------------------------------===//
 // Value serialization
 //===----------------------------------------------------------------------===//

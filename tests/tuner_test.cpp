@@ -783,10 +783,10 @@ void expectSameRun(const CompiledPlan &Plan, const PlanExecution &Exec,
 } // namespace
 
 TEST(TunerTest, WidthViewsMatchFromScratchCompiles) {
-  // Every prefix viewed at every legal width, planned and run against the
-  // prefix's shared reference outputs, must equal the pipeline compiled
-  // and run from scratch on the mapping applied at that width. Illegal
-  // widths fail with validate()'s own message.
+  // Every prefix viewed at every legal width, planned from its width view
+  // and run against the prefix's shared reference outputs, must equal the
+  // pipeline compiled and run from scratch on the mapping applied at that
+  // width. Illegal widths fail with validate()'s own message.
   struct Case {
     std::string Name;
     StencilProgram Program;
@@ -820,19 +820,17 @@ TEST(TunerTest, WidthViewsMatchFromScratchCompiles) {
       for (int W = 1; W <= Innermost; ++W) {
         CandidateMapping M{W, F, 4, 0.85, C.Degree};
         std::string Id = C.Name + " " + M.id();
-        Expected<CompiledProgram> View = Model.compile(M);
+        Expected<CompiledPlan> Plan = Model.plan(M);
         if (Innermost % W != 0) {
-          ASSERT_FALSE(View) << Id;
+          ASSERT_FALSE(Plan) << Id;
           StencilProgram Widened = C.Program.clone();
           Widened.VectorWidth = W;
-          EXPECT_EQ(View.message(), "mapping: mapping " + M.id() + ": " +
+          EXPECT_EQ(Plan.message(), "mapping: mapping " + M.id() + ": " +
                                         Widened.validate().message())
               << Id;
           continue;
         }
-        ASSERT_TRUE(View) << Id << ": " << View.message();
         PipelineOptions O = mappingOptions(Base, M);
-        Expected<CompiledPlan> Plan = planProgram(View.takeValue(), O);
         Expected<StencilProgram> Applied = applyMapping(C.Program, M);
         ASSERT_TRUE(Applied) << Id << ": " << Applied.message();
         Expected<CompiledPlan> Scratch =
@@ -886,9 +884,9 @@ TEST(TunerTest, CandidatesShareTheirPrefixProgramAndReference) {
   for (size_t I = 0; I != All.size(); ++I) {
     const CandidateMapping &M = All[I];
     ASSERT_NE(Seen[I], nullptr) << M.id();
-    Expected<CompiledProgram> Compiled = Model.compile(M);
-    ASSERT_TRUE(Compiled) << M.id() << ": " << Compiled.message();
-    EXPECT_EQ(Compiled->vectorWidth(), M.VectorWidth) << M.id();
+    Expected<CompiledPlan> Plan = Model.plan(M);
+    ASSERT_TRUE(Plan) << M.id() << ": " << Plan.message();
+    EXPECT_EQ(Plan->Compiled.vectorWidth(), M.VectorWidth) << M.id();
     auto [It, Inserted] =
         First.try_emplace({M.FusionPairs, M.TemporalDegree}, I);
     if (Inserted) {
@@ -907,7 +905,8 @@ TEST(TunerTest, CandidatesShareTheirPrefixProgramAndReference) {
     }
     const CandidateMapping &Sibling = All[It->second];
     EXPECT_EQ(Seen[I], Seen[It->second]) << M.id() << " vs " << Sibling.id();
-    EXPECT_EQ(&Compiled->program(), &Model.compile(Sibling)->program())
+    EXPECT_EQ(&Plan->Compiled.program(),
+              &Model.plan(Sibling)->Compiled.program())
         << M.id() << " vs " << Sibling.id();
   }
   EXPECT_EQ(First.size(),
@@ -917,8 +916,8 @@ TEST(TunerTest, CandidatesShareTheirPrefixProgramAndReference) {
 
   // A level outside the space was never walked to: it is pruned, not
   // fused afresh.
-  Expected<CompiledProgram> Outside =
-      Model.compile(CandidateMapping{1, 99, 1, 0.85});
+  Expected<CompiledPlan> Outside =
+      Model.plan(CandidateMapping{1, 99, 1, 0.85});
   ASSERT_FALSE(Outside);
   EXPECT_EQ(Outside.message(),
             "mapping: fusion level 99 is not a level of the design space");
@@ -1504,5 +1503,112 @@ TEST(CompileDigestTest, ProgramTextAtEveryFusionLevel) {
                               static_cast<unsigned long long>(Digests.back()));
     }
     EXPECT_EQ(Digests, C.LevelDigests) << Listing;
+  }
+}
+
+namespace {
+
+/// Canonical text of one plan's placement and resource estimates: the
+/// partition report, every device's resources, then the single-device
+/// aggregate and its frequency (as an exact hex float); or the message
+/// of the verdict that the mapping has no plan.
+std::string planDigestText(const Expected<CompiledPlan> &Plan) {
+  if (!Plan)
+    return "infeasible " + Plan.message() + "\n";
+  auto Usage = [](const ResourceUsage &U) {
+    return formatString("%lld %lld %lld %lld", static_cast<long long>(U.ALMs),
+                        static_cast<long long>(U.FFs),
+                        static_cast<long long>(U.M20Ks),
+                        static_cast<long long>(U.DSPs));
+  };
+  std::string Out = Plan->Placement.report();
+  for (const DevicePlacement &Device : Plan->Placement.Devices)
+    Out += " device " + Usage(Device.Resources) + "\n";
+  return Out + " plan " + Usage(Plan->Resources) +
+         formatString(" %a\n", Plan->FrequencyMHz);
+}
+
+} // namespace
+
+TEST(PartitionDigestTest, EveryCandidateOfTheDefaultSpaces) {
+  // Pinned before the partitioner and the program estimate shared one
+  // resource ledger: the plan of every candidate of the default design
+  // space — every width, fusion level, device budget and utilization —
+  // of the `tune` benchmark's programs, the tuner workloads and one
+  // generated program per fuzz profile, each under the stock device, a
+  // two-stencil kernel cap (so plans spill across devices) and a small
+  // device (so sizable units and chains are infeasible). The cost model's
+  // plan of each candidate must read the same as the one compiled from
+  // scratch.
+  struct Case {
+    const char *Name;
+    StencilProgram Program;
+    uint64_t Digests[3]; ///< Stock, two-stencil cap, small device.
+  };
+  Case Cases[] = {
+      {"hdiff",
+       workloads::horizontalDiffusion(4, 8, 8, 1),
+       {0x89465a8a9a3fa82full, 0x7ad3231e57235251ull,
+        0x373b6b06f2e7d049ull}},
+      {"jacobi3d",
+       workloads::jacobi3dChain(4, 4, 8, 8, 1),
+       {0x42d9b5fa54576b07ull, 0x519113bfde10316aull,
+        0x5f0c7a3f52f7b4efull}},
+      {"wave2d",
+       workloads::wave2dChain(2, 4, 16, 16, 1),
+       {0x1ba842fa48310aefull, 0x4bc5c22005082971ull,
+        0x3f053e15e162cc6cull}},
+      {"small jacobi3d",
+       smallJacobi(),
+       {0x4e74c6520db1fc59ull, 0x9ac7fb66e5a38276ull,
+        0x9dc1a9e6e274636bull}},
+      {"small diffusion2d",
+       smallDiffusion(),
+       {0x601061d76f90a32dull, 0x74402ad75a53c99aull,
+        0x1dcc33291a2d9e90ull}},
+      {"identity chain",
+       identityChain(),
+       {0xda9535d1e2314005ull, 0xeada5a87d7ae5a08ull,
+        0xca193eff25a07ddaull}},
+      {"fuzz-default",
+       fuzz::generateProgram(18),
+       {0xb3356687027c54bfull, 0x056ca6f85e60ec43ull,
+        0x3442cce0e71906f1ull}},
+      {"fuzz-deep-rings",
+       fuzz::generateProgram(3, fuzz::GenConfig::deepRings()),
+       {0x55af2ab283bb4430ull, 0xb95494044c91575aull,
+        0x3886ced1720fc0e3ull}},
+      {"fuzz-wide-dags",
+       fuzz::generateProgram(8, fuzz::GenConfig::wideDags()),
+       {0x913496a6718a073bull, 0x79cf1eb6d3e7d05bull,
+        0xfa95003766f47885ull}},
+      {"fuzz-degenerate",
+       fuzz::generateProgram(8, fuzz::GenConfig::degenerate()),
+       {0x060f7fb96e7d938full, 0x669f87acc877aca8ull,
+        0x2941369a01281658ull}},
+  };
+  PipelineOptions Bases[3];
+  Bases[1].Partitioning.MaxStencilsPerDevice = 2;
+  Bases[2].Partitioning.Device = {40000, 160000, 120, 60};
+
+  for (Case &C : Cases) {
+    for (int B = 0; B != 3; ++B) {
+      SCOPED_TRACE(::testing::Message() << C.Name << ", base " << B);
+      const PipelineOptions &Base = Bases[B];
+      Expected<DesignSpace> Space = DesignSpace::enumerate(
+          C.Program, DesignSpaceOptions(), Base.Partitioning.MaxDevices);
+      ASSERT_TRUE(Space) << Space.message();
+      CostModel Model(C.Program, Base, *Space);
+      std::string Text;
+      for (const CandidateMapping &M : Space->candidates()) {
+        Expected<StencilProgram> Applied = applyMapping(C.Program, M);
+        ASSERT_TRUE(Applied) << M.id() << ": " << Applied.message();
+        std::string Scratch = planDigestText(
+            compilePipeline(Applied.takeValue(), mappingOptions(Base, M)));
+        EXPECT_EQ(planDigestText(Model.plan(M)), Scratch) << M.id();
+        Text += M.id() + "\n" + Scratch;
+      }
+      EXPECT_EQ(textDigest(Text), C.Digests[B]) << Text;
+    }
   }
 }

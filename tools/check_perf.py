@@ -3,12 +3,14 @@
 checked-in baseline and fail on regressions.
 
 Because CI runners and developer machines differ in absolute speed, the
-default comparison is *relative*: each benchmark's cpu_time is normalized
-by the geometric mean of all benchmarks common to both runs, and the
-normalized value must not exceed the baseline's by more than the
-threshold (default 20%). A uniform machine-speed difference cancels out;
-a single benchmark regressing against its peers does not. Use
---absolute when both runs come from the same machine.
+default comparison is *relative*: each benchmark's ratio of current to
+baseline cpu_time is divided by the median ratio of all benchmarks common
+to both runs, and must not exceed 1 by more than the threshold (default
+20%). A uniform machine-speed difference cancels out; a single benchmark
+regressing against its peers does not. The median, unlike a mean, is not
+moved by a real speed-up of a few benchmarks, so their gain does not make
+the untouched ones read as regressions. Use --absolute when both runs
+come from the same machine.
 
 Every baseline entry stores its benchmark's time_unit (ns, us, ms or s).
 Times are compared as numbers, so a baseline and a run that disagree on a
@@ -25,6 +27,7 @@ import argparse
 import json
 import math
 import os
+import statistics
 import sys
 
 
@@ -59,14 +62,10 @@ def load_times(path):
             for name, entry in entries}
 
 
-def geomean(values):
-    return math.exp(sum(math.log(v) for v in values) / len(values))
-
-
 def check_positive(times, path):
     """A zero, negative, or non-finite cpu_time (a fresh/empty/hand-edited
-    BENCH file, or a benchmark that divided by zero) would crash the
-    geomean or poison every ratio below — NaN in particular compares False
+    BENCH file, or a benchmark that divided by zero) would crash a ratio
+    or poison the median below — NaN in particular compares False
     against the threshold and would silently pass the whole check. Fail
     with a clear message instead."""
     bad = sorted(name for name, t in times.items()
@@ -86,7 +85,7 @@ def main():
                         help="allowed slowdown fraction (default 0.20)")
     parser.add_argument("--absolute", action="store_true",
                         help="compare raw cpu_time instead of "
-                             "geomean-normalized values")
+                             "median-normalized ratios")
     parser.add_argument("--update", action="store_true",
                         help="rewrite BASELINE from CURRENT and exit")
     args = parser.parse_args()
@@ -139,7 +138,7 @@ def main():
     # A name-set mismatch in either direction is a hard failure, not a
     # warning: a benchmark silently dropped from the current run is a
     # regression that would otherwise never be measured again, and a new
-    # benchmark missing from the baseline skews the geomean normalization
+    # benchmark missing from the baseline skews the median normalization
     # for every other entry until someone notices.
     missing = sorted(set(baseline) - set(current))
     extra = sorted(set(current) - set(baseline))
@@ -156,19 +155,14 @@ def main():
                  + "). Re-run the full suite, or refresh the baseline "
                  "with --update.")
 
-    if args.absolute:
-        base_norm, cur_norm = 1.0, 1.0
-    else:
-        base_norm = geomean([baseline[n] for n in common])
-        cur_norm = geomean([current[n] for n in common])
+    ratios = {n: current[n] / baseline[n] for n in common}
+    norm = 1.0 if args.absolute else statistics.median(ratios.values())
 
     failed = []
     print(f"{'benchmark':<40} {'baseline':>12} {'current':>12} {'unit':>4} "
           f"{'ratio':>8}")
     for name in common:
-        base = baseline[name] / base_norm
-        cur = current[name] / cur_norm
-        ratio = cur / base
+        ratio = ratios[name] / norm
         marker = ""
         if ratio > 1.0 + args.threshold:
             failed.append(name)
@@ -177,7 +171,7 @@ def main():
         print(f"{name:<40} {baseline[name]:>12.1f} {current[name]:>12.1f} "
               f"{unit:>4} {ratio:>7.2f}x{marker}")
 
-    mode = "absolute" if args.absolute else "geomean-normalized"
+    mode = "absolute" if args.absolute else "median-normalized"
     if failed:
         print(f"\nFAIL: {len(failed)} benchmark(s) regressed more than "
               f"{args.threshold:.0%} ({mode}): " + ", ".join(failed))
