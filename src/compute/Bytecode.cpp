@@ -6,89 +6,8 @@
 
 #include "compute/Bytecode.h"
 
-#include <cassert>
-#include <cmath>
-
 using namespace stencilflow;
 using namespace stencilflow::compute;
-
-double compute::roundToType(double Value, DataType Type) {
-  switch (Type) {
-  case DataType::Float32:
-    return static_cast<double>(static_cast<float>(Value));
-  case DataType::Float64:
-    return Value;
-  case DataType::Int32:
-    return static_cast<double>(static_cast<int32_t>(Value));
-  case DataType::Int64:
-    return static_cast<double>(static_cast<int64_t>(Value));
-  }
-  return Value;
-}
-
-double compute::evalOpUnrounded(OpCode Op, double A, double B, double C) {
-  switch (Op) {
-  case OpCode::Neg:
-    return -A;
-  case OpCode::Not:
-    return A == 0.0 ? 1.0 : 0.0;
-  case OpCode::Add:
-    return A + B;
-  case OpCode::Sub:
-    return A - B;
-  case OpCode::Mul:
-    return A * B;
-  case OpCode::Div:
-    return A / B;
-  case OpCode::Lt:
-    return A < B ? 1.0 : 0.0;
-  case OpCode::Le:
-    return A <= B ? 1.0 : 0.0;
-  case OpCode::Gt:
-    return A > B ? 1.0 : 0.0;
-  case OpCode::Ge:
-    return A >= B ? 1.0 : 0.0;
-  case OpCode::Eq:
-    return A == B ? 1.0 : 0.0;
-  case OpCode::Ne:
-    return A != B ? 1.0 : 0.0;
-  case OpCode::And:
-    return (A != 0.0 && B != 0.0) ? 1.0 : 0.0;
-  case OpCode::Or:
-    return (A != 0.0 || B != 0.0) ? 1.0 : 0.0;
-  case OpCode::Sqrt:
-    return std::sqrt(A);
-  case OpCode::Abs:
-    return std::fabs(A);
-  case OpCode::Exp:
-    return std::exp(A);
-  case OpCode::Log:
-    return std::log(A);
-  case OpCode::Sin:
-    return std::sin(A);
-  case OpCode::Cos:
-    return std::cos(A);
-  case OpCode::Tanh:
-    return std::tanh(A);
-  case OpCode::Floor:
-    return std::floor(A);
-  case OpCode::Ceil:
-    return std::ceil(A);
-  case OpCode::Min:
-    return std::fmin(A, B);
-  case OpCode::Max:
-    return std::fmax(A, B);
-  case OpCode::Pow:
-    return std::pow(A, B);
-  case OpCode::Select:
-    return A != 0.0 ? B : C;
-  case OpCode::Const:
-  case OpCode::Input:
-    break;
-  }
-  assert(false && "evalOpUnrounded on a non-computing opcode");
-  return 0.0;
-}
 
 std::string_view compute::opCodeName(OpCode Op) {
   switch (Op) {

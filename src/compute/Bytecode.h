@@ -22,9 +22,12 @@
 #include "ir/Expr.h"
 
 #include <array>
+#include <cassert>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 
 namespace stencilflow {
 namespace compute {
@@ -71,15 +74,176 @@ std::string_view opCodeName(OpCode Op);
 /// Rounds \p Value to \p Type's precision. Float32 kernels round every
 /// intermediate to float, matching the per-operation rounding of hardware
 /// fp32 units (and of the fp32 OpenCL kernels the real system generates).
-/// Shared by the scalar interpreter, the lane-batched engine
-/// (compute/Engine.h), and compile-time constant folding, so all three
+template <DataType Type> inline double roundTo(double Value) {
+  if constexpr (Type == DataType::Float32)
+    return static_cast<double>(static_cast<float>(Value));
+  else if constexpr (Type == DataType::Int32)
+    return static_cast<double>(static_cast<int32_t>(Value));
+  else if constexpr (Type == DataType::Int64)
+    return static_cast<double>(static_cast<int64_t>(Value));
+  else
+    return Value;
+}
+
+/// \c roundTo for a run-time \p Type. Shared by the scalar interpreter,
+/// the row-at-a-time reference executor, the lane-batched engine
+/// (compute/Engine.h), and compile-time constant folding, so all of them
 /// produce bit-identical values.
-double roundToType(double Value, DataType Type);
+inline double roundToType(double Value, DataType Type) {
+  switch (Type) {
+  case DataType::Float32:
+    return roundTo<DataType::Float32>(Value);
+  case DataType::Float64:
+    return roundTo<DataType::Float64>(Value);
+  case DataType::Int32:
+    return roundTo<DataType::Int32>(Value);
+  case DataType::Int64:
+    return roundTo<DataType::Int64>(Value);
+  }
+  return Value;
+}
+
+/// The semantics of computing opcode \p Op on already-rounded operands,
+/// without rounding the result: the one definition of every operation
+/// that the scalar interpreter, the reference executor and constant
+/// folding evaluate. Unary operations ignore \p B and \p C, binary ones
+/// \p C.
+template <OpCode Op> inline double applyOp(double A, double B, double C) {
+  static_assert(Op != OpCode::Const && Op != OpCode::Input,
+                "applyOp of a non-computing opcode");
+  if constexpr (Op == OpCode::Neg)
+    return -A;
+  else if constexpr (Op == OpCode::Not)
+    return A == 0.0 ? 1.0 : 0.0;
+  else if constexpr (Op == OpCode::Add)
+    return A + B;
+  else if constexpr (Op == OpCode::Sub)
+    return A - B;
+  else if constexpr (Op == OpCode::Mul)
+    return A * B;
+  else if constexpr (Op == OpCode::Div)
+    return A / B;
+  else if constexpr (Op == OpCode::Lt)
+    return A < B ? 1.0 : 0.0;
+  else if constexpr (Op == OpCode::Le)
+    return A <= B ? 1.0 : 0.0;
+  else if constexpr (Op == OpCode::Gt)
+    return A > B ? 1.0 : 0.0;
+  else if constexpr (Op == OpCode::Ge)
+    return A >= B ? 1.0 : 0.0;
+  else if constexpr (Op == OpCode::Eq)
+    return A == B ? 1.0 : 0.0;
+  else if constexpr (Op == OpCode::Ne)
+    return A != B ? 1.0 : 0.0;
+  else if constexpr (Op == OpCode::And)
+    return (A != 0.0 && B != 0.0) ? 1.0 : 0.0;
+  else if constexpr (Op == OpCode::Or)
+    return (A != 0.0 || B != 0.0) ? 1.0 : 0.0;
+  else if constexpr (Op == OpCode::Sqrt)
+    return std::sqrt(A);
+  else if constexpr (Op == OpCode::Abs)
+    return std::fabs(A);
+  else if constexpr (Op == OpCode::Exp)
+    return std::exp(A);
+  else if constexpr (Op == OpCode::Log)
+    return std::log(A);
+  else if constexpr (Op == OpCode::Sin)
+    return std::sin(A);
+  else if constexpr (Op == OpCode::Cos)
+    return std::cos(A);
+  else if constexpr (Op == OpCode::Tanh)
+    return std::tanh(A);
+  else if constexpr (Op == OpCode::Floor)
+    return std::floor(A);
+  else if constexpr (Op == OpCode::Ceil)
+    return std::ceil(A);
+  else if constexpr (Op == OpCode::Min)
+    return std::fmin(A, B);
+  else if constexpr (Op == OpCode::Max)
+    return std::fmax(A, B);
+  else if constexpr (Op == OpCode::Pow)
+    return std::pow(A, B);
+  else
+    return A != 0.0 ? B : C; // Select.
+}
+
+/// Calls \p F with \c std::integral_constant<OpCode, Op> for the
+/// computing opcode \p Op, so a loop inside \p F is compiled once per
+/// operation. Must not be called with OpCode::Const or OpCode::Input.
+template <typename Fn> inline void visitOp(OpCode Op, Fn &&F) {
+  using enum OpCode;
+  switch (Op) {
+  case Neg:
+    return F(std::integral_constant<OpCode, Neg>());
+  case Not:
+    return F(std::integral_constant<OpCode, Not>());
+  case Add:
+    return F(std::integral_constant<OpCode, Add>());
+  case Sub:
+    return F(std::integral_constant<OpCode, Sub>());
+  case Mul:
+    return F(std::integral_constant<OpCode, Mul>());
+  case Div:
+    return F(std::integral_constant<OpCode, Div>());
+  case Lt:
+    return F(std::integral_constant<OpCode, Lt>());
+  case Le:
+    return F(std::integral_constant<OpCode, Le>());
+  case Gt:
+    return F(std::integral_constant<OpCode, Gt>());
+  case Ge:
+    return F(std::integral_constant<OpCode, Ge>());
+  case Eq:
+    return F(std::integral_constant<OpCode, Eq>());
+  case Ne:
+    return F(std::integral_constant<OpCode, Ne>());
+  case And:
+    return F(std::integral_constant<OpCode, And>());
+  case Or:
+    return F(std::integral_constant<OpCode, Or>());
+  case Sqrt:
+    return F(std::integral_constant<OpCode, Sqrt>());
+  case Abs:
+    return F(std::integral_constant<OpCode, Abs>());
+  case Exp:
+    return F(std::integral_constant<OpCode, Exp>());
+  case Log:
+    return F(std::integral_constant<OpCode, Log>());
+  case Sin:
+    return F(std::integral_constant<OpCode, Sin>());
+  case Cos:
+    return F(std::integral_constant<OpCode, Cos>());
+  case Tanh:
+    return F(std::integral_constant<OpCode, Tanh>());
+  case Floor:
+    return F(std::integral_constant<OpCode, Floor>());
+  case Ceil:
+    return F(std::integral_constant<OpCode, Ceil>());
+  case Min:
+    return F(std::integral_constant<OpCode, Min>());
+  case Max:
+    return F(std::integral_constant<OpCode, Max>());
+  case Pow:
+    return F(std::integral_constant<OpCode, Pow>());
+  case Select:
+    return F(std::integral_constant<OpCode, Select>());
+  case Const:
+  case Input:
+    break;
+  }
+  assert(false && "visitOp on a non-computing opcode");
+}
 
 /// Evaluates one computing operation on already-rounded operands, without
 /// rounding the result (the caller applies \c roundToType). Must not be
 /// called with OpCode::Const or OpCode::Input.
-double evalOpUnrounded(OpCode Op, double A, double B, double C);
+inline double evalOpUnrounded(OpCode Op, double A, double B, double C) {
+  double Result = 0.0;
+  visitOp(Op, [&](auto Code) {
+    Result = applyOp<decltype(Code)::value>(A, B, C);
+  });
+  return Result;
+}
 
 /// One bytecode instruction. Operand fields A/B/C index earlier registers.
 struct Instruction {

@@ -25,10 +25,10 @@ const char *serve::requestOpName(RequestOp Op) {
   return "run";
 }
 
-Expected<Request> Request::fromJson(const json::Value &V) {
+Expected<Request> Request::fromJson(json::Value V) {
   if (!V.isObject())
     return makeError(ErrorCode::InvalidInput, "request must be an object");
-  const json::Object &O = V.getObject();
+  json::Object &O = V.getObject();
 
   Request R;
   std::string OpName = "run";
@@ -48,11 +48,11 @@ Expected<Request> Request::fromJson(const json::Value &V) {
     return makeError(ErrorCode::InvalidInput,
                      formatString("unknown op '%s'", OpName.c_str()));
 
-  if (const json::Value *P = O.get("program")) {
+  if (json::Value *P = O.get("program")) {
     if (!P->isObject())
       return makeError(ErrorCode::InvalidInput,
                        "'program' must be an object");
-    R.Program = *P;
+    R.Program = std::move(*P);
   }
   if (R.Op == RequestOp::Run && R.Program.isNull() && R.ProgramPath.empty())
     return makeError(ErrorCode::InvalidInput,
@@ -96,7 +96,7 @@ Expected<Request> Request::fromJsonText(std::string_view Line) {
   if (!V)
     return makeError(ErrorCode::InvalidInput,
                      "request line: " + V.message());
-  return fromJson(*V);
+  return fromJson(V.takeValue());
 }
 
 std::string Request::toJsonText() const {

@@ -86,7 +86,8 @@ struct Request {
   std::string ProgramPath;
   RequestOptions Options;
 
-  static Expected<Request> fromJson(const json::Value &V);
+  /// Decodes one request; the program member moves out of \p V.
+  static Expected<Request> fromJson(json::Value V);
   static Expected<Request> fromJsonText(std::string_view Line);
   /// Encodes one request line (no trailing newline). Used by clients:
   /// the bench driver, tests, and sf_serve's --client mode.

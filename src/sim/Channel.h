@@ -134,8 +134,9 @@ public:
     return ReadyCycles[static_cast<size_t>((Head + I) % Capacity)];
   }
 
-  /// Resets contents and occupancy statistics ahead of a snapshot restore.
-  void clearForRestore() {
+  /// Empties the channel and resets its occupancy statistics: every run
+  /// starts from here, and a snapshot restore refills it from here.
+  void clear() {
     Head = Count = 0;
     PeakOccupancy = VisibleHighWater = 0;
   }

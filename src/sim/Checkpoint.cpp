@@ -606,7 +606,7 @@ bool Machine::transferState(StateArchive &Ar, RehydrateState *Old) {
     if (!Ar.ok())
       return false;
     if (Ar.loading()) {
-      C.clearForRestore();
+      C.clear();
       C.ensureCapacity(static_cast<int64_t>(Count));
     }
     for (int64_t I = 0; I != static_cast<int64_t>(Count); ++I) {

@@ -916,6 +916,8 @@ Error Machine::prepareRun(
     W.Index.assign(SpaceExtents.size(), 0);
     W.InVector.assign(static_cast<size_t>(Lanes), 0.0);
   }
+  for (std::unique_ptr<Channel> &C : Channels)
+    C->clear();
   std::fill(MemoryBytesMoved.begin(), MemoryBytesMoved.end(), 0.0);
   std::fill(MemoryBudget.begin(), MemoryBudget.end(), 0.0);
   std::fill(WriterBudget.begin(), WriterBudget.end(), 0.0);

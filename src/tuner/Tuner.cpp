@@ -14,11 +14,13 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <set>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -47,7 +49,8 @@ Expected<PipelineResult> simulateCandidate(const CostModel &Model,
 /// A FIFO pool of at most \c MaxThreads threads, started one per queued
 /// task while none is idle, so a pool never runs more threads than it
 /// has had tasks. With a cap of at most 1, \c submit runs the task on the
-/// calling thread. The destructor drains the queue and joins.
+/// calling thread. \c drain, also run by the destructor, works off the
+/// queue on the calling thread alongside the pool, then joins.
 class TaskPool {
 public:
   explicit TaskPool(size_t MaxThreads) : MaxThreads(MaxThreads) {}
@@ -67,35 +70,41 @@ public:
     Ready.notify_one();
   }
 
-  /// Waits for every queued task to finish and joins the threads.
+  /// Runs queued tasks on the calling thread until the queue is empty,
+  /// then waits for the pool's running tasks and joins the threads.
   void drain() {
-    {
-      std::lock_guard<std::mutex> Lock(Mutex);
-      Closing = true;
-    }
+    std::unique_lock<std::mutex> Lock(Mutex);
+    Closing = true;
     Ready.notify_all();
+    runQueued(Lock);
+    Lock.unlock();
     for (std::thread &T : Threads)
       T.join();
     Threads.clear();
   }
 
 private:
-  void work() {
-    std::unique_lock<std::mutex> Lock(Mutex);
-    for (;;) {
-      if (Queue.empty()) {
-        if (Closing)
-          return;
-        ++Idle;
-        Ready.wait(Lock, [this] { return !Queue.empty() || Closing; });
-        --Idle;
-        continue;
-      }
+  /// Pops and runs tasks, without holding \p Lock while one runs, until
+  /// the queue is empty.
+  void runQueued(std::unique_lock<std::mutex> &Lock) {
+    while (!Queue.empty()) {
       std::function<void()> Task = std::move(Queue.front());
       Queue.pop_front();
       Lock.unlock();
       Task();
       Lock.lock();
+    }
+  }
+
+  void work() {
+    std::unique_lock<std::mutex> Lock(Mutex);
+    for (;;) {
+      runQueued(Lock);
+      if (Closing)
+        return;
+      ++Idle;
+      Ready.wait(Lock, [this] { return !Queue.empty() || Closing; });
+      --Idle;
     }
   }
 
@@ -167,12 +176,21 @@ stencilflow::tuner::tuneProgram(const StencilProgram &Program,
   CostModel Model(Program, Base, *Space);
   CandidateCost DefaultCost = Model.cost(Default);
 
-  // Validation: one pool of reference runs and simulations. Each job's run
-  // lands in its own slot (a deque, so later slots never move earlier
-  // ones) and is validated once the pool drains, so thread scheduling
-  // cannot reorder anything observable.
+  // Validation: one pool of reference runs and simulations. Each
+  // simulation lands in its own slot (a deque, so later slots never move
+  // earlier ones) and is validated once the pool drains, so thread
+  // scheduling cannot reorder anything observable.
   using Slot = std::optional<Expected<PipelineResult>>;
   std::deque<Slot> Slots;
+  // One slot per machine: a candidate's whole mapping, except that
+  // candidates placed on one device key on their prefix, width and kernel
+  // tier alone. Their device budgets and target utilizations only decided
+  // that everything fits on one device, so their plans are the same
+  // machine. Device-loss recovery re-partitions under the budget, so a
+  // fault plan turns the sharing off.
+  using MachineKey =
+      std::tuple<int, int, int, compute::KernelEngine, int, double>;
+  std::map<MachineKey, Slot *> SlotOfMachine;
   std::set<std::pair<int, int>> Referenced; // (fusion level, degree)
   size_t Workers = Options.Workers > 0
                        ? static_cast<size_t>(Options.Workers)
@@ -183,19 +201,24 @@ stencilflow::tuner::tuneProgram(const StencilProgram &Program,
     if (Referenced.insert({M.FusionPairs, M.TemporalDegree}).second)
       Pool.submit([&Model, M] { Model.reference(M); });
   };
-  auto Simulate = [&](const CandidateMapping &M) {
-    Slot *S = &Slots.emplace_back();
-    Pool.submit([&Model, &Base, S, M] {
-      S->emplace(simulateCandidate(Model, Base, M));
-    });
+  auto Simulate = [&](const CandidateMapping &M, const CandidateCost &Cost) {
+    bool OneDevice = Cost.Devices == 1 && !Base.Simulator.Faults;
+    Slot *&S = SlotOfMachine[{M.FusionPairs, M.TemporalDegree, M.VectorWidth,
+                              M.KernelExec, OneDevice ? 1 : M.MaxDevices,
+                              OneDevice ? 1.0 : M.TargetUtilization}];
+    if (!S) {
+      S = &Slots.emplace_back();
+      Pool.submit([&Model, &Base, Target = S, M] {
+        Target->emplace(simulateCandidate(Model, Base, M));
+      });
+    }
     return S;
   };
   // The default is simulated whenever it is feasible, so its reference
   // run and simulation overlap the search.
-  Slot *DefaultSlot = nullptr;
   if (Options.Simulate && DefaultCost.Feasible) {
     Reference(Default);
-    DefaultSlot = Simulate(Default);
+    Simulate(Default, DefaultCost);
   }
 
   SearchResult Search = searchDesignSpace(*Space, Model, Options.Search,
@@ -265,16 +288,16 @@ stencilflow::tuner::tuneProgram(const StencilProgram &Program,
   for (size_t Job : Jobs)
     Reference(Report.Candidates[Job].Mapping);
   std::vector<Slot *> JobSlots;
-  for (size_t Job : Jobs) {
-    const CandidateMapping &M = Report.Candidates[Job].Mapping;
-    JobSlots.push_back(M == Default ? DefaultSlot : Simulate(M));
-  }
+  for (size_t Job : Jobs)
+    JobSlots.push_back(
+        Simulate(Report.Candidates[Job].Mapping, Report.Candidates[Job].Cost));
   Pool.drain();
 
+  std::set<const Slot *> Validated;
   for (size_t Job = 0; Job != Jobs.size(); ++Job) {
     CandidateRecord &R = Report.Candidates[Jobs[Job]];
     Expected<PipelineResult> &Run = **JobSlots[Job];
-    if (Run) {
+    if (Run && Validated.insert(JobSlots[Job]).second) {
       std::shared_ptr<const ExecutionResult> Outputs =
           Model.reference(R.Mapping);
       if (Error Err = validateExecution(*Run, Base.Tolerance, Outputs.get(),

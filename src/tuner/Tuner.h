@@ -50,8 +50,11 @@ struct TuneOptions {
   /// Worker threads of the validation pool, which runs the reference
   /// executions and simulations (the default's during the search); 0 = one
   /// per hardware core. Capped at TopK + 1, and a thread starts only when
-  /// a queued task finds no idle one. At most 1 runs every task on the
-  /// calling thread. The outcome is identical for any value.
+  /// a queued task finds no idle one. Once the search is done, the calling
+  /// thread runs queued tasks too while it waits for the pool. At most 1
+  /// runs every task on the calling thread. Candidates whose plans are the
+  /// same machine share one simulation. The outcome is identical for any
+  /// value.
   int Workers = 0;
 
   /// When false, skip simulation entirely: the plan is chosen by the

@@ -5,6 +5,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "common/TestPrograms.h"
+#include "core/ValidRegion.h"
+#include "fuzz/Generate.h"
 #include "runtime/InputData.h"
 #include "runtime/ReferenceExecutor.h"
 #include "runtime/Validation.h"
@@ -12,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 using namespace stencilflow;
 using namespace stencilflow::testing;
@@ -184,6 +187,220 @@ TEST(ReferenceTest, ParallelMatchesSequential) {
       EXPECT_TRUE(Report.Passed) << "seed " << Seed << ": "
                                  << Report.Summary;
     }
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// The block oracle against the per-cell reference it replaced
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The reference executor before it evaluated blocks of cells: for every
+/// cell, a bounds-checked read per slot, then the scalar interpreter
+/// (\c Kernel::evaluate). Kept here as the check of the block oracle.
+class PerCellReference {
+public:
+  static std::map<std::string, std::vector<double>>
+  run(const CompiledProgram &Compiled,
+      const std::map<std::string, std::vector<double>> &Inputs) {
+    const StencilProgram &Program = Compiled.program();
+    std::map<std::string, std::vector<double>> Fields;
+    for (const Field &Input : Program.Inputs)
+      Fields[Input.Name] = Inputs.at(Input.Name);
+    const Shape &Space = Program.IterationSpace;
+    for (size_t NodeIndex : Compiled.topologicalOrder()) {
+      const StencilNode &Node = Program.Nodes[NodeIndex];
+      const compute::Kernel &Kernel = Compiled.kernel(NodeIndex);
+      std::vector<Slot> Slots;
+      for (const compute::KernelInput &In : Kernel.inputs())
+        Slots.push_back(slotOf(Program, Node, In, Fields));
+      ValidRegion Region = computeValidRegion(Program, Node);
+      std::vector<double> Output(static_cast<size_t>(Space.numCells()), 0.0);
+      std::vector<double> Values(Slots.size());
+      std::vector<double> Scratch(Kernel.instructions().size());
+      for (int64_t Cell = 0; Cell != Space.numCells(); ++Cell) {
+        std::vector<int64_t> Index = Space.delinearize(Cell);
+        for (size_t S = 0; S != Slots.size(); ++S)
+          Values[S] = Slots[S].read(Index);
+        double Value = Kernel.evaluate(Values.data(), Scratch.data());
+        if (!Node.ShrinkOutput || Region.contains(Index))
+          Output[static_cast<size_t>(Cell)] = Value;
+      }
+      Fields[Node.Name] = std::move(Output);
+    }
+    return Fields;
+  }
+
+private:
+  struct Slot {
+    const std::vector<double> *Data = nullptr;
+    std::vector<size_t> SpannedDims;
+    std::vector<int64_t> Offsets, Extents, Strides;
+    BoundaryCondition Boundary;
+
+    double read(const std::vector<int64_t> &Index) const {
+      int64_t Linear = 0, Center = 0;
+      bool InBounds = true;
+      for (size_t Dim = 0; Dim != SpannedDims.size(); ++Dim) {
+        int64_t Component = Index[SpannedDims[Dim]] + Offsets[Dim];
+        InBounds &= Component >= 0 && Component < Extents[Dim];
+        Linear += Component * Strides[Dim];
+        Center += Index[SpannedDims[Dim]] * Strides[Dim];
+      }
+      if (InBounds)
+        return (*Data)[static_cast<size_t>(Linear)];
+      if (Boundary.Kind == BoundaryKind::Constant)
+        return Boundary.Value;
+      return (*Data)[static_cast<size_t>(Center)];
+    }
+  };
+
+  static Slot slotOf(const StencilProgram &Program, const StencilNode &Node,
+                     const compute::KernelInput &In,
+                     const std::map<std::string, std::vector<double>> &Fields) {
+    Slot S;
+    S.Data = &Fields.at(In.Field);
+    const std::vector<bool> &Mask = Program.fieldDimensionMask(In.Field);
+    for (size_t Dim = 0; Dim != Mask.size(); ++Dim)
+      if (Mask[Dim])
+        S.SpannedDims.push_back(Dim);
+    for (int Component : In.Off)
+      S.Offsets.push_back(Component);
+    S.Extents = Program.fieldShape(In.Field).extents();
+    S.Strides.assign(S.Extents.size(), 1);
+    for (size_t Dim = S.Extents.size(); Dim-- > 1;)
+      S.Strides[Dim - 1] = S.Strides[Dim] * S.Extents[Dim];
+    S.Boundary = Node.boundaryFor(In.Field);
+    return S;
+  }
+};
+
+bool sameBits(const std::vector<double> &A, const std::vector<double> &B) {
+  return A.size() == B.size() &&
+         std::memcmp(A.data(), B.data(), A.size() * sizeof(double)) == 0;
+}
+
+/// Runs \p P through the block oracle, sequentially and on several thread
+/// counts whose ranges split rows, and expects every field bit-identical
+/// to the per-cell reference.
+void expectBlockOracleMatchesPerCell(StencilProgram P,
+                                     const std::string &What) {
+  SCOPED_TRACE(What);
+  Expected<CompiledProgram> Compiled = CompiledProgram::compile(std::move(P));
+  ASSERT_TRUE(Compiled) << Compiled.message();
+  auto Inputs = materializeInputs(Compiled->program());
+  auto Expected = PerCellReference::run(*Compiled, Inputs);
+  for (int Threads : {1, 3, 7}) {
+    auto Blocks = Threads == 1
+                      ? runReference(*Compiled, Inputs)
+                      : runReferenceParallel(*Compiled, Inputs, Threads);
+    ASSERT_TRUE(Blocks) << Blocks.message();
+    ASSERT_EQ(Blocks->Fields.size(), Expected.size());
+    for (const auto &[Name, Data] : Expected)
+      EXPECT_TRUE(sameBits(Blocks->field(Name), Data))
+          << Name << " with " << Threads << " thread(s): "
+          << validateField(Name, Blocks->field(Name), Data).Summary;
+  }
+}
+
+/// \p P with every node and input retyped to \p Type, and every other
+/// node's output shrunk to its valid region.
+StencilProgram retyped(StencilProgram P, DataType Type) {
+  for (Field &Input : P.Inputs)
+    Input.Type = Type;
+  for (size_t I = 0; I != P.Nodes.size(); ++I) {
+    P.Nodes[I].Type = Type;
+    P.Nodes[I].ShrinkOutput = I % 2 == 1;
+  }
+  return P;
+}
+
+} // namespace
+
+TEST(BlockOracleTest, GeneratedProgramsOfEveryProfile) {
+  std::pair<const char *, fuzz::GenConfig> Profiles[] = {
+      {"default", fuzz::GenConfig()},
+      {"deep-rings", fuzz::GenConfig::deepRings()},
+      {"wide-dags", fuzz::GenConfig::wideDags()},
+      {"degenerate", fuzz::GenConfig::degenerate()},
+  };
+  for (const auto &[Name, Config] : Profiles)
+    for (uint64_t Seed = 1; Seed <= 8; ++Seed)
+      expectBlockOracleMatchesPerCell(
+          fuzz::generateProgram(Seed, Config),
+          formatString("%s seed %llu", Name,
+                       static_cast<unsigned long long>(Seed)));
+}
+
+TEST(BlockOracleTest, EveryElementTypeAndShrunkOutputs) {
+  // Ramps reach past 1, so the integer types keep nonzero values.
+  std::pair<const char *, DataType> Types[] = {
+      {"float32", DataType::Float32},
+      {"float64", DataType::Float64},
+      {"int32", DataType::Int32},
+      {"int64", DataType::Int64},
+  };
+  for (const auto &[Name, Type] : Types)
+    for (uint64_t Seed = 1; Seed <= 6; ++Seed) {
+      StencilProgram P = retyped(fuzz::generateProgram(Seed), Type);
+      for (Field &Input : P.Inputs)
+        Input.Source = DataSource::ramp(0.75);
+      expectBlockOracleMatchesPerCell(
+          std::move(P), formatString("%s seed %llu", Name,
+                                     static_cast<unsigned long long>(Seed)));
+    }
+}
+
+TEST(BlockOracleTest, WideRowsSubDimensionalInputsAndBothBoundaries) {
+  // Rows of 150 cells span three blocks; the line inputs b (middle
+  // dimension only) and c (outer and inner) and the scalar alpha read
+  // with a stride of zero along some dimensions; shifted reads cross
+  // every edge under constant and copy boundaries.
+  for (BoundaryCondition Boundary :
+       {BoundaryCondition::constant(-2.5), BoundaryCondition::copy()}) {
+    StencilProgram P;
+    P.IterationSpace = Shape({3, 5, 150});
+    addInput(P, "a", DataType::Float64);
+    for (auto [Name, Mask] :
+         {std::pair<const char *, std::vector<bool>>{"b", {false, true, false}},
+          {"c", {true, false, true}},
+          {"alpha", {false, false, false}}}) {
+      Field F;
+      F.Name = Name;
+      F.Type = DataType::Float64;
+      F.DimensionMask = Mask;
+      F.Source = DataSource::random(11);
+      P.Inputs.push_back(F);
+    }
+    addStencil(P, "s",
+               "s = a[0, 0, -70] + a[1, -1, 3] * b[1] - c[-1, 65] + "
+               "alpha * a[0, 2, 1] + a[0, 0, 0] * b[0] * c[0, 0];",
+               DataType::Float64,
+               {{"a", Boundary}, {"b", Boundary}, {"c", Boundary}});
+    addStencil(P, "t", "t = s[0, 0, -1] + s[0, 0, 1] - s[0, 0, 0] + c[0, 0];",
+               DataType::Float64, {{"s", Boundary}});
+    P.Nodes.back().ShrinkOutput = true;
+    P.Outputs = {"t"};
+    Error Err = analyzeProgram(P);
+    ASSERT_FALSE(Err) << Err.message();
+    expectBlockOracleMatchesPerCell(
+        std::move(P), Boundary.Kind == BoundaryKind::Copy ? "copy"
+                                                          : "constant");
+  }
+  // One-dimensional rows of every length around the block size.
+  for (int64_t Extent : {1, 63, 64, 65, 129, 200}) {
+    StencilProgram P;
+    P.IterationSpace = Shape({Extent});
+    addInput(P, "a");
+    addStencil(P, "out", "out = a[-1] + a[0] * 2.0 + a[1];",
+               DataType::Float32, {{"a", BoundaryCondition::copy()}});
+    P.Outputs = {"out"};
+    ASSERT_FALSE(analyzeProgram(P));
+    expectBlockOracleMatchesPerCell(std::move(P),
+                                    formatString("extent %lld",
+                                                 static_cast<long long>(
+                                                     Extent)));
   }
 }
 

@@ -891,6 +891,58 @@ TEST(ParallelParityTest, SingleDevicePrograms) {
   }
 }
 
+TEST(MachineRerunTest, RerunMatchesAFreshMachine) {
+  // A run on an already used machine reports and traces exactly what a
+  // freshly built machine does: after the Fig. 4 deadlock, which leaves
+  // undersized channels full, and after a completed run, whose channel
+  // peaks would otherwise carry over.
+  SimConfig Deadlocking = unconstrained();
+  Deadlocking.ClampChannelsToMinimum = true;
+  Deadlocking.MinChannelDepth = 4;
+  SimConfig Constrained;
+  Constrained.PeakMemoryBytesPerCycle = 6.0;
+  struct Scenario {
+    const char *Name;
+    StencilProgram Program;
+    SimConfig Config;
+  } Scenarios[] = {
+      {"deadlock", diamondProgram(32, 32), Deadlocking},
+      {"completed", diamondProgram(32, 32), unconstrained()},
+      {"constrained memory", jacobi3dChain(3, 4, 6, 8), Constrained},
+  };
+  for (Scenario &S : Scenarios) {
+    SCOPED_TRACE(S.Name);
+    auto Compiled = CompiledProgram::compile(std::move(S.Program));
+    ASSERT_TRUE(Compiled);
+    auto Dataflow = analyzeDataflow(*Compiled);
+    auto Inputs = materializeInputs(Compiled->program());
+    // The digest text and Chrome trace of one run of \p M.
+    auto Outcome = [&](Machine &M, const Tracer &T) {
+      auto Result = M.run(Inputs);
+      return std::make_pair(Result ? simDigestText(*Result)
+                                   : simDigestText(Result.error()),
+                            T.chromeTraceJson());
+    };
+    Tracer UsedTrace, FreshTrace;
+    SimConfig Config = S.Config;
+    Config.Trace = &UsedTrace;
+    auto Used = Machine::build(*Compiled, *Dataflow, nullptr, Config);
+    ASSERT_TRUE(Used);
+    auto First = Outcome(*Used, UsedTrace);
+    auto Rerun = Outcome(*Used, UsedTrace);
+    Config.Trace = &FreshTrace;
+    auto Fresh = Machine::build(*Compiled, *Dataflow, nullptr, Config);
+    ASSERT_TRUE(Fresh);
+    auto FreshRun = Outcome(*Fresh, FreshTrace);
+    EXPECT_EQ(First.first.rfind("failure deadlock", 0) == 0,
+              std::string(S.Name) == "deadlock")
+        << First.first.substr(0, 200);
+    EXPECT_EQ(Rerun.first, FreshRun.first);
+    EXPECT_EQ(Rerun.second, FreshRun.second);
+    EXPECT_EQ(First, FreshRun);
+  }
+}
+
 TEST(ParallelParityTest, TwoDeviceChain) {
   auto Result = twoDeviceChain(unconstrained());
   ASSERT_TRUE(Result) << Result.message();

@@ -1612,3 +1612,59 @@ TEST(PartitionDigestTest, EveryCandidateOfTheDefaultSpaces) {
     }
   }
 }
+
+TEST(TuningReportDigestTest, DefaultSpacesAndTheTuneBenchmark) {
+  // Pinned before identical plans shared one simulation and the reference
+  // executor evaluated blocks of cells: the whole JSON report (every
+  // candidate's cost, simulated cycles and seconds, validation, Pareto
+  // front and calibration) of `sf_tune`'s default spaces with unconstrained
+  // memory, and of the `tune` benchmark's programs under its options.
+  // hdiff is pinned once: its size does not depend on the chain length.
+  struct Case {
+    const char *Name;
+    StencilProgram Program;
+    bool Benchmark;
+    uint64_t Digest;
+  };
+  Case Cases[] = {
+      {"jacobi3d x2", workloads::jacobi3dChain(2, 16, 32, 64), false,
+       0x561d54ffaeacbee5ull},
+      {"jacobi3d x4", workloads::jacobi3dChain(4, 16, 32, 64), false,
+       0xea5987f0a56bcc49ull},
+      {"diffusion2d x2", workloads::diffusion2dChain(2, 64, 64), false,
+       0x24d79ba8942cfb2eull},
+      {"diffusion2d x4", workloads::diffusion2dChain(4, 64, 64), false,
+       0x0acaea8bfc2b7360ull},
+      {"diffusion3d x2", workloads::diffusion3dChain(2, 16, 32, 64), false,
+       0x87c53337c67f4521ull},
+      {"diffusion3d x4", workloads::diffusion3dChain(4, 16, 32, 64), false,
+       0x07e61b2d15b985abull},
+      {"hdiff", workloads::horizontalDiffusion(), false, 0x0172070bd33f05f1ull},
+      {"bench hdiff", workloads::horizontalDiffusion(4, 8, 8, 1), true,
+       0xba370d875fe9bf6cull},
+      {"bench jacobi3d", workloads::jacobi3dChain(4, 4, 8, 8, 1), true,
+       0x5fdf5f912fe8e742ull},
+      {"bench wave2d", workloads::wave2dChain(2, 4, 16, 16, 1), true,
+       0x2a9e4a99dc1fd68full},
+  };
+  for (Case &C : Cases) {
+    SCOPED_TRACE(C.Name);
+    Session S = Session::fromProgram(std::move(C.Program));
+    TuneOptions Opts;
+    if (C.Benchmark) {
+      Opts.Space.DeviceCounts = {1, 2};
+      Opts.Space.TargetUtilizations = {0.85};
+      Opts.Search.CandidateBudget = 32;
+      Opts.TopK = 3;
+      Opts.Workers = 3;
+    } else {
+      S.unconstrainedMemory(true);
+    }
+    Expected<TuningOutcome> Out = S.tune(Opts);
+    ASSERT_TRUE(Out) << Out.message();
+    std::string Json = Out->Report.toJson();
+    EXPECT_EQ(textDigest(Json), C.Digest)
+        << formatString("0x%016llx", static_cast<unsigned long long>(
+               textDigest(Json)));
+  }
+}
